@@ -210,85 +210,7 @@ let run_serve_parallel () =
     "\n(replies checked byte-identical across pool sizes; ws new/reused are\n\
     \ Workspace.local pool deltas — parallel runs build one workspace per\n\
     \ domain, then reuse; prep/work/commit are the scheduler wave-phase\n\
-    \ wall-time totals from the metrics registry)\n";
-  (* seed-heavy snapshot-prepare comparison: at 100 DOF with 5 speculative
-     candidates per request, candidate scoring dominates the serial
-     prepare phase — the wave-fused snapshot path moves it onto the pool *)
-  heading
-    "Service: snapshot-prepare (100 DOF, 5 seed candidates, pool 4) — \
-     prepare phase serial vs wave-fused";
-  let chain100 = Dadu_kinematics.Robots.eval_chain ~dof:100 in
-  let library100 =
-    Dadu_service.Posture_library.build ~chain:chain100 ~count:256 ~seed:42 ()
-  in
-  let snap_workload () =
-    let rng = Dadu_util.Rng.create 2017 in
-    Array.init 96 (fun _ -> Dadu_core.Ik.random_problem rng chain100)
-  in
-  let run_snap snapshot_prepare =
-    let problems = snap_workload () in
-    let pool = Dadu_util.Domain_pool.create 4 in
-    let config =
-      {
-        Svc.default_config with
-        Svc.seed_candidates = 5;
-        seed_library = Some library100;
-        snapshot_prepare;
-      }
-    in
-    let service = Svc.create ~pool ~config () in
-    let p0 = Ws.phase_stats Ws.Prepare in
-    (* min over warm batches: a single batch's phase split is at the
-       mercy of scheduler noise on a loaded host *)
-    let best_wall = ref infinity and best_prep = ref infinity in
-    let replies = ref [||] in
-    for rep = 0 to 5 do
-      Svc.reset_metrics service;
-      let t0 = Unix.gettimeofday () in
-      let r = Svc.solve_batch service problems in
-      let wall = Unix.gettimeofday () -. t0 in
-      let m = Svc.metrics service in
-      if rep > 0 then begin
-        (* rep 0 warms workspaces and the seed cache *)
-        if wall < !best_wall then best_wall := wall;
-        let p = m.Dadu_service.Metrics.prepare_s in
-        if p < !best_prep then best_prep := p
-      end;
-      replies := r
-    done;
-    let p1 = Ws.phase_stats Ws.Prepare in
-    Dadu_util.Domain_pool.shutdown pool;
-    ( !best_wall,
-      !best_prep,
-      statuses !replies,
-      p1.Ws.created - p0.Ws.created,
-      p1.Ws.reused - p0.Ws.reused )
-  in
-  let wall_off, prep_off, st_off, _, _ = run_snap false in
-  let wall_on, prep_on, st_on, pc, pr = run_snap true in
-  let snap_table =
-    Table.create ~title:"96 requests at 100 DOF, seed-candidates 5"
-      [ ("prepare path", Table.Left); ("wall s", Table.Right);
-        ("prepare ms", Table.Right); ("prepare speedup", Table.Right);
-        ("prepare-phase ws new/reused", Table.Right) ]
-  in
-  Table.add_row snap_table
-    [ "serial (per-request)"; Printf.sprintf "%.3f" wall_off;
-      Printf.sprintf "%.1f" (1e3 *. prep_off); "1.00x"; "0/0" ];
-  Table.add_row snap_table
-    [ "snapshot (wave-fused)"; Printf.sprintf "%.3f" wall_on;
-      Printf.sprintf "%.1f" (1e3 *. prep_on);
-      Printf.sprintf "%.2fx" (prep_off /. prep_on);
-      Printf.sprintf "%d/%d" pc pr ];
-  (if st_off <> st_on then
-     print_string "  WARNING: snapshot-prepare changed the replies!\n");
-  Table.print snap_table;
-  Printf.printf
-    "\n(replies checked byte-identical between prepare paths; wall and\n\
-    \ prepare ms are minima over 5 warm batches — the metrics registry's\n\
-    \ prepare-phase wall-time total per batch; ws new/reused are\n\
-    \ Workspace.phase_stats Prepare deltas — the fused sweeps borrow\n\
-    \ each pool domain's workspace FK scratch)\n"
+    \ wall-time totals from the metrics registry)\n"
 
 (* ---- open-loop load benchmark: per-request vs lockstep serving ----
 
@@ -476,7 +398,7 @@ let run_serve_live () =
     in
     go 0
   in
-  let ic = Unix.in_channel_of_descr fd in
+  let rd = Pf.frame_reader fd in
   let oc = Unix.out_channel_of_descr fd in
   (* reply ledger, filled by the reader thread; ids are globally unique
      across every mode of the run *)
@@ -488,10 +410,9 @@ let run_serve_live () =
   let reader () =
     let running = ref true in
     while !running do
-      match Pf.read_frame ic with
-      | Ok None | Error _ -> running := false
-      | exception (Sys_error _ | End_of_file) -> running := false
-      | Ok (Some payload) ->
+      match Pf.read_frame_fd rd with
+      | Pf.Eof | Pf.Timed_out _ | Pf.Frame_error _ -> running := false
+      | Pf.Frame payload ->
         (match Json.of_string payload with
         | Error _ -> ()
         | Ok json ->
@@ -907,14 +828,16 @@ let megabatch_steady_state ~dof =
    the informational fields pin the acceptance criterion (seeded mean
    iterations to the paper accuracy strictly below cold), while the gated
    metrics price the seed selection itself — one perturbation-free
-   4-candidate choose (theta0 / cache / library NN / zero) on warm
-   scratch, which steady-state allocates nothing. *)
+   4-candidate selection (theta0 / cache / library NN / zero) as a
+   one-request [choose_wave] on warm scratch.  The waves, library rows
+   included, are built before the timed loop, so the loop allocates only
+   each wave's result array. *)
 let seeded_steady_state ~dof =
   let open Dadu_kinematics in
   let module Sel = Dadu_service.Seed_select in
   let chain = Robots.eval_chain ~dof in
   let library =
-    Some (Dadu_service.Posture_library.build ~chain ~count:256 ~seed:42 ())
+    Dadu_service.Posture_library.build ~chain ~count:256 ~seed:42 ()
   in
   let rng = Dadu_util.Rng.create 17 in
   let problems =
@@ -926,24 +849,43 @@ let seeded_steady_state ~dof =
     Dadu_core.Quick_ik.solve ~speculations:64 ~workspace:ws ~config p
   in
   let sel = Sel.create () in
-  let choose ~cache_seed ~ordinal p dst =
-    let t = p.Dadu_core.Ik.target in
-    ignore
-      (Sel.choose sel ~session_seed:None ~library ~cache_seed ~candidates:4
-         ~ordinal ~scale:0.1 ~chain ~tx:t.Dadu_linalg.Vec3.x
-         ~ty:t.Dadu_linalg.Vec3.y ~tz:t.Dadu_linalg.Vec3.z
-         ~theta0:p.Dadu_core.Ik.theta0 ~dst)
+  let waves ~cache_seed =
+    Array.mapi
+      (fun i (p : Dadu_core.Ik.problem) ->
+        let t = p.Dadu_core.Ik.target in
+        let x = t.Dadu_linalg.Vec3.x
+        and y = t.Dadu_linalg.Vec3.y
+        and z = t.Dadu_linalg.Vec3.z in
+        [|
+          {
+            Sel.ordinal = i;
+            chain;
+            tx = x;
+            ty = y;
+            tz = z;
+            theta0 = p.Dadu_core.Ik.theta0;
+            session_seed = None;
+            cache_seed;
+            library = Some library;
+            library_index =
+              Dadu_service.Posture_library.nearest_index library ~x ~y ~z;
+            candidates = 4;
+            scale = 0.1;
+            dst = Array.make dof 0.;
+          };
+        |])
+      problems
   in
   let mean_iters seeded =
+    let waves = waves ~cache_seed:None in
     let total = ref 0 in
     Array.iteri
       (fun i p ->
         let p =
           if not seeded then p
           else begin
-            let dst = Array.make dof 0. in
-            choose ~cache_seed:None ~ordinal:i p dst;
-            { p with Dadu_core.Ik.theta0 = dst }
+            ignore (Sel.choose_wave sel waves.(i));
+            { p with Dadu_core.Ik.theta0 = waves.(i).(0).Sel.dst }
           end
         in
         total := !total + (solve p).Dadu_core.Ik.iterations)
@@ -953,31 +895,28 @@ let seeded_steady_state ~dof =
   let iters_cold = mean_iters false in
   let iters_seeded = mean_iters true in
   (* selection cost: warm cache seed present, so no Perturbed slot (whose
-     fresh Rng would allocate) — this is the serial-prepare steady state *)
-  let cache_seed = Some (Array.make dof 0.1) in
-  let dst = Array.make dof 0. in
+     fresh Rng would allocate) *)
+  let timed = waves ~cache_seed:(Some (Array.make dof 0.1)) in
   let reps = 100 in
-  let sweep ordinal0 =
+  let sweep () =
     for i = 0 to reps - 1 do
-      choose ~cache_seed ~ordinal:(ordinal0 + i)
-        problems.(i mod Array.length problems)
-        dst
+      ignore (Sel.choose_wave sel timed.(i mod Array.length timed))
     done
   in
-  sweep 0;
+  sweep ();
   (* warm *)
   let w0 = Gc.minor_words () in
-  sweep 100;
+  sweep ();
   let w1 = Gc.minor_words () in
-  sweep 200;
-  sweep 300;
+  sweep ();
+  sweep ();
   let w2 = Gc.minor_words () in
   let words_per_iter = ((w2 -. w1) -. (w1 -. w0)) /. float_of_int reps in
   let samples = 31 in
   let ns = Array.make samples 0. in
   for s = 0 to samples - 1 do
     let t0 = Unix.gettimeofday () in
-    sweep (1000 * s);
+    sweep ();
     ns.(s) <- (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int reps
   done;
   Array.sort compare ns;
@@ -990,10 +929,7 @@ let seeded_steady_state ~dof =
 (* Steady-state cost of one candidate scoring through the wave-fused
    prepare path: one [Seed_select.choose_wave] over a 16-request wave at
    5 candidates each, run sequentially (no pool) so the gated number
-   prices the SoA kernel and wave bookkeeping, not domain scheduling.
-   The informational fields compare against the same wave prepared by 16
-   per-request [choose] calls — the serial-vs-fused ratio the
-   snapshot-prepare path banks on before any parallelism. *)
+   prices the SoA kernel and wave bookkeeping, not domain scheduling. *)
 let prepare_steady_state ~dof =
   let open Dadu_kinematics in
   let module Sel = Dadu_service.Seed_select in
@@ -1033,19 +969,8 @@ let prepare_steady_state ~dof =
   in
   let sel = Sel.create () in
   let wave () = ignore (Sel.choose_wave sel specs) in
-  let serial_wave () =
-    Array.iter
-      (fun (s : Sel.spec) ->
-        ignore
-          (Sel.choose sel ~session_seed:s.Sel.session_seed
-             ~library:s.Sel.library ~cache_seed:s.Sel.cache_seed ~candidates
-             ~ordinal:s.Sel.ordinal ~scale:s.Sel.scale ~chain ~tx:s.Sel.tx
-             ~ty:s.Sel.ty ~tz:s.Sel.tz ~theta0:s.Sel.theta0 ~dst:s.Sel.dst))
-      specs
-  in
   let cands = float_of_int (waves * candidates) in
   wave ();
-  serial_wave ();
   (* warm *)
   let reps = 50 in
   let w0 = Gc.minor_words () in
@@ -1059,24 +984,20 @@ let prepare_steady_state ~dof =
   let w2 = Gc.minor_words () in
   let words_per_cand = ((w2 -. w1) -. (w1 -. w0)) /. float_of_int reps /. cands in
   let samples = 31 in
-  let time f =
-    let ns = Array.make samples 0. in
-    for s = 0 to samples - 1 do
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to reps do
-        f ()
-      done;
-      ns.(s) <- (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int reps /. cands
+  let ns = Array.make samples 0. in
+  for s = 0 to samples - 1 do
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to reps do
+      wave ()
     done;
-    Array.sort compare ns;
-    let pct p =
-      ns.(int_of_float (Float.round (p *. float_of_int (samples - 1))))
-    in
-    (Array.fold_left ( +. ) 0. ns /. float_of_int samples, pct 0.5, pct 0.95)
+    ns.(s) <- (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int reps /. cands
+  done;
+  Array.sort compare ns;
+  let pct p =
+    ns.(int_of_float (Float.round (p *. float_of_int (samples - 1))))
   in
-  let mean, p50, p95 = time wave in
-  let serial_mean, _, _ = time serial_wave in
-  (mean, p50, p95, words_per_cand, serial_mean)
+  let mean = Array.fold_left ( +. ) 0. ns /. float_of_int samples in
+  (mean, pct 0.5, pct 0.95, words_per_cand)
 
 (* Temporal warm-starting along a Cartesian trajectory: the session
    workload at kernel level.  Waypoint targets are generated by FK along
@@ -1168,7 +1089,7 @@ let run_micro_json () =
         "steady state: quickik = solver iteration (64 spec, Sequential), \
          speckernel = one raw 64-candidate sweep, megabatch = one lockstep \
          lane-iteration over a 16-lane bank, serve-request = one warm-cache \
-         request through the serial serving path, prepare = one candidate \
+         request through the serving path, prepare = one candidate \
          scoring through the wave-fused choose_wave (16 requests x 5 \
          candidates, sequential), session = one temporally warm-started \
          waypoint along a 40-point ~1.5 cm cyclic trajectory"
@@ -1236,18 +1157,8 @@ let run_micro_json () =
         dofs
     @ List.map
         (fun dof ->
-          let mean, p50, p95, words, serial_mean = prepare_steady_state ~dof in
-          let json =
-            entry (Printf.sprintf "prepare-dof%d" dof) dof (mean, p50, p95, words)
-          in
-          match json with
-          | Json.Obj fields ->
-            Json.Obj
-              (fields
-              @ [ ("serial_ns_per_iter", Json.num serial_mean);
-                  ( "fused_speedup",
-                    Json.num (if mean > 0. then serial_mean /. mean else 0.) ) ])
-          | other -> other)
+          entry (Printf.sprintf "prepare-dof%d" dof) dof
+            (prepare_steady_state ~dof))
         dofs
   in
   Table.print table;

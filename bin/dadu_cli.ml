@@ -431,15 +431,6 @@ let lockstep_flag =
   in
   Arg.(value & flag & info [ "lockstep" ] ~doc)
 
-let snapshot_prepare_flag =
-  let doc =
-    "Snapshot-prepare execution: freeze each scheduler wave's serial state \
-     reads into an immutable snapshot, then run seed-candidate assembly and \
-     scoring as wave-fused SoA sweeps on the worker pool (byte-identical \
-     replies to the per-request prepare, faster seed-heavy prepare phases)."
-  in
-  Arg.(value & flag & info [ "snapshot-prepare" ] ~doc)
-
 let seed_library_arg =
   let doc =
     "Posture library file (written by 'dadu posture-build') consulted for \
@@ -505,8 +496,8 @@ let write_replies path replies =
 let run_serve_batch file solvers speculations max_iters accuracy jobs chunk
     cache_cell cache_capacity no_warm_start time_budget batch_budget
     default_deadline trace_out retries retry_scale breaker_threshold
-    breaker_cooldown fault_plan fault_seed guard_flag lockstep
-    snapshot_prepare seed_library seed_candidates replies_out =
+    breaker_cooldown fault_plan fault_seed guard_flag lockstep seed_library
+    seed_candidates replies_out =
   match Dadu_service.Problem_file.parse_requests_file file with
   | Error msg ->
     Format.eprintf "dadu: %s: %s@." file msg;
@@ -583,7 +574,6 @@ let run_serve_batch file solvers speculations max_iters accuracy jobs chunk
         retry_scale;
         seed_library;
         seed_candidates;
-        snapshot_prepare;
       }
     in
     let trace = Option.map (fun _ -> Dadu_util.Trace.create ()) trace_out in
@@ -608,8 +598,7 @@ let run_serve_batch file solvers speculations max_iters accuracy jobs chunk
         Format.printf "Pool     : %d domain%s, chunk %d%s@." jobs
           (if jobs = 1 then "" else "s")
           chunk
-          ((if lockstep then ", lockstep" else "")
-          ^ if snapshot_prepare then ", snapshot-prepare" else "");
+          (if lockstep then ", lockstep" else "");
         Format.printf "Wall time: %.3f s (%.0f problems/s)@." wall
           (if wall > 0. then float_of_int n /. wall else 0.);
         print_string (Svc.render_metrics service);
@@ -651,8 +640,7 @@ let serve_batch_cmd =
       $ no_warm_start $ time_budget $ batch_budget $ default_deadline
       $ trace_out $ retries $ retry_scale $ breaker_threshold
       $ breaker_cooldown $ fault_plan $ fault_seed $ guard_flag
-      $ lockstep_flag $ snapshot_prepare_flag $ seed_library_arg
-      $ seed_candidates_arg $ replies_out)
+      $ lockstep_flag $ seed_library_arg $ seed_candidates_arg $ replies_out)
 
 (* ---- serve (persistent streaming server) ---- *)
 
@@ -760,8 +748,8 @@ let net_fault_seed_arg =
 let run_serve listen queue max_batch journal max_conns idle_timeout
     frame_timeout retry_after est_job_ms net_fault_plan net_fault_seed solvers
     speculations max_iters accuracy jobs chunk cache_cell cache_capacity
-    no_warm_start retries retry_scale guard_flag lockstep snapshot_prepare
-    seed_library seed_candidates =
+    no_warm_start retries retry_scale guard_flag lockstep seed_library
+    seed_candidates =
   let library =
     match seed_library with
     | _ when seed_candidates < 1 -> Error "--seed-candidates must be at least 1"
@@ -807,7 +795,6 @@ let run_serve listen queue max_batch journal max_conns idle_timeout
         retry_scale;
         seed_library;
         seed_candidates;
-        snapshot_prepare;
       }
     in
     let config =
@@ -869,8 +856,7 @@ let serve_cmd =
       $ est_job_ms_arg $ net_fault_plan_arg $ net_fault_seed_arg $ solvers_arg
       $ speculations $ max_iters $ accuracy $ jobs $ chunk $ cache_cell
       $ cache_capacity $ no_warm_start $ retries $ retry_scale $ guard_flag
-      $ lockstep_flag $ snapshot_prepare_flag $ seed_library_arg
-      $ seed_candidates_arg)
+      $ lockstep_flag $ seed_library_arg $ seed_candidates_arg)
 
 (* ---- client (script-driven frame stream) ---- *)
 

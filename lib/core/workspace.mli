@@ -81,9 +81,9 @@ val set_phase : phase -> unit
 val phase_stats : phase -> pool_stats
 (** Process-global, cumulative accounting for {!local} calls made while
     the given phase was current — the per-phase split of {!local_stats}.
-    [phase_stats Prepare] shows the workspaces the parallel
-    snapshot-prepare path builds (its fused seed-scoring sweeps borrow
-    each domain's workspace FK scratch), which the work phase then
+    [phase_stats Prepare] shows the workspaces the prepare phase builds
+    on a pool (its fused seed-scoring sweeps borrow each domain's
+    workspace FK scratch), which the work phase then
     reuses: a healthy seed-heavy loop shows [created] concentrated in
     whichever phase first touched each (domain, DOF) pair and [reused]
     growing in both.  Use deltas around a workload. *)

@@ -37,8 +37,7 @@ type t = {
   latency : Histogram.t;
   iterations : Histogram.t;
   (* wall time per scheduler phase, accumulated once per wave from the
-     orchestrating domain — the serial-fraction observability the
-     snapshot-prepare work is judged by *)
+     orchestrating domain — the serial-fraction observability *)
   mutable prepare_s : float;
   mutable work_s : float;
   mutable commit_s : float;

@@ -79,9 +79,8 @@ val record_phase : t -> phase -> float -> unit
 (** [record_phase t p dur_s] accumulates [dur_s] seconds of wall time
     into phase [p]'s total.  Called once per wave per phase from the
     scheduler's orchestrating domain (via its [phase_done] hook), so the
-    totals decompose batch wall time into the serial prepare/commit
-    phases versus the parallel work phase — the Amdahl breakdown the
-    snapshot-prepare path is judged by. *)
+    totals decompose batch wall time into the prepare/commit phases
+    versus the parallel work phase — the Amdahl breakdown of a batch. *)
 
 val reset : t -> unit
 

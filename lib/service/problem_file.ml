@@ -193,32 +193,15 @@ let write_frame oc payload =
   Out_channel.output_string oc payload;
   Out_channel.output_char oc '\n'
 
-let read_frame ic =
-  match In_channel.input_line ic with
-  | None -> Ok None
-  | Some line ->
-    (match int_of_string_opt (String.trim line) with
-    | Some n when n >= 0 && n <= max_frame_bytes ->
-      (match In_channel.really_input_string ic n with
-      | None -> Error "truncated frame payload"
-      | Some payload ->
-        (match In_channel.input_char ic with
-        | Some '\n' -> Ok (Some payload)
-        | Some _ -> Error "missing frame terminator"
-        | None -> Error "truncated frame (missing terminator)"))
-    | Some n -> Error (Printf.sprintf "frame length out of range (%d)" n)
-    | None ->
-      Error (Printf.sprintf "malformed frame length line (got %S)" line))
-
 (* ---- deadline-aware framing over a raw descriptor ----------------------
 
-   [read_frame] above blocks on a stdlib channel, so a peer that stops
-   mid-frame pins the reading thread forever — the slow-loris hole the
+   A reader blocked on a stdlib channel would let a peer that stops
+   mid-frame pin the reading thread forever — the slow-loris hole the
    server's connection hygiene closes.  This reader works on the raw
    descriptor with [Unix.select], enforcing two distinct deadlines: an
    *idle* timeout while waiting for the first byte of the next frame,
    and a *frame* timeout for completing a frame once its first byte has
-   arrived.  Either [None] means wait forever (the legacy behavior). *)
+   arrived.  Either [None] means wait forever. *)
 
 type frame_reader = {
   rfd : Unix.file_descr;

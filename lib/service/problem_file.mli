@@ -62,21 +62,14 @@ val max_frame_bytes : int
 val write_frame : out_channel -> string -> unit
 (** Writes one frame.  The caller flushes. *)
 
-val read_frame : in_channel -> (string option, string) result
-(** Reads one frame: [Ok None] on clean EOF before a length line,
-    [Ok (Some payload)] on success, [Error] on a malformed length line
-    or a truncated/unterminated frame (the stream is desynchronized —
-    close the connection). *)
+(** {2 Reading frames}
 
-(** {2 Deadline-aware framing}
-
-    {!read_frame} blocks on a stdlib channel, so a peer that stops
-    mid-frame pins the reading thread forever.  {!read_frame_fd} works
-    on the raw descriptor with [Unix.select] and enforces two distinct
-    deadlines: an {e idle} timeout while waiting for the first byte of
-    the next frame (slow-loris defense) and a {e frame} timeout for
-    completing a frame once started (a half-written frame cannot pin a
-    reader past it).  Either [None] waits forever. *)
+    {!read_frame_fd} is the one frame reader.  It works on the raw
+    descriptor with [Unix.select] and enforces two distinct deadlines:
+    an {e idle} timeout while waiting for the first byte of the next
+    frame (slow-loris defense) and a {e frame} timeout for completing a
+    frame once started (a half-written frame cannot pin a reader past
+    it).  Either [None] waits forever. *)
 
 type frame_reader
 (** Buffered reader state for one descriptor; not thread-safe. *)
@@ -92,6 +85,11 @@ type framed =
 
 val read_frame_fd :
   ?idle_timeout_s:float -> ?frame_timeout_s:float -> frame_reader -> framed
+(** Reads one frame: [Frame payload] on success, [Eof] on a clean EOF
+    before a length line, [Timed_out] once a deadline passes, and
+    [Frame_error] on a malformed length line or a truncated or
+    unterminated frame (the stream is desynchronized — close the
+    connection). *)
 
 val write_frame_injected :
   fault:Dadu_util.Fault.t -> out_channel -> string -> bool

@@ -31,21 +31,18 @@ type wave_phase = Prepare | Work | Commit
    prepared chunks handed to the caller).  [run] must return exactly one
    result per prepared item.
 
-   With [prepare_wave], dispatches for the whole wave are still built
-   serially in input order — one clock read each, before any prepare work
-   runs — and handed to the caller as an array: the wave-start snapshot
-   of the clock.  Without deadlines or a budget the dispatch values are
-   clock-independent either way, so the two prepare shapes see identical
-   inputs.
+   Each wave's dispatches are built serially in input order — one clock
+   read each, before any prepare work runs — and handed to [prepare] as
+   an array: the wave-start snapshot of the clock.  Without deadlines or
+   a budget the dispatch values are clock-independent.
 
    Phase hooks: [phase_enter] fires on the orchestrating domain
    immediately before each phase of each wave, [phase_done] immediately
    after with the phase's wall time.  Both default to no-ops and never
    affect scheduling; timing reads use the real monotonic clock, not the
    (injectable) [now], so fake-clock tests keep their reading budget. *)
-let map_waves t ~now ?budget_s ?deadline_s ?cut ?prepare_wave ?phase_enter
-    ?phase_done ~prepare ~run ~commit xs =
-  let n = Array.length xs in
+let map_waves t ~now ?budget_s ?deadline_s ?cut ?phase_enter ?phase_done
+    ~prepare ~run ~commit n =
   if n = 0 then [||]
   else begin
     let t0 = now () in
@@ -102,15 +99,10 @@ let map_waves t ~now ?budget_s ?deadline_s ?cut ?prepare_wave ?phase_enter
       in
       let prepared =
         timed Prepare (fun () ->
-            match prepare_wave with
-            | Some pw -> pw (Array.init len (fun j -> dispatch_at (base + j)))
-            | None ->
-              Array.init len (fun j ->
-                  let d = dispatch_at (base + j) in
-                  prepare d xs.(d.index)))
+            prepare (Array.init len (fun j -> dispatch_at (base + j))))
       in
       if Array.length prepared <> len then
-        invalid_arg "Scheduler: prepare_wave returned wrong arity";
+        invalid_arg "Scheduler: prepare returned wrong arity";
       let results = timed Work (fun () -> run prepared) in
       timed Commit (fun () ->
           for j = 0 to len - 1 do
@@ -123,17 +115,17 @@ let map_waves t ~now ?budget_s ?deadline_s ?cut ?prepare_wave ?phase_enter
   end
 
 let map_deadlined t ?(now = Trace.now_s) ?budget_s ?deadline_s ?cut
-    ?prepare_wave ?phase_enter ?phase_done ~prepare ~work ~commit xs =
-  map_waves t ~now ?budget_s ?deadline_s ?cut ?prepare_wave ?phase_enter
-    ?phase_done ~prepare
+    ?phase_enter ?phase_done ~prepare ~work ~commit n =
+  map_waves t ~now ?budget_s ?deadline_s ?cut ?phase_enter ?phase_done
+    ~prepare
     ~run:(fun prepared ->
       run_wave t (fun j -> guarded work prepared.(j)) (Array.length prepared))
-    ~commit xs
+    ~commit n
 
 let map_lockstep t ?(now = Trace.now_s) ?budget_s ?deadline_s ?cut
-    ?prepare_wave ?phase_enter ?phase_done ~prepare ~work_batch ~commit xs =
-  map_waves t ~now ?budget_s ?deadline_s ?cut ?prepare_wave ?phase_enter
-    ?phase_done ~prepare
+    ?phase_enter ?phase_done ~prepare ~work_batch ~commit n =
+  map_waves t ~now ?budget_s ?deadline_s ?cut ?phase_enter ?phase_done
+    ~prepare
     ~run:(fun prepared ->
       let len = Array.length prepared in
       match guarded work_batch prepared with
@@ -144,7 +136,4 @@ let map_lockstep t ?(now = Trace.now_s) ?budget_s ?deadline_s ?cut
              (Invalid_argument
                 "Scheduler.map_lockstep: work_batch returned wrong arity"))
       | Error exn -> Array.make len (Error exn))
-    ~commit xs
-
-let map_chunked t ~prepare ~work ~commit xs =
-  map_deadlined t ~prepare:(fun d x -> prepare d.index x) ~work ~commit xs
+    ~commit n

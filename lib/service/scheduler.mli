@@ -37,7 +37,8 @@ val map : t -> ('a -> 'b) -> 'a array -> ('b, exn) result array
 
 type dispatch = {
   index : int;  (** position of the request in the batch *)
-  elapsed_s : float;  (** since the batch started, at prepare time *)
+  elapsed_s : float;
+      (** since the batch started, read as the dispatch's wave begins *)
   expired : bool;
       (** the batch budget is exhausted or this request's deadline has
           passed; the caller's [prepare] should route it to its cheapest
@@ -46,8 +47,8 @@ type dispatch = {
 
 type wave_phase = Prepare | Work | Commit
 (** The three phases of one scheduler wave, in order.  [Prepare] and
-    [Commit] run on the orchestrating domain (though a wave-grained
-    prepare may fan work out itself); [Work] is the pool phase. *)
+    [Commit] run on the orchestrating domain (though [prepare] may fan
+    work out itself); [Work] is the pool phase. *)
 
 val map_deadlined :
   t ->
@@ -55,25 +56,33 @@ val map_deadlined :
   ?budget_s:float ->
   ?deadline_s:(int -> float option) ->
   ?cut:(base:int -> int -> bool) ->
-  ?prepare_wave:(dispatch array -> 'p array) ->
   ?phase_enter:(wave_phase -> unit) ->
   ?phase_done:
     (wave_phase -> base:int -> len:int -> start_s:float -> dur_s:float -> unit) ->
-  prepare:(dispatch -> 'a -> 'p) ->
+  prepare:(dispatch array -> 'p array) ->
   work:('p -> 'b) ->
   commit:(int -> ('b, exn) result -> unit) ->
-  'a array ->
+  int ->
   ('b, exn) result array
-(** For each chunk, in input order: [prepare] serially for each item,
-    then [work] over the prepared chunk (in parallel when a pool is
-    present), then [commit i result] serially for each item.  [prepare]
-    for chunk [k+1] therefore observes every [commit] of chunk [k] — the
-    warm-start window of the serving layer.  Exceptions from [prepare] or
-    [commit] propagate to the caller (they run on the caller's domain);
-    exceptions from [work] are captured per item.
+(** [map_deadlined t ~prepare ~work ~commit n] runs items [0 .. n-1] in
+    chunks.  For each chunk, in input order: [prepare] once over the
+    chunk's dispatches, then [work] over the prepared chunk (in parallel
+    when a pool is present), then [commit i result] serially for each
+    item.  [prepare] for chunk [k+1] therefore observes every [commit]
+    of chunk [k] — the warm-start window of the serving layer.
+    Exceptions from [prepare] or [commit] propagate to the caller (they
+    run on the caller's domain); exceptions from [work] are captured per
+    item.
+
+    The dispatches are built serially in input order — one clock read
+    each, {e before} any prepare work runs, so expiry decisions are the
+    wave-start snapshot of the clock — and handed to [prepare] whole
+    ([dispatch.index] addresses the caller's own input).  [prepare] must
+    return one prepared value per dispatch, positionally; a wrong arity
+    raises.
 
     [dispatch.expired] is true once [elapsed_s] reaches [budget_s] or the
-    item's own [deadline_s index] (both measured from the first prepare,
+    item's own [deadline_s index] (both measured from the batch start,
     inclusive: a 0-second deadline expires immediately, whatever the
     clock's resolution).  With neither given, [expired] is always false
     and results cannot depend on the clock.  [now] (default
@@ -88,19 +97,8 @@ val map_deadlined :
     a waypoint landing in the same wave as an earlier waypoint of the
     same session must see its committed solution (the session seed
     slot).  [cut] is queried serially in input order, so wave shapes —
-    and therefore results — are a pure function of the input array,
-    never of the pool size or the clock.
-
-    [prepare_wave], when given, replaces the per-item [prepare] calls:
-    the wave's dispatches are still built serially in input order — one
-    clock read each, {e before} any prepare work runs, so expiry
-    decisions are the wave-start snapshot of the clock — and handed to
-    the caller whole ([dispatch.index] addresses the caller's own input
-    array).  It must return one prepared value per dispatch,
-    positionally; a wrong arity raises.  With no deadlines or budget the
-    dispatch values are clock-independent, so the two prepare shapes are
-    interchangeable; the serving layer pins its replies byte-identical
-    across both.
+    and therefore results — are a pure function of the input, never of
+    the pool size or the clock.
 
     [phase_enter]/[phase_done] observe each wave's phases from the
     orchestrating domain: [phase_enter p] immediately before phase [p],
@@ -116,14 +114,13 @@ val map_lockstep :
   ?budget_s:float ->
   ?deadline_s:(int -> float option) ->
   ?cut:(base:int -> int -> bool) ->
-  ?prepare_wave:(dispatch array -> 'p array) ->
   ?phase_enter:(wave_phase -> unit) ->
   ?phase_done:
     (wave_phase -> base:int -> len:int -> start_s:float -> dur_s:float -> unit) ->
-  prepare:(dispatch -> 'a -> 'p) ->
+  prepare:(dispatch array -> 'p array) ->
   work_batch:('p array -> ('b, exn) result array) ->
   commit:(int -> ('b, exn) result -> unit) ->
-  'a array ->
+  int ->
   ('b, exn) result array
 (** {!map_deadlined} with batch-grained work: each prepared chunk is
     handed {e whole} to [work_batch], which owns its parallelism (the
@@ -134,13 +131,3 @@ val map_lockstep :
     [work_batch] must return one result per prepared item, positionally;
     a wrong arity or a raised exception marks {e every} item of the
     chunk as [Error] (per-item containment is [work_batch]'s job). *)
-
-val map_chunked :
-  t ->
-  prepare:(int -> 'a -> 'p) ->
-  work:('p -> 'b) ->
-  commit:(int -> ('b, exn) result -> unit) ->
-  'a array ->
-  ('b, exn) result array
-(** {!map_deadlined} without deadlines: [prepare] receives only the
-    index. *)

@@ -15,12 +15,12 @@ let source_name = function
   | Perturbed -> "perturbed"
 
 (* Every buffer the selection needs, grown on demand and reused across
-   requests and waves.  Candidates live as rows of one flat lane-major θ
-   plane ([plane.(k·tstride + i)], Megabatch layout) so a whole wave's
+   waves.  Candidates live as rows of one flat lane-major θ plane
+   ([plane.(k·tstride + i)], Megabatch layout) so a whole wave's
    candidates can be scored by chunked {!Fk.score_rows_into} sweeps; the
    per-row target planes ([txs]/[tys]/[tzs]) are what let one sweep span
    candidates belonging to different requests.  Steady state over one
-   chain shape and one candidate count allocates nothing. *)
+   chain shape and one candidate count allocates only the result array. *)
 type t = {
   fk : Fk.scratch;
   mutable tstride : int; (* row width the plane is currently shaped for *)
@@ -31,9 +31,6 @@ type t = {
   mutable pos : Vec.t; (* 3 × capacity SoA position planes *)
   mutable err2 : Vec.t; (* capacity *)
   mutable srcs : source array; (* capacity *)
-  mutable n : int; (* candidates assembled so far (scan state, not a ref:
-                      the whole selection is pinned allocation-free) *)
-  mutable best : int; (* argmin scratch *)
   (* wave bookkeeping: per-row owner and per-request row ranges *)
   mutable row_req : int array; (* capacity: spec index owning each row *)
   mutable base_lo : int array; (* per spec: first base row *)
@@ -53,8 +50,6 @@ let create () =
     pos = [||];
     err2 = [||];
     srcs = [||];
-    n = 0;
-    best = 0;
     row_req = [||];
     base_lo = [||];
     base_n = [||];
@@ -98,102 +93,6 @@ let clamp_row chain (plane : Vec.t) ~off =
     plane.(off + i) <- (if q > j.Joint.upper then j.Joint.upper else q)
   done
 
-(* First-iteration FK error of row [k]: one fused position fold plus the
-   squared-distance write into err2.(k). *)
-let score t chain k =
-  let stride = Array.length t.err2 in
-  Fk.score_rows_into ~scratch:t.fk ~pos:t.pos ~err2:t.err2 ~txs:t.txs
-    ~tys:t.tys ~tzs:t.tzs chain ~thetas:t.plane ~tstride:t.tstride ~stride
-    ~lo:k ~hi:(k + 1)
-
-(* Candidate [k]'s row has been filled: clamp it, tag its provenance and
-   target, and score it.  Top-level rather than a local closure — [choose]
-   runs once per request on the serial prepare path and must not
-   allocate. *)
-let commit t chain ~tx ~ty ~tz k src =
-  clamp_row chain t.plane ~off:(k * t.tstride);
-  t.srcs.(k) <- src;
-  t.txs.(k) <- tx;
-  t.tys.(k) <- ty;
-  t.tzs.(k) <- tz;
-  score t chain k
-
-let argmin_err2 t =
-  t.best <- 0;
-  for k = 1 to t.n - 1 do
-    if t.err2.(k) < t.err2.(t.best) then t.best <- k
-  done;
-  t.best
-
-let choose t ~session_seed ~library ~cache_seed ~candidates ~ordinal ~scale
-    ~chain ~tx ~ty ~tz ~theta0 ~dst =
-  let dof = Chain.dof chain in
-  if candidates < 1 then
-    invalid_arg "Seed_select.choose: candidates must be at least 1";
-  if Array.length theta0 <> dof then
-    invalid_arg "Seed_select.choose: theta0 length <> dof";
-  if Array.length dst <> dof then
-    invalid_arg "Seed_select.choose: dst length <> dof";
-  if candidates = 1 then begin
-    Array.blit theta0 0 dst 0 dof;
-    clamp_row chain dst ~off:0;
-    Theta0
-  end
-  else begin
-    ensure t ~tstride:dof ~rows:candidates;
-    (* fixed priority order; the argmin's tie-break (strict <) therefore
-       favours the earlier, higher-trust source *)
-    Array.blit theta0 0 t.plane 0 dof;
-    commit t chain ~tx ~ty ~tz 0 Theta0;
-    t.n <- 1;
-    (* the temporal warm start outranks the spatial ones: a trajectory's
-       previous waypoint is almost always the closest known posture *)
-    (match session_seed with
-    | Some s when Array.length s = dof && t.n < candidates ->
-      Array.blit s 0 t.plane (t.n * t.tstride) dof;
-      commit t chain ~tx ~ty ~tz t.n Session;
-      t.n <- t.n + 1
-    | Some _ | None -> ());
-    (match cache_seed with
-    | Some s when Array.length s = dof && t.n < candidates ->
-      Array.blit s 0 t.plane (t.n * t.tstride) dof;
-      commit t chain ~tx ~ty ~tz t.n Cache;
-      t.n <- t.n + 1
-    | Some _ | None -> ());
-    (match library with
-    | Some lib when t.n < candidates && Posture_library.matches lib chain ->
-      let i = Posture_library.nearest_index lib ~x:tx ~y:ty ~z:tz in
-      if i >= 0 then begin
-        Posture_library.blit_posture_into lib i t.plane ~pos:(t.n * t.tstride);
-        commit t chain ~tx ~ty ~tz t.n Library;
-        t.n <- t.n + 1
-      end
-    | Some _ | None -> ());
-    if t.n < candidates then begin
-      Array.fill t.plane (t.n * t.tstride) dof 0.;
-      commit t chain ~tx ~ty ~tz t.n Zero;
-      t.n <- t.n + 1
-    end;
-    (* remaining slots: Gaussian jitter around the best-scoring base, each
-       perturbation's noise a pure function of (request ordinal, slot) *)
-    let first_perturbed = t.n in
-    let base_off = argmin_err2 t * t.tstride in
-    while t.n < candidates do
-      let k = t.n in
-      let j = k - first_perturbed in
-      let rng = Rng.create (Hashtbl.hash (0x5eed, ordinal, j)) in
-      let off = k * t.tstride in
-      for i = 0 to dof - 1 do
-        t.plane.(off + i) <- t.plane.(base_off + i) +. (scale *. Rng.gaussian rng)
-      done;
-      commit t chain ~tx ~ty ~tz k Perturbed;
-      t.n <- t.n + 1
-    done;
-    let best = argmin_err2 t in
-    Array.blit t.plane (best * t.tstride) dst 0 dof;
-    t.srcs.(best)
-  end
-
 (* ---- wave-fused selection --------------------------------------------
 
    One scheduler wave's worth of requests selected together: all base
@@ -203,12 +102,15 @@ let choose t ~session_seed ~library ~cache_seed ~candidates ~ordinal ~scale
    are assembled from each winner and scored the same way, and the final
    winners are committed serially in ordinal order.
 
-   Bit-parity with per-request [choose] holds by construction: rows are
-   assembled by the same code in the same per-request order, rows are
-   scored independently (so any chunking equals the one-row-at-a-time
-   serial scoring), and the split argmin (best base, then perturbed rows
-   in order, strict <) selects the same winner as the serial full-range
-   scan because the serial tie-break already favours the earliest row. *)
+   The winner does not depend on the pool or on the wave a request
+   shares: rows are assembled by the same code in the same per-request
+   order, rows are scored independently (so any chunking equals
+   one-row-at-a-time scoring), and the split argmin (best base, then
+   perturbed rows in order, strict <) is the full-range scan with its
+   earliest-row tie-break.
+
+   The sequential path allocates nothing but the result array: no
+   closures, tuples or captured refs (pinned by the alloc suite). *)
 
 type spec = {
   ordinal : int;
@@ -226,97 +128,106 @@ type spec = {
   dst : Vec.t;
 }
 
-(* Which base sources request [s] assembles, mirroring the conditions of
-   [choose] exactly (assembly is deterministic given the frozen spec, so
-   counting and filling can run as separate passes). *)
-let base_plan (s : spec) =
-  let dof = Chain.dof s.chain in
-  let nb = ref 1 in
-  let use_session =
-    match s.session_seed with
-    | Some ss when Array.length ss = dof && !nb < s.candidates ->
-      incr nb;
-      true
-    | Some _ | None -> false
-  in
-  let use_cache =
-    match s.cache_seed with
-    | Some cs when Array.length cs = dof && !nb < s.candidates ->
-      incr nb;
-      true
-    | Some _ | None -> false
-  in
-  let use_library =
-    if s.library <> None && s.library_index >= 0 && !nb < s.candidates then begin
-      incr nb;
-      true
-    end
-    else false
-  in
-  let use_zero =
-    if !nb < s.candidates then begin
-      incr nb;
-      true
-    end
-    else false
-  in
-  (use_session, use_cache, use_library, use_zero, !nb)
+let usable dof = function Some v -> Array.length v = dof | None -> false
 
-let fill_row t (s : spec) r row src fill =
-  let off = row * t.tstride in
-  fill off;
-  clamp_row s.chain t.plane ~off;
+(* How many base rows spec [s] assembles: θ₀, then each usable source in
+   priority order (session slot, cache hit, library neighbour, zero
+   posture) while the candidate budget lasts.  [assemble_base] fills
+   exactly these rows, in that order. *)
+let base_count (s : spec) =
+  let dof = Chain.dof s.chain in
+  let usable_sources =
+    Bool.to_int (usable dof s.session_seed)
+    + Bool.to_int (usable dof s.cache_seed)
+    + Bool.to_int (s.library <> None && s.library_index >= 0)
+    + 1 (* zero *)
+  in
+  Stdlib.min s.candidates (1 + usable_sources)
+
+(* Row [row] of spec [r] has just been written: clamp it and tag its
+   provenance, owner and target. *)
+let seal_row t (s : spec) r row src =
+  clamp_row s.chain t.plane ~off:(row * t.tstride);
   t.srcs.(row) <- src;
   t.row_req.(row) <- r;
   t.txs.(row) <- s.tx;
   t.tys.(row) <- s.ty;
   t.tzs.(row) <- s.tz
 
+let blit_row t (s : spec) r row src v =
+  Array.blit v 0 t.plane (row * t.tstride) (Chain.dof s.chain);
+  seal_row t s r row src
+
+(* Non-speculative requests ([candidates = 1]) take their own θ₀,
+   clamped and unscored. *)
+let classic (s : spec) =
+  Array.blit s.theta0 0 s.dst 0 (Chain.dof s.chain);
+  clamp_row s.chain s.dst ~off:0
+
+(* Fill spec [r]'s base rows [base_lo, base_lo + base_n) in the fixed
+   priority order; the argmin's tie-break (strict <) therefore favours
+   the earlier, higher-trust source.  The temporal warm start outranks
+   the spatial ones: a trajectory's previous waypoint is almost always
+   the closest known posture. *)
 let assemble_base t (specs : spec array) r =
   let s = specs.(r) in
-  if s.candidates > 1 then begin
+  if s.candidates = 1 then classic s
+  else begin
     let dof = Chain.dof s.chain in
-    let use_session, use_cache, use_library, use_zero, _ = base_plan s in
-    let k = ref t.base_lo.(r) in
-    let put src fill =
-      fill_row t s r !k src fill;
+    let lo = t.base_lo.(r) in
+    let hi = lo + t.base_n.(r) in
+    blit_row t s r lo Theta0 s.theta0;
+    let k = ref (lo + 1) in
+    (match s.session_seed with
+    | Some v when Array.length v = dof && !k < hi ->
+      blit_row t s r !k Session v;
       incr k
-    in
-    put Theta0 (fun off -> Array.blit s.theta0 0 t.plane off dof);
-    if use_session then (
-      match s.session_seed with
-      | Some ss -> put Session (fun off -> Array.blit ss 0 t.plane off dof)
-      | None -> assert false);
-    if use_cache then (
-      match s.cache_seed with
-      | Some cs -> put Cache (fun off -> Array.blit cs 0 t.plane off dof)
-      | None -> assert false);
-    if use_library then (
-      match s.library with
-      | Some lib ->
-        put Library (fun off ->
-            Posture_library.blit_posture_into lib s.library_index t.plane
-              ~pos:off)
-      | None -> assert false);
-    if use_zero then put Zero (fun off -> Array.fill t.plane off dof 0.)
+    | Some _ | None -> ());
+    (match s.cache_seed with
+    | Some v when Array.length v = dof && !k < hi ->
+      blit_row t s r !k Cache v;
+      incr k
+    | Some _ | None -> ());
+    (match s.library with
+    | Some lib when s.library_index >= 0 && !k < hi ->
+      Posture_library.blit_posture_into lib s.library_index t.plane
+        ~pos:(!k * t.tstride);
+      seal_row t s r !k Library;
+      incr k
+    | Some _ | None -> ());
+    if !k < hi then begin
+      Array.fill t.plane (!k * t.tstride) dof 0.;
+      seal_row t s r !k Zero
+    end
   end
 
+(* The remaining slots: Gaussian jitter around the best-scoring base, each
+   perturbation's noise a pure function of (request ordinal, slot). *)
 let assemble_perturbed t (specs : spec array) r =
   let s = specs.(r) in
   if s.candidates > 1 then begin
     let dof = Chain.dof s.chain in
-    let np = s.candidates - t.base_n.(r) in
     let boff = t.best_base.(r) * t.tstride in
-    for j = 0 to np - 1 do
+    for j = 0 to s.candidates - t.base_n.(r) - 1 do
       let row = t.pert_lo.(r) + j in
       let off = row * t.tstride in
       let rng = Rng.create (Hashtbl.hash (0x5eed, s.ordinal, j)) in
       for i = 0 to dof - 1 do
         t.plane.(off + i) <- t.plane.(boff + i) +. (s.scale *. Rng.gaussian rng)
       done;
-      fill_row t s r row Perturbed (fun _ -> ())
+      seal_row t s r row Perturbed
     done
   end
+
+(* [f t specs r] for every spec, fanned out over [pool] when given.  [f]
+   is a top-level function, so the sequential path builds no closure. *)
+let for_each_spec t ?pool specs f =
+  match pool with
+  | None ->
+    for r = 0 to Array.length specs - 1 do
+      f t specs r
+    done
+  | Some pool -> Pool.parallel_for pool (Array.length specs) (fun r -> f t specs r)
 
 (* Score rows [a, b), splitting the range into runs of rows that share a
    chain so each kernel call streams one compiled constant set.  Worker
@@ -354,14 +265,6 @@ let sweep_region t ?pool specs lo hi =
       Pool.parallel_for_chunks pool ~grain:sweep_grain (hi - lo)
         (fun a b -> score_rows t specs (lo + a) (lo + b) ~local:true)
 
-let for_each_spec ?pool n f =
-  match pool with
-  | None ->
-    for r = 0 to n - 1 do
-      f r
-    done
-  | Some pool -> Pool.parallel_for pool n f
-
 let choose_wave t ?pool (specs : spec array) =
   (* On a machine with no available parallelism (one online core), pool
      dispatch can only add scheduling overhead — run the same sweeps
@@ -369,100 +272,80 @@ let choose_wave t ?pool (specs : spec array) =
      identical either way (pinned by the pool-vs-sequential tests). *)
   let pool =
     match pool with
-    | Some p when Pool.size p > 1 && Domain.recommended_domain_count () > 1 ->
-      Some p
+    | Some p as pool
+      when Pool.size p > 1 && Domain.recommended_domain_count () > 1 ->
+      pool
     | Some _ | None -> None
   in
   let n = Array.length specs in
-  if n = 0 then [||]
+  let tstride = ref 1 and total = ref 0 in
+  for r = 0 to n - 1 do
+    let s = specs.(r) in
+    let dof = Chain.dof s.chain in
+    if s.candidates < 1 then
+      invalid_arg "Seed_select.choose_wave: candidates must be at least 1";
+    if Array.length s.theta0 <> dof then
+      invalid_arg "Seed_select.choose_wave: theta0 length <> dof";
+    if Array.length s.dst <> dof then
+      invalid_arg "Seed_select.choose_wave: dst length <> dof";
+    if s.candidates > 1 then begin
+      tstride := Stdlib.max !tstride dof;
+      total := !total + s.candidates
+    end
+  done;
+  let out = Array.make n Theta0 in
+  if !total = 0 then
+    for r = 0 to n - 1 do
+      classic specs.(r)
+    done
   else begin
-    let tstride = ref 1 and total = ref 0 in
-    Array.iter
-      (fun s ->
-        let dof = Chain.dof s.chain in
-        if s.candidates < 1 then
-          invalid_arg "Seed_select.choose_wave: candidates must be at least 1";
-        if Array.length s.theta0 <> dof then
-          invalid_arg "Seed_select.choose_wave: theta0 length <> dof";
-        if Array.length s.dst <> dof then
-          invalid_arg "Seed_select.choose_wave: dst length <> dof";
-        if s.candidates > 1 then begin
-          tstride := Stdlib.max !tstride dof;
-          total := !total + s.candidates
-        end)
-      specs;
-    let out = Array.make n Theta0 in
-    (* non-speculative requests short-circuit exactly as [choose] does *)
-    let classic r =
+    ensure t ~tstride:!tstride ~rows:!total;
+    ensure_specs t n;
+    (* serial row allocation in ordinal order: base rows pack the region
+       [0, nbase) so one chunked sweep covers every request's bases *)
+    let next = ref 0 in
+    for r = 0 to n - 1 do
       let s = specs.(r) in
-      Array.blit s.theta0 0 s.dst 0 (Chain.dof s.chain);
-      clamp_row s.chain s.dst ~off:0
-    in
-    if !total = 0 then begin
-      for r = 0 to n - 1 do
-        classic r
-      done;
-      out
-    end
-    else begin
-      ensure t ~tstride:!tstride ~rows:!total;
-      ensure_specs t n;
-      (* serial row allocation in ordinal order: base rows pack the region
-         [0, nbase) so one chunked sweep covers every request's bases *)
-      let next = ref 0 in
-      for r = 0 to n - 1 do
-        let s = specs.(r) in
-        if s.candidates > 1 then begin
-          let _, _, _, _, nb = base_plan s in
-          t.base_lo.(r) <- !next;
-          t.base_n.(r) <- nb;
-          next := !next + nb
-        end
-        else begin
-          t.base_lo.(r) <- !next;
-          t.base_n.(r) <- 0
-        end
-      done;
-      let nbase = !next in
-      (* parallel assembly: disjoint row ranges, frozen inputs only *)
-      for_each_spec ?pool n (fun r ->
-          if specs.(r).candidates > 1 then assemble_base t specs r
-          else classic r);
-      sweep_region t ?pool specs 0 nbase;
-      (* serial base argmins + perturbed row allocation, ordinal order *)
-      for r = 0 to n - 1 do
-        let s = specs.(r) in
-        if s.candidates > 1 then begin
-          let lo = t.base_lo.(r) in
-          let best = ref lo in
-          for k = lo + 1 to lo + t.base_n.(r) - 1 do
-            if t.err2.(k) < t.err2.(!best) then best := k
-          done;
-          t.best_base.(r) <- !best;
-          t.pert_lo.(r) <- !next;
-          next := !next + (s.candidates - t.base_n.(r))
-        end
-      done;
-      let npert_hi = !next in
-      if npert_hi > nbase then begin
-        for_each_spec ?pool n (fun r -> assemble_perturbed t specs r);
-        sweep_region t ?pool specs nbase npert_hi
-      end;
-      (* serial seal: final argmin per request (best base, then that
-         request's perturbed rows in slot order, strict <) and winner
-         blit, in ordinal order *)
-      for r = 0 to n - 1 do
-        let s = specs.(r) in
-        if s.candidates > 1 then begin
-          let best = ref t.best_base.(r) in
-          let plo = t.pert_lo.(r) in
-          for k = plo to plo + (s.candidates - t.base_n.(r)) - 1 do
-            if t.err2.(k) < t.err2.(!best) then best := k
-          done;
-          Array.blit t.plane (!best * t.tstride) s.dst 0 (Chain.dof s.chain);
-          out.(r) <- t.srcs.(!best)
-        end
-      done;
-      out
-    end
-  end
+      t.base_lo.(r) <- !next;
+      t.base_n.(r) <- (if s.candidates > 1 then base_count s else 0);
+      next := !next + t.base_n.(r)
+    done;
+    let nbase = !next in
+    (* assembly: disjoint row ranges, frozen inputs only *)
+    for_each_spec t ?pool specs assemble_base;
+    sweep_region t ?pool specs 0 nbase;
+    (* serial base argmins + perturbed row allocation, ordinal order *)
+    for r = 0 to n - 1 do
+      let s = specs.(r) in
+      if s.candidates > 1 then begin
+        let lo = t.base_lo.(r) in
+        let best = ref lo in
+        for k = lo + 1 to lo + t.base_n.(r) - 1 do
+          if t.err2.(k) < t.err2.(!best) then best := k
+        done;
+        t.best_base.(r) <- !best;
+        t.pert_lo.(r) <- !next;
+        next := !next + (s.candidates - t.base_n.(r))
+      end
+    done;
+    if !next > nbase then begin
+      for_each_spec t ?pool specs assemble_perturbed;
+      sweep_region t ?pool specs nbase !next
+    end;
+    (* serial seal: final argmin per request (best base, then that
+       request's perturbed rows in slot order, strict <) and winner
+       blit, in ordinal order *)
+    for r = 0 to n - 1 do
+      let s = specs.(r) in
+      if s.candidates > 1 then begin
+        let best = ref t.best_base.(r) in
+        let plo = t.pert_lo.(r) in
+        for k = plo to plo + (s.candidates - t.base_n.(r)) - 1 do
+          if t.err2.(k) < t.err2.(!best) then best := k
+        done;
+        Array.blit t.plane (!best * t.tstride) s.dst 0 (Chain.dof s.chain);
+        out.(r) <- t.srcs.(!best)
+      end
+    done
+  end;
+  out

@@ -12,20 +12,22 @@ open Dadu_kinematics
     perturbations of the best-scoring base —
     each scored by its first-iteration FK error (squared end-effector
     distance to the target, computed with the {!Dadu_kinematics.Fk}
-    speculation kernel), and only the argmin winner is committed as the
-    start the solver chain sees.
+    row-scoring kernel), and only the argmin winner is committed as the
+    start the solver chain sees.  Selection runs a whole scheduler wave
+    at once ({!choose_wave}); a single request is a wave of one.
 
-    Determinism contract: the winner is a pure function of (request
-    ordinal, chain, target, θ₀, cache seed, library).  Perturbation noise
-    is seeded from the request ordinal and the perturbation index alone,
-    scoring is serial over candidates, and ties break to the earliest
-    (highest-priority) candidate — so replies are byte-identical across
-    pool sizes and lockstep modes (the selection runs in the scheduler's
-    serial prepare phase; pinned by test).
+    Determinism contract: the winner is a pure function of the request's
+    {!spec} (ordinal, chain, target, θ₀, session seed, cache seed,
+    library row).  Perturbation noise is seeded from the request ordinal
+    and the perturbation index alone, rows are scored independently, and
+    ties break to the earliest (highest-priority) candidate — so replies
+    are byte-identical across pool sizes and lockstep modes (pinned by
+    test against an independent per-candidate oracle).
 
-    Steady state allocates nothing: the scratch owns every buffer and the
-    winner is written into a caller-supplied vector (pinned by the alloc
-    suite for the perturbation-free candidate set). *)
+    Steady state allocates only the returned source array: the scratch
+    owns every buffer and winners are written into caller-supplied
+    vectors (pinned by the alloc suite for the perturbation-free
+    candidate set). *)
 
 type source = Theta0 | Session | Cache | Library | Zero | Perturbed
 (** Where the winning seed came from, in assembly priority order. *)
@@ -45,33 +47,6 @@ type t
     scratches via {!Dadu_core.Workspace.local}). *)
 
 val create : unit -> t
-
-val choose :
-  t ->
-  session_seed:Vec.t option ->
-  library:Posture_library.t option ->
-  cache_seed:Vec.t option ->
-  candidates:int ->
-  ordinal:int ->
-  scale:float ->
-  chain:Chain.t ->
-  tx:float ->
-  ty:float ->
-  tz:float ->
-  theta0:Vec.t ->
-  dst:Vec.t ->
-  source
-(** Writes the winning start (clamped to the chain's joint limits) into
-    [dst] (length [Chain.dof chain]) and returns its provenance.
-    [candidates] must be at least 1; [ordinal] is the request's stable
-    ordinal (batch index, or the session waypoint sequence number);
-    [scale] is the perturbation std-dev (radians).  [session_seed] — the
-    trajectory session's previous converged solution — ranks just below
-    the request's own [θ₀]; it, [cache_seed] and the library posture are
-    used only when present ([library] only when it
-    {!Posture_library.matches} the chain).  With [candidates = 1]
-    the request's own [θ₀] is returned unscored (clamped), preserving the
-    non-speculative path exactly. *)
 
 type spec = {
   ordinal : int;  (** request's stable ordinal (perturbation noise key) *)
@@ -95,26 +70,33 @@ type spec = {
   scale : float;  (** perturbation std-dev (radians) *)
   dst : Vec.t;  (** the winning start is written here (length dof) *)
 }
-(** One request's frozen selection inputs: everything {!choose} would
-    have read from mutable serial state ({!Seed_cache},
-    {!Posture_library} NN), captured by the snapshot pass so the
-    assembly and scoring passes touch no shared state. *)
+(** One request's frozen selection inputs: every read of mutable serial
+    state ({!Seed_cache}, {!Posture_library} NN, the session slot) is
+    captured by the service's serial snapshot pass, so the assembly and
+    scoring passes touch no shared state. *)
 
 val choose_wave :
   t -> ?pool:Dadu_util.Domain_pool.t -> spec array -> source array
-(** Wave-fused {!choose} over one scheduler wave: every spec's base
+(** Selects every spec of one scheduler wave: each spec's base
     candidates are packed into contiguous rows of the shared θ plane and
     scored in chunked {!Dadu_kinematics.Fk.score_rows_into} sweeps
     (parallel across [pool] when given, with a grain of a few rows);
     per-request base argmins, perturbed-row assembly from each winner,
     a second fused sweep, and the final winner commits run serially in
     ordinal order.  Returns each spec's winning source and writes the
-    winning start into its [dst].
+    winning start (clamped to the chain's joint limits) into its [dst].
 
-    Bit-parity contract (pinned by test): for every pool size — including
-    none — results are byte-identical to calling {!choose} per spec in
-    ordinal order, because rows are assembled by the same code in the
-    same order, rows are scored independently (any chunking equals serial
-    scoring), and the split argmin preserves the serial earliest-row
-    tie-break.  Specs with [candidates = 1] take the clamped-[θ₀] path
-    exactly as {!choose} does. *)
+    [candidates] must be at least 1; [scale] is the perturbation std-dev
+    (radians).  [session_seed] — the trajectory session's previous
+    converged solution — ranks just below the request's own [θ₀]; it,
+    [cache_seed] and the library posture are used only when present
+    (the library only with [library_index >= 0]).  With [candidates = 1]
+    the request's own [θ₀] is returned unscored (clamped), preserving the
+    non-speculative path exactly.
+
+    Bit-parity contract (pinned by test): for every pool size —
+    including none — and every wave composition, each spec's winner is
+    bit-equal to scoring its candidates one at a time in priority order,
+    because rows are assembled by the same code in the same order, rows
+    are scored independently (any chunking equals serial scoring), and
+    the split argmin preserves the earliest-row tie-break. *)

@@ -1,7 +1,7 @@
 (** Persistent concurrent IK server: the `dadu serve --listen` engine.
 
     Thread-per-connection readers parse length-prefixed JSON frames
-    ({!Problem_file.read_frame}) and answer control ops (hello / ping /
+    ({!Problem_file.read_frame_fd}) and answer control ops (hello / ping /
     open / close / stats) synchronously; solve and waypoint ops are
     enqueued into a bounded FIFO that a single dispatcher thread drains
     in batches through {!Service.solve_requests}.  A full queue sheds
@@ -12,13 +12,12 @@
 
     Solve-type reply payloads are built from reply values only (no
     clocks, no addresses), with [%.17g] doubles — the bytes a client
-    dumps are compared with [cmp] across pool sizes and the lockstep /
-    snapshot-prepare execution modes in CI.  Session waypoints carry
-    stable ordinals from the session's own enqueue counter and
-    warm-start from the session slot, bypassing the shared seed cache,
-    so their replies are a pure function of the session's waypoint
-    sequence — independent of how other connections interleave
-    (DESIGN.md §15).  One-shot solves use the client-assigned [id] as
+    dumps are compared with [cmp] across pool sizes and the lockstep
+    execution mode in CI.  Session waypoints carry stable ordinals from
+    the session's own enqueue counter and warm-start from the session
+    slot, bypassing the shared seed cache, so their replies are a pure
+    function of the session's waypoint sequence — independent of how
+    other connections interleave (DESIGN.md §15).  One-shot solves use the client-assigned [id] as
     their stable ordinal; with warm-starting enabled their cache
     visibility can still depend on dispatcher batch boundaries, so
     full-stream byte determinism additionally needs the shared cache

@@ -22,7 +22,6 @@ type config = {
   retry_scale : float;
   seed_library : Posture_library.t option;
   seed_candidates : int;
-  snapshot_prepare : bool;
 }
 
 let default_config =
@@ -44,7 +43,6 @@ let default_config =
     retry_scale = 0.1;
     seed_library = None;
     seed_candidates = 1;
-    snapshot_prepare = false;
   }
 
 type t = {
@@ -257,112 +255,27 @@ let mk_dispatch t ?budget_s (d : Scheduler.dispatch) (rq : request)
       fault = Fault.fork t.config.fault d.Scheduler.index;
     }
 
-let prepare t ?budget_s ?trace (d : Scheduler.dispatch) (rq : request) =
-  Trace.span trace ~request:d.Scheduler.index ~phase:"prepare" @@ fun () ->
-  let p = rq.problem in
-  match Ik.validate p with
-  | Error invalid -> Skip invalid
-  | Ok () ->
-    let chain, breaker_skips = breaker_chain t d in
-    let lookup = mk_dispatch t ?budget_s d rq ~chain ~breaker_skips in
-    let is_session = rq.session <> None in
-    if (not t.config.warm_start) && t.config.seed_candidates = 1
-       && not is_session
-    then lookup p false
-    else begin
-      let dof = Chain.dof p.Ik.chain in
-      let chain_id = chain_fingerprint t p.Ik.chain in
-      (* the temporal warm start: the session's previous converged
-         solution.  Session requests bypass the shared seed cache
-         entirely — the slot is the cache, scoped to the trajectory, so
-         a session's replies never depend on other traffic (DESIGN.md
-         §15). *)
-      let session_seed =
-        match rq.session with
-        | None -> None
-        | Some sess -> Session.seed sess ~chain_fp:chain_id
-      in
-      let session_hit = session_seed <> None in
-      let cache_seed =
-        if t.config.warm_start && not is_session then
-          Seed_cache.find t.cache ~chain_id ~dof p.Ik.target
-        else None
-      in
-      if t.config.seed_candidates = 1 then
-        (* non-speculative path, exactly as before the seed selector *)
-        match (session_seed, cache_seed) with
-        | Some seed, _ ->
-          let theta0 = Chain.clamp_config p.Ik.chain seed in
-          lookup ~session_hit:true { p with Ik.theta0 } false
-        | None, Some seed ->
-          (* a cached neighbour is a legal warm start once clamped to
-             this chain's limits *)
-          let theta0 = Chain.clamp_config p.Ik.chain seed in
-          lookup { p with Ik.theta0 } true
-        | None, None -> lookup p false
-      else begin
-        (* multi-seed speculative start: assemble up to seed_candidates
-           starts (θ₀, session slot, cache hit, library neighbour, zero,
-           perturbed best), score each by first-iteration FK error,
-           dispatch only the winner.  Runs here in the serial phase, so
-           the winner is a pure function of the request ordinal and the
-           committed history — independent of pool size and lockstep
-           mode. *)
-        let library =
-          match t.config.seed_library with
-          | Some lib when Posture_library.matches lib p.Ik.chain -> Some lib
-          | Some _ | None -> None
-        in
-        let start_s = Trace.now_s () in
-        let theta0 = Array.make dof 0. in
-        let target = p.Ik.target in
-        let source =
-          Seed_select.choose t.seed_select ~session_seed ~library ~cache_seed
-            ~candidates:t.config.seed_candidates ~ordinal:(req_ordinal d rq)
-            ~scale:t.config.retry_scale ~chain:p.Ik.chain
-            ~tx:target.Dadu_linalg.Vec3.x ~ty:target.Dadu_linalg.Vec3.y
-            ~tz:target.Dadu_linalg.Vec3.z ~theta0:p.Ik.theta0 ~dst:theta0
-        in
-        let library_hit =
-          match library with
-          | Some lib -> Posture_library.size lib > 0
-          | None -> false
-        in
-        Metrics.record_seed t.metrics ~library_hit source;
-        (match trace with
-        | None -> ()
-        | Some tr ->
-          Trace.record tr ~request:d.Scheduler.index ~phase:"seed-select"
-            ~attrs:[ ("winner", Seed_select.source_name source) ]
-            ~start_s
-            ~dur_s:(Trace.now_s () -. start_s)
-            ());
-        lookup ~session_hit { p with Ik.theta0 } (cache_seed <> None)
-      end
-    end
+(* ---- prepare ----------------------------------------------------------
 
-(* ---- snapshot prepare -------------------------------------------------
-
-   The wave-grained prepare path: instead of interleaving stateful reads
-   with per-request FK scoring, the wave runs three passes.
+   The prepare phase of one scheduler wave, in three passes; a single
+   request is a wave of one.
 
    Pass A (serial, ordinal order) snapshots every read of mutable serial
-   state — validation, breaker gating, the seed-cache probe (its LRU and
-   counters mutate), the posture-library NN query (its ring scratch
-   mutates), the fault fork, and the dispatch's frozen clock/expiry —
-   into an immutable per-request record.  Because serial prepare commits
-   nothing mid-wave, these frozen values are exactly what the per-request
-   serial path would have read.
+   state — validation, breaker gating, the session slot, the seed-cache
+   probe (its LRU and counters mutate), the posture-library NN query (its
+   ring scratch mutates), the fault fork, and the dispatch's frozen
+   clock/expiry — into an immutable per-request record.  Nothing commits
+   mid-wave, so the frozen values are exactly what each request would
+   read at any point of the phase.
 
    Pass B hands the frozen specs to {!Seed_select.choose_wave}: candidate
    assembly fans out per request and the R×S candidate scorings collapse
    into chunked sweeps of the wave-fused SoA kernel on the pool (which is
-   idle during prepare).  Replies stay byte-identical across pool sizes —
-   and to the per-request path — by the selector's bit-parity contract.
+   idle during prepare).  Replies stay byte-identical across pool sizes
+   by the selector's bit-parity contract.
 
    Pass C (serial, ordinal order) seals the wave: seed metrics and trace
-   spans in the same order the serial path would emit them, then the
-   dispatch records. *)
+   spans in ordinal order, then the dispatch records. *)
 
 type snap =
   | Snap_done of prepared (* resolved without speculative selection *)
@@ -377,108 +290,113 @@ type snap =
       breaker_skips : int;
     }
 
-let prepare_wave t ?budget_s ?trace requests (ds : Scheduler.dispatch array) =
+(* pass A for one dispatch *)
+let snapshot t ?budget_s requests (d : Scheduler.dispatch) =
+  let rq = requests.(d.Scheduler.index) in
+  let p = rq.problem in
+  match Ik.validate p with
+  | Error invalid -> Snap_done (Skip invalid)
+  | Ok () ->
+    let chain, breaker_skips = breaker_chain t d in
+    let lookup = mk_dispatch t ?budget_s d rq ~chain ~breaker_skips in
+    let is_session = rq.session <> None in
+    if (not t.config.warm_start) && t.config.seed_candidates = 1
+       && not is_session
+    then Snap_done (lookup p false)
+    else begin
+      let dof = Chain.dof p.Ik.chain in
+      let chain_id = chain_fingerprint t p.Ik.chain in
+      (* the temporal warm start: the session's previous converged
+         solution.  Session requests bypass the shared seed cache
+         entirely — the slot is the cache, scoped to the trajectory, so
+         a session's replies never depend on other traffic (DESIGN.md
+         §15).  The wave cut guarantees no earlier request of this wave
+         writes the slot. *)
+      let session_seed =
+        match rq.session with
+        | None -> None
+        | Some sess -> Session.seed sess ~chain_fp:chain_id
+      in
+      let session_hit = session_seed <> None in
+      let cache_seed =
+        if t.config.warm_start && not is_session then
+          Seed_cache.find t.cache ~chain_id ~dof p.Ik.target
+        else None
+      in
+      if t.config.seed_candidates = 1 then
+        (* non-speculative path: the warm start is the seed itself, once
+           clamped to this chain's limits *)
+        match (session_seed, cache_seed) with
+        | Some seed, _ ->
+          let theta0 = Chain.clamp_config p.Ik.chain seed in
+          Snap_done (lookup ~session_hit:true { p with Ik.theta0 } false)
+        | None, Some seed ->
+          let theta0 = Chain.clamp_config p.Ik.chain seed in
+          Snap_done (lookup { p with Ik.theta0 } true)
+        | None, None -> Snap_done (lookup p false)
+      else begin
+        let library =
+          match t.config.seed_library with
+          | Some lib when Posture_library.matches lib p.Ik.chain -> Some lib
+          | Some _ | None -> None
+        in
+        let target = p.Ik.target in
+        (* the NN query runs here, serially: its scratch mutates.
+           Querying even when the candidate budget is already full is
+           harmless — the selector simply won't use the row. *)
+        let library_index =
+          match library with
+          | Some lib ->
+            Posture_library.nearest_index lib ~x:target.Dadu_linalg.Vec3.x
+              ~y:target.Dadu_linalg.Vec3.y ~z:target.Dadu_linalg.Vec3.z
+          | None -> -1
+        in
+        let library_hit =
+          match library with
+          | Some lib -> Posture_library.size lib > 0
+          | None -> false
+        in
+        Snap_spec
+          {
+            d;
+            rq;
+            spec =
+              {
+                Seed_select.ordinal = req_ordinal d rq;
+                chain = p.Ik.chain;
+                tx = target.Dadu_linalg.Vec3.x;
+                ty = target.Dadu_linalg.Vec3.y;
+                tz = target.Dadu_linalg.Vec3.z;
+                theta0 = p.Ik.theta0;
+                session_seed;
+                cache_seed;
+                library;
+                library_index;
+                candidates = t.config.seed_candidates;
+                scale = t.config.retry_scale;
+                dst = Array.make dof 0.;
+              };
+            library_hit;
+            cache_hit = cache_seed <> None;
+            session_hit;
+            chain;
+            breaker_skips;
+          }
+      end
+    end
+
+let prepare t ?budget_s ?trace requests (ds : Scheduler.dispatch array) =
   let wave_start = Trace.now_s () in
-  (* pass A: serial snapshot *)
-  let snaps =
-    Array.map
-      (fun (d : Scheduler.dispatch) ->
-        let rq = requests.(d.Scheduler.index) in
-        let p = rq.problem in
-        match Ik.validate p with
-        | Error invalid -> Snap_done (Skip invalid)
-        | Ok () ->
-          let chain, breaker_skips = breaker_chain t d in
-          let lookup = mk_dispatch t ?budget_s d rq ~chain ~breaker_skips in
-          let is_session = rq.session <> None in
-          if (not t.config.warm_start) && t.config.seed_candidates = 1
-             && not is_session
-          then Snap_done (lookup p false)
-          else begin
-            let dof = Chain.dof p.Ik.chain in
-            let chain_id = chain_fingerprint t p.Ik.chain in
-            (* session slot reads are safe here: the wave cut guarantees
-               no earlier request of this wave writes the slot *)
-            let session_seed =
-              match rq.session with
-              | None -> None
-              | Some sess -> Session.seed sess ~chain_fp:chain_id
-            in
-            let session_hit = session_seed <> None in
-            let cache_seed =
-              if t.config.warm_start && not is_session then
-                Seed_cache.find t.cache ~chain_id ~dof p.Ik.target
-              else None
-            in
-            if t.config.seed_candidates = 1 then
-              match (session_seed, cache_seed) with
-              | Some seed, _ ->
-                let theta0 = Chain.clamp_config p.Ik.chain seed in
-                Snap_done (lookup ~session_hit:true { p with Ik.theta0 } false)
-              | None, Some seed ->
-                let theta0 = Chain.clamp_config p.Ik.chain seed in
-                Snap_done (lookup { p with Ik.theta0 } true)
-              | None, None -> Snap_done (lookup p false)
-            else begin
-              let library =
-                match t.config.seed_library with
-                | Some lib when Posture_library.matches lib p.Ik.chain ->
-                  Some lib
-                | Some _ | None -> None
-              in
-              (* the NN query runs here, serially: its scratch mutates.
-                 Querying even when the candidate budget is already full
-                 is harmless — the plan simply won't use the row. *)
-              let library_index =
-                match library with
-                | Some lib ->
-                  Posture_library.nearest_index lib
-                    ~x:p.Ik.target.Dadu_linalg.Vec3.x
-                    ~y:p.Ik.target.Dadu_linalg.Vec3.y
-                    ~z:p.Ik.target.Dadu_linalg.Vec3.z
-                | None -> -1
-              in
-              let library_hit =
-                match library with
-                | Some lib -> Posture_library.size lib > 0
-                | None -> false
-              in
-              Snap_spec
-                {
-                  d;
-                  rq;
-                  spec =
-                    {
-                      Seed_select.ordinal = req_ordinal d rq;
-                      chain = p.Ik.chain;
-                      tx = p.Ik.target.Dadu_linalg.Vec3.x;
-                      ty = p.Ik.target.Dadu_linalg.Vec3.y;
-                      tz = p.Ik.target.Dadu_linalg.Vec3.z;
-                      theta0 = p.Ik.theta0;
-                      session_seed;
-                      cache_seed;
-                      library;
-                      library_index;
-                      candidates = t.config.seed_candidates;
-                      scale = t.config.retry_scale;
-                      dst = Array.make dof 0.;
-                    };
-                  library_hit;
-                  cache_hit = cache_seed <> None;
-                  session_hit;
-                  chain;
-                  breaker_skips;
-                }
-            end
-          end)
-      ds
-  in
+  let snaps = Array.map (snapshot t ?budget_s requests) ds in
   (* pass B: parallel assembly + wave-fused scoring over the frozen specs *)
   let specs =
-    Array.of_seq
-      (Seq.filter_map
-         (function Snap_spec { spec; _ } -> Some spec | Snap_done _ -> None)
-         (Array.to_seq snaps))
+    Array.of_list
+      (Array.fold_right
+         (fun snap acc ->
+           match snap with
+           | Snap_spec { spec; _ } -> spec :: acc
+           | Snap_done _ -> acc)
+         snaps [])
   in
   let select_start = Trace.now_s () in
   let sources = Seed_select.choose_wave t.seed_select ?pool:t.pool specs in
@@ -506,15 +424,14 @@ let prepare_wave t ?budget_s ?trace requests (ds : Scheduler.dispatch array) =
           (match trace with
           | None -> ()
           | Some tr ->
-            (* the per-request selection is not individually timed in
-               wave mode: the span carries the wave's fused-selection
-               bracket, the winner attr stays per request *)
+            (* selection is not individually timed: the span carries the
+               wave's fused-selection bracket, the winner attr stays per
+               request *)
             Trace.record tr ~request:d.Scheduler.index ~phase:"seed-select"
               ~attrs:[ ("winner", Seed_select.source_name source) ]
               ~start_s:select_start ~dur_s:select_dur ());
-          let p = rq.problem in
           mk_dispatch t ?budget_s d rq ~chain ~breaker_skips ~session_hit
-            { p with Ik.theta0 = spec.Seed_select.dst }
+            { rq.problem with Ik.theta0 = spec.Seed_select.dst }
             cache_hit)
       snaps
   in
@@ -796,14 +713,6 @@ let lockstep_work t ?trace mb prepared =
   | Some _ | None -> Array.init n (guarded one)
 
 let solve_requests ?budget_s ?trace t requests =
-  (* snapshot-prepare swaps the per-request serial prepare for the
-     three-pass wave prepare; replies are pinned byte-identical either
-     way, so the flag is purely a throughput knob *)
-  let prepare_wave =
-    if t.config.snapshot_prepare then
-      Some (prepare_wave t ?budget_s ?trace requests)
-    else None
-  in
   (* Two waypoints of one session must never share a wave: the later
      one's prepare has to observe the earlier one's serial commit (the
      warm-start slot).  The cut is queried serially in input order and
@@ -855,6 +764,7 @@ let solve_requests ?budget_s ?trace t requests =
           [ ("base", string_of_int base); ("len", string_of_int len) ]
         ~start_s ~dur_s ()
   in
+  let prepare = prepare t ?budget_s ?trace requests in
   let dispatch =
     (* lockstep is bypassed under fault injection: an injected head
        result would skip the head tier's fault sites and desynchronize
@@ -863,21 +773,17 @@ let solve_requests ?budget_s ?trace t requests =
     | Some mb when not (Fault.enabled t.config.fault) ->
       Scheduler.map_lockstep t.scheduler ?budget_s
         ~deadline_s:(fun i -> requests.(i).deadline_s)
-        ?cut
-        ~prepare:(prepare t ?budget_s ?trace)
-        ?prepare_wave ~phase_enter ~phase_done
+        ?cut ~prepare ~phase_enter ~phase_done
         ~work_batch:(lockstep_work t ?trace mb)
         ~commit:(commit t ?trace requests)
     | Some _ | None ->
       Scheduler.map_deadlined t.scheduler ?budget_s
         ~deadline_s:(fun i -> requests.(i).deadline_s)
-        ?cut
-        ~prepare:(prepare t ?budget_s ?trace)
-        ?prepare_wave ~phase_enter ~phase_done
+        ?cut ~prepare ~phase_enter ~phase_done
         ~work:(work t ?trace)
         ~commit:(commit t ?trace requests)
   in
-  dispatch requests
+  dispatch (Array.length requests)
   |> Array.map (function
        | Ok reply -> reply
        | Error exn -> Faulted (Printexc.to_string exn))

@@ -11,9 +11,10 @@ open Dadu_core
     + validates every problem ({!Ik.validate}) — malformed requests
       become typed {!reply} values, they are never dispatched and no
       exception crosses a domain boundary;
-    + looks up warm-start seeds for valid problems and decides deadline
-      expiry (serially, in input order) from targets solved in earlier
-      batches or earlier chunks of this one;
+    + looks up warm-start seeds for valid problems (serially, in input
+      order) from targets solved in earlier batches or earlier chunks of
+      this one, and decides deadline expiry from the clock read as each
+      chunk starts;
     + solves each chunk in parallel through the {!Fallback} chain with
       per-attempt iteration budgets — each worker domain reusing its own
       {!Dadu_core.Workspace.local} pool — while requests past their
@@ -82,21 +83,14 @@ type config = {
           default 1 the seeding path is exactly the classic warm-start
           lookup; with [S >= 2] up to [S] candidate starts (θ₀, cache
           hit, library neighbour, zero, perturbed best) are scored by
-          first-iteration FK error in the serial prepare phase and only
-          the winner is dispatched — replies stay byte-identical across
-          pool sizes and lockstep modes *)
-  snapshot_prepare : bool;
-      (** run each wave's prepare as a frozen snapshot plus a wave-fused
-          scoring pass: every read of mutable serial state (seed-cache
-          probe, posture-library NN query, breaker gates, fault forks,
-          deadline clock) is taken serially in ordinal order into
-          immutable per-request records, then candidate assembly and the
-          R×S candidate scorings run on the pool as chunked sweeps of the
-          SoA row kernel ({!Seed_select.choose_wave}), and winners are
-          sealed serially.  Replies are byte-identical to the per-request
-          prepare across pool sizes (pinned by test); the flag is purely
-          a throughput knob for seed-heavy traffic (DESIGN.md §14).
-          Default off. *)
+          first-iteration FK error and only the winner is dispatched.
+          Each wave's prepare snapshots every read of mutable serial
+          state (seed-cache probe, posture-library NN query, breaker
+          gates, fault forks, deadline clock) serially in ordinal order,
+          scores all the wave's candidates in chunked sweeps of the SoA
+          row kernel on the pool ({!Seed_select.choose_wave}), and seals
+          the winners serially (DESIGN.md §14) — replies stay
+          byte-identical across pool sizes and lockstep modes *)
 }
 
 val default_config : config
@@ -172,11 +166,11 @@ type reply =
 val solve_requests :
   ?budget_s:float -> ?trace:Dadu_util.Trace.t -> t -> request array -> reply array
 (** [reply.(i)] answers [requests.(i)].  [budget_s] is a batch-level time
-    budget: once the batch has run that long, every not-yet-prepared
-    request expires (cheapest tier, tagged), so tail requests degrade
-    instead of queueing unboundedly.  Expiry is decided in the serial
-    prepare phase — which requests expire depends on the clock, never on
-    the pool size. *)
+    budget: once the batch has run that long, every request of a later
+    wave expires (cheapest tier, tagged), so tail requests degrade
+    instead of queueing unboundedly.  Expiry is decided from the clock
+    reads taken serially as each wave starts, before its prepare — which
+    requests expire depends on the clock, never on the pool size. *)
 
 val solve_batch : t -> Ik.problem array -> reply array
 (** {!solve_requests} with no deadlines, no budget, no trace — the fully

@@ -1,37 +1,57 @@
+(* One dispatch.  Each [run_chunks] call publishes a fresh job under the
+   pool mutex, and a worker only ever drains the job it read there, so a
+   worker still looping over a finished dispatch touches that dispatch's
+   counters alone — it can neither claim a chunk of the next one against
+   stale bounds nor have its completion erased by the next reset. *)
+type job = {
+  body : int -> int -> unit; (* contiguous range [lo, hi) *)
+  items : int;
+  grain : int;
+  tasks : int; (* ceil (items / grain) *)
+  next : int Atomic.t; (* task (chunk) counter *)
+  completed : int Atomic.t; (* finished tasks *)
+  mutable failure : exn option; (* first exception, under the pool mutex *)
+}
+
 type t = {
   total_workers : int; (* including the caller *)
   mutex : Mutex.t;
   ready : Condition.t;
   finished : Condition.t;
   mutable generation : int;
-  mutable body : int -> int -> unit; (* contiguous range [lo, hi) *)
-  mutable items : int;
-  mutable grain : int;
-  mutable tasks : int; (* ceil (items / grain) *)
-  next : int Atomic.t; (* task (chunk) counter *)
-  completed : int Atomic.t; (* finished tasks *)
-  mutable failure : exn option;
+  mutable job : job; (* the current dispatch, published under [mutex] *)
   mutable shutting_down : bool;
   mutable domains : unit Domain.t list;
 }
+
+let idle_job =
+  {
+    body = (fun _ _ -> ());
+    items = 0;
+    grain = 1;
+    tasks = 0;
+    next = Atomic.make 0;
+    completed = Atomic.make 0;
+    failure = None;
+  }
 
 (* Work-stealing inner loop shared by workers and the caller: grab the next
    chunk until the range is exhausted.  Dispatch is per chunk, not per
    item, so a grained loop over n items costs ceil(n/grain) atomic
    fetches instead of n.  The last finisher signals [finished]. *)
-let drain t =
+let drain t job =
   let rec loop () =
-    let c = Atomic.fetch_and_add t.next 1 in
-    if c < t.tasks then begin
-      let lo = c * t.grain in
-      let hi = Stdlib.min t.items (lo + t.grain) in
-      (try t.body lo hi
+    let c = Atomic.fetch_and_add job.next 1 in
+    if c < job.tasks then begin
+      let lo = c * job.grain in
+      let hi = Stdlib.min job.items (lo + job.grain) in
+      (try job.body lo hi
        with exn ->
          Mutex.lock t.mutex;
-         if t.failure = None then t.failure <- Some exn;
+         if job.failure = None then job.failure <- Some exn;
          Mutex.unlock t.mutex);
-      let done_count = 1 + Atomic.fetch_and_add t.completed 1 in
-      if done_count = t.tasks then begin
+      let done_count = 1 + Atomic.fetch_and_add job.completed 1 in
+      if done_count = job.tasks then begin
         Mutex.lock t.mutex;
         Condition.broadcast t.finished;
         Mutex.unlock t.mutex
@@ -51,8 +71,9 @@ let worker t =
     if t.shutting_down then Mutex.unlock t.mutex
     else begin
       my_generation := t.generation;
+      let job = t.job in
       Mutex.unlock t.mutex;
-      drain t;
+      drain t job;
       loop ()
     end
   in
@@ -67,13 +88,7 @@ let create n =
       ready = Condition.create ();
       finished = Condition.create ();
       generation = 0;
-      body = (fun _ _ -> ());
-      items = 0;
-      grain = 1;
-      tasks = 0;
-      next = Atomic.make 0;
-      completed = Atomic.make 0;
-      failure = None;
+      job = idle_job;
       shutting_down = false;
       domains = [];
     }
@@ -87,27 +102,35 @@ let run_chunks name t ~grain n body =
   if n < 0 then invalid_arg (name ^ ": negative count");
   if grain <= 0 then invalid_arg (name ^ ": grain must be positive");
   if n > 0 then begin
+    let job =
+      {
+        body;
+        items = n;
+        grain;
+        (* ceil(n/grain) without the [n + grain - 1] sum, which wraps
+           negative for grain near [max_int] and silently turned the whole
+           dispatch into a no-op (tasks < 0 → drain grabs nothing, wait
+           exits instantly). *)
+        tasks = 1 + ((n - 1) / grain);
+        next = Atomic.make 0;
+        completed = Atomic.make 0;
+        failure = None;
+      }
+    in
     Mutex.lock t.mutex;
-    t.body <- body;
-    t.items <- n;
-    t.grain <- grain;
-    (* ceil(n/grain) without the [n + grain - 1] sum, which wraps negative
-       for grain near [max_int] and silently turned the whole dispatch into
-       a no-op (tasks < 0 → drain grabs nothing, wait exits instantly). *)
-    t.tasks <- 1 + ((n - 1) / grain);
-    t.failure <- None;
-    Atomic.set t.next 0;
-    Atomic.set t.completed 0;
+    t.job <- job;
     t.generation <- t.generation + 1;
     Condition.broadcast t.ready;
     Mutex.unlock t.mutex;
-    drain t;
+    drain t job;
     Mutex.lock t.mutex;
-    while Atomic.get t.completed < t.tasks do
+    while Atomic.get job.completed < job.tasks do
       Condition.wait t.finished t.mutex
     done;
-    let failure = t.failure in
-    t.body <- (fun _ _ -> ());
+    let failure = job.failure in
+    (* drop the body's captures; a worker that wakes only now reads the
+       idle job and drains nothing *)
+    t.job <- idle_job;
     Mutex.unlock t.mutex;
     match failure with None -> () | Some exn -> raise exn
   end

@@ -105,39 +105,9 @@ let test_dls () =
   check_zero "dls 30dof" (fun config ->
       ignore (Dls.solve ~workspace:ws ~config p))
 
-(* The speculative seed selector on warm scratch: assembling and scoring
-   a perturbation-free candidate set (theta0, cache, library NN, zero)
-   plus the grid nearest-neighbour lookup must allocate exactly nothing —
-   Perturbed slots are excluded because each one seeds a fresh Rng. *)
-let test_seed_select_zero () =
-  let dof = 30 in
-  let chain = Robots.eval_chain ~dof in
-  let library =
-    Some (Dadu_service.Posture_library.build ~chain ~count:128 ~seed:7 ())
-  in
-  let sel = Dadu_service.Seed_select.create () in
-  let theta0 = Array.make dof 0.2 in
-  let cache_seed = Some (Array.make dof 0.1) in
-  let dst = Array.make dof 0. in
-  let choose ordinal =
-    ignore
-      (Dadu_service.Seed_select.choose sel ~session_seed:None ~library
-         ~cache_seed ~candidates:4 ~ordinal ~scale:0.1 ~chain ~tx:0.8
-         ~ty:(-0.3) ~tz:1.1 ~theta0 ~dst)
-  in
-  choose 0;
-  (* warm *)
-  let w0 = Gc.minor_words () in
-  for i = 1 to 1000 do
-    choose i
-  done;
-  let w1 = Gc.minor_words () in
-  Alcotest.(check (float 0.)) "seed selection minor words per request" 0.
-    ((w1 -. w0) /. 1000.)
-
 (* The wave-fused row-scoring kernel (score_rows_into): repeated sweeps
    over a warm lane-major candidate plane with per-row targets — the
-   steady state of the snapshot-prepare scoring pass — must allocate
+   steady state of the prepare phase's scoring pass — must allocate
    exactly nothing per candidate score. *)
 let test_score_rows_kernel_zero () =
   let dof = 30 and rows = 20 in
@@ -165,53 +135,54 @@ let test_score_rows_kernel_zero () =
   Alcotest.(check (float 0.)) "row-scoring kernel minor words per sweep" 0.
     ((w1 -. w0) /. 1000.)
 
-(* A full wave through choose_wave on warm scratch, perturbation-free
-   candidate sets (theta0 / cache / library / zero): the candidate scoring
-   itself stays out of the allocator — what remains per wave is the
-   result array handed to the caller plus per-request refs and stage
-   closures, O(wave) and independent of candidate count and DOF
-   (measured ~372 words for wave=8, ~46/request), where the scored work
-   is wave×4 full-chain FK evaluations.  The bound pins the per-request
-   constant without chasing exact closure sizes. *)
-let test_choose_wave_bounded () =
-  let dof = 30 and wave = 8 in
+(* A sequential wave through choose_wave on warm scratch, perturbation-
+   free candidate sets (theta0 / cache / library / zero): assembly,
+   scoring and the argmins stay out of the allocator, so a wave of [n]
+   requests allocates exactly its [n]-element result array — [n + 1]
+   words.  Perturbed slots are excluded because each one seeds a fresh
+   Rng. *)
+let test_choose_wave_exact () =
+  let dof = 30 in
   let chain = Robots.eval_chain ~dof in
   let library = Dadu_service.Posture_library.build ~chain ~count:128 ~seed:7 () in
   let module Sel = Dadu_service.Seed_select in
   let cache_seed = Some (Array.make dof 0.1) in
-  let specs =
-    Array.init wave (fun i ->
-        {
-          Sel.ordinal = i;
-          chain;
-          tx = 0.8 +. (0.01 *. float_of_int i);
-          ty = -0.3;
-          tz = 1.1;
-          theta0 = Array.make dof 0.2;
-          session_seed = None;
-          cache_seed;
-          library = Some library;
-          library_index =
-            Dadu_service.Posture_library.nearest_index library ~x:0.8 ~y:(-0.3)
-              ~z:1.1;
-          candidates = 4;
-          scale = 0.1;
-          dst = Array.make dof 0.;
-        })
-  in
-  let sel = Sel.create () in
-  let wave_call () = ignore (Sel.choose_wave sel specs) in
-  wave_call ();
-  (* warm *)
-  let w0 = Gc.minor_words () in
-  for _ = 1 to 500 do
-    wave_call ()
-  done;
-  let w1 = Gc.minor_words () in
-  let per_wave = (w1 -. w0) /. 500. in
-  Alcotest.(check bool)
-    (Printf.sprintf "choose_wave words per wave bounded (%.1f)" per_wave)
-    true (per_wave < 100. *. float_of_int wave)
+  List.iter
+    (fun wave ->
+      let specs =
+        Array.init wave (fun i ->
+            let tx = 0.8 +. (0.01 *. float_of_int i) in
+            {
+              Sel.ordinal = i;
+              chain;
+              tx;
+              ty = -0.3;
+              tz = 1.1;
+              theta0 = Array.make dof 0.2;
+              session_seed = None;
+              cache_seed;
+              library = Some library;
+              library_index =
+                Dadu_service.Posture_library.nearest_index library ~x:tx
+                  ~y:(-0.3) ~z:1.1;
+              candidates = 4;
+              scale = 0.1;
+              dst = Array.make dof 0.;
+            })
+      in
+      let sel = Sel.create () in
+      ignore (Sel.choose_wave sel specs);
+      (* warm *)
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 500 do
+        ignore (Sel.choose_wave sel specs)
+      done;
+      let w1 = Gc.minor_words () in
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "choose_wave minor words per wave of %d" wave)
+        (float_of_int (wave + 1))
+        ((w1 -. w0) /. 500.))
+    [ 1; 8 ]
 
 (* Parallel candidate evaluation allocates by design — the domain pool
    builds per-wave task bookkeeping — so it gets a documented slack bound
@@ -304,8 +275,6 @@ let () =
             (check_megabatch_zero ~dof:30 ~speculations:64);
           Alcotest.test_case "megabatch lockstep, 100 DOF" `Slow
             (check_megabatch_zero ~dof:100 ~speculations:16);
-          Alcotest.test_case "speculative seed selection, 30 DOF" `Quick
-            test_seed_select_zero;
           Alcotest.test_case "wave-fused row-scoring kernel, 30 DOF" `Quick
             test_score_rows_kernel_zero;
         ] );
@@ -314,7 +283,7 @@ let () =
           Alcotest.test_case "quick_ik parallel mode" `Slow
             test_quick_ik_parallel_bounded;
           Alcotest.test_case "choose_wave, constant per wave" `Quick
-            test_choose_wave_bounded;
+            test_choose_wave_exact;
           Alcotest.test_case "workspace reuse, constant per solve" `Quick
             test_workspace_reuse_constant_per_solve;
         ] );

@@ -242,15 +242,19 @@ let oracle_score chain ~tx ~ty ~tz theta =
 
 let clamp chain v = Chain.clamp_config chain v
 
-(* The selector's candidate list, assembled independently: θ₀, cache,
-   library NN, zero, then perturbations of the best base (the documented
-   (0x5eed, ordinal, slot) noise stream), truncated to [candidates]. *)
-let oracle_candidates ~library ~cache_seed ~candidates ~ordinal ~scale ~chain
-    ~target ~theta0 =
+(* The selector's candidate list, assembled independently: θ₀, session
+   slot, cache, library NN, zero, then perturbations of the best base (the
+   documented (0x5eed, ordinal, slot) noise stream), truncated to
+   [candidates]. *)
+let oracle_candidates ~library ~session_seed ~cache_seed ~candidates ~ordinal
+    ~scale ~chain ~target ~theta0 =
   let dof = Chain.dof chain in
   let base = ref [] in
   let push src v = base := (src, clamp chain v) :: !base in
   push Seed_select.Theta0 theta0;
+  (match session_seed with
+  | Some s -> push Seed_select.Session s
+  | None -> ());
   (match cache_seed with Some s -> push Seed_select.Cache s | None -> ());
   (match library with
   | Some lib when Posture_library.matches lib chain ->
@@ -287,11 +291,11 @@ let oracle_candidates ~library ~cache_seed ~candidates ~ordinal ~scale ~chain
   done;
   Array.append cands (Array.of_list (List.rev !perturbed))
 
-let oracle_choose ~library ~cache_seed ~candidates ~ordinal ~scale ~chain
-    ~target ~theta0 =
+let oracle_choose ~library ~session_seed ~cache_seed ~candidates ~ordinal
+    ~scale ~chain ~target ~theta0 =
   let cands =
-    oracle_candidates ~library ~cache_seed ~candidates ~ordinal ~scale ~chain
-      ~target ~theta0
+    oracle_candidates ~library ~session_seed ~cache_seed ~candidates ~ordinal
+      ~scale ~chain ~target ~theta0
   in
   let scores =
     Array.map
@@ -304,35 +308,81 @@ let oracle_choose ~library ~cache_seed ~candidates ~ordinal ~scale ~chain
   Array.iteri (fun k s -> if s < scores.(!best) then best := k) scores;
   cands.(!best)
 
+(* One request's selector spec, with the library row resolved the way the
+   service's snapshot pass does. *)
+let spec ~library ~session_seed ~cache_seed ~candidates ~ordinal ~scale ~chain
+    (p : Ik.problem) =
+  let t = p.Ik.target in
+  {
+    Seed_select.ordinal;
+    chain;
+    tx = t.Vec3.x;
+    ty = t.Vec3.y;
+    tz = t.Vec3.z;
+    theta0 = p.Ik.theta0;
+    session_seed;
+    cache_seed;
+    library;
+    library_index =
+      (match library with
+      | Some lib -> Posture_library.nearest_index lib ~x:t.Vec3.x ~y:t.Vec3.y ~z:t.Vec3.z
+      | None -> -1);
+    candidates;
+    scale;
+    dst = Array.make (Chain.dof chain) 0.;
+  }
+
+(* A wave of 1-8 requests on mixed chains and DOFs, each with its own
+   candidate count and any mix of session seed, cache seed and library:
+   every spec's winner must be bit-equal to scoring its own candidates one
+   at a time, whatever else shares the wave. *)
 let test_winner_matches_oracle =
   QCheck.Test.make
-    ~name:"multi-seed winner == serial per-candidate oracle (bitwise)"
-    ~count:80
-    QCheck.(triple (int_range 0 100_000) (int_range 3 100) (int_range 2 8))
-    (fun (seed, dof, candidates) ->
-      let chain = chain_of_case ~kind:seed ~dof in
+    ~name:"multi-seed winner == serial per-candidate oracle (bitwise, waves)"
+    ~count:60
+    QCheck.(pair (int_range 0 100_000) (int_range 1 8))
+    (fun (seed, wave) ->
+      let wave = max 1 wave in
       let rng = Rng.create seed in
-      let p = Ik.random_problem rng chain in
-      let library =
-        if seed mod 3 = 0 then None
-        else Some (Posture_library.build ~chain ~count:24 ~seed ())
+      let cases =
+        Array.init wave (fun r ->
+            let dof = 3 + Rng.int rng 98 in
+            let chain = chain_of_case ~kind:(seed + r) ~dof in
+            let p = Ik.random_problem rng chain in
+            let draw = Rng.int rng 8 in
+            let library =
+              if draw mod 3 = 0 then None
+              else Some (Posture_library.build ~chain ~count:24 ~seed:(seed + r) ())
+            in
+            let session_seed =
+              if draw land 2 = 0 then Some (Target.random_config rng chain)
+              else None
+            in
+            let cache_seed =
+              if draw land 4 = 0 then Some (Target.random_config rng chain)
+              else None
+            in
+            let candidates = 1 + Rng.int rng 8 in
+            (chain, p, library, session_seed, cache_seed, candidates, seed + r))
       in
-      let cache_seed =
-        if seed mod 2 = 0 then Some (Target.random_config rng chain) else None
+      let specs =
+        Array.map
+          (fun (chain, p, library, session_seed, cache_seed, candidates, ordinal) ->
+            spec ~library ~session_seed ~cache_seed ~candidates ~ordinal
+              ~scale:0.1 ~chain p)
+          cases
       in
-      let sel = Seed_select.create () in
-      let dst = Array.make dof 0. in
-      let source =
-        Seed_select.choose sel ~session_seed:None ~library ~cache_seed
-          ~candidates ~ordinal:seed ~scale:0.1 ~chain ~tx:p.Ik.target.Vec3.x
-          ~ty:p.Ik.target.Vec3.y ~tz:p.Ik.target.Vec3.z ~theta0:p.Ik.theta0
-          ~dst
-      in
-      let osrc, otheta =
-        oracle_choose ~library ~cache_seed ~candidates ~ordinal:seed ~scale:0.1
-          ~chain ~target:p.Ik.target ~theta0:p.Ik.theta0
-      in
-      source = osrc && vec_bits_equal dst otheta)
+      let sources = Seed_select.choose_wave (Seed_select.create ()) specs in
+      Array.for_all Fun.id
+        (Array.mapi
+           (fun r (chain, p, library, session_seed, cache_seed, candidates, ordinal) ->
+             let osrc, otheta =
+               oracle_choose ~library ~session_seed ~cache_seed ~candidates
+                 ~ordinal ~scale:0.1 ~chain ~target:p.Ik.target
+                 ~theta0:p.Ik.theta0
+             in
+             sources.(r) = osrc && vec_bits_equal specs.(r).Seed_select.dst otheta)
+           cases))
 
 let test_selector_scratch_reuse () =
   (* one scratch serving alternating chains/candidate counts returns the
@@ -342,19 +392,15 @@ let test_selector_scratch_reuse () =
   let ok = ref true in
   for i = 0 to 19 do
     let chain = chain_of_case ~kind:i ~dof:(3 + (i * 5 mod 60)) in
-    let dof = Chain.dof chain in
     let p = Ik.random_problem rng chain in
     let lib = Posture_library.build ~chain ~count:16 ~seed:i () in
     let run sel =
-      let dst = Array.make dof 0. in
-      let src =
-        Seed_select.choose sel ~session_seed:None ~library:(Some lib)
-          ~cache_seed:None ~candidates:(2 + (i mod 5)) ~ordinal:i ~scale:0.1
-          ~chain
-          ~tx:p.Ik.target.Vec3.x ~ty:p.Ik.target.Vec3.y ~tz:p.Ik.target.Vec3.z
-          ~theta0:p.Ik.theta0 ~dst
+      let s =
+        spec ~library:(Some lib) ~session_seed:None ~cache_seed:None
+          ~candidates:(2 + (i mod 5)) ~ordinal:i ~scale:0.1 ~chain p
       in
-      (src, dst)
+      let src = Seed_select.choose_wave sel [| s |] in
+      (src.(0), s.Seed_select.dst)
     in
     let s1, d1 = run sel in
     let s2, d2 = run (Seed_select.create ()) in

@@ -202,13 +202,14 @@ let test_scheduler_chunk_phases () =
     let events = ref [] in
     let xs = Array.init 8 Fun.id in
     let out =
-      Scheduler.map_chunked sched
-        ~prepare:(fun i x ->
-          events := `P i :: !events;
-          x)
+      Scheduler.map_deadlined sched
+        ~prepare:
+          (Array.map (fun (d : Scheduler.dispatch) ->
+               events := `P d.Scheduler.index :: !events;
+               xs.(d.Scheduler.index)))
         ~work:(fun x -> 10 * x)
         ~commit:(fun i _ -> events := `C i :: !events)
-        xs
+        (Array.length xs)
     in
     (List.rev !events, out)
   in
@@ -610,10 +611,10 @@ let test_service_counters_property =
 
 (* ---- deadlines: scheduler expiry under a fake clock ---- *)
 
-(* The clock is called once for the batch epoch and once per serial
-   prepare, so with a tick-per-call fake the elapsed time at item [i]'s
-   prepare is exactly [i + 1] — expiry becomes a pure function of the
-   index, testable without sleeping. *)
+(* The clock is called once for the batch epoch and once per dispatch,
+   in input order as each wave starts, so with a tick-per-call fake the
+   elapsed time at item [i] is exactly [i + 1] — expiry becomes a pure
+   function of the index, testable without sleeping. *)
 let test_scheduler_deadline_expiry () =
   let sched = Scheduler.create ~chunk:3 () in
   let ticks = ref (-1) in
@@ -626,13 +627,13 @@ let test_scheduler_deadline_expiry () =
   let out =
     Scheduler.map_deadlined sched ~now ~budget_s:6.5
       ~deadline_s:(fun i -> if i mod 2 = 1 then Some 0. else None)
-      ~prepare:(fun d x ->
-        elapsed_seen := d.Scheduler.elapsed_s :: !elapsed_seen;
-        Alcotest.(check int) "prepare sees its index" x d.Scheduler.index;
-        (x, d.Scheduler.expired))
+      ~prepare:
+        (Array.map (fun (d : Scheduler.dispatch) ->
+             elapsed_seen := d.Scheduler.elapsed_s :: !elapsed_seen;
+             (xs.(d.Scheduler.index), d.Scheduler.expired)))
       ~work:Fun.id
       ~commit:(fun _ _ -> ())
-      xs
+      (Array.length xs)
   in
   Array.iteri
     (fun i r ->
@@ -659,10 +660,10 @@ let test_scheduler_no_deadline_ignores_clock () =
   let now () = Rng.uniform rng (-1e9) 1e9 in
   let out =
     Scheduler.map_deadlined sched ~now
-      ~prepare:(fun d () -> d.Scheduler.expired)
+      ~prepare:(Array.map (fun (d : Scheduler.dispatch) -> d.Scheduler.expired))
       ~work:Fun.id
       ~commit:(fun _ _ -> ())
-      (Array.make 7 ())
+      7
   in
   Array.iter
     (function
@@ -840,16 +841,16 @@ let test_seeded_determinism =
           (Some 4, true);
         ])
 
-(* Tentpole acceptance: the snapshot-prepare path (frozen wave snapshot +
-   wave-fused SoA candidate scoring) produces replies byte-identical to
-   the per-request serial prepare — across pool sizes 1/2/4, candidate
-   counts S in 1..8, mixed DOF from 3 to 100 in one wave, and with a
-   fault plan armed (fault forks are frozen into the snapshot). *)
-let test_snapshot_prepare_determinism =
+(* The wave prepare (frozen wave snapshot + wave-fused SoA candidate
+   scoring on the pool) produces replies byte-identical to the no-pool
+   run — across pools 1/2/4, candidate counts S in 1..8, mixed DOF from 3
+   to 100 in one wave, and with a fault plan armed (fault forks are
+   frozen into the snapshot). *)
+let test_prepare_pool_identity =
   QCheck.Test.make
     ~name:
-      "snapshot-prepare replies identical to serial prepare (pools 1/2/4, S \
-       1..8, mixed DOF, faults)"
+      "seeded prepare replies identical across pools none/1/2/4 (S 1..8, \
+       mixed DOF, faults)"
     ~count:5
     QCheck.(pair (int_range 1 10) (int_range 1 8))
     (fun (n, candidates) ->
@@ -878,14 +879,13 @@ let test_snapshot_prepare_determinism =
             };
           ]
       in
-      let run pool snapshot_prepare =
+      let run pool =
         let s =
           Service.create ?pool
             ~config:
               {
                 (seeded_config ~candidates ~library ()) with
-                Service.snapshot_prepare;
-                fault;
+                Service.fault;
                 max_iterations = 150;
               }
             ()
@@ -897,28 +897,21 @@ let test_snapshot_prepare_determinism =
           (fun r -> Marshal.to_string (strip_latency r) [])
           (Service.solve_batch s problems)
       in
-      let reference = run None false in
+      let reference = run None in
       List.for_all
         (fun size ->
-          match size with
-          | None -> run None true = reference
-          | Some size ->
-            let pool = Pool.create size in
-            Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-            run (Some pool) true = reference)
-        [ None; Some 1; Some 2; Some 4 ])
+          let pool = Pool.create size in
+          Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+          run (Some pool) = reference)
+        [ 1; 2; 4 ])
 
 (* The wave-phase breakdown accounts the batch: all three phases record
-   time, and the snapshot path books its candidate scoring under the
-   prepare phase (per-phase workspace accounting is monotone). *)
+   time, and candidate scoring is booked under the prepare phase
+   (per-phase workspace accounting is monotone). *)
 let test_phase_breakdown_records () =
   let problems = mixed_batch ~seed:271 10 in
   let library = Posture_library.build ~chain:eval12 ~count:32 ~seed:4 () in
-  let s =
-    Service.create
-      ~config:{ (seeded_config ~library ()) with Service.snapshot_prepare = true }
-      ()
-  in
+  let s = Service.create ~config:(seeded_config ~library ()) () in
   ignore (Service.solve_batch s problems);
   let m = Service.metrics s in
   Alcotest.(check bool) "prepare time recorded" true (m.Metrics.prepare_s > 0.);
@@ -1174,17 +1167,17 @@ let test_session_interleaving_independence =
       interleaved = alone)
 
 (* Acceptance: session replies byte-identical across pool sizes 1/2/4 and
-   the lockstep / snapshot-prepare execution modes (the serve-live CI job
-   asserts the same with cmp on reply dumps). *)
+   the lockstep execution mode (the serve-live CI job asserts the same
+   with cmp on reply dumps). *)
 let test_session_determinism_modes =
   QCheck.Test.make
-    ~name:"session replies identical across pools 1/2/4 x lockstep x snapshot"
+    ~name:"session replies identical across pools 1/2/4 x lockstep"
     ~count:4
     QCheck.(int_range 2 8)
     (fun n ->
       let n = max 2 n in
       let targets = line_waypoints n in
-      let run pool lockstep snapshot_prepare =
+      let run pool lockstep =
         let sess_a = Session.create ~name:"A" ~chain:eval30 in
         let sess_b = Session.create ~name:"B" ~chain:eval12 in
         let a = session_requests sess_a targets in
@@ -1198,32 +1191,25 @@ let test_session_determinism_modes =
           Array.concat
             [ Array.init (2 * n) (fun i -> if i mod 2 = 0 then a.(i / 2) else b.(i / 2)) ]
         in
-        let config =
-          { (service_config ~chunk:8 ()) with Service.lockstep; snapshot_prepare }
-        in
+        let config = { (service_config ~chunk:8 ()) with Service.lockstep } in
         let s = Service.create ?pool ~config () in
         Array.map strip_latency (Service.solve_requests s requests)
       in
-      let reference = run None false false in
+      let reference = run None false in
       List.for_all
-        (fun (size, lockstep, snapshot) ->
-          let same =
-            match size with
-            | None -> run None lockstep snapshot = reference
-            | Some size ->
-              let pool = Pool.create size in
-              Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-              run (Some pool) lockstep snapshot = reference
-          in
-          same)
+        (fun (size, lockstep) ->
+          match size with
+          | None -> run None lockstep = reference
+          | Some size ->
+            let pool = Pool.create size in
+            Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+            run (Some pool) lockstep = reference)
         [
-          (None, true, false);
-          (None, false, true);
-          (None, true, true);
-          (Some 2, false, false);
-          (Some 2, true, true);
-          (Some 4, false, true);
-          (Some 4, true, false);
+          (None, true);
+          (Some 2, false);
+          (Some 2, true);
+          (Some 4, false);
+          (Some 4, true);
         ])
 
 (* ---- Problem_file ---- *)
@@ -1607,7 +1593,7 @@ let () =
           qcheck test_seeded_determinism;
           Alcotest.test_case "seeded metrics accounting" `Slow
             test_seeded_metrics_accounting;
-          qcheck test_snapshot_prepare_determinism;
+          qcheck test_prepare_pool_identity;
           Alcotest.test_case "phase breakdown records" `Quick
             test_phase_breakdown_records;
         ] );

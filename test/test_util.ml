@@ -348,6 +348,33 @@ let test_pool_stress_reuse () =
       (Atomic.get acc)
   done
 
+(* Back-to-back tiny dispatches: a worker still looping over the previous
+   dispatch must never claim, or complete, a chunk of the next one.  Each
+   item counts its runs; after every dispatch each of its items must have
+   run exactly once (a lost completion hangs the caller instead, so the
+   alarm's default action kills the run rather than stalling the suite). *)
+let test_pool_dispatch_storm () =
+  let dispatches = 500_000 in
+  ignore (Unix.alarm 60);
+  Fun.protect ~finally:(fun () -> ignore (Unix.alarm 0)) @@ fun () ->
+  List.iter
+    (fun size ->
+      let pool = Pool.create size in
+      Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+      let runs = Array.init 7 (fun _ -> Atomic.make 0) in
+      let bad = ref 0 in
+      for d = 0 to dispatches - 1 do
+        let n = 1 + (d mod 7) in
+        Pool.parallel_for pool n (fun i -> Atomic.incr runs.(i));
+        for i = 0 to 6 do
+          if Atomic.exchange runs.(i) 0 <> Bool.to_int (i < n) then incr bad
+        done
+      done;
+      Alcotest.(check int)
+        (Printf.sprintf "pool %d: items not run exactly once" size)
+        0 !bad)
+    [ 2; 4 ]
+
 (* Force the failure into a worker domain (not the caller): the body raises
    only when it is NOT running on the domain that called parallel_for. *)
 let test_pool_worker_exception_propagates () =
@@ -1032,6 +1059,8 @@ let () =
           Alcotest.test_case "adversarial grains" `Quick
             test_pool_chunk_adversarial;
           qcheck test_pool_chunk_partition_property;
+          Alcotest.test_case "stress: 1M tiny dispatches, pools 2 and 4" `Slow
+            test_pool_dispatch_storm;
         ] );
       ( "histogram",
         [
