@@ -8,12 +8,15 @@ type strategy = Uniform | Log_spaced | Extended of float
 type mode = Sequential | Parallel of Domain_pool.t
 
 (* Below this many candidate·link folds the link-major kernel finishes
-   before a sleeping worker even wakes from the pool's broadcast: the
-   sweep runs ~12 ns per candidate·link (tools/cutover_probe on the
-   reference container), so 4096 folds ≈ 50 µs of work — roughly 10× a
-   multi-core pool's wake-up latency, leaving headroom for faster hosts.
-   See the chunking cost model in DESIGN.md §9; rerun the probe when
-   retuning this for new hardware. *)
+   before a sleeping worker even wakes from the pool's broadcast: with
+   the fold in C the sweep runs ~9–18 ns per candidate·link, most of it
+   glibc's sincos (tools/cutover_probe, small angles, shared 2-vCPU Xeon
+   VM), so 4096 folds ≈ 35–75 µs of work — roughly 10× a multi-core
+   pool's wake-up latency, leaving headroom for faster hosts.  On that
+   VM pools of 2 and 4 won only at scattered points, mostly from 6400
+   folds up, both before and after the fold moved to C: the crossover
+   did not move.  See the chunking cost model in DESIGN.md §9; rerun the
+   probe when retuning this for new hardware. *)
 let parallel_cutover = 4096
 
 (* Builds the workspace and the per-iteration step closure of one solve.

@@ -27,7 +27,8 @@ let make_scratch ?(dof = 0) () =
 
 (* The link twist never changes, so cos α / sin α (half the trig of a
    naive per-link transform build) are computed once per (scratch, chain)
-   pairing instead of once per link per FK evaluation. *)
+   pairing instead of once per link per FK evaluation.  Every fold reads
+   this one table: [run], [frames_into] and the candidate sweeps. *)
 let compile scratch chain =
   let links = Chain.links chain in
   let n = Array.length links in
@@ -138,21 +139,49 @@ let pose chain q =
   run ~scratch chain q;
   Mat4.copy scratch.acc
 
+(* Writes link [i]'s DH transform at joint value [q.(i)] into
+   [scratch.local] from the compiled table: the entries and products of
+   [Dh.transform_at], without its per-call [cos α]/[sin α]. *)
+let local_into scratch i q =
+  let pre = scratch.pre and m = scratch.local in
+  let b = 5 * i in
+  let ca = pre.(b) and sa = pre.(b + 1) and a = pre.(b + 2) in
+  let qi = q.(i) in
+  let theta, d =
+    if scratch.revolute.(i) then (pre.(b + 4) +. qi, pre.(b + 3))
+    else (pre.(b + 4), pre.(b + 3) +. qi)
+  in
+  let ct = cos theta and st = sin theta in
+  m.(0) <- ct;
+  m.(1) <- -.st *. ca;
+  m.(2) <- st *. sa;
+  m.(3) <- a *. ct;
+  m.(4) <- st;
+  m.(5) <- ct *. ca;
+  m.(6) <- -.ct *. sa;
+  m.(7) <- a *. st;
+  m.(8) <- 0.;
+  m.(9) <- sa;
+  m.(10) <- ca;
+  m.(11) <- d;
+  m.(12) <- 0.;
+  m.(13) <- 0.;
+  m.(14) <- 0.;
+  m.(15) <- 1.
+
 let frames_into ~scratch ~dst chain q =
   Chain.check_config chain q;
-  let links = Chain.links chain in
-  let n = Array.length links in
+  let n = Chain.dof chain in
   if Array.length dst < n + 1 then invalid_arg "Fk.frames_into: dst too short";
+  ensure_compiled scratch chain;
   Mat4.blit (Chain.base chain) dst.(0);
   for i = 0 to n - 2 do
-    let { Chain.joint; dh; _ } = links.(i) in
-    Dh.transform_at ~dst:scratch.local dh joint.Joint.kind q i;
+    local_into scratch i q;
     Mat4.mul_affine_into ~dst:dst.(i + 1) dst.(i) scratch.local
   done;
   (* Last slot folds the tool in, so the final product detours through the
      ping-pong buffer rather than aliasing dst.(n) as source and target. *)
-  let { Chain.joint; dh; _ } = links.(n - 1) in
-  Dh.transform_at ~dst:scratch.local dh joint.Joint.kind q (n - 1);
+  local_into scratch (n - 1) q;
   Mat4.mul_affine_into ~dst:scratch.tmp dst.(n - 1) scratch.local;
   Mat4.mul_affine_into ~dst:dst.(n) scratch.tmp (Chain.tool chain)
 
@@ -188,9 +217,11 @@ let frames ?scratch chain q =
    registers, and the inner loop streams the candidate positions through
    three contiguous planes of a flat SoA buffer ([x] at [0, stride),
    [y] at [stride, 2·stride), [z] at [2·stride, 3·stride)).  Per candidate
-   per link this costs 2 trig + 15 flops against the pose fold's
+   per link this costs one cos/sin pair + 15 flops against the pose fold's
    2 trig + 39, and the candidate configuration θ + α_k·Δθ is formed on
-   the fly, so no per-candidate θ buffer exists at all.
+   the fly, so no per-candidate θ buffer exists at all.  The fold itself
+   runs in C, one call per sweep (below); the tool seeding, the base
+   transform and the fused err² stay here.
 
    Association order: the pose kernels fold left-to-right from the base;
    these fold right-to-left from the tool.  Results therefore differ from
@@ -202,14 +233,46 @@ let frames ?scratch chain q =
 
 let precompile scratch chain = ensure_compiled scratch chain
 
-(* Shared backward sweep: seeds every candidate with the tool translation,
-   then folds links n-1..0.  [theta]/[dtheta]/[coeffs] are read-only;
-   candidate state in [pos] is touched only inside [lo, hi), so concurrent
-   sweeps over disjoint ranges of one buffer (sharing one *precompiled*
-   scratch) do not race. *)
-let sweep_links scratch chain ~theta ~dtheta ~coeffs ~pos ~stride ~lo ~hi =
-  let n = Chain.dof chain in
-  let pre = scratch.pre and rev = scratch.revolute in
+(* The per-link candidate fold runs in C (fk_stubs.c), one call per
+   sweep: written in OCaml, its two [cos]/[sin] externals per
+   candidate·link spill every live float register and cost more than the
+   fold's 15 flops.  The C loop performs the same IEEE operations in the
+   same order and calls the same libm functions, so positions are
+   bit-identical to the OCaml fold it replaced (test_kinematics.ml keeps
+   that fold as the reference and compares bit for bit).  The stubs read
+   [pre] ([cos α; sin α; a; d; θ₀] per link), [revolute] and the float
+   arrays unchecked and write [pos] only at candidates [lo, hi): every
+   caller checks the bounds and compiles the scratch first. *)
+external fold_links :
+  float array ->
+  bool array ->
+  (int[@untagged]) ->
+  float array ->
+  float array ->
+  float array ->
+  float array ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  unit = "dadu_fk_fold_links_byte" "dadu_fk_fold_links"
+[@@noalloc]
+
+external fold_rows :
+  float array ->
+  bool array ->
+  (int[@untagged]) ->
+  float array ->
+  (int[@untagged]) ->
+  float array ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  unit = "dadu_fk_fold_rows_byte" "dadu_fk_fold_rows"
+[@@noalloc]
+
+(* Seeds candidates [lo, hi) with the tool translation, the start of the
+   backward sweep. *)
+let seed_tool chain ~pos ~stride ~lo ~hi =
   let tool = Chain.tool chain in
   let tx = Array.unsafe_get tool 3
   and ty = Array.unsafe_get tool 7
@@ -218,81 +281,33 @@ let sweep_links scratch chain ~theta ~dtheta ~coeffs ~pos ~stride ~lo ~hi =
     Array.unsafe_set pos k tx;
     Array.unsafe_set pos (stride + k) ty;
     Array.unsafe_set pos ((2 * stride) + k) tz
-  done;
-  for i = n - 1 downto 0 do
-    let b = 5 * i in
-    let ca = Array.unsafe_get pre b
-    and sa = Array.unsafe_get pre (b + 1)
-    and a = Array.unsafe_get pre (b + 2)
-    and d0 = Array.unsafe_get pre (b + 3)
-    and t0 = Array.unsafe_get pre (b + 4) in
-    let is_rev = Array.unsafe_get rev i in
-    let th_i = Array.unsafe_get theta i
-    and dt_i = Array.unsafe_get dtheta i in
-    for k = lo to hi - 1 do
-      (* same expression order as the candidate-θ materialization the pose
-         path used: α_k·Δθᵢ + θᵢ *)
-      let qk = (Array.unsafe_get coeffs k *. dt_i) +. th_i in
-      let tv = if is_rev then t0 +. qk else t0 in
-      let d = if is_rev then d0 else d0 +. qk in
-      let ct = cos tv and st = sin tv in
-      let x = Array.unsafe_get pos k
-      and y = Array.unsafe_get pos (stride + k)
-      and z = Array.unsafe_get pos ((2 * stride) + k) in
-      (* p ← R·p + t for the DH matrix, factored through w = x + a and
-         u = cα·y − sα·z (15 flops) *)
-      let w = x +. a in
-      let u = (ca *. y) -. (sa *. z) in
-      Array.unsafe_set pos k ((ct *. w) -. (st *. u));
-      Array.unsafe_set pos (stride + k) ((st *. w) +. (ct *. u));
-      Array.unsafe_set pos ((2 * stride) + k) ((sa *. y) +. (ca *. z) +. d)
-    done
   done
+
+(* Shared backward sweep: seeds every candidate with the tool translation,
+   then folds links n-1..0, candidate [k]'s joint values formed as
+   α_k·Δθᵢ + θᵢ (the expression Quick_ik rebuilds the winner's θ with).
+   [theta]/[dtheta]/[coeffs] are read-only; candidate state in [pos] is
+   touched only inside [lo, hi), so concurrent sweeps over disjoint
+   ranges of one buffer (sharing one *precompiled* scratch) do not
+   race. *)
+let sweep_links scratch chain ~theta ~dtheta ~coeffs ~pos ~stride ~lo ~hi =
+  seed_tool chain ~pos ~stride ~lo ~hi;
+  fold_links scratch.pre scratch.revolute (Chain.dof chain) theta dtheta
+    coeffs pos stride lo hi
 
 (* Row-plane variant of [sweep_links]: candidate [k]'s configuration is
    read directly from row [k] of a flat lane-major θ plane
    ([thetas.(k·tstride + i)], Megabatch layout) instead of being formed as
-   θ + α_k·Δθ.  The per-link fold body is the one [sweep_links] runs; only
-   the [qk] load differs.  Reading θ instead of computing [(0·0) + θ] can
-   flip the sign of a zero angle, which [sin] preserves — but every
+   θ + α_k·Δθ.  The per-link fold is the one [sweep_links] runs; only the
+   joint-value load differs.  Reading θ instead of computing [(0·0) + θ]
+   can flip the sign of a zero angle, which [sin] preserves — but every
    downstream consumer squares the coordinates (the fused err2 write), so
    scores and argmin winners are bit-identical to the degenerate
    [sweep_links] call with zero Δθ and zero coefficients. *)
 let sweep_rows scratch chain ~thetas ~tstride ~pos ~stride ~lo ~hi =
-  let n = Chain.dof chain in
-  let pre = scratch.pre and rev = scratch.revolute in
-  let tool = Chain.tool chain in
-  let tx = Array.unsafe_get tool 3
-  and ty = Array.unsafe_get tool 7
-  and tz = Array.unsafe_get tool 11 in
-  for k = lo to hi - 1 do
-    Array.unsafe_set pos k tx;
-    Array.unsafe_set pos (stride + k) ty;
-    Array.unsafe_set pos ((2 * stride) + k) tz
-  done;
-  for i = n - 1 downto 0 do
-    let b = 5 * i in
-    let ca = Array.unsafe_get pre b
-    and sa = Array.unsafe_get pre (b + 1)
-    and a = Array.unsafe_get pre (b + 2)
-    and d0 = Array.unsafe_get pre (b + 3)
-    and t0 = Array.unsafe_get pre (b + 4) in
-    let is_rev = Array.unsafe_get rev i in
-    for k = lo to hi - 1 do
-      let qk = Array.unsafe_get thetas ((k * tstride) + i) in
-      let tv = if is_rev then t0 +. qk else t0 in
-      let d = if is_rev then d0 else d0 +. qk in
-      let ct = cos tv and st = sin tv in
-      let x = Array.unsafe_get pos k
-      and y = Array.unsafe_get pos (stride + k)
-      and z = Array.unsafe_get pos ((2 * stride) + k) in
-      let w = x +. a in
-      let u = (ca *. y) -. (sa *. z) in
-      Array.unsafe_set pos k ((ct *. w) -. (st *. u));
-      Array.unsafe_set pos (stride + k) ((st *. w) +. (ct *. u));
-      Array.unsafe_set pos ((2 * stride) + k) ((sa *. y) +. (ca *. z) +. d)
-    done
-  done
+  seed_tool chain ~pos ~stride ~lo ~hi;
+  fold_rows scratch.pre scratch.revolute (Chain.dof chain) thetas tstride pos
+    stride lo hi
 
 let score_rows_into ~scratch ~pos ~err2 ~txs ~tys ~tzs chain ~thetas ~tstride
     ~stride ~lo ~hi =

@@ -5,9 +5,13 @@ open Dadu_linalg
     The speculative search evaluates FK once per candidate per iteration,
     so this is the hottest code in the library.  {!scratch} owns every
     buffer the kernels need — the two ping-pong accumulators, the
-    per-link local transform, and (lazily) a frame array — so the
-    steady-state paths ({!run}, {!position_into}, {!frames_into}) perform
-    zero minor-heap allocation. *)
+    per-link local transform, the compiled per-link constants
+    ([cos α], [sin α], [a], [d], [θ₀] and the joint kind, shared by every
+    fold), and (lazily) a frame array — so the steady-state paths
+    ({!run}, {!position_into}, {!frames_into} and the candidate kernels)
+    perform zero minor-heap allocation.  The candidate kernels' per-link
+    fold runs as one C loop per sweep (fk_stubs.c) whose results are
+    bit-identical to the OCaml expression order it replaced. *)
 
 type scratch
 
@@ -43,7 +47,10 @@ val frames_into : scratch:scratch -> dst:Mat4.t array -> Chain.t -> Vec.t -> uni
 (** [frames_into ~scratch ~dst chain q] fills [dst.(0..dof)] with the
     cumulative transforms: [dst.(i)] is [⁰Tᵢ] (base through link [i-1]),
     and [dst.(dof)] includes the tool.  [dst] must have at least [dof+1]
-    entries of distinct 4×4 buffers.  Allocation-free. *)
+    entries of distinct 4×4 buffers.  Each link's transform is built from
+    the scratch's compiled constants with the entries and products of
+    {!Dh.transform_at}, so frames are bit-identical to folding
+    [Dh.transform_at] matrices.  Allocation-free. *)
 
 val frames : ?scratch:scratch -> Chain.t -> Vec.t -> Mat4.t array
 (** Cumulative transforms: [frames.(i)] is [⁰Tᵢ] (base through link [i-1]),
@@ -74,7 +81,9 @@ val positions_many_into :
     configurations [θ + coeffs.(k)·Δθ], [k ∈ \[0, count)], in one
     link-major backward (tool→base) sweep: per link the compiled DH
     constants are loaded once and only the position column is folded
-    ([p ← R·p + t], ~15 flops/link/candidate vs ~39 for the pose product).
+    ([p ← R·p + t], one cos/sin pair + ~15 flops/link/candidate vs ~39 for
+    the pose product).  The fold runs in C with the IEEE operation order
+    and libm calls of its OCaml reference, bit for bit.
     [dst] is a flat SoA buffer of at least [3·count] floats: x-coordinates
     at [\[0, count)], y at [\[count, 2·count)], z at [\[2·count, 3·count)].
     Association order differs from {!run} (right-to-left vs left-to-right),

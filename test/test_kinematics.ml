@@ -1371,6 +1371,191 @@ let test_speculate_validation () =
         ~err2:[| 0. |] ~tx:0. ~ty:0. ~tz:0. chain ~theta ~dtheta
         ~coeffs:(Array.make 2 0.) ~stride:2 ~lo:0 ~hi:2)
 
+(* ---- speculation kernel: the C fold, bit for bit ----
+
+   The per-link candidate fold of [Fk.speculate_range_into],
+   [positions_many_into] and [score_rows_into] runs in C (fk_stubs.c).
+   [ref_sweep] is the OCaml fold it replaced, kept here as the reference
+   together with the wrappers' tool seeding and base fold: the kernels
+   must write exactly its bits into every [pos] and [err2] slot — the
+   candidates' positions, scores, argmin winners and so every solver
+   reply depend on them.  Slots outside [lo, hi) keep their sentinel
+   fill.  Chains mix revolute and prismatic joints, zero-length links and
+   random affine base/tool transforms; angles come from bands that
+   straddle glibc's sin/cos branch points (2⁻²⁷, 2⁻²⁶, 0.855, 2.426)
+   and run to 1e3 and 1e6, signed zeros included. *)
+
+let band_value rng bands =
+  let mag =
+    match Rng.int rng bands with
+    | 0 -> 0.
+    | 1 -> Rng.uniform rng 0. 2e-8
+    | 2 -> Rng.uniform rng 0. 0.86
+    | 3 -> Rng.uniform rng 0.84 2.43
+    | 4 -> Rng.uniform rng 2.4 1e3
+    | _ -> Rng.uniform rng 1e3 1e6
+  in
+  if Rng.int rng 2 = 0 then mag else -.mag
+
+let random_affine rng =
+  if Rng.int rng 3 = 0 then Mat4.identity ()
+  else
+    Array.init 16 (fun i ->
+        if i < 12 then Rng.uniform rng (-2.) 2. else if i = 15 then 1. else 0.)
+
+let exact_chain rng dof =
+  let links =
+    Array.init dof (fun i ->
+        let zero_length = Rng.int rng 5 = 0 in
+        let dh =
+          Dh.make
+            ~a:(if zero_length then 0. else Rng.uniform rng (-0.5) 0.5)
+            ~alpha:(if Rng.int rng 4 = 0 then 0. else Rng.uniform rng (-.pi) pi)
+            ~d:(if zero_length then 0. else Rng.uniform rng (-0.3) 0.3)
+            ~theta:(band_value rng 6) ()
+        in
+        let joint =
+          if Rng.int rng 3 = 0 then Joint.prismatic () else Joint.revolute ()
+        in
+        { Chain.name = Printf.sprintf "j%d" (i + 1); joint; dh })
+  in
+  Chain.make ~base:(random_affine rng) ~tool:(random_affine rng) links
+
+(* The OCaml candidate fold the C stubs replaced: its loop body verbatim,
+   with the link constants read from the chain (the values the compiled
+   table holds) and the joint value from [q k i].  Seeds [lo, hi) with
+   the tool translation first. *)
+let ref_sweep chain ~q ~pos ~stride ~lo ~hi =
+  let tool = Chain.tool chain in
+  for k = lo to hi - 1 do
+    pos.(k) <- tool.(3);
+    pos.(stride + k) <- tool.(7);
+    pos.((2 * stride) + k) <- tool.(11)
+  done;
+  for i = Chain.dof chain - 1 downto 0 do
+    let { Chain.joint; dh; _ } = Chain.link chain i in
+    let ca = cos dh.Dh.alpha and sa = sin dh.Dh.alpha in
+    let a = dh.Dh.a and d0 = dh.Dh.d and t0 = dh.Dh.theta in
+    let is_rev = joint.Joint.kind = Joint.Revolute in
+    for k = lo to hi - 1 do
+      let qk = q k i in
+      let tv = if is_rev then t0 +. qk else t0 in
+      let d = if is_rev then d0 else d0 +. qk in
+      let ct = cos tv and st = sin tv in
+      let x = pos.(k) and y = pos.(stride + k) and z = pos.((2 * stride) + k) in
+      let w = x +. a in
+      let u = (ca *. y) -. (sa *. z) in
+      pos.(k) <- (ct *. w) -. (st *. u);
+      pos.(stride + k) <- (st *. w) +. (ct *. u);
+      pos.((2 * stride) + k) <- (sa *. y) +. (ca *. z) +. d
+    done
+  done
+
+(* The wrappers' base fold, with the squared error to target [t k] when
+   [err2] is given. *)
+let ref_base chain ~pos ~stride ~lo ~hi ?err2 t =
+  let b = Chain.base chain in
+  for k = lo to hi - 1 do
+    let x = pos.(k) and y = pos.(stride + k) and z = pos.((2 * stride) + k) in
+    let fx = (b.(0) *. x) +. (b.(1) *. y) +. (b.(2) *. z) +. b.(3) in
+    let fy = (b.(4) *. x) +. (b.(5) *. y) +. (b.(6) *. z) +. b.(7) in
+    let fz = (b.(8) *. x) +. (b.(9) *. y) +. (b.(10) *. z) +. b.(11) in
+    pos.(k) <- fx;
+    pos.(stride + k) <- fy;
+    pos.((2 * stride) + k) <- fz;
+    match err2 with
+    | None -> ()
+    | Some e ->
+      let tx, ty, tz = t k in
+      let dx = tx -. fx and dy = ty -. fy and dz = tz -. fz in
+      e.(k) <- ((dx *. dx) +. (dy *. dy)) +. (dz *. dz)
+  done
+
+let same_bits what want got =
+  Array.iteri
+    (fun i w ->
+      let g = got.(i) in
+      if not (bits w = bits g || (Float.is_nan w && Float.is_nan g)) then
+        Alcotest.failf "%s slot %d: C fold %h, OCaml fold %h" what i g w)
+    want
+
+(* A random chain, [count] = 1..130 candidates and a random, possibly
+   empty, range [lo, hi) of them. *)
+let exact_case seed =
+  let rng = Rng.create seed in
+  let dof = 1 + Rng.int rng 100 in
+  let chain = exact_chain rng dof in
+  let count = 1 + Rng.int rng 130 in
+  let lo, hi =
+    if Rng.int rng 4 = 0 then (0, count)
+    else
+      let lo = Rng.int rng (count + 1) in
+      (lo, lo + Rng.int rng (count - lo + 1))
+  in
+  (rng, chain, count, lo, hi)
+
+let sentinel = 1234.5
+
+let test_exact_speculate =
+  QCheck.Test.make
+    ~name:
+      "C fold = OCaml fold, bitwise: speculate_range_into, positions_many_into"
+    ~count:300 QCheck.(int_bound 999_999) (fun seed ->
+      let rng, chain, count, lo, hi = exact_case seed in
+      let dof = Chain.dof chain in
+      let theta = Array.init dof (fun _ -> band_value rng 6) in
+      let dtheta = Array.init dof (fun _ -> band_value rng 6) in
+      let coeffs = Array.init count (fun _ -> band_value rng 4) in
+      let tx = Rng.uniform rng (-3.) 3.
+      and ty = Rng.uniform rng (-3.) 3.
+      and tz = Rng.uniform rng (-3.) 3. in
+      let scratch = Fk.make_scratch () in
+      let pos = Array.make (3 * count) sentinel in
+      let err2 = Array.make count sentinel in
+      Fk.speculate_range_into ~scratch ~pos ~err2 ~tx ~ty ~tz chain ~theta
+        ~dtheta ~coeffs ~stride:count ~lo ~hi;
+      let want_pos = Array.make (3 * count) sentinel in
+      let want_err2 = Array.make count sentinel in
+      let q k i = (coeffs.(k) *. dtheta.(i)) +. theta.(i) in
+      ref_sweep chain ~q ~pos:want_pos ~stride:count ~lo ~hi;
+      ref_base chain ~pos:want_pos ~stride:count ~lo ~hi ~err2:want_err2
+        (fun _ -> (tx, ty, tz));
+      same_bits "pos" want_pos pos;
+      same_bits "err2" want_err2 err2;
+      (* every candidate, into a buffer with slack past 3·count *)
+      let dst = Array.make ((3 * count) + 2) sentinel in
+      Fk.positions_many_into ~scratch ~dst chain ~theta ~dtheta ~coeffs ~count;
+      let want = Array.make ((3 * count) + 2) sentinel in
+      ref_sweep chain ~q ~pos:want ~stride:count ~lo:0 ~hi:count;
+      ref_base chain ~pos:want ~stride:count ~lo:0 ~hi:count (fun _ ->
+          (0., 0., 0.));
+      same_bits "dst" want dst;
+      true)
+
+let test_exact_score_rows =
+  QCheck.Test.make ~name:"C fold = OCaml fold, bitwise: score_rows_into"
+    ~count:300 QCheck.(int_bound 999_999) (fun seed ->
+      let rng, chain, count, lo, hi = exact_case seed in
+      let dof = Chain.dof chain in
+      let tstride = dof + Rng.int rng 4 in
+      let thetas = Array.init (count * tstride) (fun _ -> band_value rng 6) in
+      let target () = Array.init count (fun _ -> Rng.uniform rng (-3.) 3.) in
+      let txs = target () and tys = target () and tzs = target () in
+      let scratch = Fk.make_scratch () in
+      let pos = Array.make (3 * count) sentinel in
+      let err2 = Array.make count sentinel in
+      Fk.score_rows_into ~scratch ~pos ~err2 ~txs ~tys ~tzs chain ~thetas
+        ~tstride ~stride:count ~lo ~hi;
+      let want_pos = Array.make (3 * count) sentinel in
+      let want_err2 = Array.make count sentinel in
+      let q k i = thetas.((k * tstride) + i) in
+      ref_sweep chain ~q ~pos:want_pos ~stride:count ~lo ~hi;
+      ref_base chain ~pos:want_pos ~stride:count ~lo ~hi ~err2:want_err2
+        (fun k -> (txs.(k), tys.(k), tzs.(k)));
+      same_bits "pos" want_pos pos;
+      same_bits "err2" want_err2 err2;
+      true)
+
 let test_chain_rejects_non_affine () =
   let bad = Mat4.identity () in
   bad.(12) <- 0.5;
@@ -1407,6 +1592,8 @@ let () =
             test_positions_many_zero_coeff;
           Alcotest.test_case "argument validation" `Quick
             test_speculate_validation;
+          qcheck test_exact_speculate;
+          qcheck test_exact_score_rows;
         ] );
       ( "joint",
         [
