@@ -212,131 +212,9 @@ let run_serve_parallel () =
     \ domain, then reuse; prep/work/commit are the scheduler wave-phase\n\
     \ wall-time totals from the metrics registry)\n"
 
-(* ---- open-loop load benchmark: per-request vs lockstep serving ----
-
-   Closed-loop numbers (above) hide queueing: the next request only
-   arrives when the previous one finished.  Here a seeded Poisson
-   process generates arrivals at a target offered load — multiples of
-   the per-request path's measured closed-loop capacity — and both
-   execution modes drain the same arrival schedule.  Sojourn = queue
-   wait + service, measured per request from its arrival time. *)
-
-let run_serve_open_loop () =
-  heading "Service: open-loop Poisson arrivals, 100 DOF (per-request vs lockstep)";
-  let module Svc = Dadu_service.Service in
-  let dof = 100 in
-  let n = 96 in
-  let pool_size = Dadu_util.Domain_pool.recommended_size () in
-  let chain = Dadu_kinematics.Robots.eval_chain ~dof in
-  let problems seed =
-    let rng = Dadu_util.Rng.create seed in
-    Array.init n (fun _ -> Dadu_core.Ik.random_problem rng chain)
-  in
-  let with_service ~lockstep f =
-    let pool =
-      if pool_size > 1 then Some (Dadu_util.Domain_pool.create pool_size)
-      else None
-    in
-    Fun.protect
-      ~finally:(fun () -> Option.iter Dadu_util.Domain_pool.shutdown pool)
-      (fun () ->
-        let svc =
-          Svc.create ?pool ~config:{ Svc.default_config with Svc.lockstep } ()
-        in
-        (* warm per-domain workspaces and the lane bank *)
-        ignore (Svc.solve_batch svc (problems 11));
-        f svc)
-  in
-  (* the per-request path's closed-loop capacity calibrates offered load *)
-  let capacity_rps =
-    with_service ~lockstep:false (fun svc ->
-        let ps = problems 13 in
-        let t0 = Unix.gettimeofday () in
-        ignore (Svc.solve_batch svc ps);
-        float_of_int n /. (Unix.gettimeofday () -. t0))
-  in
-  (* seeded exponential inter-arrivals: both modes at a given load drain
-     the byte-identical schedule *)
-  let arrivals ~rate ~seed =
-    let rng = Dadu_util.Rng.create seed in
-    let t = ref 0. in
-    Array.init n (fun _ ->
-        t := !t -. (log (1. -. Dadu_util.Rng.float rng 1.) /. rate);
-        !t)
-  in
-  let run_mode ~lockstep ~mult =
-    with_service ~lockstep (fun svc ->
-        let rate = mult *. capacity_rps in
-        let ps = problems 17 in
-        let arr = arrivals ~rate ~seed:23 in
-        let done_t = Array.make n 0. in
-        let t0 = Unix.gettimeofday () in
-        let idx = ref 0 in
-        while !idx < n do
-          let elapsed = Unix.gettimeofday () -. t0 in
-          if arr.(!idx) > elapsed then Unix.sleepf (arr.(!idx) -. elapsed)
-          else begin
-            (* batch every request that has arrived by now *)
-            let hi = ref !idx in
-            while !hi < n && arr.(!hi) <= elapsed do
-              incr hi
-            done;
-            ignore (Svc.solve_batch svc (Array.sub ps !idx (!hi - !idx)));
-            let t_done = Unix.gettimeofday () -. t0 in
-            for j = !idx to !hi - 1 do
-              done_t.(j) <- t_done
-            done;
-            idx := !hi
-          end
-        done;
-        let achieved = float_of_int n /. done_t.(n - 1) in
-        let sojourn = Array.init n (fun i -> done_t.(i) -. arr.(i)) in
-        Array.sort compare sojourn;
-        (rate, achieved, sojourn.(n / 2), sojourn.(95 * n / 100)))
-  in
-  let table =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "%d requests at %d DOF, pool %d; offered load relative to the \
-            per-request closed-loop capacity (%.0f req/s)"
-           n dof pool_size capacity_rps)
-      [ ("mode", Table.Left); ("offered", Table.Right);
-        ("offered req/s", Table.Right); ("achieved req/s", Table.Right);
-        ("sojourn p50 ms", Table.Right); ("sojourn p95 ms", Table.Right) ]
-  in
-  let rows = ref [] in
-  List.iter
-    (fun (label, lockstep) ->
-      List.iter
-        (fun mult ->
-          let rate, achieved, p50, p95 = run_mode ~lockstep ~mult in
-          Table.add_row table
-            [ label; Printf.sprintf "%.0fx" mult; Printf.sprintf "%.0f" rate;
-              Printf.sprintf "%.0f" achieved;
-              Printf.sprintf "%.1f" (1e3 *. p50);
-              Printf.sprintf "%.1f" (1e3 *. p95) ];
-          rows :=
-            [ label; Printf.sprintf "%.0f" mult; Printf.sprintf "%.1f" rate;
-              Printf.sprintf "%.1f" achieved; Printf.sprintf "%.4f" p50;
-              Printf.sprintf "%.4f" p95 ]
-            :: !rows)
-        [ 1.; 4.; 16. ])
-    [ ("per-request", false); ("lockstep", true) ];
-  Table.print table;
-  write_csv "openloop.csv"
-    ~header:
-      [ "mode"; "offered_x"; "offered_rps"; "achieved_rps"; "sojourn_p50_s";
-        "sojourn_p95_s" ]
-    (List.rev !rows);
-  Printf.printf
-    "\n(same seeded arrival schedule per offered load in both modes;\n\
-    \ sojourn = queue wait + service, from each request's arrival)\n"
-
 (* ---- live-server load test: open-loop Poisson over a Unix socket ----
 
-   The open-loop section above drives the Service in process; this one
-   drives the whole server — framing, reader threads, the bounded
+   Drives the whole server — framing, reader threads, the bounded
    admission queue, the dispatcher — through a real Unix socket, the
    deployment shape of `dadu serve`.  A seeded Poisson process offers
    load at multiples of the measured closed-loop capacity; sojourn is
@@ -662,6 +540,25 @@ module Json = Dadu_util.Json
 
 let bench_json_path = "BENCH_quickik.json"
 
+(* The timed half of every steady-state entry: 31 samples of [run],
+   each scaled to ns per unit of work ([units] per call), summarised as
+   (mean, p50, p95) with nearest-rank percentiles over the sorted
+   samples. *)
+let time_ns ~units run =
+  let samples = 31 in
+  let ns = Array.make samples 0. in
+  for s = 0 to samples - 1 do
+    let t0 = Unix.gettimeofday () in
+    run ();
+    ns.(s) <- (Unix.gettimeofday () -. t0) *. 1e9 /. units
+  done;
+  Array.sort compare ns;
+  let pct p =
+    ns.(int_of_float (Float.round (p *. float_of_int (samples - 1))))
+  in
+  let mean = Array.fold_left ( +. ) 0. ns /. float_of_int samples in
+  (mean, pct 0.5, pct 0.95)
+
 let quickik_steady_state ~dof =
   let open Dadu_kinematics in
   let chain = Robots.eval_chain ~dof in
@@ -683,19 +580,11 @@ let quickik_steady_state ~dof =
   solve 150;
   let w2 = Gc.minor_words () in
   let words_per_iter = ((w2 -. w1) -. (w1 -. w0)) /. 100. in
-  let samples = 31 and iters = 40 in
-  let ns = Array.make samples 0. in
-  for s = 0 to samples - 1 do
-    let t0 = Unix.gettimeofday () in
-    solve iters;
-    ns.(s) <- (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters
-  done;
-  Array.sort compare ns;
-  let pct p =
-    ns.(int_of_float (Float.round (p *. float_of_int (samples - 1))))
+  let iters = 40 in
+  let mean, p50, p95 =
+    time_ns ~units:(float_of_int iters) (fun () -> solve iters)
   in
-  let mean = Array.fold_left ( +. ) 0. ns /. float_of_int samples in
-  (mean, pct 0.5, pct 0.95, words_per_iter)
+  (mean, p50, p95, words_per_iter)
 
 (* The raw link-major speculation kernel, measured without the solver
    driver around it: one sweep = 64 candidates through the whole chain
@@ -724,21 +613,14 @@ let speckernel_steady_state ~dof =
   done;
   let w1 = Gc.minor_words () in
   let words_per_sweep = (w1 -. w0) /. 100. in
-  let samples = 31 and reps = 500 in
-  let ns = Array.make samples 0. in
-  for s = 0 to samples - 1 do
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      sweep ()
-    done;
-    ns.(s) <- (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int reps
-  done;
-  Array.sort compare ns;
-  let pct p =
-    ns.(int_of_float (Float.round (p *. float_of_int (samples - 1))))
+  let reps = 500 in
+  let mean, p50, p95 =
+    time_ns ~units:(float_of_int reps) (fun () ->
+        for _ = 1 to reps do
+          sweep ()
+        done)
   in
-  let mean = Array.fold_left ( +. ) 0. ns /. float_of_int samples in
-  (mean, pct 0.5, pct 0.95, words_per_sweep)
+  (mean, p50, p95, words_per_sweep)
 
 (* Steady-state cost of one request through the serving path (scheduler +
    cache + fallback chain + metrics), serial, warm cache: the number
@@ -759,70 +641,8 @@ let serve_steady_state ~dof =
   done;
   let w1 = Gc.minor_words () in
   let words_per_request = (w1 -. w0) /. float_of_int (5 * n) in
-  let samples = 31 in
-  let ns = Array.make samples 0. in
-  for s = 0 to samples - 1 do
-    let t0 = Unix.gettimeofday () in
-    batch ();
-    ns.(s) <- (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int n
-  done;
-  Array.sort compare ns;
-  let pct p =
-    ns.(int_of_float (Float.round (p *. float_of_int (samples - 1))))
-  in
-  let mean = Array.fold_left ( +. ) 0. ns /. float_of_int samples in
-  (mean, pct 0.5, pct 0.95, words_per_request)
-
-(* Steady-state cost of one lockstep lane-iteration: the same
-   unreachable-target bracket as [quickik_steady_state], but the
-   iterations run through [Megabatch.solve_all] over a full lane bank.
-   Two pre-warmed lane banks with different iteration caps make the
-   per-call and per-lane constants cancel, leaving the pure per
-   lane-iteration cost — which must stay allocation-free, like the
-   serial path it is bit-identical to. *)
-let megabatch_steady_state ~dof =
-  let open Dadu_kinematics in
-  let chain = Robots.eval_chain ~dof in
-  let lanes = 16 in
-  let target = Dadu_linalg.Vec3.make 1e6 1e6 1e6 in
-  let theta0 = Array.make dof 0.1 in
-  let problems =
-    Array.make lanes (Dadu_core.Ik.problem ~chain ~target ~theta0)
-  in
-  let mk iters =
-    Dadu_core.Megabatch.create ~capacity:lanes ~speculations:64
-      ~config:
-        { Dadu_core.Ik.default_config with max_iterations = iters; accuracy = 1e-9 }
-      ()
-  in
-  let solve mb = ignore (Dadu_core.Megabatch.solve_all mb problems) in
-  let mb50 = mk 50 and mb150 = mk 150 in
-  (* warm: planes sized, per-lane workspaces and candidate pools built *)
-  solve mb50;
-  solve mb150;
-  let w0 = Gc.minor_words () in
-  solve mb50;
-  let w1 = Gc.minor_words () in
-  solve mb150;
-  let w2 = Gc.minor_words () in
-  let words_per_iter =
-    ((w2 -. w1) -. (w1 -. w0)) /. float_of_int (100 * lanes)
-  in
-  let mb40 = mk 40 in
-  solve mb40;
-  let samples = 31 in
-  let ns = Array.make samples 0. in
-  for s = 0 to samples - 1 do
-    let t0 = Unix.gettimeofday () in
-    solve mb40;
-    ns.(s) <- (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int (40 * lanes)
-  done;
-  Array.sort compare ns;
-  let pct p =
-    ns.(int_of_float (Float.round (p *. float_of_int (samples - 1))))
-  in
-  let mean = Array.fold_left ( +. ) 0. ns /. float_of_int samples in
-  (mean, pct 0.5, pct 0.95, words_per_iter)
+  let mean, p50, p95 = time_ns ~units:(float_of_int n) batch in
+  (mean, p50, p95, words_per_request)
 
 (* Cold-start vs library-seeded Quick-IK over a fixed reachable workload:
    the informational fields pin the acceptance criterion (seeded mean
@@ -912,19 +732,8 @@ let seeded_steady_state ~dof =
   sweep ();
   let w2 = Gc.minor_words () in
   let words_per_iter = ((w2 -. w1) -. (w1 -. w0)) /. float_of_int reps in
-  let samples = 31 in
-  let ns = Array.make samples 0. in
-  for s = 0 to samples - 1 do
-    let t0 = Unix.gettimeofday () in
-    sweep ();
-    ns.(s) <- (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int reps
-  done;
-  Array.sort compare ns;
-  let pct p =
-    ns.(int_of_float (Float.round (p *. float_of_int (samples - 1))))
-  in
-  let mean = Array.fold_left ( +. ) 0. ns /. float_of_int samples in
-  (mean, pct 0.5, pct 0.95, words_per_iter, iters_cold, iters_seeded)
+  let mean, p50, p95 = time_ns ~units:(float_of_int reps) sweep in
+  (mean, p50, p95, words_per_iter, iters_cold, iters_seeded)
 
 (* Steady-state cost of one candidate scoring through the wave-fused
    prepare path: one [Seed_select.choose_wave] over a 16-request wave at
@@ -983,21 +792,13 @@ let prepare_steady_state ~dof =
   done;
   let w2 = Gc.minor_words () in
   let words_per_cand = ((w2 -. w1) -. (w1 -. w0)) /. float_of_int reps /. cands in
-  let samples = 31 in
-  let ns = Array.make samples 0. in
-  for s = 0 to samples - 1 do
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      wave ()
-    done;
-    ns.(s) <- (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int reps /. cands
-  done;
-  Array.sort compare ns;
-  let pct p =
-    ns.(int_of_float (Float.round (p *. float_of_int (samples - 1))))
+  let mean, p50, p95 =
+    time_ns ~units:(float_of_int reps *. cands) (fun () ->
+        for _ = 1 to reps do
+          wave ()
+        done)
   in
-  let mean = Array.fold_left ( +. ) 0. ns /. float_of_int samples in
-  (mean, pct 0.5, pct 0.95, words_per_cand)
+  (mean, p50, p95, words_per_cand)
 
 (* Temporal warm-starting along a Cartesian trajectory: the session
    workload at kernel level.  Waypoint targets are generated by FK along
@@ -1067,19 +868,10 @@ let session_steady_state ~dof =
   done;
   let w1 = Gc.minor_words () in
   let words_per_waypoint = (w1 -. w0) /. float_of_int (5 * waypoints) in
-  let samples = 31 in
-  let ns = Array.make samples 0. in
-  for s = 0 to samples - 1 do
-    let t0 = Unix.gettimeofday () in
-    trajectory false;
-    ns.(s) <- (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int waypoints
-  done;
-  Array.sort compare ns;
-  let pct p =
-    ns.(int_of_float (Float.round (p *. float_of_int (samples - 1))))
+  let mean, p50, p95 =
+    time_ns ~units:(float_of_int waypoints) (fun () -> trajectory false)
   in
-  let mean = Array.fold_left ( +. ) 0. ns /. float_of_int samples in
-  (mean, pct 0.5, pct 0.95, words_per_waypoint, !iters_cold, iters_per_waypoint)
+  (mean, p50, p95, words_per_waypoint, !iters_cold, iters_per_waypoint)
 
 let run_micro_json () =
   heading "Quick-IK steady-state kernel benchmark (JSON)";
@@ -1087,9 +879,8 @@ let run_micro_json () =
     Table.create
       ~title:
         "steady state: quickik = solver iteration (64 spec, Sequential), \
-         speckernel = one raw 64-candidate sweep, megabatch = one lockstep \
-         lane-iteration over a 16-lane bank, serve-request = one warm-cache \
-         request through the serving path, prepare = one candidate \
+         speckernel = one raw 64-candidate sweep, serve-request = one \
+         warm-cache request through the serving path, prepare = one candidate \
          scoring through the wave-fused choose_wave (16 requests x 5 \
          candidates, sequential), session = one temporally warm-started \
          waypoint along a 40-point ~1.5 cm cyclic trajectory"
@@ -1122,11 +913,6 @@ let run_micro_json () =
         (fun dof ->
           entry (Printf.sprintf "speckernel64-dof%d" dof) dof
             (speckernel_steady_state ~dof))
-        dofs
-    @ List.map
-        (fun dof ->
-          entry (Printf.sprintf "megabatch-dof%d" dof) dof
-            (megabatch_steady_state ~dof))
         dofs
     @ [ entry "serve-request-dof12" 12 (serve_steady_state ~dof:12) ]
     @ List.map
@@ -1237,10 +1023,7 @@ let () =
      benchmark and writes BENCH_quickik.json for tools/bench_diff *)
   let argv = List.tl (Array.to_list Sys.argv) in
   let json_mode = List.mem "--json" argv in
-  let open_loop = List.mem "--open-loop" argv in
-  let args =
-    List.filter (fun a -> a <> "--json" && a <> "--open-loop") argv
-  in
+  let args = List.filter (fun a -> a <> "--json") argv in
   let requested =
     match args with
     | _ :: _ when not (List.mem "all" args) -> args
@@ -1250,17 +1033,6 @@ let () =
     if json_mode then
       List.map
         (fun (name, f) -> if name = "micro" then (name, run_micro_json) else (name, f))
-        sections
-    else sections
-  in
-  (* `serve-parallel --open-loop` swaps the closed-loop scaling table for
-     the Poisson arrival generator (per-request vs lockstep) *)
-  let sections =
-    if open_loop then
-      List.map
-        (fun (name, f) ->
-          if name = "serve-parallel" then (name, run_serve_open_loop)
-          else (name, f))
         sections
     else sections
   in

@@ -423,14 +423,6 @@ let guard_flag =
   in
   Arg.(value & flag & info [ "guard" ] ~doc)
 
-let lockstep_flag =
-  let doc =
-    "Lockstep execution: solve each scheduler wave's Quick-IK head tier as \
-     one mega-batch sweep (bit-identical replies to per-request mode, \
-     higher throughput)."
-  in
-  Arg.(value & flag & info [ "lockstep" ] ~doc)
-
 let seed_library_arg =
   let doc =
     "Posture library file (written by 'dadu posture-build') consulted for \
@@ -449,11 +441,27 @@ let seed_candidates_arg =
     & opt int Svc.default_config.Svc.seed_candidates
     & info [ "seed-candidates" ] ~docv:"S" ~doc)
 
+(* The --seed-library / --seed-candidates pair of serve-batch and serve;
+   [Error msg] is the finished diagnostic. *)
+let load_seed_library ~seed_candidates seed_library =
+  match seed_library with
+  | _ when seed_candidates < 1 -> Error "--seed-candidates must be at least 1"
+  | None -> Ok None
+  | Some path ->
+    (match Dadu_service.Posture_library.load path with
+    | Ok lib -> Ok (Some lib)
+    (* the Sys_error text already names the path *)
+    | Error (Dadu_service.Posture_library.Io msg) -> Error msg
+    | Error e ->
+      Error
+        (Format.asprintf "%s: %a" path
+           Dadu_service.Posture_library.pp_load_error e))
+
 let replies_out =
   let doc =
     "Write one deterministic JSON line per reply (index, status, solver, \
      iterations, error, theta, flags; no timing) to this file — byte-\
-     comparable across runs and execution modes."
+     comparable across runs and pool sizes."
   in
   Arg.(value & opt (some string) None & info [ "replies" ] ~docv:"FILE" ~doc)
 
@@ -493,10 +501,20 @@ let write_replies path replies =
           retries cache_hit deadline_exceeded theta)
     replies
 
+(* Output files are written once the work they record has run: an
+   unwritable path prints [dadu: cannot write <what>: <reason>] and the
+   caller exits 3, instead of an uncaught Sys_error. *)
+let written what write =
+  match write () with
+  | () -> true
+  | exception Sys_error msg ->
+    Format.eprintf "dadu: cannot write %s: %s@." what msg;
+    false
+
 let run_serve_batch file solvers speculations max_iters accuracy jobs chunk
     cache_cell cache_capacity no_warm_start time_budget batch_budget
     default_deadline trace_out retries retry_scale breaker_threshold
-    breaker_cooldown fault_plan fault_seed guard_flag lockstep seed_library
+    breaker_cooldown fault_plan fault_seed guard_flag seed_library
     seed_candidates replies_out =
   match Dadu_service.Problem_file.parse_requests_file file with
   | Error msg ->
@@ -525,21 +543,7 @@ let run_serve_batch file solvers speculations max_iters accuracy jobs chunk
           (Dadu_util.Fault.arm ~seed:fault_seed)
           (Dadu_util.Fault.parse_plan s)
     in
-    let library =
-      match seed_library with
-      | _ when seed_candidates < 1 ->
-        Error "--seed-candidates must be at least 1"
-      | None -> Ok None
-      | Some path ->
-        (match Dadu_service.Posture_library.load path with
-        | Ok lib -> Ok (Some lib)
-        (* the Sys_error text already names the path *)
-        | Error (Dadu_service.Posture_library.Io msg) -> Error msg
-        | Error e ->
-          Error
-            (Format.asprintf "%s: %a" path
-               Dadu_service.Posture_library.pp_load_error e))
-    in
+    let library = load_seed_library ~seed_candidates seed_library in
     (match (fault, library) with
     | Error msg, _ ->
       Format.eprintf "dadu: bad --fault-plan: %s@." msg;
@@ -559,7 +563,6 @@ let run_serve_batch file solvers speculations max_iters accuracy jobs chunk
         cache_cell_m = cache_cell;
         cache_capacity;
         chunk;
-        lockstep;
         guard = (if guard_flag then Some Ik.default_guard else None);
         fault;
         breaker =
@@ -589,42 +592,41 @@ let run_serve_batch file solvers speculations max_iters accuracy jobs chunk
           Svc.solve_requests ?budget_s:batch_budget ?trace service requests
         in
         let wall = Unix.gettimeofday () -. t0 in
-        (match replies_out with
-        | None -> ()
-        | Some path -> write_replies path replies);
         let n = Array.length requests in
         Format.printf "Problems : %d (%s)@." n file;
         Format.printf "Solvers  : %s@." (Fallback.chain_to_string solvers);
-        Format.printf "Pool     : %d domain%s, chunk %d%s@." jobs
+        Format.printf "Pool     : %d domain%s, chunk %d@." jobs
           (if jobs = 1 then "" else "s")
-          chunk
-          (if lockstep then ", lockstep" else "");
+          chunk;
         Format.printf "Wall time: %.3f s (%.0f problems/s)@." wall
           (if wall > 0. then float_of_int n /. wall else 0.);
         print_string (Svc.render_metrics service);
         print_newline ();
-        match (trace_out, trace) with
-        | Some path, Some tr ->
-          (match Dadu_util.Trace.write_jsonl tr path with
-          | () ->
-            Format.printf "Trace    : %s (%d spans)@." path
-              (Dadu_util.Trace.length tr);
-            let m = Svc.metrics service in
-            if m.Dadu_service.Metrics.failed = 0
-               && m.Dadu_service.Metrics.rejected = 0
-               && m.Dadu_service.Metrics.faulted = 0
-            then 0
-            else 1
-          | exception Sys_error msg ->
-            Format.eprintf "dadu: cannot write trace: %s@." msg;
-            3)
-        | _ ->
-          let m = Svc.metrics service in
-          if m.Dadu_service.Metrics.failed = 0
-             && m.Dadu_service.Metrics.rejected = 0
-             && m.Dadu_service.Metrics.faulted = 0
-          then 0
-          else 1))
+        let replies_written =
+          match replies_out with
+          | None -> true
+          | Some path -> written "replies" (fun () -> write_replies path replies)
+        in
+        let trace_written =
+          match (trace_out, trace) with
+          | Some path, Some tr ->
+            let ok =
+              written "trace" (fun () -> Dadu_util.Trace.write_jsonl tr path)
+            in
+            if ok then
+              Format.printf "Trace    : %s (%d spans)@." path
+                (Dadu_util.Trace.length tr);
+            ok
+          | _ -> true
+        in
+        let m = Svc.metrics service in
+        if not (replies_written && trace_written) then 3
+        else if
+          m.Dadu_service.Metrics.failed = 0
+          && m.Dadu_service.Metrics.rejected = 0
+          && m.Dadu_service.Metrics.faulted = 0
+        then 0
+        else 1))
 
 let serve_batch_cmd =
   let doc =
@@ -640,7 +642,7 @@ let serve_batch_cmd =
       $ no_warm_start $ time_budget $ batch_budget $ default_deadline
       $ trace_out $ retries $ retry_scale $ breaker_threshold
       $ breaker_cooldown $ fault_plan $ fault_seed $ guard_flag
-      $ lockstep_flag $ seed_library_arg $ seed_candidates_arg $ replies_out)
+      $ seed_library_arg $ seed_candidates_arg $ replies_out)
 
 (* ---- serve (persistent streaming server) ---- *)
 
@@ -748,21 +750,8 @@ let net_fault_seed_arg =
 let run_serve listen queue max_batch journal max_conns idle_timeout
     frame_timeout retry_after est_job_ms net_fault_plan net_fault_seed solvers
     speculations max_iters accuracy jobs chunk cache_cell cache_capacity
-    no_warm_start retries retry_scale guard_flag lockstep seed_library
-    seed_candidates =
-  let library =
-    match seed_library with
-    | _ when seed_candidates < 1 -> Error "--seed-candidates must be at least 1"
-    | None -> Ok None
-    | Some path ->
-      (match Dadu_service.Posture_library.load path with
-      | Ok lib -> Ok (Some lib)
-      | Error (Dadu_service.Posture_library.Io msg) -> Error msg
-      | Error e ->
-        Error
-          (Format.asprintf "%s: %a" path
-             Dadu_service.Posture_library.pp_load_error e))
-  in
+    no_warm_start retries retry_scale guard_flag seed_library seed_candidates =
+  let library = load_seed_library ~seed_candidates seed_library in
   let net_fault =
     match net_fault_plan with
     | None -> Ok Dadu_util.Fault.disabled
@@ -787,7 +776,6 @@ let run_serve listen queue max_batch journal max_conns idle_timeout
         cache_cell_m = cache_cell;
         cache_capacity;
         chunk;
-        lockstep;
         guard = (if guard_flag then Some Ik.default_guard else None);
         fault = Dadu_util.Fault.disabled;
         breaker = None;
@@ -856,7 +844,7 @@ let serve_cmd =
       $ est_job_ms_arg $ net_fault_plan_arg $ net_fault_seed_arg $ solvers_arg
       $ speculations $ max_iters $ accuracy $ jobs $ chunk $ cache_cell
       $ cache_capacity $ no_warm_start $ retries $ retry_scale $ guard_flag
-      $ lockstep_flag $ seed_library_arg $ seed_candidates_arg)
+      $ seed_library_arg $ seed_candidates_arg)
 
 (* ---- client (script-driven frame stream) ---- *)
 
@@ -934,20 +922,23 @@ let run_client connect script dump timeout_s retries backoff_ms read_timeout
         Format.eprintf "dadu: stream failed: %s@." msg;
         6
       | Ok o ->
-        (match dump with
-        | None -> ()
-        | Some path ->
-          let out = open_out path in
-          Fun.protect
-            ~finally:(fun () -> close_out out)
-            (fun () ->
-              List.iter
-                (fun (_, payload) ->
-                  output_string out payload;
-                  output_char out '\n')
-                o.Client.solves));
         Format.printf "solve replies: %d@." (List.length o.Client.solves);
-        if o.Client.overloaded > 0 then 5 else 0))
+        let dumped =
+          match dump with
+          | None -> true
+          | Some path ->
+            written "dump" (fun () ->
+                let out = open_out path in
+                Fun.protect
+                  ~finally:(fun () -> close_out out)
+                  (fun () ->
+                    List.iter
+                      (fun (_, payload) ->
+                        output_string out payload;
+                        output_char out '\n')
+                      o.Client.solves))
+        in
+        if not dumped then 3 else if o.Client.overloaded > 0 then 5 else 0))
 
 let connect_arg =
   let doc = "Server address (same forms as serve --listen)." in
@@ -967,7 +958,7 @@ let dump_arg =
   let doc =
     "Write solve-type replies (solved/rejected/faulted/overloaded), one \
      JSON line each sorted by request id, to this file — byte-comparable \
-     across server pool sizes and execution modes."
+     across server pool sizes."
   in
   Arg.(value & opt (some string) None & info [ "dump" ] ~docv:"FILE" ~doc)
 
@@ -1002,9 +993,10 @@ let client_cmd =
   let doc =
     "Stream a script of ops at a running dadu serve instance: control \
      replies print in arrival order, solve-type replies are dumped sorted \
-     by id for byte-exact comparison. Exit status: 0 all ops answered, 4 \
-     could not connect, 5 answered but some replies were overloaded sheds, \
-     6 stream failed with the retry budget exhausted."
+     by id for byte-exact comparison. Exit status: 0 all ops answered, 3 \
+     bad script or --net-fault plan or unwritable --dump, 4 could not \
+     connect, 5 answered but some replies were overloaded sheds, 6 stream \
+     failed with the retry budget exhausted."
   in
   Cmd.v (Cmd.info "client" ~doc)
     Term.(

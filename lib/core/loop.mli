@@ -12,58 +12,7 @@
     sweeps it consumed (0 if none).  The driver then pointer-swaps
     [theta]/[theta_next].  A step that keeps the configuration must copy
     [ws.theta] into [ws.theta_next] (e.g. [Vec.blit]).  With a
-    well-behaved step the loop allocates nothing per iteration.
-
-    The driver is exposed in two forms.  {!run} executes a whole solve.
-    The resumable form — {!start} / {!advance} / {!result} — packs one
-    solve into a {e lane} and executes it one iteration per {!advance}
-    call; {!run} itself is built on it, so interleaving [advance] calls
-    across many lanes (the {!Megabatch} lockstep driver) is bit-identical
-    per lane to running each solve to completion: there is only one
-    per-iteration code path. *)
-
-type state
-(** One in-flight solve: the workspace, the step callback, and the loop's
-    control state (iteration count, stall/guard bookkeeping, terminal
-    status).  A state borrows its workspace exclusively until {!result}
-    has been read. *)
-
-val start :
-  ?config:Ik.config ->
-  workspace:Workspace.t ->
-  speculations:int ->
-  step:(Workspace.t -> int) ->
-  Ik.problem ->
-  state
-(** Packs [problem] into a fresh lane: copies [theta0] into the
-    workspace and resets the driver scalars.  The workspace [dof] must
-    match the problem's chain (raises [Invalid_argument] otherwise).
-    Allocates only the state record — nothing per subsequent
-    iteration. *)
-
-val advance : ?on_iteration:(iter:int -> err:float -> unit) -> state -> unit
-(** Executes exactly one iteration: refreshes FK/error, applies the
-    termination contract, and (when not terminal) runs the step and
-    pointer-swaps θ.  A no-op once the lane has finished.
-    [on_iteration] observes the error at the top of the iteration
-    (including the terminal one); it must not mutate solver state.  (The
-    call boxes [err], so allocation-sensitive callers pass [None].) *)
-
-val finished : state -> bool
-
-val iterations : state -> int
-(** Step calls executed so far. *)
-
-val workspace : state -> Workspace.t
-(** The workspace the lane was started with ([ws.scalars.err] is the
-    error at the top of the last executed iteration — the live per-lane
-    progress signal of the mega-batch planes). *)
-
-val result : state -> Ik.result
-(** The terminal result; raises [Invalid_argument] while the lane is
-    still running.  [theta] is a fresh copy, so callers never alias
-    workspace internals (and the workspace may be repacked for another
-    lane afterwards). *)
+    well-behaved step the loop allocates nothing per iteration. *)
 
 val run :
   ?config:Ik.config ->
@@ -94,4 +43,5 @@ val run :
 
     [on_iteration] observes the error at the top of every iteration
     (including the final one that terminates the loop) — used by the
-    convergence-profile experiment; it must not mutate solver state. *)
+    convergence-profile experiment; it must not mutate solver state.
+    (The call boxes [err], so allocation-sensitive callers pass [None].) *)

@@ -19,11 +19,8 @@ type mode = Sequential | Parallel of Domain_pool.t
    probe when retuning this for new hardware. *)
 let parallel_cutover = 4096
 
-(* Builds the workspace and the per-iteration step closure of one solve.
-   [solve] runs it through [Loop.run]; the lockstep [Megabatch] driver
-   runs the same closure through [Loop.start]/[Loop.advance] — a lane is
-   bit-identical to the serial solve because both execute this exact
-   code. *)
+(* Builds the workspace and the per-iteration step closure of one solve,
+   which [solve] runs through [Loop.run]. *)
 let prepare_step ?(speculations = 64) ?(strategy = Uniform) ?(mode = Sequential)
     ?workspace (problem : Ik.problem) =
   if speculations <= 0 then invalid_arg "Quick_ik.solve: speculations must be positive";

@@ -43,18 +43,3 @@ val solve :
 (** [speculations] is the paper's [Max], default 64 (the paper's chosen
     operating point, Figure 4); must be positive.  [strategy] defaults to
     [Uniform], [mode] to [Sequential]. *)
-
-val prepare_step :
-  ?speculations:int ->
-  ?strategy:strategy ->
-  ?mode:mode ->
-  ?workspace:Workspace.t ->
-  Ik.problem ->
-  Workspace.t * (Workspace.t -> int)
-(** The workspace and per-iteration step closure {!solve} would run
-    through {!Loop.run}: candidate pools ensured, the Log-spaced ladder
-    hoisted, the chain precompiled into the FK scratch.  {!Megabatch}
-    packs the pair into a {!Loop.start} lane and advances it in lockstep
-    with other lanes; a lane's θ trace, iteration count and status are
-    bit-identical to [solve] on the same problem because both execute
-    this exact closure under the one {!Loop} iteration body. *)

@@ -296,8 +296,8 @@ let sweep_links scratch chain ~theta ~dtheta ~coeffs ~pos ~stride ~lo ~hi =
     coeffs pos stride lo hi
 
 (* Row-plane variant of [sweep_links]: candidate [k]'s configuration is
-   read directly from row [k] of a flat lane-major θ plane
-   ([thetas.(k·tstride + i)], Megabatch layout) instead of being formed as
+   read directly from row [k] of a flat row-major θ plane (joint [i] of
+   candidate [k] at [thetas.(k·tstride + i)]) instead of being formed as
    θ + α_k·Δθ.  The per-link fold is the one [sweep_links] runs; only the
    joint-value load differs.  Reading θ instead of computing [(0·0) + θ]
    can flip the sign of a zero angle, which [sin] preserves — but every

@@ -101,7 +101,7 @@ let crashed ?(speculations = 64) (p : Ik.problem) =
   }
 
 let run ?speculations ?time_budget_s ?attempt_hook
-    ?(fault = Dadu_util.Fault.disabled) ?head ~chain ~config p =
+    ?(fault = Dadu_util.Fault.disabled) ~chain ~config p =
   if chain = [] then invalid_arg "Fallback.run: empty solver chain";
   let module Fault = Dadu_util.Fault in
   let now = Dadu_util.Trace.now_s in
@@ -130,19 +130,11 @@ let run ?speculations ?time_budget_s ?attempt_hook
       | Some _ -> { r with Ik.status = Ik.Converged; error = 0. }
       | None -> r)
   in
-  (* [head], when given, is the head tier's raw result computed outside
-     the chain (the lockstep mega-batch sweep) — bit-identical to what
-     [attempt] would produce, since both run the one Quick-IK iteration
-     path.  It still goes through [verify] and the attempt hook, so the
-     chain's invariants and trail are untouched; only the head solver
-     call is skipped.  Callers must not combine [head] with enabled
-     fault injection: the injected result would bypass the head tier's
-     fault sites. *)
-  let rec go ~head best attempts trail = function
+  let rec go best attempts trail = function
     | kind :: rest ->
       let start_s = now () in
       let r =
-        match (match head with Some raw -> raw | None -> attempt kind) with
+        match attempt kind with
         | raw -> verify ~config p raw
         | exception _ -> crashed ?speculations p
       in
@@ -164,11 +156,11 @@ let run ?speculations ?time_budget_s ?attempt_hook
         if rest = [] || out_of_time () then
           let b, k = best in
           (b, k, attempts, trail)
-        else go ~head:None (Some best) attempts trail rest
+        else go (Some best) attempts trail rest
       end
     | [] -> assert false (* chain checked non-empty; recursion stops above *)
   in
-  let result, solver, attempts, trail = go ~head None 0 [] chain in
+  let result, solver, attempts, trail = go None 0 [] chain in
   {
     result;
     solver;

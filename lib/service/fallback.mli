@@ -57,7 +57,6 @@ val run :
   ?time_budget_s:float ->
   ?attempt_hook:(kind -> start_s:float -> dur_s:float -> Ik.result -> unit) ->
   ?fault:Dadu_util.Fault.t ->
-  ?head:Ik.result ->
   chain:kind list ->
   config:Ik.config ->
   Ik.problem ->
@@ -71,16 +70,6 @@ val run :
     result and {!Dadu_util.Trace.now_s} timings — the service's
     fallback-tier trace spans; it must not raise.  Raises
     [Invalid_argument] on an empty chain.
-
-    [head], when given, stands in for the head tier's raw solver call:
-    the result a lockstep mega-batch sweep already computed for this
-    problem (bit-identical to the in-chain call — one iteration path,
-    see {!Dadu_core.Megabatch}).  FK re-verification, the attempt hook,
-    the trail, and every later tier behave exactly as if the head tier
-    had run in-chain; its hook duration only reflects verification, the
-    sweep time being amortized outside.  Do not combine with enabled
-    fault injection — an injected head would skip the head tier's fault
-    sites and desynchronize the per-request fault stream.
 
     A raising tier — real bug or injected fault — is contained: the
     attempt becomes a [Diverged] best-effort result (clamped [θ₀],

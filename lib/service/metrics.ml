@@ -15,7 +15,6 @@ type t = {
   breaker_skips : int Atomic.t;
   retries : int Atomic.t;
   retry_converged : int Atomic.t;
-  lockstep_lanes : int Atomic.t;
   session_requests : int Atomic.t;
   session_warm : int Atomic.t;
   library_hits : int Atomic.t;
@@ -58,7 +57,6 @@ let create () =
     breaker_skips = Atomic.make 0;
     retries = Atomic.make 0;
     retry_converged = Atomic.make 0;
-    lockstep_lanes = Atomic.make 0;
     session_requests = Atomic.make 0;
     session_warm = Atomic.make 0;
     library_hits = Atomic.make 0;
@@ -118,10 +116,6 @@ type event =
 let bump c = Atomic.incr c
 
 let add c n = if n > 0 then ignore (Atomic.fetch_and_add c n)
-
-(* lanes solved through the lockstep mega-batch head tier; bumped from
-   the scheduler's serial work phase, once per wave *)
-let record_lockstep t n = add t.lockstep_lanes n
 
 (* speculative seed selection outcome for one request; bumped from the
    scheduler's serial prepare phase, so counts are pool-size independent *)
@@ -212,7 +206,6 @@ let reset t =
       t.breaker_skips;
       t.retries;
       t.retry_converged;
-      t.lockstep_lanes;
       t.session_requests;
       t.session_warm;
       t.library_hits;
@@ -251,7 +244,6 @@ type snapshot = {
   breaker_skips : int;
   retries : int;
   retry_converged : int;
-  lockstep_lanes : int;
   session_requests : int;
   session_warm : int;
   library_hits : int;
@@ -296,7 +288,6 @@ let snapshot t =
     breaker_skips = Atomic.get t.breaker_skips;
     retries = Atomic.get t.retries;
     retry_converged = Atomic.get t.retry_converged;
-    lockstep_lanes = Atomic.get t.lockstep_lanes;
     session_requests = Atomic.get t.session_requests;
     session_warm = Atomic.get t.session_warm;
     library_hits = Atomic.get t.library_hits;
@@ -351,7 +342,6 @@ let render s =
   int_row "breaker skips" s.breaker_skips;
   int_row "retries" s.retries;
   int_row "retry converged" s.retry_converged;
-  int_row "lockstep lanes" s.lockstep_lanes;
   let warm_lookups = s.session_requests in
   Table.add_row table
     [

@@ -57,11 +57,6 @@ val record_net : t -> net_event -> unit
     hygiene and crash safety); each bumps its own counter and none
     count as a request. *)
 
-val record_lockstep : t -> int -> unit
-(** [record_lockstep t n] counts [n] lanes whose head tier was solved by
-    the lockstep mega-batch sweep (Service [lockstep] mode); bumped once
-    per scheduler wave, from the serial phase. *)
-
 val record_seed : t -> library_hit:bool -> Seed_select.source -> unit
 (** One speculative seed selection: [library_hit] when the posture
     library contributed a nearest-neighbour candidate, and the winning
@@ -98,7 +93,6 @@ type snapshot = {
   breaker_skips : int;  (** total tiers skipped by open breakers *)
   retries : int;  (** total perturbed-seed retries *)
   retry_converged : int;  (** requests rescued by a retry *)
-  lockstep_lanes : int;  (** lanes solved via the lockstep mega-batch *)
   session_requests : int;  (** requests served under a trajectory session *)
   session_warm : int;  (** session requests offered the warm-start slot *)
   library_hits : int;  (** posture-library NN candidates offered *)

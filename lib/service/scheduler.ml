@@ -26,10 +26,7 @@ type dispatch = { index : int; elapsed_s : float; expired : bool }
 
 type wave_phase = Prepare | Work | Commit
 
-(* The chunked serial-prepare / work / serial-commit skeleton shared by
-   [map_deadlined] (per-item work on the pool) and [map_lockstep] (whole
-   prepared chunks handed to the caller).  [run] must return exactly one
-   result per prepared item.
+(* The chunked serial-prepare / parallel-work / serial-commit skeleton.
 
    Each wave's dispatches are built serially in input order — one clock
    read each, before any prepare work runs — and handed to [prepare] as
@@ -41,8 +38,8 @@ type wave_phase = Prepare | Work | Commit
    after with the phase's wall time.  Both default to no-ops and never
    affect scheduling; timing reads use the real monotonic clock, not the
    (injectable) [now], so fake-clock tests keep their reading budget. *)
-let map_waves t ~now ?budget_s ?deadline_s ?cut ?phase_enter ?phase_done
-    ~prepare ~run ~commit n =
+let map_deadlined t ?(now = Trace.now_s) ?budget_s ?deadline_s ?cut
+    ?phase_enter ?phase_done ~prepare ~work ~commit n =
   if n = 0 then [||]
   else begin
     let t0 = now () in
@@ -103,7 +100,10 @@ let map_waves t ~now ?budget_s ?deadline_s ?cut ?phase_enter ?phase_done
       in
       if Array.length prepared <> len then
         invalid_arg "Scheduler: prepare returned wrong arity";
-      let results = timed Work (fun () -> run prepared) in
+      let results =
+        timed Work (fun () ->
+            run_wave t (fun j -> guarded work prepared.(j)) len)
+      in
       timed Commit (fun () ->
           for j = 0 to len - 1 do
             out.(base + j) <- results.(j);
@@ -113,27 +113,3 @@ let map_waves t ~now ?budget_s ?deadline_s ?cut ?phase_enter ?phase_done
     done;
     out
   end
-
-let map_deadlined t ?(now = Trace.now_s) ?budget_s ?deadline_s ?cut
-    ?phase_enter ?phase_done ~prepare ~work ~commit n =
-  map_waves t ~now ?budget_s ?deadline_s ?cut ?phase_enter ?phase_done
-    ~prepare
-    ~run:(fun prepared ->
-      run_wave t (fun j -> guarded work prepared.(j)) (Array.length prepared))
-    ~commit n
-
-let map_lockstep t ?(now = Trace.now_s) ?budget_s ?deadline_s ?cut
-    ?phase_enter ?phase_done ~prepare ~work_batch ~commit n =
-  map_waves t ~now ?budget_s ?deadline_s ?cut ?phase_enter ?phase_done
-    ~prepare
-    ~run:(fun prepared ->
-      let len = Array.length prepared in
-      match guarded work_batch prepared with
-      | Ok results when Array.length results = len -> results
-      | Ok _ ->
-        Array.make len
-          (Error
-             (Invalid_argument
-                "Scheduler.map_lockstep: work_batch returned wrong arity"))
-      | Error exn -> Array.make len (Error exn))
-    ~commit n

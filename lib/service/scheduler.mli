@@ -107,27 +107,3 @@ val map_deadlined :
     clock's reading budget is unaffected).  Both must not raise; they
     exist for phase accounting (metrics, workspace attribution, trace
     spans). *)
-
-val map_lockstep :
-  t ->
-  ?now:(unit -> float) ->
-  ?budget_s:float ->
-  ?deadline_s:(int -> float option) ->
-  ?cut:(base:int -> int -> bool) ->
-  ?phase_enter:(wave_phase -> unit) ->
-  ?phase_done:
-    (wave_phase -> base:int -> len:int -> start_s:float -> dur_s:float -> unit) ->
-  prepare:(dispatch array -> 'p array) ->
-  work_batch:('p array -> ('b, exn) result array) ->
-  commit:(int -> ('b, exn) result -> unit) ->
-  int ->
-  ('b, exn) result array
-(** {!map_deadlined} with batch-grained work: each prepared chunk is
-    handed {e whole} to [work_batch], which owns its parallelism (the
-    lockstep mega-batch sweeps the chunk as lanes; see
-    {!Dadu_core.Megabatch}).  Serial prepare/commit phases, chunk
-    boundaries, deadline expiry, and positional guarantees are identical
-    to {!map_deadlined} — only the work phase changes shape.
-    [work_batch] must return one result per prepared item, positionally;
-    a wrong arity or a raised exception marks {e every} item of the
-    chunk as [Error] (per-item containment is [work_batch]'s job). *)

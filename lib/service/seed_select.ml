@@ -15,8 +15,8 @@ let source_name = function
   | Perturbed -> "perturbed"
 
 (* Every buffer the selection needs, grown on demand and reused across
-   waves.  Candidates live as rows of one flat lane-major θ plane
-   ([plane.(k·tstride + i)], Megabatch layout) so a whole wave's
+   waves.  Candidates live as rows of one flat row-major θ plane (joint
+   [i] of row [k] at [plane.(k·tstride + i)]) so a whole wave's
    candidates can be scored by chunked {!Fk.score_rows_into} sweeps; the
    per-row target planes ([txs]/[tys]/[tzs]) are what let one sweep span
    candidates belonging to different requests.  Steady state over one

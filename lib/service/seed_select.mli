@@ -21,8 +21,8 @@ open Dadu_kinematics
     library row).  Perturbation noise is seeded from the request ordinal
     and the perturbation index alone, rows are scored independently, and
     ties break to the earliest (highest-priority) candidate — so replies
-    are byte-identical across pool sizes and lockstep modes (pinned by
-    test against an independent per-candidate oracle).
+    are byte-identical across pool sizes (pinned by test against an
+    independent per-candidate oracle).
 
     Steady state allocates only the returned source array: the scratch
     owns every buffer and winners are written into caller-supplied
@@ -37,8 +37,8 @@ val source_name : source -> string
     ["perturbed"]. *)
 
 type t
-(** Reusable scratch: a flat lane-major candidate θ plane (rows of
-    [tstride] floats, Megabatch layout), per-row target planes, and the
+(** Reusable scratch: a flat row-major candidate θ plane (joint [i] of
+    row [k] at [k·tstride + i]), per-row target planes, and the
     SoA position/error planes of the row-scoring kernel
     ({!Dadu_kinematics.Fk.score_rows_into}).  The orchestration is not
     thread-safe — the service owns one and calls it only between the

@@ -264,7 +264,7 @@ let stop t =
    Reply payloads are built with Printf (%.17g doubles, %S strings), not
    a JSON pretty-printer, so their bytes are a pure function of the reply
    values — the `cmp` determinism gates compare these bytes across pool
-   sizes and execution modes.  Nothing clock-derived is ever included. *)
+   sizes.  Nothing clock-derived is ever included. *)
 
 let json_floats xs =
   String.concat "," (List.map (Printf.sprintf "%.17g") (Array.to_list xs))

@@ -12,12 +12,12 @@
 
     Solve-type reply payloads are built from reply values only (no
     clocks, no addresses), with [%.17g] doubles — the bytes a client
-    dumps are compared with [cmp] across pool sizes and the lockstep
-    execution mode in CI.  Session waypoints carry stable ordinals from
-    the session's own enqueue counter and warm-start from the session
-    slot, bypassing the shared seed cache, so their replies are a pure
-    function of the session's waypoint sequence — independent of how
-    other connections interleave (DESIGN.md §15).  One-shot solves use the client-assigned [id] as
+    dumps are compared with [cmp] across pool sizes in CI.  Session
+    waypoints carry stable ordinals from the session's own enqueue
+    counter and warm-start from the session slot, bypassing the shared
+    seed cache, so their replies are a pure function of the session's
+    waypoint sequence — independent of how other connections interleave
+    (DESIGN.md §15).  One-shot solves use the client-assigned [id] as
     their stable ordinal; with warm-starting enabled their cache
     visibility can still depend on dispatcher batch boundaries, so
     full-stream byte determinism additionally needs the shared cache

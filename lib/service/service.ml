@@ -14,7 +14,6 @@ type config = {
   cache_cell_m : float;
   cache_capacity : int;
   chunk : int;
-  lockstep : bool;
   guard : Ik.guard option;
   fault : Fault.t;
   breaker : Breaker.settings option;
@@ -35,7 +34,6 @@ let default_config =
     cache_cell_m = 0.05;
     cache_capacity = 4096;
     chunk = 64;
-    lockstep = false;
     guard = None;
     fault = Fault.disabled;
     breaker = None;
@@ -50,16 +48,13 @@ type t = {
   ik_config : Ik.config;
   scheduler : Scheduler.t;
   pool : Dadu_util.Domain_pool.t option;
-      (* the scheduler's pool, kept for the lockstep sweep and its
-         per-lane continuation wave *)
+      (* the scheduler's pool, lent to the prepare phase's wave-fused
+         seed scoring ([Seed_select.choose_wave]) *)
   cache : Seed_cache.t;
   metrics : Metrics.t;
   breakers : Breaker.t array option;
       (* one per chain tier, same order as [config.solvers]; mutated only
          in the scheduler's serial phases *)
-  megabatch : Megabatch.t option;
-      (* the lockstep lane bank, capacity = chunk so one scheduler wave
-         fills it exactly; [Some] iff [config.lockstep] *)
   seed_select : Seed_select.t;
       (* speculative seed-selection scratch; touched only in the serial
          prepare phase *)
@@ -104,23 +99,6 @@ let create ?pool ?(config = default_config) () =
         (fun settings ->
           Array.of_list (List.map (fun _ -> Breaker.create settings) config.solvers))
         config.breaker;
-    megabatch =
-      (if config.lockstep then
-         (* the lane bank is deliberately smaller than the wave: lanes
-            refill from the wave's queue as they retire, so a compact
-            bank keeps the per-sweep working set (one workspace per
-            lane) cache-resident while still load-balancing at lane
-            granularity.  ~4 lanes per domain; capacity only affects
-            throughput, never results (capacity-independence is pinned
-            by test). *)
-         let domains =
-           match pool with Some p -> Dadu_util.Domain_pool.size p | None -> 1
-         in
-         Some
-           (Megabatch.create
-              ~capacity:(Stdlib.min config.chunk (Stdlib.max 8 (4 * domains)))
-              ~speculations:config.speculations ~config:ik_config ())
-       else None);
     seed_select = Seed_select.create ();
     fp_memo = None;
   }
@@ -459,7 +437,7 @@ let perturbed (p : Ik.problem) ~ordinal ~retry ~scale =
   in
   { p with Ik.theta0 }
 
-let work t ?trace ?head prep =
+let work t ?trace prep =
   match prep with
   | Skip invalid -> Rejected invalid
   | Dispatch
@@ -495,14 +473,12 @@ let work t ?trace ?head prep =
        chain's first solver (chains are ordered cheap-first), alone, so
        the reply still carries a best-effort answer at minimum cost *)
     let chain = if expired then [ List.hd chain ] else chain in
-    let solve ?head p =
+    let solve p =
       Fallback.run ~speculations:t.config.speculations
-        ?time_budget_s:solve_budget_s ?attempt_hook ~fault ?head ~chain
+        ?time_budget_s:solve_budget_s ?attempt_hook ~fault ~chain
         ~config:t.ik_config p
     in
-    (* [head] only covers the initial pass over the original problem;
-       retries perturb θ₀, so they re-enter the chain head included *)
-    let first = solve ?head problem in
+    let first = solve problem in
     (* retry tier: re-enter the exhausted chain from perturbed seeds,
        keeping the best outcome; expired requests never retry (the whole
        point was minimum cost) *)
@@ -663,55 +639,6 @@ let commit t ?trace requests i result =
            iterations = result.Ik.iterations;
          })
 
-let guarded f x = try Ok (f x) with exn -> Error exn
-
-(* The lockstep work phase for one prepared scheduler wave.  Lanes whose
-   effective chain head is Quick-IK (including expired requests, whose
-   chain is cut to its head) solve that head tier in one mega-batch
-   sweep — bit-identical to the in-chain call by lane identity — and the
-   remaining tiers, retries, and verification run per lane in the usual
-   parallel wave with the head result injected.  Ineligible items (head
-   tier filtered to something else by a breaker, or rejected) take the
-   ordinary per-request path inside the same wave. *)
-let lockstep_work t ?trace mb prepared =
-  let n = Array.length prepared in
-  let eligible j =
-    match prepared.(j) with
-    | Dispatch { chain; _ } -> List.hd chain = Fallback.Quick_ik
-    | Skip _ -> false
-  in
-  let lanes =
-    Array.of_seq (Seq.filter eligible (Seq.init n (fun j -> j)))
-  in
-  let heads = Array.make n None in
-  if Array.length lanes > 0 then begin
-    let problems =
-      Array.map
-        (fun j ->
-          match prepared.(j) with
-          | Dispatch { problem; _ } -> problem
-          | Skip _ -> assert false)
-        lanes
-    in
-    (* a 1-domain pool buys no parallelism but pays a dispatch per
-       lockstep sweep — run those sweeps inline (bit-identical either
-       way; pinned by the pool-vs-sequential differential test) *)
-    let mode =
-      match t.pool with
-      | Some pool when Dadu_util.Domain_pool.size pool > 1 ->
-        Megabatch.Parallel pool
-      | Some _ | None -> Megabatch.Sequential
-    in
-    let results = Megabatch.solve_all ~mode mb problems in
-    Array.iteri (fun k j -> heads.(j) <- Some results.(k)) lanes;
-    Metrics.record_lockstep t.metrics (Array.length lanes)
-  end;
-  let one j = work t ?trace ?head:heads.(j) prepared.(j) in
-  match t.pool with
-  | Some pool when Dadu_util.Domain_pool.size pool > 1 ->
-    Dadu_util.Domain_pool.map pool (guarded one) n
-  | Some _ | None -> Array.init n (guarded one)
-
 let solve_requests ?budget_s ?trace t requests =
   (* Two waypoints of one session must never share a wave: the later
      one's prepare has to observe the earlier one's serial commit (the
@@ -764,26 +691,13 @@ let solve_requests ?budget_s ?trace t requests =
           [ ("base", string_of_int base); ("len", string_of_int len) ]
         ~start_s ~dur_s ()
   in
-  let prepare = prepare t ?budget_s ?trace requests in
-  let dispatch =
-    (* lockstep is bypassed under fault injection: an injected head
-       result would skip the head tier's fault sites and desynchronize
-       the per-request fault streams the chaos tests pin *)
-    match t.megabatch with
-    | Some mb when not (Fault.enabled t.config.fault) ->
-      Scheduler.map_lockstep t.scheduler ?budget_s
-        ~deadline_s:(fun i -> requests.(i).deadline_s)
-        ?cut ~prepare ~phase_enter ~phase_done
-        ~work_batch:(lockstep_work t ?trace mb)
-        ~commit:(commit t ?trace requests)
-    | Some _ | None ->
-      Scheduler.map_deadlined t.scheduler ?budget_s
-        ~deadline_s:(fun i -> requests.(i).deadline_s)
-        ?cut ~prepare ~phase_enter ~phase_done
-        ~work:(work t ?trace)
-        ~commit:(commit t ?trace requests)
-  in
-  dispatch (Array.length requests)
+  Scheduler.map_deadlined t.scheduler ?budget_s
+    ~deadline_s:(fun i -> requests.(i).deadline_s)
+    ?cut
+    ~prepare:(prepare t ?budget_s ?trace requests)
+    ~phase_enter ~phase_done ~work:(work t ?trace)
+    ~commit:(commit t ?trace requests)
+    (Array.length requests)
   |> Array.map (function
        | Ok reply -> reply
        | Error exn -> Faulted (Printexc.to_string exn))

@@ -52,13 +52,6 @@ type config = {
   cache_cell_m : float;  (** seed-cache grid cell side, meters *)
   cache_capacity : int;  (** seed-cache cells before LRU eviction *)
   chunk : int;  (** scheduler wave size *)
-  lockstep : bool;
-      (** solve each wave's Quick-IK head tier as one lockstep mega-batch
-          sweep ({!Dadu_core.Megabatch}) instead of per-request solves.
-          Replies are bit-identical to the per-request path (lane
-          identity; pinned by test) — only throughput changes.  Waves
-          whose head tier is not Quick-IK (breaker-filtered) and batches
-          under fault injection fall back to per-request dispatch. *)
   guard : Ik.guard option;
       (** divergence guard threaded into every solver attempt; [None]
           (the default) keeps solver traces bit-identical to the
@@ -90,7 +83,7 @@ type config = {
           scores all the wave's candidates in chunked sweeps of the SoA
           row kernel on the pool ({!Seed_select.choose_wave}), and seals
           the winners serially (DESIGN.md §14) — replies stay
-          byte-identical across pool sizes and lockstep modes *)
+          byte-identical across pool sizes *)
 }
 
 val default_config : config

@@ -16,8 +16,8 @@ open Dadu_kinematics
     ordinal order ({!Service} enforces a wave cut so two waypoints of the
     same session never share a wave).  A session's replies are therefore
     a pure function of its own waypoint sequence — independent of pool
-    size, lockstep/snapshot execution modes, and of how other sessions'
-    requests interleave with it (DESIGN.md §15).  Session requests bypass
+    size and of how other sessions' requests interleave with it
+    (DESIGN.md §15).  Session requests bypass
     the shared {!Seed_cache} entirely: the slot {e is} the cache, scoped
     to the trajectory, which is what makes the independence argument
     hold.

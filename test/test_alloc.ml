@@ -206,35 +206,6 @@ let test_quick_ik_parallel_bounded () =
     true
     (per_iter < 2000.)
 
-(* Lockstep steady state: once a mega-batch's planes and per-lane
-   workspaces are warm, advancing lanes must allocate exactly nothing
-   per lane-iteration — the sweep loop, plane syncs (blits and scalar
-   stores) and retire scans all stay out of the allocator.  Same bracket
-   technique as [words_per_iter], but iteration counts live in the
-   megabatch's config, so the two run lengths use two pre-warmed banks
-   and the per-call/per-lane constants cancel in the difference. *)
-let megabatch_words_per_lane_iter ~dof ~speculations =
-  let lanes = 4 in
-  let problems = Array.make lanes (unreachable_problem ~dof) in
-  let mk iters = Megabatch.create ~capacity:lanes ~speculations ~config:(config iters) () in
-  let solve mb = ignore (Megabatch.solve_all mb problems) in
-  let short = mk 200 and long = mk 1200 in
-  solve short;
-  solve long;
-  (* warm *)
-  let w0 = Gc.minor_words () in
-  solve short;
-  let w1 = Gc.minor_words () in
-  solve long;
-  let w2 = Gc.minor_words () in
-  ((w2 -. w1) -. (w1 -. w0)) /. float_of_int ((1200 - 200) * lanes)
-
-let check_megabatch_zero ~dof ~speculations () =
-  Alcotest.(check (float 0.))
-    (Printf.sprintf "megabatch %ddof: minor words per lane-iteration" dof)
-    0.
-    (megabatch_words_per_lane_iter ~dof ~speculations)
-
 (* Reusing one workspace across many solves must not leak: total minor
    allocation for N repeat solves of the same problem stays constant per
    solve (result record + driver closures), independent of iteration
@@ -269,12 +240,6 @@ let () =
           Alcotest.test_case "jt_buss 30 DOF" `Quick test_jt_buss;
           Alcotest.test_case "jt_linesearch 30 DOF" `Quick test_jt_linesearch;
           Alcotest.test_case "dls 30 DOF" `Quick test_dls;
-          Alcotest.test_case "megabatch lockstep, 12 DOF" `Quick
-            (check_megabatch_zero ~dof:12 ~speculations:64);
-          Alcotest.test_case "megabatch lockstep, 30 DOF" `Quick
-            (check_megabatch_zero ~dof:30 ~speculations:64);
-          Alcotest.test_case "megabatch lockstep, 100 DOF" `Slow
-            (check_megabatch_zero ~dof:100 ~speculations:16);
           Alcotest.test_case "wave-fused row-scoring kernel, 30 DOF" `Quick
             test_score_rows_kernel_zero;
         ] );

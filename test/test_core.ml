@@ -77,13 +77,18 @@ let test_ik_error_of_zero () =
 let test_loop_immediate_convergence () =
   let q = Array.make 12 0.2 in
   let p = Ik.problem ~chain:eval12 ~target:(Fk.position eval12 q) ~theta0:q in
-  let r =
-    Loop.run ~workspace:(Workspace.create ~dof:12) ~speculations:1
+  let run config =
+    Loop.run ~config ~workspace:(Workspace.create ~dof:12) ~speculations:1
       ~step:(fun _ -> Alcotest.fail "step must not run")
       p
   in
+  let r = run Ik.default_config in
   Alcotest.(check int) "zero iterations" 0 r.Ik.iterations;
-  Alcotest.(check bool) "converged" true (r.Ik.status = Ik.Converged)
+  Alcotest.(check bool) "converged" true (r.Ik.status = Ik.Converged);
+  (* the accuracy test runs before the cap, so a zero cap still converges *)
+  let r = run { Ik.default_config with max_iterations = 0 } in
+  Alcotest.(check bool) "converged under a zero cap" true
+    (r.Ik.status = Ik.Converged)
 
 let test_loop_cap () =
   let p = List.hd (Array.to_list (problems 1)) in
@@ -114,7 +119,18 @@ let test_loop_stall_detection () =
       p
   in
   Alcotest.(check bool) "stalled" true (r.Ik.status = Ik.Stalled);
-  Alcotest.(check bool) "stopped early" true (r.Ik.iterations < 20)
+  Alcotest.(check bool) "stopped early" true (r.Ik.iterations < 20);
+  (* a solve whose error improves every iteration never stalls, even
+     under the tightest limit *)
+  let solve stall_iterations =
+    Quick_ik.solve ~speculations:16
+      ~config:{ Ik.default_config with stall_iterations } p
+  in
+  let free = solve None and tight = solve (Some 1) in
+  Alcotest.(check bool) "free run converges" true (free.Ik.status = Ik.Converged);
+  Alcotest.(check bool) "stall limit 1 converges" true
+    (tight.Ik.status = Ik.Converged);
+  Alcotest.(check int) "same iterations" free.Ik.iterations tight.Ik.iterations
 
 let test_loop_accumulates_sweeps () =
   let p = List.hd (Array.to_list (problems 1)) in

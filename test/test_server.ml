@@ -355,15 +355,14 @@ let test_live_drain_flushes_in_flight () =
     (String.length (Server.render_tenants server) > 0)
 
 (* The determinism gate in miniature: the same waypoint stream against
-   pools 1/2/4 x lockstep produces byte-identical solve replies (CI runs
-   the same comparison with cmp on dump files). *)
-let test_live_replies_byte_identical_across_modes () =
-  let stream ~pool_size ~lockstep =
+   pools 1/2/4 produces byte-identical solve replies (CI runs the same
+   comparison with cmp on dump files). *)
+let test_live_replies_byte_identical_across_pools () =
+  let stream ~pool_size =
     let config =
       {
         Server.default_config with
-        Server.service =
-          { Service.default_config with Service.lockstep; chunk = 8 };
+        Server.service = { Service.default_config with Service.chunk = 8 };
       }
     in
     let path = Filename.temp_file "dadu_srv" ".sock" in
@@ -400,14 +399,13 @@ let test_live_replies_byte_identical_across_modes () =
             done;
             List.init 6 (fun _ -> fst (recv rd))))
   in
-  let reference = stream ~pool_size:1 ~lockstep:false in
+  let reference = stream ~pool_size:1 in
   List.iter
-    (fun (pool_size, lockstep) ->
-      let got = stream ~pool_size ~lockstep in
+    (fun pool_size ->
       Alcotest.(check (list string))
-        (Printf.sprintf "pool %d lockstep %b" pool_size lockstep)
-        reference got)
-    [ (2, false); (4, false); (1, true); (4, true) ]
+        (Printf.sprintf "pool %d" pool_size)
+        reference (stream ~pool_size))
+    [ 2; 4 ]
 
 (* Regression: a half-written frame (length line sent, payload never
    completed) used to park the blocking reader forever, wedging the
@@ -638,8 +636,8 @@ let () =
             test_live_session_resumes_across_reconnect;
           Alcotest.test_case "drain flushes in-flight replies" `Slow
             test_live_drain_flushes_in_flight;
-          Alcotest.test_case "replies byte-identical across modes" `Slow
-            test_live_replies_byte_identical_across_modes;
+          Alcotest.test_case "replies byte-identical across pools" `Slow
+            test_live_replies_byte_identical_across_pools;
           Alcotest.test_case "half-written frame reaped" `Slow
             test_live_half_written_frame_reaped;
           Alcotest.test_case "idle timeout" `Slow test_live_idle_timeout;

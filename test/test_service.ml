@@ -803,43 +803,25 @@ let test_seed_candidates_one_is_classic_path () =
     (classic = seeded1)
 
 (* Acceptance: with speculative seeding enabled (library + multi-seed),
-   replies are byte-identical across pool sizes 1/2/4 and across lockstep
-   on/off. *)
+   replies are byte-identical across pool sizes 1/2/4. *)
 let test_seeded_determinism =
-  QCheck.Test.make
-    ~name:"seeded replies identical across pools 1/2/4 x lockstep on/off"
+  QCheck.Test.make ~name:"seeded replies identical across pools 1/2/4"
     ~count:6
     QCheck.(int_range 1 40)
     (fun n ->
       let problems = mixed_batch ~seed:(7000 + n) n in
       let library = Posture_library.build ~chain:eval12 ~count:64 ~seed:9 () in
-      let run pool lockstep =
-        let s =
-          Service.create ?pool
-            ~config:{ (seeded_config ~library ()) with Service.lockstep }
-            ()
-        in
+      let run pool =
+        let s = Service.create ?pool ~config:(seeded_config ~library ()) () in
         Array.map strip_latency (Service.solve_batch s problems)
       in
-      let reference = run None false in
+      let reference = run None in
       List.for_all
-        (fun (size, lockstep) ->
-          let same =
-            match size with
-            | None -> run None lockstep = reference
-            | Some size ->
-              let pool = Pool.create size in
-              Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-              run (Some pool) lockstep = reference
-          in
-          same)
-        [
-          (None, true);
-          (Some 2, false);
-          (Some 2, true);
-          (Some 4, false);
-          (Some 4, true);
-        ])
+        (fun size ->
+          let pool = Pool.create size in
+          Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+          run (Some pool) = reference)
+        [ 2; 4 ])
 
 (* The wave prepare (frozen wave snapshot + wave-fused SoA candidate
    scoring on the pool) produces replies byte-identical to the no-pool
@@ -1166,18 +1148,16 @@ let test_session_interleaving_independence =
       in
       interleaved = alone)
 
-(* Acceptance: session replies byte-identical across pool sizes 1/2/4 and
-   the lockstep execution mode (the serve-live CI job asserts the same
-   with cmp on reply dumps). *)
-let test_session_determinism_modes =
-  QCheck.Test.make
-    ~name:"session replies identical across pools 1/2/4 x lockstep"
+(* Acceptance: session replies byte-identical across pool sizes 1/2/4
+   (the serve-live CI job asserts the same with cmp on reply dumps). *)
+let test_session_determinism_pools =
+  QCheck.Test.make ~name:"session replies identical across pools 1/2/4"
     ~count:4
     QCheck.(int_range 2 8)
     (fun n ->
       let n = max 2 n in
       let targets = line_waypoints n in
-      let run pool lockstep =
+      let run pool =
         let sess_a = Session.create ~name:"A" ~chain:eval30 in
         let sess_b = Session.create ~name:"B" ~chain:eval12 in
         let a = session_requests sess_a targets in
@@ -1191,26 +1171,16 @@ let test_session_determinism_modes =
           Array.concat
             [ Array.init (2 * n) (fun i -> if i mod 2 = 0 then a.(i / 2) else b.(i / 2)) ]
         in
-        let config = { (service_config ~chunk:8 ()) with Service.lockstep } in
-        let s = Service.create ?pool ~config () in
+        let s = Service.create ?pool ~config:(service_config ~chunk:8 ()) () in
         Array.map strip_latency (Service.solve_requests s requests)
       in
-      let reference = run None false in
+      let reference = run None in
       List.for_all
-        (fun (size, lockstep) ->
-          match size with
-          | None -> run None lockstep = reference
-          | Some size ->
-            let pool = Pool.create size in
-            Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-            run (Some pool) lockstep = reference)
-        [
-          (None, true);
-          (Some 2, false);
-          (Some 2, true);
-          (Some 4, false);
-          (Some 4, true);
-        ])
+        (fun size ->
+          let pool = Pool.create size in
+          Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+          run (Some pool) = reference)
+        [ 2; 4 ])
 
 (* ---- Problem_file ---- *)
 
@@ -1606,7 +1576,7 @@ let () =
           Alcotest.test_case "chain mismatch serves cold" `Slow
             test_session_chain_mismatch_serves_cold;
           qcheck test_session_interleaving_independence;
-          qcheck test_session_determinism_modes;
+          qcheck test_session_determinism_pools;
         ] );
       ( "problem-file",
         [
