@@ -4,8 +4,8 @@
 
    Usage:  dune exec bench/main.exe [-- section ...]
    Sections: table1 fig4 fig5 table2 table3 ablation convergence dse
-   robustness scorecard serve serve-parallel serve-live micro all
-   (default all).
+   robustness scorecard micro all (default all).  The serving path is
+   measured end to end by perfbench/ (perfbench/METRICS.md).
    Scale knobs: DADU_TARGETS, DADU_MAX_ITERS, DADU_SPECS, DADU_SEED. *)
 
 module Table = Dadu_util.Table
@@ -85,38 +85,10 @@ let run_ablation () =
 
 (* ---- serving layer ---- *)
 
-let run_serve () =
-  heading "Service: batched serving (scheduler + warm-start cache + fallback)";
-  let open Dadu_kinematics in
-  let chain = Robots.eval_chain ~dof:25 in
-  let rng = Dadu_util.Rng.create 2017 in
-  let fresh = Array.init 120 (fun _ -> Dadu_core.Ik.random_problem rng chain) in
-  (* a serving workload revisits targets: duplicate every fresh problem with
-     a new random start, so the second visit can warm-start from the cache *)
-  let revisit =
-    Array.map
-      (fun (p : Dadu_core.Ik.problem) ->
-        { p with Dadu_core.Ik.theta0 = Target.random_config rng chain })
-      fresh
-  in
-  let problems = Array.append fresh revisit in
-  let pool =
-    Dadu_util.Domain_pool.create (Dadu_util.Domain_pool.recommended_size ())
-  in
-  let service = Dadu_service.Service.create ~pool () in
-  let t0 = Unix.gettimeofday () in
-  let _replies = Dadu_service.Service.solve_batch service problems in
-  let wall = Unix.gettimeofday () -. t0 in
-  Dadu_util.Domain_pool.shutdown pool;
-  print_string (Dadu_service.Service.render_metrics service);
-  Printf.printf "\n%d problems (each target visited twice) in %.2f s — %.0f problems/s\n"
-    (Array.length problems) wall
-    (float_of_int (Array.length problems) /. wall)
-
-(* A serving workload for the parallel-scheduler benchmarks: every fresh
+(* A serving workload for the steady-state request benchmark: every fresh
    problem is revisited with a new random start, so the second visit can
-   warm-start from the cache.  Rebuilt from the same seed per run so each
-   pool size sees byte-identical input. *)
+   warm-start from the cache.  Rebuilt from the same seed per run so every
+   run sees byte-identical input. *)
 let serve_workload ~dof ~fresh_count =
   let open Dadu_kinematics in
   let chain = Robots.eval_chain ~dof in
@@ -131,325 +103,6 @@ let serve_workload ~dof ~fresh_count =
       fresh
   in
   Array.append fresh revisit
-
-let run_serve_parallel () =
-  heading
-    "Service: parallel batch execution (serial prepare/commit, parallel solve)";
-  let module Svc = Dadu_service.Service in
-  let module Ws = Dadu_core.Workspace in
-  let statuses replies =
-    Array.map
-      (function
-        | Svc.Solved { result; solver; cache_hit; _ } ->
-          (result.Dadu_core.Ik.status, solver, cache_hit)
-        | Svc.Rejected _ | Svc.Faulted _ -> assert false)
-      replies
-  in
-  let run_one pool_size =
-    let problems = serve_workload ~dof:25 ~fresh_count:120 in
-    let pool =
-      if pool_size > 1 then Some (Dadu_util.Domain_pool.create pool_size)
-      else None
-    in
-    let service =
-      match pool with
-      | Some p -> Svc.create ~pool:p ()
-      | None -> Svc.create ()
-    in
-    let s0 = Ws.local_stats () in
-    let t0 = Unix.gettimeofday () in
-    let replies = Svc.solve_batch service problems in
-    let wall = Unix.gettimeofday () -. t0 in
-    let s1 = Ws.local_stats () in
-    let m = Svc.metrics service in
-    Option.iter Dadu_util.Domain_pool.shutdown pool;
-    let created = s1.Ws.created - s0.Ws.created in
-    let reused = s1.Ws.reused - s0.Ws.reused in
-    (wall, m, statuses replies, created, reused, Array.length problems)
-  in
-  let pool_sizes = [ 1; 2; 4 ] in
-  let runs = List.map (fun p -> (p, run_one p)) pool_sizes in
-  let serial_wall, _, serial_statuses, _, _, _ = List.assoc 1 runs in
-  let table =
-    Table.create ~title:"240 requests at 25 DOF, each target visited twice"
-      [ ("pool", Table.Right); ("wall s", Table.Right); ("req/s", Table.Right);
-        ("p50 ms", Table.Right); ("p95 ms", Table.Right);
-        ("p99 ms", Table.Right); ("speedup", Table.Right);
-        ("prep/work/commit ms", Table.Right); ("serial %", Table.Right);
-        ("ws new/reused", Table.Right) ]
-  in
-  List.iter
-    (fun (pool_size, (wall, m, statuses, created, reused, n)) ->
-      let lat proj =
-        match m.Dadu_service.Metrics.latency with
-        | Some s -> Printf.sprintf "%.2f" (1e3 *. proj s)
-        | None -> "n/a"
-      in
-      Table.add_row table
-        [ string_of_int pool_size; Printf.sprintf "%.3f" wall;
-          Printf.sprintf "%.0f" (float_of_int n /. wall);
-          lat (fun s -> s.Dadu_util.Histogram.p50);
-          lat (fun s -> s.Dadu_util.Histogram.p95);
-          lat (fun s -> s.Dadu_util.Histogram.p99);
-          Printf.sprintf "%.2fx" (serial_wall /. wall);
-          Printf.sprintf "%.1f/%.1f/%.1f"
-            (1e3 *. m.Dadu_service.Metrics.prepare_s)
-            (1e3 *. m.Dadu_service.Metrics.work_s)
-            (1e3 *. m.Dadu_service.Metrics.commit_s);
-          (match Dadu_service.Metrics.serial_fraction m with
-          | Some f -> Printf.sprintf "%.1f" (100. *. f)
-          | None -> "n/a");
-          Printf.sprintf "%d/%d" created reused ];
-      if statuses <> serial_statuses then
-        Printf.printf
-          "  WARNING: pool size %d produced different replies than serial!\n"
-          pool_size)
-    runs;
-  Table.print table;
-  Printf.printf
-    "\n(replies checked byte-identical across pool sizes; ws new/reused are\n\
-    \ Workspace.local pool deltas — parallel runs build one workspace per\n\
-    \ domain, then reuse; prep/work/commit are the scheduler wave-phase\n\
-    \ wall-time totals from the metrics registry)\n"
-
-(* ---- live-server load test: open-loop Poisson over a Unix socket ----
-
-   Drives the whole server — framing, reader threads, the bounded
-   admission queue, the dispatcher — through a real Unix socket, the
-   deployment shape of `dadu serve`.  A seeded Poisson process offers
-   load at multiples of the measured closed-loop capacity; sojourn is
-   measured per request from its scheduled arrival to its reply frame,
-   and the shed rate counts typed [overloaded] replies.  The CI
-   serve-live job uploads results/serve_live.csv as an artifact. *)
-
-let run_serve_live () =
-  heading "Live server: open-loop Poisson arrivals over a Unix socket (12 DOF)";
-  let module Server = Dadu_service.Server in
-  let module Svc = Dadu_service.Service in
-  let module Pf = Dadu_service.Problem_file in
-  let module Json = Dadu_util.Json in
-  let dof = 12 in
-  let n = 240 in
-  let queue_capacity = 64 in
-  let pool_size = Dadu_util.Domain_pool.recommended_size () in
-  let chain = Dadu_kinematics.Robots.eval_chain ~dof in
-  let rng = Dadu_util.Rng.create 2026 in
-  let mk_targets count =
-    Array.init count (fun _ ->
-        (Dadu_core.Ik.random_problem rng chain).Dadu_core.Ik.target)
-  in
-  let path = Filename.temp_file "dadu_live" ".sock" in
-  Sys.remove path;
-  let pool =
-    if pool_size > 1 then Some (Dadu_util.Domain_pool.create pool_size)
-    else None
-  in
-  let config =
-    {
-      Server.default_config with
-      Server.service = { Svc.default_config with Svc.chunk = 16 };
-      queue_capacity;
-      max_batch = 64;
-    }
-  in
-  let server = Server.create ?pool ~config () in
-  let runner =
-    Thread.create (fun () -> Server.run server ~listen:(Server.Unix_sock path)) ()
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Server.stop server;
-      Thread.join runner;
-      Option.iter Dadu_util.Domain_pool.shutdown pool;
-      try Sys.remove path with Sys_error _ -> ())
-  @@ fun () ->
-  let fd =
-    let rec go tries =
-      let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      match Unix.connect fd (Unix.ADDR_UNIX path) with
-      | () -> fd
-      | exception Unix.Unix_error ((ECONNREFUSED | ENOENT), _, _)
-        when tries < 200 ->
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        Thread.delay 0.01;
-        go (tries + 1)
-    in
-    go 0
-  in
-  let rd = Pf.frame_reader fd in
-  let oc = Unix.out_channel_of_descr fd in
-  (* reply ledger, filled by the reader thread; ids are globally unique
-     across every mode of the run *)
-  let total = 8 * n in
-  let reply_t = Array.make total 0. in
-  let reply_shed = Array.make total false in
-  let replied = ref 0 in
-  let rlock = Mutex.create () in
-  let reader () =
-    let running = ref true in
-    while !running do
-      match Pf.read_frame_fd rd with
-      | Pf.Eof | Pf.Timed_out _ | Pf.Frame_error _ -> running := false
-      | Pf.Frame payload ->
-        (match Json.of_string payload with
-        | Error _ -> ()
-        | Ok json ->
-          let id =
-            Option.bind (Json.member "id" json) (fun j ->
-                Option.map int_of_float (Json.to_float j))
-          in
-          let kind = Option.bind (Json.member "reply" json) Json.to_str in
-          (match (id, kind) with
-          | Some id, Some ("solved" | "overloaded" | "rejected" | "faulted")
-            when id >= 0 && id < total ->
-            Mutex.lock rlock;
-            reply_t.(id) <- Unix.gettimeofday ();
-            reply_shed.(id) <- kind = Some "overloaded";
-            incr replied;
-            Mutex.unlock rlock
-          | _ -> ()))
-    done
-  in
-  let rd = Thread.create reader () in
-  let next_id = ref 0 in
-  let send_solve target =
-    let id = !next_id in
-    incr next_id;
-    let open Dadu_linalg.Vec3 in
-    Pf.write_frame oc
-      (Printf.sprintf
-         "{\"op\":\"solve\",\"id\":%d,\"robot\":\"eval:%d\",\"target\":[%.17g,%.17g,%.17g]}"
-         id dof target.x target.y target.z);
-    flush oc;
-    id
-  in
-  let await upto =
-    while
-      Mutex.lock rlock;
-      let done_ = !replied >= upto in
-      Mutex.unlock rlock;
-      not done_
-    do
-      Thread.delay 0.002
-    done
-  in
-  (* closed-loop capacity: wall-clock a windowed burst.  Two ways to
-     overstate it and report bogus shed rates at "1x": replaying the
-     warm-up's targets (the timed burst would ride the seed cache), and
-     full pipelining (the dispatcher would see max_batch-sized waves,
-     measuring the large-batch service rate that paced single arrivals
-     never reach).  Fresh targets and a small constant window of
-     outstanding requests approximate the wave sizes open-loop traffic
-     actually produces *)
-  let capacity_rps =
-    let warm = mk_targets n in
-    (* warm: caches, workspaces, the dispatcher *)
-    Array.iter (fun t -> ignore (send_solve t)) warm;
-    await !next_id;
-    let timed = mk_targets n in
-    let window = 8 in
-    let base =
-      Mutex.lock rlock;
-      let b = !replied in
-      Mutex.unlock rlock;
-      b
-    in
-    let t0 = Unix.gettimeofday () in
-    let sent = ref 0 in
-    while !sent < n do
-      let done_ =
-        Mutex.lock rlock;
-        let d = !replied - base in
-        Mutex.unlock rlock;
-        d
-      in
-      if !sent - done_ < window then begin
-        ignore (send_solve timed.(!sent));
-        incr sent
-      end
-      else Thread.delay 0.0005
-    done;
-    await !next_id;
-    float_of_int n /. (Unix.gettimeofday () -. t0)
-  in
-  let table =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "%d one-shot solves per mode at %d DOF over unix:%s; queue %d, \
-            pool %d; offered load relative to closed-loop capacity (%.0f \
-            req/s)"
-           n dof path queue_capacity pool_size capacity_rps)
-      [ ("offered", Table.Right); ("offered req/s", Table.Right);
-        ("achieved req/s", Table.Right); ("sojourn p50 ms", Table.Right);
-        ("sojourn p95 ms", Table.Right); ("sojourn p99 ms", Table.Right);
-        ("shed", Table.Right) ]
-  in
-  let rows = ref [] in
-  List.iter
-    (fun mult ->
-      let rate = mult *. capacity_rps in
-      let targets = mk_targets n in
-      let arrivals =
-        let arr_rng = Dadu_util.Rng.create (1000 + int_of_float mult) in
-        let t = ref 0. in
-        Array.init n (fun _ ->
-            t := !t -. (log (1. -. Dadu_util.Rng.float arr_rng 1.) /. rate);
-            !t)
-      in
-      let base = !next_id in
-      let sent_t = Array.make n 0. in
-      let t0 = Unix.gettimeofday () in
-      Array.iteri
-        (fun i target ->
-          let now = Unix.gettimeofday () -. t0 in
-          if arrivals.(i) > now then Unix.sleepf (arrivals.(i) -. now);
-          sent_t.(i) <- Unix.gettimeofday ();
-          ignore (send_solve target))
-        targets;
-      await !next_id;
-      let t_last = Array.fold_left Float.max 0. (Array.sub reply_t base n) in
-      let achieved = float_of_int n /. (t_last -. (t0 +. arrivals.(0))) in
-      let shed = ref 0 in
-      let sojourns = ref [] in
-      for i = 0 to n - 1 do
-        if reply_shed.(base + i) then incr shed
-        else sojourns := (reply_t.(base + i) -. sent_t.(i)) :: !sojourns
-      done;
-      let sj = Array.of_list !sojourns in
-      Array.sort compare sj;
-      let pct p =
-        if Array.length sj = 0 then 0.
-        else sj.(int_of_float (Float.round (p *. float_of_int (Array.length sj - 1))))
-      in
-      let p50 = pct 0.5 and p95 = pct 0.95 and p99 = pct 0.99 in
-      let shed_rate = float_of_int !shed /. float_of_int n in
-      Table.add_row table
-        [ Printf.sprintf "%.0fx" mult; Printf.sprintf "%.0f" rate;
-          Printf.sprintf "%.0f" achieved; Printf.sprintf "%.1f" (1e3 *. p50);
-          Printf.sprintf "%.1f" (1e3 *. p95); Printf.sprintf "%.1f" (1e3 *. p99);
-          Printf.sprintf "%.1f%%" (100. *. shed_rate) ];
-      rows :=
-        [ Printf.sprintf "%.0f" mult; Printf.sprintf "%.1f" rate;
-          Printf.sprintf "%.1f" achieved; Printf.sprintf "%.5f" p50;
-          Printf.sprintf "%.5f" p95; Printf.sprintf "%.5f" p99;
-          Printf.sprintf "%.4f" shed_rate ]
-        :: !rows)
-    [ 1.; 4.; 16. ];
-  (try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
-  Thread.join rd;
-  (try Unix.close fd with Unix.Unix_error _ -> ());
-  Table.print table;
-  write_csv "serve_live.csv"
-    ~header:
-      [ "offered_x"; "offered_rps"; "achieved_rps"; "sojourn_p50_s";
-        "sojourn_p95_s"; "sojourn_p99_s"; "shed_rate" ]
-    (List.rev !rows);
-  Printf.printf
-    "\n(sojourn = scheduled arrival to reply frame, through framing, the\n\
-    \ admission queue and the dispatcher; shed = typed overloaded replies\n\
-    \ from the %d-deep bounded queue)\n"
-    queue_capacity
 
 (* ---- Bechamel micro-benchmarks of the real OCaml kernels ---- *)
 
@@ -1012,9 +665,6 @@ let sections =
     ("dse", run_dse);
     ("robustness", run_robustness);
     ("scorecard", run_scorecard);
-    ("serve", run_serve);
-    ("serve-parallel", run_serve_parallel);
-    ("serve-live", run_serve_live);
     ("micro", run_micro);
   ]
 

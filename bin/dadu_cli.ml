@@ -1103,84 +1103,6 @@ let describe_cmd =
   in
   Cmd.v (Cmd.info "describe" ~doc) Term.(const run_describe $ robot)
 
-(* ---- plan ---- *)
-
-let sphere_conv =
-  let parse s =
-    match String.split_on_char ',' s |> List.map float_of_string_opt with
-    | [ Some x; Some y; Some z; Some r ] when r > 0. ->
-      Ok (Obstacles.sphere ~center:(Vec3.make x y z) ~radius:r)
-    | _ -> Error (`Msg (Printf.sprintf "expected x,y,z,radius (got %S)" s))
-  in
-  Arg.conv
-    ( parse,
-      fun ppf { Obstacles.center; radius } ->
-        Format.fprintf ppf "%a r=%g" Vec3.pp center radius )
-
-let obstacles_arg =
-  let doc = "Sphere obstacle as x,y,z,radius (repeatable)." in
-  Arg.(value & opt_all sphere_conv [] & info [ "o"; "obstacle" ] ~doc)
-
-let run_plan chain seed target obstacles svg =
-  let rng = Dadu_util.Rng.create seed in
-  let target =
-    match target with Some t -> t | None -> Target.reachable rng chain
-  in
-  let start = Target.random_config rng chain in
-  if Obstacles.penetrates obstacles chain start then begin
-    Format.eprintf "start posture collides; try another --seed@.";
-    1
-  end
-  else begin
-    (* IK for a collision-free goal, then plan *)
-    let rec find_goal attempts =
-      if attempts = 0 then None
-      else begin
-        let theta0 = Target.random_config rng chain in
-        let r = Quick_ik.solve ~speculations:32 (Ik.problem ~chain ~target ~theta0) in
-        if r.Ik.status = Ik.Converged
-           && Obstacles.clearance obstacles chain r.Ik.theta > 0.
-        then Some r.Ik.theta
-        else find_goal (attempts - 1)
-      end
-    in
-    match find_goal 20 with
-    | None ->
-      Format.eprintf "no collision-free IK solution found for %a@." Vec3.pp target;
-      1
-    | Some goal ->
-      let result = Rrt.plan rng ~scene:obstacles ~chain ~start ~goal in
-      if result.Rrt.path = [] then begin
-        Format.printf "planning failed (%d nodes expanded)@." result.Rrt.nodes_expanded;
-        1
-      end
-      else begin
-        let short = Rrt.shortcut rng obstacles chain result.Rrt.path in
-        Format.printf
-          "Planned %d waypoints (%.2f rad), shortcut to %d (%.2f rad); %d nodes, %d collision checks@."
-          (List.length result.Rrt.path)
-          (Rrt.path_length result.Rrt.path)
-          (List.length short) (Rrt.path_length short) result.Rrt.nodes_expanded
-          result.Rrt.collision_checks;
-        (match svg with
-        | None -> ()
-        | Some path ->
-          Viz.write ~path ~targets:[ target ] ~obstacles chain
-            [
-              Viz.posture ~label:"start" ~color:"#999999" start;
-              Viz.posture ~label:"goal" ~color:"#2ca02c" goal;
-            ];
-          Format.printf "SVG   : %s@." path);
-        0
-      end
-  end
-
-let plan_cmd =
-  let doc = "Plan a collision-free joint path to a target (IK + RRT-Connect)." in
-  Cmd.v
-    (Cmd.info "plan" ~doc)
-    Term.(const run_plan $ robot $ seed $ target $ obstacles_arg $ svg_out)
-
 (* ---- robots ---- *)
 
 let run_robots verbose =
@@ -1225,7 +1147,6 @@ let () =
             client_cmd;
             posture_build_cmd;
             fault_tolerance_cmd;
-            plan_cmd;
             describe_cmd;
             robots_cmd;
           ]))

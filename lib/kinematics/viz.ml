@@ -24,28 +24,21 @@ let chain_points chain theta =
   let frames = Fk.frames chain theta in
   Array.to_list (Array.map Mat4.position frames)
 
-let render ?(width = 640) ?(height = 480) ?(plane = Xy) ?(targets = [])
-    ?(obstacles = []) chain postures =
+let render ?(width = 640) ?(height = 480) ?(plane = Xy) ?(targets = []) chain
+    postures =
   if postures = [] then invalid_arg "Viz.render: no postures";
   let polylines =
     List.map (fun p -> (p, List.map (project plane) (chain_points chain p.theta))) postures
   in
   let target_points = List.map (project plane) targets in
-  let obstacle_circles =
-    List.map
-      (fun { Obstacles.center; radius } -> (project plane center, radius))
-      obstacles
-  in
-  (* view box fitted over everything (obstacle extents included) *)
+  (* view box fitted over everything *)
   let xs =
     List.concat_map (fun (_, pts) -> List.map fst pts) polylines
     @ List.map fst target_points
-    @ List.concat_map (fun ((x, _), r) -> [ x -. r; x +. r ]) obstacle_circles
   in
   let ys =
     List.concat_map (fun (_, pts) -> List.map snd pts) polylines
     @ List.map snd target_points
-    @ List.concat_map (fun ((_, y), r) -> [ y -. r; y +. r ]) obstacle_circles
   in
   let min_l = List.fold_left Float.min infinity in
   let max_l = List.fold_left Float.max neg_infinity in
@@ -65,14 +58,6 @@ let render ?(width = 640) ?(height = 480) ?(plane = Xy) ?(targets = [])
         viewBox=\"0 0 %d %d\">\n"
        width height width height);
   Buffer.add_string buf "<rect width=\"100%\" height=\"100%\" fill=\"white\"/>\n";
-  List.iter
-    (fun ((x, y), r) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "<circle cx=\"%.1f\" cy=\"%.1f\" r=\"%.1f\" fill=\"#cccccc\" \
-            stroke=\"#888888\" class=\"obstacle\"/>\n"
-           (px x) (py y) (r *. scale)))
-    obstacle_circles;
   List.iteri
     (fun idx (p, pts) ->
       let path =
@@ -109,6 +94,6 @@ let render ?(width = 640) ?(height = 480) ?(plane = Xy) ?(targets = [])
   Buffer.add_string buf "</svg>\n";
   Buffer.contents buf
 
-let write ?width ?height ?plane ?targets ?obstacles ~path chain postures =
-  let svg = render ?width ?height ?plane ?targets ?obstacles chain postures in
+let write ?width ?height ?plane ?targets ~path chain postures =
+  let svg = render ?width ?height ?plane ?targets chain postures in
   Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc svg)

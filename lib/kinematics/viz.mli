@@ -3,9 +3,9 @@ open Dadu_linalg
 (** SVG rendering of chain postures.
 
     Orthographic projection of one or more postures onto a coordinate
-    plane, with optional targets and sphere obstacles — enough to *see*
-    what a solver did (before/after a nullspace optimization, a tracked
-    path, an avoidance maneuver) without any plotting dependency. *)
+    plane, with optional targets — enough to *see* what a solver did
+    (initial versus solved posture, a tracked path) without any
+    plotting dependency. *)
 
 type plane =
   | Xy
@@ -27,22 +27,20 @@ val render :
   ?height:int ->
   ?plane:plane ->
   ?targets:Vec3.t list ->
-  ?obstacles:Obstacles.scene ->
   Chain.t ->
   posture list ->
   string
 (** A complete standalone SVG document ([width]×[height] px, default
     640×480; [plane] defaults to [Xy]).  The view box auto-fits every
     drawn point with a 10 % margin.  Postures render as polylines with
-    joint dots, targets as crosses, obstacles as their projected
-    circles.  Raises [Invalid_argument] on an empty posture list. *)
+    joint dots, targets as crosses.  Raises [Invalid_argument] on an
+    empty posture list. *)
 
 val write :
   ?width:int ->
   ?height:int ->
   ?plane:plane ->
   ?targets:Vec3.t list ->
-  ?obstacles:Obstacles.scene ->
   path:string ->
   Chain.t ->
   posture list ->

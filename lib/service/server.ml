@@ -86,11 +86,17 @@ type conn = {
   rfault : Dadu_util.Fault.t;
   wfault : Dadu_util.Fault.t;
   mutable tenant : string;
-  mutable pending : int; (* solve jobs queued, reply not yet written *)
+  mutable pending : int;
+      (* replies owed: solve jobs queued and resends waiting, not yet
+         written *)
   mutable eof : bool; (* reader finished *)
   mutable dead : bool; (* write failed or fatal framing error: stop writing *)
   mutable closed : bool;
 }
+
+(* a resend of a waypoint whose reply is still to come: answered with
+   the original's reply bytes once they are final (DESIGN.md §16) *)
+type waiter = { wsession : Session.t; wordinal : int; wconn : conn }
 
 type job = {
   jconn : conn;
@@ -105,6 +111,7 @@ type t = {
   config : config;
   service : Service.t;
   sessions : (string, Session.t) Hashtbl.t;
+  mutable waiters : waiter list; (* guarded by slock *)
   slock : Mutex.t;
   tenants : (string, tenant) Hashtbl.t;
   tlock : Mutex.t;
@@ -225,6 +232,7 @@ let create ?pool ?(config = default_config) () =
       config;
       service = Service.create ?pool ~config:config.service ();
       sessions = Hashtbl.create 16;
+      waiters = [];
       slock = Mutex.create ();
       tenants = Hashtbl.create 4;
       tlock = Mutex.create ();
@@ -287,11 +295,13 @@ let send conn payload =
      with Sys_error _ | Unix.Unix_error _ -> conn.dead <- true);
   Mutex.unlock conn.wlock
 
+(* Closing [oc] closes [fd]: the descriptor must not be closed a second
+   time, since by then the accept loop may have reused its number for a
+   new connection. *)
 let close_conn conn =
   if not conn.closed then begin
     conn.closed <- true;
-    (try close_out_noerr conn.oc with _ -> ());
-    try Unix.close conn.fd with Unix.Unix_error _ -> ()
+    close_out_noerr conn.oc
   end
 
 (* called with wlock held *)
@@ -370,11 +380,45 @@ let record_tenant t job (reply : Service.reply) =
            iterations = result.Ik.iterations;
          })
 
+(* write a reply the connection is owed (counted in [pending]) *)
+let write_owed conn payload =
+  Mutex.lock conn.wlock;
+  (if not (conn.dead || conn.closed) then
+     try
+       if not (Pf.write_frame_injected ~fault:conn.wfault conn.oc payload)
+       then kill_conn_locked conn
+     with Sys_error _ | Unix.Unix_error _ -> conn.dead <- true);
+  conn.pending <- conn.pending - 1;
+  maybe_close_locked conn;
+  Mutex.unlock conn.wlock
+
+(* [payload] is the final reply of the session's [ordinal]: keep it for
+   resends, and answer the resends that arrived while it was pending.
+   Works on the job's own session object, so a session closed (or
+   closed and re-opened) meanwhile still answers its waiters. *)
+let settle t sess ~ordinal payload =
+  Mutex.lock t.slock;
+  Session.remember_reply sess ~ordinal payload;
+  let answered =
+    match t.waiters with
+    | [] -> []
+    | waiters ->
+      let mine, others =
+        List.partition
+          (fun w -> w.wsession == sess && w.wordinal = ordinal)
+          waiters
+      in
+      t.waiters <- others;
+      mine
+  in
+  Mutex.unlock t.slock;
+  List.iter (fun w -> write_owed w.wconn payload) answered
+
 let deliver t job reply =
   record_tenant t job reply;
   let payload = reply_of job reply in
-  (match job.jsession with
-  | Some sname ->
+  (match (job.jsession, job.jrequest.Service.session) with
+  | Some sname, Some sess ->
     (* write-ahead: journal and remember the committed reply before the
        frame goes out.  A crash after the append replays these exact
        bytes to a resending client; a crash before it re-solves the
@@ -393,22 +437,9 @@ let deliver t job reply =
            { session = sname; ordinal = job.jordinal; theta; reply = payload });
       Metrics.record_net (tenant_of t job.jtenant).metrics Metrics.Journal_append
     | None -> ());
-    Mutex.lock t.slock;
-    (match Hashtbl.find_opt t.sessions sname with
-    | Some sess -> Session.remember_reply sess ~ordinal:job.jordinal payload
-    | None -> () (* closed while the waypoint was in flight *));
-    Mutex.unlock t.slock
-  | None -> ());
-  let conn = job.jconn in
-  Mutex.lock conn.wlock;
-  (if not (conn.dead || conn.closed) then
-     try
-       if not (Pf.write_frame_injected ~fault:conn.wfault conn.oc payload)
-       then kill_conn_locked conn
-     with Sys_error _ | Unix.Unix_error _ -> conn.dead <- true);
-  conn.pending <- conn.pending - 1;
-  maybe_close_locked conn;
-  Mutex.unlock conn.wlock
+    settle t sess ~ordinal:job.jordinal payload
+  | _ -> ());
+  write_owed job.jconn payload
 
 (* ---- admission --------------------------------------------------------
 
@@ -453,9 +484,15 @@ let enqueue t job =
       | None -> ""
       | Some s -> Printf.sprintf ",\"session\":%S" s
     in
-    send job.jconn
-      (Printf.sprintf "{\"reply\":\"overloaded\",\"id\":%d%s,\"retry_after_ms\":%d}"
-         job.jid spart t.config.retry_after_ms)
+    let payload =
+      Printf.sprintf "{\"reply\":\"overloaded\",\"id\":%d%s,\"retry_after_ms\":%d}"
+        job.jid spart t.config.retry_after_ms
+    in
+    (* a shed waypoint's ordinal is spent: the shed is its final reply *)
+    (match job.jrequest.Service.session with
+    | Some sess -> settle t sess ~ordinal:job.jordinal payload
+    | None -> ());
+    send job.jconn payload
   end
 
 (* ---- dispatcher --------------------------------------------------------
@@ -582,10 +619,11 @@ let handle_waypoint t conn ~id ~session json =
 
        An optional "seq" member carries the client's own per-session
        waypoint index and makes resends idempotent: a seq behind the
-       session's counter is a waypoint that already committed, answered
-       with the original reply bytes from the ring (at most one solve,
-       exactly one well-formed reply per waypoint, whatever the wire
-       did in between — DESIGN.md §16). *)
+       session's counter is a waypoint already accepted, answered with
+       the original reply bytes — from the ring if they are final, else
+       once they are (at most one solve, exactly one well-formed reply
+       per waypoint, whatever the wire did in between — DESIGN.md
+       §16). *)
     let seq = json_int_member "seq" json in
     Mutex.lock t.slock;
     let found = Hashtbl.find_opt t.sessions session in
@@ -598,6 +636,14 @@ let handle_waypoint t conn ~id ~session json =
         | Some k when k < accepted ->
           (match Session.recall_reply sess ~ordinal:k with
           | Some payload -> `Replay payload
+          | None when Session.awaiting_reply sess ~ordinal:k ->
+            (* owed like a job's reply: the connection stays open until
+               [settle] writes it *)
+            Mutex.lock conn.wlock;
+            conn.pending <- conn.pending + 1;
+            Mutex.unlock conn.wlock;
+            t.waiters <- { wsession = sess; wordinal = k; wconn = conn } :: t.waiters;
+            `Waiting
           | None -> `Stale (k, accepted))
         | Some k when k > accepted -> `Gap (k, accepted)
         | _ ->
@@ -621,6 +667,7 @@ let handle_waypoint t conn ~id ~session json =
     | `Unknown ->
       reply_error conn ~id (Printf.sprintf "unknown session %S" session)
     | `Replay payload -> send conn payload
+    | `Waiting -> ()
     | `Stale (k, accepted) ->
       reply_error conn ~id
         (Printf.sprintf

@@ -1,11 +1,11 @@
 open Dadu_linalg
 open Dadu_kinematics
 
-(* Recent committed replies, kept verbatim for duplicate replay: a
-   reconnecting client that resends an already-committed waypoint gets
+(* Recent final replies, kept verbatim for duplicate replay: a
+   reconnecting client that resends an already-answered waypoint gets
    the original bytes back instead of a second solve — the at-most-once
    half of the reconnect contract (DESIGN.md §16).  Bounded: entries
-   older than [ring_capacity] commits are evicted; a resend that far
+   older than [ring_capacity] ordinals are evicted; a resend that far
    behind is answered with a typed [stale] error by the server. *)
 let ring_capacity = 128
 
@@ -18,10 +18,12 @@ type t = {
   mutable waypoints : int;
   mutable warm : int;
   mutable seq : int; (* next waypoint ordinal (enqueue-side counter) *)
-  replies : (int, string) Hashtbl.t; (* ordinal -> committed reply bytes *)
+  base : int; (* first ordinal this process handed out *)
+  mutable newest : int; (* highest ordinal remembered; -1 before any *)
+  replies : (int, string) Hashtbl.t; (* ordinal -> final reply bytes *)
 }
 
-let create ~name ~chain =
+let fresh ~name ~chain ~base =
   {
     name;
     chain;
@@ -29,17 +31,20 @@ let create ~name ~chain =
     slot = None;
     waypoints = 0;
     warm = 0;
-    seq = 0;
+    seq = base;
+    base;
+    newest = -1;
     replies = Hashtbl.create 16;
   }
+
+let create ~name ~chain = fresh ~name ~chain ~base:0
 
 (* Rebuild a session from journal replay: [committed] waypoints are
    already durable, so the ordinal counter resumes right after them and
    the slot holds the last converged configuration — the state an
    uninterrupted server would hold with all in-flight work excluded. *)
 let restore ~name ~chain ~committed ~warm ~slot =
-  let t = create ~name ~chain in
-  t.seq <- committed;
+  let t = fresh ~name ~chain ~base:committed in
   t.waypoints <- committed;
   t.warm <- warm;
   (match slot with
@@ -89,9 +94,18 @@ let record t ~warm =
 
 let remember_reply t ~ordinal payload =
   Hashtbl.replace t.replies ordinal payload;
+  if ordinal > t.newest then t.newest <- ordinal;
   let evict = ordinal - ring_capacity in
   if evict >= 0 then Hashtbl.remove t.replies evict
 
 let recall_reply t ~ordinal = Hashtbl.find_opt t.replies ordinal
+
+(* Handed out here, not answered yet, and not scrolled off the ring:
+   remembering [ordinal] evicts [ordinal - ring_capacity], so an
+   ordinal at or below [newest - ring_capacity] left the ring. *)
+let awaiting_reply t ~ordinal =
+  ordinal >= t.base && ordinal < t.seq
+  && ordinal > t.newest - ring_capacity
+  && not (Hashtbl.mem t.replies ordinal)
 
 let clear t = t.slot <- None

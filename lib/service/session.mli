@@ -79,14 +79,21 @@ val record : t -> warm:bool -> unit
 (** Count one committed waypoint ([warm] when the slot was offered). *)
 
 val remember_reply : t -> ordinal:int -> string -> unit
-(** Retain the committed reply bytes for [ordinal] in a bounded ring
-    (the last 128 commits) so a reconnecting client resending an
-    already-committed waypoint can be answered verbatim instead of
-    solved twice.  Call from the server's serial delivery path, under
-    the same lock as {!recall_reply}. *)
+(** Retain the final reply bytes for [ordinal] — its committed reply,
+    or the [overloaded] reply that shed it — in a bounded ring (the
+    last 128 ordinals) so a reconnecting client resending an
+    already-answered waypoint can be answered verbatim instead of
+    solved twice.  Call from the server's delivery and shed paths,
+    under the same lock as {!recall_reply}. *)
 
 val recall_reply : t -> ordinal:int -> string option
 (** The retained reply for [ordinal], if still within the ring. *)
+
+val awaiting_reply : t -> ordinal:int -> bool
+(** [ordinal] was handed out by this process ({!next_ordinal}) and its
+    reply is still to come: not yet remembered, and not evicted from
+    the ring.  Ordinals issued before a {!restore} are never awaited —
+    whatever of them the journal did not hold is gone. *)
 
 val clear : t -> unit
 (** Drop the slot (the session goes cold; counters are kept). *)

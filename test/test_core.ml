@@ -776,96 +776,6 @@ let test_pose_invalid_speculations () =
        false
      with Invalid_argument _ -> true)
 
-(* ---- Nullspace ---- *)
-
-let test_nullspace_converges () =
-  let chain = Robots.snake ~dof:20 in
-  Array.iter
-    (fun p ->
-      let r =
-        Nullspace.solve ~objective:Nullspace.Joint_centering ~config:(cfg ()) p
-      in
-      assert_converged "nullspace" r;
-      assert_solves "nullspace" p r)
-    (problems ~chain ~seed:81 4)
-
-let test_nullspace_improves_comfort () =
-  (* joint-centering must yield a more centered final posture than plain
-     DLS on the same problems, at equal task convergence *)
-  let chain = Robots.snake ~dof:20 in
-  let ps = problems ~chain ~seed:82 6 in
-  let total solve =
-    Array.fold_left (fun acc p -> acc +. Nullspace.comfort chain (solve p).Ik.theta) 0. ps
-  in
-  let plain = total (fun p -> Dls.solve ~config:(cfg ()) p) in
-  let centered =
-    total (fun p ->
-        Nullspace.solve ~objective:Nullspace.Joint_centering ~config:(cfg ()) p)
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "comfort improved (%.3f -> %.3f)" plain centered)
-    true (centered < plain)
-
-let test_nullspace_reference_objective () =
-  let chain = Robots.snake ~dof:20 in
-  let p = (problems ~chain ~seed:83 1).(0) in
-  let reference = Array.make 20 0.1 in
-  let r =
-    Nullspace.solve ~objective:(Nullspace.Reference reference) ~config:(cfg ()) p
-  in
-  assert_converged "nullspace-reference" r
-
-let test_nullspace_custom_objective () =
-  let chain = Robots.snake ~dof:20 in
-  let p = (problems ~chain ~seed:84 1).(0) in
-  let r =
-    Nullspace.solve
-      ~objective:(Nullspace.Custom (fun theta -> Vec.scale (-0.5) theta))
-      ~config:(cfg ()) p
-  in
-  assert_converged "nullspace-custom" r
-
-let test_nullspace_gradient_shapes () =
-  let chain = Robots.snake ~dof:8 in
-  let theta = Array.make 8 0.5 in
-  let z = Nullspace.objective_gradient Nullspace.Joint_centering chain theta in
-  Alcotest.(check int) "dof-sized" 8 (Vec.dim z);
-  (* snake joints are centered at 0, so the gradient points back toward 0 *)
-  Array.iter (fun zi -> Alcotest.(check (float 1e-9)) "toward center" (-0.5) zi) z
-
-let test_comfort_bounds () =
-  let chain = Robots.snake ~dof:8 in
-  Alcotest.(check (float 1e-9)) "centered = 0" 0. (Nullspace.comfort chain (Array.make 8 0.));
-  let at_limit = Array.make 8 (120. *. Float.pi /. 180.) in
-  Alcotest.(check (float 1e-9)) "at limits = 1" 1. (Nullspace.comfort chain at_limit)
-
-let test_nullspace_optimize_holds_task () =
-  let chain = Robots.snake ~dof:16 in
-  let rng = Rng.create 85 in
-  let p = (problems ~chain ~seed:85 1).(0) in
-  ignore rng;
-  let solved = Dls.solve ~config:(cfg ()) p in
-  let improved =
-    Nullspace.optimize ~iterations:150 ~objective:Nullspace.Joint_centering chain
-      ~target:p.Ik.target ~theta:solved.Ik.theta
-  in
-  (* the task stays solved... *)
-  Alcotest.(check bool) "task held" true
-    (Ik.error_of chain p.Ik.target improved < 1.5e-2);
-  (* ...and the posture objective improves *)
-  Alcotest.(check bool) "comfort improved" true
-    (Nullspace.comfort chain improved < Nullspace.comfort chain solved.Ik.theta)
-
-let test_nullspace_optimize_zero_iterations () =
-  let chain = Robots.snake ~dof:8 in
-  let theta = Array.make 8 0.4 in
-  let out =
-    Nullspace.optimize ~iterations:0 ~objective:Nullspace.Joint_centering chain
-      ~target:Dadu_linalg.Vec3.zero ~theta
-  in
-  Alcotest.(check bool) "unchanged" true (out = theta);
-  Alcotest.(check bool) "fresh vector" true (out != theta)
-
 (* ---- Restarts ---- *)
 
 let test_restarts_first_try () =
@@ -1006,108 +916,6 @@ let test_on_iteration_observes_descent () =
     (List.nth errs (List.length errs - 1));
   Alcotest.(check bool) "first observation is the initial error" true
     (List.hd errs >= r.Ik.error)
-
-(* ---- Multitask ---- *)
-
-let test_multitask_end_effector_only_matches_dls () =
-  (* a single task at the end effector is ordinary position IK *)
-  let chain = Robots.eval_chain ~dof:12 in
-  let rng = Rng.create 98 in
-  let target = Target.reachable rng chain in
-  let theta0 = Target.random_config rng chain in
-  let mp =
-    Multitask.problem ~chain
-      ~tasks:[ { Multitask.link = 12; target; weight = 1.0 } ]
-      ~theta0
-  in
-  let r = Multitask.solve mp in
-  Alcotest.(check bool) "converged" true r.Multitask.converged;
-  let err = Vec3.dist target (Fk.position chain r.Multitask.theta) in
-  Alcotest.(check bool) "FK confirms" true (err < 1e-2)
-
-let test_multitask_two_points () =
-  (* tip and midpoint simultaneously: sample both from one feasible
-     configuration so a common solution exists *)
-  let chain = Robots.snake ~dof:20 in
-  let rng = Rng.create 99 in
-  let q_goal = Target.random_config rng chain in
-  let frames = Fk.frames chain q_goal in
-  let tasks =
-    [
-      { Multitask.link = 20; target = Mat4.position frames.(20); weight = 1.0 };
-      { Multitask.link = 10; target = Mat4.position frames.(10); weight = 1.0 };
-    ]
-  in
-  let mp = Multitask.problem ~chain ~tasks ~theta0:(Target.random_config rng chain) in
-  let r = Multitask.solve mp in
-  Alcotest.(check bool)
-    (Printf.sprintf "both tasks converge (errors %s)"
-       (String.concat ", " (List.map string_of_float r.Multitask.errors)))
-    true r.Multitask.converged;
-  List.iter2
-    (fun { Multitask.link; target; _ } _ ->
-      let p = Multitask.point_position chain r.Multitask.theta ~link in
-      Alcotest.(check bool) "FK confirms task" true (Vec3.dist target p < 1e-2))
-    tasks r.Multitask.errors
-
-let test_multitask_distal_columns_zero () =
-  let chain = Robots.snake ~dof:10 in
-  let rng = Rng.create 100 in
-  let theta = Target.random_config rng chain in
-  let tasks = [ { Multitask.link = 4; target = Vec3.zero; weight = 1.0 } ] in
-  let j = Multitask.stacked_jacobian chain theta ~tasks in
-  for col = 4 to 9 do
-    for row = 0 to 2 do
-      Alcotest.(check (float 0.)) "distal joint has no effect" 0. (Mat.get j row col)
-    done
-  done
-
-let test_multitask_weights_scale_rows () =
-  let chain = Robots.snake ~dof:8 in
-  let rng = Rng.create 101 in
-  let theta = Target.random_config rng chain in
-  let t1 = [ { Multitask.link = 8; target = Vec3.zero; weight = 1.0 } ] in
-  let t2 = [ { Multitask.link = 8; target = Vec3.zero; weight = 2.5 } ] in
-  let j1 = Multitask.stacked_jacobian chain theta ~tasks:t1 in
-  let j2 = Multitask.stacked_jacobian chain theta ~tasks:t2 in
-  Alcotest.(check bool) "rows scaled by weight" true
-    (Mat.approx_equal ~tol:1e-12 (Mat.scale 2.5 j1) j2)
-
-let test_multitask_validation () =
-  let chain = Robots.snake ~dof:8 in
-  let theta0 = Array.make 8 0. in
-  let bad tasks =
-    try
-      ignore (Multitask.problem ~chain ~tasks ~theta0);
-      false
-    with Invalid_argument _ -> true
-  in
-  Alcotest.(check bool) "empty tasks" true (bad []);
-  Alcotest.(check bool) "link 0" true
-    (bad [ { Multitask.link = 0; target = Vec3.zero; weight = 1. } ]);
-  Alcotest.(check bool) "link > dof" true
-    (bad [ { Multitask.link = 9; target = Vec3.zero; weight = 1. } ]);
-  Alcotest.(check bool) "bad weight" true
-    (bad [ { Multitask.link = 4; target = Vec3.zero; weight = 0. } ])
-
-let test_multitask_conflicting_tasks_balance () =
-  (* infeasible pair: the midpoint and tip cannot both sit at far-apart
-     points beyond the remaining reach; the weighted solve must cap
-     without diverging *)
-  let chain = Robots.snake ~dof:10 in
-  let theta0 = Array.make 10 0.1 in
-  let tasks =
-    [
-      { Multitask.link = 10; target = Vec3.make 0.9 0. 0.; weight = 1.0 };
-      { Multitask.link = 5; target = Vec3.make (-0.9) 0. 0.; weight = 1.0 };
-    ]
-  in
-  let mp = Multitask.problem ~chain ~tasks ~theta0 in
-  let r = Multitask.solve ~max_iterations:300 mp in
-  Alcotest.(check bool) "does not converge" false r.Multitask.converged;
-  List.iter
-    (fun e -> Alcotest.(check bool) "errors finite" true (Float.is_finite e))
-    r.Multitask.errors
 
 (* ---- Batch / Servo ---- *)
 
@@ -1447,7 +1255,7 @@ let test_guard_invisible_when_healthy () =
 
 (* ---- degenerate poses ---- *)
 
-let nine_solvers =
+let eight_solvers =
   [
     ("quick-ik", fun config p -> Quick_ik.solve ~speculations:16 ~config p);
     ("jt-serial", fun config p -> Jt_serial.solve ~config p);
@@ -1457,9 +1265,6 @@ let nine_solvers =
     ("dls", fun config p -> Dls.solve ~config p);
     ("sdls", fun config p -> Sdls.solve ~config p);
     ("ccd", fun config p -> Ccd.solve ~config p);
-    ( "nullspace",
-      fun config p ->
-        Nullspace.solve ~objective:Nullspace.Joint_centering ~config p );
   ]
 
 (* Every solver must survive pathological geometry without raising, and
@@ -1523,7 +1328,7 @@ let test_degenerate_poses () =
                 | Ik.Max_iterations | Ik.Stalled | Ik.Diverged -> ())
               | exception e ->
                 Alcotest.failf "%s raised %s" label (Printexc.to_string e))
-            nine_solvers)
+            eight_solvers)
         configs)
     (degenerate_cases ())
 
@@ -1544,7 +1349,7 @@ let () =
             test_guard_invisible_when_healthy;
         ] );
       ( "degenerate-poses",
-        [ Alcotest.test_case "all nine solvers" `Quick test_degenerate_poses ] );
+        [ Alcotest.test_case "all eight solvers" `Quick test_degenerate_poses ] );
       ( "workspace-pool",
         [ Alcotest.test_case "local stats" `Quick test_workspace_local_stats ] );
       ( "ik",
@@ -1644,18 +1449,6 @@ let () =
           Alcotest.test_case "invalid speculations" `Quick test_pose_invalid_speculations;
           Alcotest.test_case "target_of_mat4" `Quick test_pose_target_of_mat4_roundtrip;
         ] );
-      ( "nullspace",
-        [
-          Alcotest.test_case "converges" `Quick test_nullspace_converges;
-          Alcotest.test_case "improves comfort" `Quick test_nullspace_improves_comfort;
-          Alcotest.test_case "reference objective" `Quick test_nullspace_reference_objective;
-          Alcotest.test_case "custom objective" `Quick test_nullspace_custom_objective;
-          Alcotest.test_case "gradient shape" `Quick test_nullspace_gradient_shapes;
-          Alcotest.test_case "comfort bounds" `Quick test_comfort_bounds;
-          Alcotest.test_case "optimize holds task" `Quick test_nullspace_optimize_holds_task;
-          Alcotest.test_case "optimize zero iterations" `Quick
-            test_nullspace_optimize_zero_iterations;
-        ] );
       ( "restarts",
         [
           Alcotest.test_case "first try" `Quick test_restarts_first_try;
@@ -1672,17 +1465,6 @@ let () =
           Alcotest.test_case "rate limit" `Quick test_rmrc_rate_limit_respected;
           Alcotest.test_case "invalid dt" `Quick test_rmrc_invalid;
           Alcotest.test_case "on_iteration hook" `Quick test_on_iteration_observes_descent;
-        ] );
-      ( "multitask",
-        [
-          Alcotest.test_case "single task = position IK" `Quick
-            test_multitask_end_effector_only_matches_dls;
-          Alcotest.test_case "two points" `Quick test_multitask_two_points;
-          Alcotest.test_case "distal columns zero" `Quick test_multitask_distal_columns_zero;
-          Alcotest.test_case "weights scale rows" `Quick test_multitask_weights_scale_rows;
-          Alcotest.test_case "validation" `Quick test_multitask_validation;
-          Alcotest.test_case "conflicting tasks" `Quick
-            test_multitask_conflicting_tasks_balance;
         ] );
       ( "batch-servo",
         [

@@ -578,278 +578,6 @@ let test_workspace_low_twist_worse_conditioned () =
     (low.Workspace.condition.Dadu_util.Stats.p50
     > high.Workspace.condition.Dadu_util.Stats.p50)
 
-(* ---- Obstacles ---- *)
-
-let test_obstacle_point_segment () =
-  let a = Vec3.zero and b = Vec3.make 2. 0. 0. in
-  check_float "above middle" 1. (Obstacles.point_segment_distance (Vec3.make 1. 1. 0.) a b);
-  check_float "beyond end" 1. (Obstacles.point_segment_distance (Vec3.make 3. 0. 0.) a b);
-  check_float "before start" 2. (Obstacles.point_segment_distance (Vec3.make (-2.) 0. 0.) a b);
-  check_float "degenerate segment" 5. (Obstacles.point_segment_distance (Vec3.make 0. 5. 0.) a a)
-
-let test_obstacle_point_segment_symmetry =
-  QCheck.Test.make ~name:"segment distance symmetric in endpoints" ~count:200
-    QCheck.(int_range 0 100_000) (fun seed ->
-      let rng = Rng.create seed in
-      let v () = Vec3.make (Rng.uniform rng (-2.) 2.) (Rng.uniform rng (-2.) 2.) (Rng.uniform rng (-2.) 2.) in
-      let p = v () and a = v () and b = v () in
-      Float.abs
-        (Obstacles.point_segment_distance p a b
-        -. Obstacles.point_segment_distance p b a)
-      < 1e-9)
-
-let test_obstacle_segment_clearance () =
-  let s = Obstacles.sphere ~center:(Vec3.make 0. 1. 0.) ~radius:0.5 in
-  check_float "clear" 0.5
-    (Obstacles.segment_clearance Vec3.zero (Vec3.make 2. 0. 0.) s);
-  Alcotest.(check bool) "penetrating is negative" true
-    (Obstacles.segment_clearance Vec3.zero (Vec3.make 0. 2. 0.) s < 0.)
-
-let test_obstacle_chain_clearance () =
-  (* straight planar chain along x; sphere above it *)
-  let chain = Robots.planar ~dof:4 ~reach:2. () in
-  let q = Array.make 4 0. in
-  let scene = [ Obstacles.sphere ~center:(Vec3.make 1. 0.8 0.) ~radius:0.3 ] in
-  check_float "clearance" 0.5 (Obstacles.clearance scene chain q);
-  Alcotest.(check bool) "not penetrating" false (Obstacles.penetrates scene chain q);
-  let through = [ Obstacles.sphere ~center:(Vec3.make 1. 0. 0.) ~radius:0.2 ] in
-  Alcotest.(check bool) "chain through sphere penetrates" true
-    (Obstacles.penetrates through chain q)
-
-let test_obstacle_empty_scene () =
-  let chain = Robots.planar ~dof:3 ~reach:1.5 () in
-  Alcotest.(check bool) "empty scene is infinitely clear" true
-    (Obstacles.clearance [] chain (Array.make 3 0.) = infinity)
-
-let test_obstacle_invalid_radius () =
-  Alcotest.(check bool) "radius 0 rejected" true
-    (try
-       ignore (Obstacles.sphere ~center:Vec3.zero ~radius:0.);
-       false
-     with Invalid_argument _ -> true)
-
-let test_obstacle_gradient_pushes_away () =
-  (* clearance along the gradient direction must increase *)
-  let chain = Robots.snake ~dof:12 in
-  let rng = Rng.create 31 in
-  let q = Target.random_config rng chain in
-  let mid = Fk.position chain (Array.map (fun x -> x *. 0.5) q) in
-  let scene = [ Obstacles.sphere ~center:mid ~radius:0.05 ] in
-  let g = Obstacles.clearance_gradient scene chain q in
-  if Vec.norm g > 1e-9 then begin
-    let step = Vec.axpy 1e-3 (Vec.scale (1. /. Vec.norm g) g) q in
-    Alcotest.(check bool) "clearance increases along gradient" true
-      (Obstacles.clearance scene chain step > Obstacles.clearance scene chain q)
-  end
-
-let test_obstacle_objective_inactive_when_clear () =
-  let chain = Robots.planar ~dof:3 ~reach:1.5 () in
-  let q = Array.make 3 0. in
-  let scene = [ Obstacles.sphere ~center:(Vec3.make 0. 5. 0.) ~radius:0.5 ] in
-  Alcotest.(check (float 0.)) "zero objective far away" 0.
-    (Dadu_linalg.Vec.norm (Obstacles.avoidance_objective scene chain q))
-
-let test_obstacle_avoidance_via_nullspace () =
-  (* hold the tip on target while the body gains clearance *)
-  let chain = Robots.snake ~dof:16 in
-  let rng = Rng.create 32 in
-  let q_goal = Target.random_config rng chain in
-  let target = Fk.position chain q_goal in
-  (* obstacle near the middle of the current body *)
-  let frames = Fk.frames chain q_goal in
-  let near = Dadu_linalg.Mat4.position frames.(8) in
-  let scene =
-    [ Obstacles.sphere ~center:(Vec3.add near (Vec3.make 0.02 0.02 0.)) ~radius:0.04 ]
-  in
-  let before = Obstacles.clearance scene chain q_goal in
-  let improved =
-    Dadu_core.Nullspace.optimize ~iterations:200 ~gain:0.05
-      ~objective:(Dadu_core.Nullspace.Custom (Obstacles.avoidance_objective scene chain))
-      chain ~target ~theta:q_goal
-  in
-  let after = Obstacles.clearance scene chain improved in
-  Alcotest.(check bool)
-    (Printf.sprintf "clearance improved (%.4f -> %.4f)" before after)
-    true (after > before);
-  Alcotest.(check bool) "task held" true
-    (Vec3.dist target (Fk.position chain improved) < 1.5e-2)
-
-(* ---- Rrt ---- *)
-
-(* a 4-DOF planar arm with a wall of spheres between two postures *)
-let rrt_chain = Robots.planar ~dof:4 ~reach:2. ()
-
-let rrt_wall =
-  (* spheres blocking the straight-line joint-space interpolation between
-     the arm-up and arm-down postures *)
-  [ Obstacles.sphere ~center:(Vec3.make 1.4 0. 0.) ~radius:0.35 ]
-
-let test_rrt_plans_around_wall () =
-  let start = [| 0.9; 0.3; 0.2; 0.1 |] in
-  let goal = [| -0.9; -0.3; -0.2; -0.1 |] in
-  (* sanity: endpoints free, straight line blocked *)
-  Alcotest.(check bool) "start free" true
-    (Obstacles.clearance rrt_wall rrt_chain start > 0.);
-  Alcotest.(check bool) "goal free" true
-    (Obstacles.clearance rrt_wall rrt_chain goal > 0.);
-  Alcotest.(check bool) "straight line blocked" false
-    (Rrt.path_collision_free rrt_wall rrt_chain [ start; goal ]);
-  let rng = Rng.create 61 in
-  let result = Rrt.plan rng ~scene:rrt_wall ~chain:rrt_chain ~start ~goal in
-  Alcotest.(check bool) "found a path" true (result.Rrt.path <> []);
-  (match result.Rrt.path with
-  | first :: _ ->
-    Alcotest.(check bool) "starts at start" true (Vec.approx_equal first start);
-    let last = List.nth result.Rrt.path (List.length result.Rrt.path - 1) in
-    Alcotest.(check bool) "ends at goal" true (Vec.approx_equal last goal)
-  | [] -> ());
-  Alcotest.(check bool) "path collision-free" true
-    (Rrt.path_collision_free rrt_wall rrt_chain result.Rrt.path);
-  Alcotest.(check bool) "accounting positive" true
-    (result.Rrt.nodes_expanded > 0 && result.Rrt.collision_checks > 0)
-
-let test_rrt_free_space_direct () =
-  (* no obstacles: planning still works and yields a valid path *)
-  let start = Array.make 4 0.2 and goal = Array.make 4 (-0.4) in
-  let rng = Rng.create 62 in
-  let result = Rrt.plan rng ~scene:[] ~chain:rrt_chain ~start ~goal in
-  Alcotest.(check bool) "path found" true (result.Rrt.path <> [])
-
-let test_rrt_rejects_colliding_endpoints () =
-  let inside =
-    (* straight arm passes through the wall sphere *)
-    [| 0.; 0.; 0.; 0. |]
-  in
-  Alcotest.(check bool) "start collides" true
-    (Obstacles.penetrates rrt_wall rrt_chain inside);
-  let rng = Rng.create 63 in
-  Alcotest.(check bool) "rejected" true
-    (try
-       ignore
-         (Rrt.plan rng ~scene:rrt_wall ~chain:rrt_chain ~start:inside
-            ~goal:(Array.make 4 0.9));
-       false
-     with Invalid_argument _ -> true)
-
-let test_rrt_deterministic () =
-  let start = [| 0.9; 0.3; 0.2; 0.1 |] and goal = [| -0.9; -0.3; -0.2; -0.1 |] in
-  let run seed =
-    (Rrt.plan (Rng.create seed) ~scene:rrt_wall ~chain:rrt_chain ~start ~goal).Rrt.path
-  in
-  Alcotest.(check bool) "same seed, same path" true (run 64 = run 64)
-
-let test_rrt_shortcut_improves () =
-  let start = [| 0.9; 0.3; 0.2; 0.1 |] and goal = [| -0.9; -0.3; -0.2; -0.1 |] in
-  let rng = Rng.create 65 in
-  let result = Rrt.plan rng ~scene:rrt_wall ~chain:rrt_chain ~start ~goal in
-  let short = Rrt.shortcut rng rrt_wall rrt_chain result.Rrt.path in
-  Alcotest.(check bool) "no longer" true
-    (Rrt.path_length short <= Rrt.path_length result.Rrt.path +. 1e-9);
-  Alcotest.(check bool) "still collision-free" true
-    (Rrt.path_collision_free rrt_wall rrt_chain short);
-  (match (short, result.Rrt.path) with
-  | a :: _, b :: _ -> Alcotest.(check bool) "same start" true (a = b)
-  | _ -> Alcotest.fail "empty");
-  let last l = List.nth l (List.length l - 1) in
-  Alcotest.(check bool) "same goal" true (last short = last result.Rrt.path)
-
-let test_rrt_path_length () =
-  Alcotest.(check (float 1e-12)) "two hops" 3.
-    (Rrt.path_length [ [| 0. |]; [| 1. |]; [| 3. |] ]);
-  Alcotest.(check (float 1e-12)) "singleton" 0. (Rrt.path_length [ [| 5. |] ])
-
-(* ---- Spline ---- *)
-
-let test_spline_quintic_boundaries () =
-  let q0 = [| 0.; 1.; -0.5 |] and q1 = [| 1.; -1.; 0.5 |] in
-  let traj = Spline.quintic ~q0 ~q1 ~duration:2. in
-  let s0 = traj.Spline.at 0. and s1 = traj.Spline.at 2. in
-  Alcotest.(check bool) "starts at q0" true (Vec.approx_equal ~tol:1e-12 s0.Spline.q q0);
-  Alcotest.(check bool) "ends at q1" true (Vec.approx_equal ~tol:1e-12 s1.Spline.q q1);
-  Alcotest.(check (float 1e-9)) "rest start" 0. (Vec.max_abs s0.Spline.qd);
-  Alcotest.(check (float 1e-9)) "rest end" 0. (Vec.max_abs s1.Spline.qd);
-  Alcotest.(check (float 1e-9)) "zero accel start" 0. (Vec.max_abs s0.Spline.qdd);
-  Alcotest.(check (float 1e-9)) "zero accel end" 0. (Vec.max_abs s1.Spline.qdd)
-
-let test_spline_quintic_clamps () =
-  let traj = Spline.quintic ~q0:[| 0. |] ~q1:[| 1. |] ~duration:1. in
-  Alcotest.(check (float 1e-12)) "before start" 0. (traj.Spline.at (-5.)).Spline.q.(0);
-  Alcotest.(check (float 1e-12)) "after end" 1. (traj.Spline.at 9.).Spline.q.(0)
-
-let test_spline_quintic_velocity_consistent =
-  QCheck.Test.make ~name:"quintic velocity = dq/dt (finite diff)" ~count:100
-    QCheck.(pair (float_range 0.1 0.9) (float_range 0.5 4.)) (fun (u, duration) ->
-      let traj = Spline.quintic ~q0:[| 0.; 2. |] ~q1:[| 1.; -1. |] ~duration in
-      let t = u *. duration in
-      let eps = 1e-6 in
-      let s = traj.Spline.at t in
-      let qp = (traj.Spline.at (t +. eps)).Spline.q in
-      let qm = (traj.Spline.at (t -. eps)).Spline.q in
-      let fd = Vec.scale (1. /. (2. *. eps)) (Vec.sub qp qm) in
-      Vec.approx_equal ~tol:1e-4 fd s.Spline.qd)
-
-let test_spline_via_points_interpolates () =
-  let points = [ (0., [| 0. |]); (1., [| 0.5 |]); (2.5, [| -0.2 |]); (4., [| 1. |]) ] in
-  let traj = Spline.via_points points in
-  Alcotest.(check (float 1e-9)) "duration" 4. traj.Spline.duration;
-  List.iter
-    (fun (t, q) ->
-      Alcotest.(check (float 1e-9))
-        (Printf.sprintf "passes via at t=%.1f" t)
-        q.(0)
-        (traj.Spline.at t).Spline.q.(0))
-    points
-
-let test_spline_via_points_c1 () =
-  (* velocity continuous across the knot at t = 1 *)
-  let points = [ (0., [| 0. |]); (1., [| 0.7 |]); (2., [| -0.3 |]) ] in
-  let traj = Spline.via_points points in
-  let eps = 1e-7 in
-  let before = (traj.Spline.at (1. -. eps)).Spline.qd.(0) in
-  let after = (traj.Spline.at (1. +. eps)).Spline.qd.(0) in
-  Alcotest.(check (float 1e-4)) "C1 at knot" before after
-
-let test_spline_via_points_validation () =
-  let bad l =
-    try
-      ignore (Spline.via_points l);
-      false
-    with Invalid_argument _ -> true
-  in
-  Alcotest.(check bool) "single point" true (bad [ (0., [| 1. |]) ]);
-  Alcotest.(check bool) "nonzero start" true (bad [ (1., [| 0. |]); (2., [| 1. |]) ]);
-  Alcotest.(check bool) "non-increasing" true
-    (bad [ (0., [| 0. |]); (1., [| 1. |]); (1., [| 2. |]) ])
-
-let test_spline_max_speed_scales () =
-  let t1 = Spline.quintic ~q0:[| 0. |] ~q1:[| 1. |] ~duration:1. in
-  let t2 = Spline.quintic ~q0:[| 0. |] ~q1:[| 1. |] ~duration:2. in
-  Alcotest.(check (float 1e-6)) "half the speed at double the time"
-    (Spline.max_speed t1 /. 2.) (Spline.max_speed t2)
-
-let test_spline_drives_simulation () =
-  (* a quintic reference tracked by computed-torque PD on the simulated
-     plant: final state lands on the goal *)
-  let chain = Robots.planar ~dof:2 ~reach:1. () in
-  let model =
-    Dynamics.model ~gravity:(Vec3.make 0. (-9.81) 0.) chain
-      [| Dynamics.rod ~mass:1. ~length:0.5; Dynamics.rod ~mass:1. ~length:0.5 |]
-  in
-  let q0 = [| 0.3; -0.2 |] and q1 = [| 0.9; 0.5 |] in
-  let traj = Spline.quintic ~q0 ~q1 ~duration:2. in
-  let controller =
-    Simulation.pd ~gravity_compensation:model ~kp:120. ~kd:25.
-      ~target:(fun t -> (traj.Spline.at t).Spline.q)
-      ()
-  in
-  let initial = { Simulation.time = 0.; q = Array.copy q0; qd = [| 0.; 0. |] } in
-  let states = Simulation.simulate model controller ~dt:1e-3 ~duration:2.5 initial in
-  let final = states.(Array.length states - 1) in
-  Alcotest.(check bool)
-    (Printf.sprintf "tracked to goal (off by %.4f rad)" (Vec.dist final.Simulation.q q1))
-    true
-    (Vec.dist final.Simulation.q q1 < 5e-3)
-
 (* ---- Viz ---- *)
 
 let count_occurrences needle haystack =
@@ -867,18 +595,14 @@ let test_viz_structure () =
   let p1 = Viz.posture ~label:"before" (Target.random_config rng chain) in
   let p2 = Viz.posture ~label:"after" (Target.random_config rng chain) in
   let target = Target.reachable rng chain in
-  let scene = [ Obstacles.sphere ~center:(Vec3.make 0.5 0.5 0.) ~radius:0.2 ] in
-  let svg =
-    Viz.render ~targets:[ target ] ~obstacles:scene chain [ p1; p2 ]
-  in
+  let svg = Viz.render ~targets:[ target ] chain [ p1; p2 ] in
   Alcotest.(check bool) "opens svg" true (Astring.String.is_prefix ~affix:"<svg" svg);
   Alcotest.(check bool) "closes svg" true
     (Astring.String.is_suffix ~affix:"</svg>\n" svg);
   Alcotest.(check int) "two polylines" 2 (count_occurrences "class=\"posture\"" svg);
   Alcotest.(check int) "joint dots = 2 x (dof+1)" 10
     (count_occurrences "class=\"joint\"" svg);
-  Alcotest.(check int) "one target cross" 1 (count_occurrences "class=\"target\"" svg);
-  Alcotest.(check int) "one obstacle" 1 (count_occurrences "class=\"obstacle\"" svg)
+  Alcotest.(check int) "one target cross" 1 (count_occurrences "class=\"target\"" svg)
 
 let test_viz_empty_rejected () =
   let chain = Robots.planar ~dof:3 ~reach:1. () in
@@ -1683,42 +1407,6 @@ let () =
           Alcotest.test_case "eval chain conditioning" `Slow
             test_workspace_low_twist_worse_conditioned;
           Alcotest.test_case "manipulability ellipsoid" `Quick test_workspace_ellipsoid;
-        ] );
-      ( "obstacles",
-        [
-          Alcotest.test_case "point-segment distance" `Quick test_obstacle_point_segment;
-          qcheck test_obstacle_point_segment_symmetry;
-          Alcotest.test_case "segment clearance" `Quick test_obstacle_segment_clearance;
-          Alcotest.test_case "chain clearance" `Quick test_obstacle_chain_clearance;
-          Alcotest.test_case "empty scene" `Quick test_obstacle_empty_scene;
-          Alcotest.test_case "invalid radius" `Quick test_obstacle_invalid_radius;
-          Alcotest.test_case "gradient pushes away" `Quick test_obstacle_gradient_pushes_away;
-          Alcotest.test_case "objective inactive when clear" `Quick
-            test_obstacle_objective_inactive_when_clear;
-          Alcotest.test_case "avoidance via nullspace" `Slow
-            test_obstacle_avoidance_via_nullspace;
-        ] );
-      ( "rrt",
-        [
-          Alcotest.test_case "plans around wall" `Slow test_rrt_plans_around_wall;
-          Alcotest.test_case "free space" `Quick test_rrt_free_space_direct;
-          Alcotest.test_case "rejects colliding endpoints" `Quick
-            test_rrt_rejects_colliding_endpoints;
-          Alcotest.test_case "deterministic" `Slow test_rrt_deterministic;
-          Alcotest.test_case "shortcut improves" `Slow test_rrt_shortcut_improves;
-          Alcotest.test_case "path length" `Quick test_rrt_path_length;
-        ] );
-      ( "spline",
-        [
-          Alcotest.test_case "quintic boundaries" `Quick test_spline_quintic_boundaries;
-          Alcotest.test_case "quintic clamps" `Quick test_spline_quintic_clamps;
-          qcheck test_spline_quintic_velocity_consistent;
-          Alcotest.test_case "via points interpolate" `Quick
-            test_spline_via_points_interpolates;
-          Alcotest.test_case "via points C1" `Quick test_spline_via_points_c1;
-          Alcotest.test_case "via validation" `Quick test_spline_via_points_validation;
-          Alcotest.test_case "max speed scaling" `Quick test_spline_max_speed_scales;
-          Alcotest.test_case "drives simulation" `Slow test_spline_drives_simulation;
         ] );
       ( "viz",
         [

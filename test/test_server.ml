@@ -319,6 +319,46 @@ let test_live_session_resumes_across_reconnect () =
   send oc2 "{\"op\":\"open\",\"id\":2,\"session\":\"r\",\"robot\":\"eval:12\"}";
   ignore (expect_kind "resume with another robot is refused" "error" (recv rd2))
 
+(* A resend that arrives while the original waypoint is still being
+   solved is answered with the original's reply bytes once it commits —
+   not with a stale error, and not with a second solve. *)
+let test_live_resend_in_flight () =
+  let open_op = "{\"op\":\"open\",\"id\":0,\"session\":\"s\",\"robot\":\"eval:100\"}" in
+  let waypoint =
+    "{\"op\":\"waypoint\",\"id\":1,\"session\":\"s\",\"seq\":0,\"target\":[1.0,1.0,40.0]}"
+  in
+  let reference =
+    with_server @@ fun _server path ->
+    let fd, rd, oc = connect path in
+    Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    @@ fun () ->
+    send oc open_op;
+    ignore (expect_kind "opened" "opened" (recv rd));
+    send oc waypoint;
+    fst (recv rd)
+  in
+  with_server @@ fun _server path ->
+  let fd, rd, oc = connect path in
+  send oc open_op;
+  ignore (expect_kind "opened" "opened" (recv rd));
+  send oc waypoint;
+  (* the reader answers in frame order: the pong means the waypoint was
+     accepted; drop the connection with it in flight and resend at once *)
+  send oc "{\"op\":\"ping\"}";
+  ignore (expect_kind "pong" "pong" (recv rd));
+  (try Unix.close fd with Unix.Unix_error _ -> ());
+  let fd2, rd2, oc2 = connect path in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd2 with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  send oc2 open_op;
+  let opened = expect_kind "opened" "opened" (recv rd2) in
+  Alcotest.(check (option int)) "the waypoint was accepted" (Some 1)
+    (int_member "waypoints" opened);
+  send oc2 waypoint;
+  Alcotest.(check string) "resend answered with the uninterrupted reply"
+    reference (fst (recv rd2))
+
 let test_live_drain_flushes_in_flight () =
   let path = Filename.temp_file "dadu_srv" ".sock" in
   Sys.remove path;
@@ -478,19 +518,33 @@ let test_live_connection_cap_busy () =
     (match int_member "busy" stats with Some n -> n >= 1 | None -> false);
   (try Unix.close fd1 with Unix.Unix_error _ -> ());
   (* the slot frees once the reader notices the close; retry until the
-     next dialer gets a pong instead of busy *)
+     next dialer gets a pong instead of busy.  A refusal can close the
+     socket before the ping is written or read back. *)
   let rec admitted tries =
     let fd3, rd3, oc3 = connect path in
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd3 with Unix.Unix_error _ -> ())
-    @@ fun () ->
-    send oc3 "{\"op\":\"ping\"}";
-    match recv rd3 with
-    | _, json when reply_kind json = "pong" -> true
-    | _ when tries < 100 ->
+    let pong =
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd3 with Unix.Unix_error _ -> ())
+      @@ fun () ->
+      match send oc3 "{\"op\":\"ping\"}" with
+      | exception Sys_error _ -> false
+      | () ->
+        (match Problem_file.read_frame_fd rd3 with
+        | Problem_file.Frame payload ->
+          (match Json.of_string payload with
+          | Ok json -> reply_kind json = "pong"
+          | Error _ -> false)
+        | Problem_file.Eof | Problem_file.Timed_out _
+        | Problem_file.Frame_error _ ->
+          false
+        | exception (Sys_error _ | Unix.Unix_error _) -> false)
+    in
+    if pong then true
+    else if tries < 100 then begin
       Thread.delay 0.02;
       admitted (tries + 1)
-    | _ -> false
+    end
+    else false
   in
   Alcotest.(check bool) "slot freed after close" true (admitted 0)
 
@@ -634,6 +688,8 @@ let () =
           Alcotest.test_case "queue full sheds" `Slow test_live_queue_full_sheds;
           Alcotest.test_case "session resumes across reconnect" `Slow
             test_live_session_resumes_across_reconnect;
+          Alcotest.test_case "resend of an in-flight waypoint" `Slow
+            test_live_resend_in_flight;
           Alcotest.test_case "drain flushes in-flight replies" `Slow
             test_live_drain_flushes_in_flight;
           Alcotest.test_case "replies byte-identical across pools" `Slow

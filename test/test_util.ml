@@ -1,11 +1,10 @@
-(* Unit and property tests for Dadu_util: Rng, Stats, Table, Csv, Counter,
+(* Unit and property tests for Dadu_util: Rng, Stats, Table, Csv,
    Domain_pool. *)
 
 module Rng = Dadu_util.Rng
 module Stats = Dadu_util.Stats
 module Table = Dadu_util.Table
 module Csv = Dadu_util.Csv
-module Counter = Dadu_util.Counter
 module Pool = Dadu_util.Domain_pool
 module Trace = Dadu_util.Trace
 
@@ -242,30 +241,6 @@ let test_chart_negative_clamped () =
   let rendered = Dadu_util.Chart.render ~width:10 groups in
   Alcotest.(check bool) "negative shows empty bar" true
     (Astring.String.is_infix ~affix:"| -5" rendered)
-
-(* ---- Counter ---- *)
-
-let test_counter_basic () =
-  let c = Counter.create () in
-  Counter.add c "macs" 5;
-  Counter.incr c "macs";
-  Counter.incr c "loads";
-  Alcotest.(check int) "macs" 6 (Counter.get c "macs");
-  Alcotest.(check int) "loads" 1 (Counter.get c "loads");
-  Alcotest.(check int) "unknown" 0 (Counter.get c "nothing")
-
-let test_counter_reset () =
-  let c = Counter.create () in
-  Counter.add c "x" 3;
-  Counter.reset c;
-  Alcotest.(check int) "reset to zero" 0 (Counter.get c "x")
-
-let test_counter_to_list () =
-  let c = Counter.create () in
-  Counter.add c "b" 2;
-  Counter.add c "a" 1;
-  Alcotest.(check (list (pair string int))) "sorted" [ ("a", 1); ("b", 2) ]
-    (Counter.to_list c)
 
 (* ---- Domain_pool ---- *)
 
@@ -1026,12 +1001,6 @@ let () =
           Alcotest.test_case "log footnote" `Quick test_chart_log_note;
           Alcotest.test_case "log compresses" `Quick test_chart_log_compresses;
           Alcotest.test_case "negative clamped" `Quick test_chart_negative_clamped;
-        ] );
-      ( "counter",
-        [
-          Alcotest.test_case "basic" `Quick test_counter_basic;
-          Alcotest.test_case "reset" `Quick test_counter_reset;
-          Alcotest.test_case "to_list sorted" `Quick test_counter_to_list;
         ] );
       ( "domain-pool",
         [
