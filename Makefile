@@ -39,8 +39,8 @@ bench-check:
 	  status=$$?; cp _build/bench_baseline.json BENCH_quickik.json; exit $$status
 
 examples:
-	@set -e; for e in quickstart trajectory high_dof_snake \
-	          accelerator_sim solver_shootout pose_reaching; do \
+	@set -e; for e in quickstart high_dof_snake accelerator_sim \
+	          solver_shootout pose_reaching; do \
 	  echo "==== $$e ===="; dune exec examples/$$e.exe; echo; done
 
 clean:

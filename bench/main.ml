@@ -119,38 +119,29 @@ let micro_tests () =
   let problem12 = Dadu_core.Ik.random_problem rng chain12 in
   let problem100 = Dadu_core.Ik.random_problem rng chain100 in
   let short = { Dadu_core.Ik.default_config with max_iterations = 25 } in
-  let pool = Dadu_util.Domain_pool.create (Dadu_util.Domain_pool.recommended_size ()) in
-  let tests =
-    [
-      Test.make ~name:"fk-position-12dof"
-        (Staged.stage (fun () -> ignore (Fk.position ~scratch chain12 q12)));
-      Test.make ~name:"fk-position-100dof"
-        (Staged.stage (fun () -> ignore (Fk.position ~scratch chain100 q100)));
-      Test.make ~name:"jacobian-100dof"
-        (Staged.stage (fun () -> ignore (Jacobian.position_jacobian chain100 q100)));
-      Test.make ~name:"svd-3x100"
-        (Staged.stage (fun () -> ignore (Dadu_linalg.Svd.decompose j100)));
-      Test.make ~name:"jt-serial-25iter-100dof"
-        (Staged.stage (fun () ->
-             ignore (Dadu_core.Jt_serial.solve ~config:short problem100)));
-      Test.make ~name:"quick-ik64-25iter-100dof-seq"
-        (Staged.stage (fun () ->
-             ignore (Dadu_core.Quick_ik.solve ~speculations:64 ~config:short problem100)));
-      Test.make ~name:"quick-ik64-25iter-100dof-par"
-        (Staged.stage (fun () ->
-             ignore
-               (Dadu_core.Quick_ik.solve ~speculations:64
-                  ~mode:(Dadu_core.Quick_ik.Parallel pool) ~config:short problem100)));
-      Test.make ~name:"pinv-solve-12dof"
-        (Staged.stage (fun () -> ignore (Dadu_core.Pinv_svd.solve problem12)));
-    ]
-  in
-  (tests, fun () -> Dadu_util.Domain_pool.shutdown pool)
+  [
+    Test.make ~name:"fk-position-12dof"
+      (Staged.stage (fun () -> ignore (Fk.position ~scratch chain12 q12)));
+    Test.make ~name:"fk-position-100dof"
+      (Staged.stage (fun () -> ignore (Fk.position ~scratch chain100 q100)));
+    Test.make ~name:"jacobian-100dof"
+      (Staged.stage (fun () -> ignore (Jacobian.position_jacobian chain100 q100)));
+    Test.make ~name:"svd-3x100"
+      (Staged.stage (fun () -> ignore (Dadu_linalg.Svd.decompose j100)));
+    Test.make ~name:"jt-serial-25iter-100dof"
+      (Staged.stage (fun () ->
+           ignore (Dadu_core.Jt_serial.solve ~config:short problem100)));
+    Test.make ~name:"quick-ik64-25iter-100dof"
+      (Staged.stage (fun () ->
+           ignore (Dadu_core.Quick_ik.solve ~speculations:64 ~config:short problem100)));
+    Test.make ~name:"pinv-solve-12dof"
+      (Staged.stage (fun () -> ignore (Dadu_core.Pinv_svd.solve problem12)));
+  ]
 
 let run_micro () =
   let open Bechamel in
   heading "Bechamel micro-benchmarks (actual OCaml kernels on this host)";
-  let tests, cleanup = micro_tests () in
+  let tests = micro_tests () in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
   let raw =
     Benchmark.all cfg
@@ -178,8 +169,7 @@ let run_micro () =
     Table.add_row table [ name; estimate ]
   in
   List.iter add_row rows;
-  Table.print table;
-  cleanup ()
+  Table.print table
 
 (* ---- steady-state Quick-IK kernel benchmark (JSON, regression-gated) ----
 
@@ -531,7 +521,7 @@ let run_micro_json () =
   let table =
     Table.create
       ~title:
-        "steady state: quickik = solver iteration (64 spec, Sequential), \
+        "steady state: quickik = solver iteration (64 spec), \
          speckernel = one raw 64-candidate sweep, serve-request = one \
          warm-cache request through the serving path, prepare = one candidate \
          scoring through the wave-fused choose_wave (16 requests x 5 \

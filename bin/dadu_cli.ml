@@ -68,34 +68,17 @@ let robot =
   in
   Term.(term_result (const combine $ robot_builtin $ robot_file))
 
-type method_name =
-  | Quick_ik_m
-  | Jt_serial_m
-  | Jt_buss_m
-  | Jt_linesearch_m
-  | Pinv_m
-  | Dls_m
-  | Sdls_m
-  | Ccd_m
-
-let method_enum =
-  [
-    ("quick-ik", Quick_ik_m);
-    ("jt-serial", Jt_serial_m);
-    ("jt-buss", Jt_buss_m);
-    ("jt-linesearch", Jt_linesearch_m);
-    ("pinv", Pinv_m);
-    ("dls", Dls_m);
-    ("sdls", Sdls_m);
-    ("ccd", Ccd_m);
-  ]
+module Fallback = Dadu_service.Fallback
 
 let method_arg =
   let doc =
     Printf.sprintf "IK method: %s."
-      (String.concat ", " (List.map fst method_enum))
+      (String.concat ", " (List.map fst Fallback.all))
   in
-  Arg.(value & opt (enum method_enum) Quick_ik_m & info [ "m"; "method" ] ~doc)
+  Arg.(
+    value
+    & opt (enum Fallback.all) Fallback.Quick_ik
+    & info [ "m"; "method" ] ~doc)
 
 let seed =
   Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed (targets and starts).")
@@ -130,16 +113,13 @@ let target =
 let ik_config ~max_iters ~accuracy =
   { Ik.default_config with max_iterations = max_iters; accuracy }
 
-let solver_of_method m ~speculations ~config =
-  match m with
-  | Quick_ik_m -> fun p -> Quick_ik.solve ~speculations ~config p
-  | Jt_serial_m -> fun p -> Jt_serial.solve ~config p
-  | Jt_buss_m -> fun p -> Jt_buss.solve ~config p
-  | Jt_linesearch_m -> fun p -> Jt_linesearch.solve ~config p
-  | Pinv_m -> fun p -> Pinv_svd.solve ~config p
-  | Dls_m -> fun p -> Dls.solve ~config p
-  | Sdls_m -> fun p -> Sdls.solve ~config p
-  | Ccd_m -> fun p -> Ccd.solve ~config p
+(* Out-of-range numbers (a zero speculation or SSU count) reach the
+   solvers and the accelerator model, which reject them with
+   [Invalid_argument]: like a bad problem file, that is one diagnostic
+   line and exit 3. *)
+let bad_input msg =
+  Format.eprintf "dadu: %s@." msg;
+  3
 
 let problem_for ~chain ~seed ~target =
   let rng = Dadu_util.Rng.create seed in
@@ -153,12 +133,13 @@ let problem_for ~chain ~seed ~target =
 let run_solve chain m speculations seed target max_iters accuracy verbose svg =
   let config = ik_config ~max_iters ~accuracy in
   let problem = problem_for ~chain ~seed ~target in
+  let t0 = Sys.time () in
+  match Fallback.solver ~speculations m ~config problem with
+  | exception Invalid_argument msg -> bad_input msg
+  | r ->
+  let elapsed = Sys.time () -. t0 in
   Format.printf "Robot : %s (%d DOF)@." (Chain.name chain) (Chain.dof chain);
   Format.printf "Target: %a@." Vec3.pp problem.Ik.target;
-  let solve = solver_of_method m ~speculations ~config in
-  let t0 = Sys.time () in
-  let r = solve problem in
-  let elapsed = Sys.time () -. t0 in
   Format.printf "Result: %a (host %.1f ms)@." Ik.pp_result r (elapsed *. 1e3);
   let reached = Fk.position chain r.Ik.theta in
   Format.printf "FK    : %a (%.2f mm off)@." Vec3.pp reached
@@ -196,10 +177,12 @@ let solve_cmd =
 (* ---- sweep ---- *)
 
 let run_sweep m speculations seed targets max_iters =
+  if targets < 1 then bad_input "--targets must be at least 1"
+  else
   let scale =
     { Dadu_experiments.Runner.targets; max_iterations = max_iters; speculations; seed }
   in
-  let name = fst (List.find (fun (_, v) -> v = m) method_enum) in
+  let name = Fallback.name m in
   let table =
     Dadu_util.Table.create
       ~title:(Printf.sprintf "%s across the paper's DOF sweep" name)
@@ -211,24 +194,24 @@ let run_sweep m speculations seed targets max_iters =
         ("host time", Dadu_util.Table.Right);
       ]
   in
-  List.iter
-    (fun dof ->
-      let chain = Robots.eval_chain ~dof in
-      let solver config p =
-        solver_of_method m ~speculations ~config p
-      in
-      let a = Dadu_experiments.Workload.run scale ~name ~chain ~solver in
-      Dadu_util.Table.add_row table
-        [
-          string_of_int dof;
-          Printf.sprintf "%.1f" a.Dadu_experiments.Workload.mean_iterations;
-          Printf.sprintf "%.0f" a.Dadu_experiments.Workload.median_iterations;
-          Printf.sprintf "%d/%d" a.Dadu_experiments.Workload.converged targets;
-          Printf.sprintf "%.1f s" a.Dadu_experiments.Workload.wall_clock_s;
-        ])
-    Robots.eval_dofs;
-  Dadu_util.Table.print table;
-  0
+  let row dof =
+    let chain = Robots.eval_chain ~dof in
+    let solver config p = Fallback.solver ~speculations m ~config p in
+    let a = Dadu_experiments.Workload.run scale ~name ~chain ~solver in
+    Dadu_util.Table.add_row table
+      [
+        string_of_int dof;
+        Printf.sprintf "%.1f" a.Dadu_experiments.Workload.mean_iterations;
+        Printf.sprintf "%.0f" a.Dadu_experiments.Workload.median_iterations;
+        Printf.sprintf "%d/%d" a.Dadu_experiments.Workload.converged targets;
+        Printf.sprintf "%.1f s" a.Dadu_experiments.Workload.wall_clock_s;
+      ]
+  in
+  match List.iter row Robots.eval_dofs with
+  | exception Invalid_argument msg -> bad_input msg
+  | () ->
+    Dadu_util.Table.print table;
+    0
 
 let sweep_targets =
   Arg.(value & opt int 25 & info [ "n"; "targets" ] ~doc:"Targets per DOF.")
@@ -248,12 +231,14 @@ let run_accel chain speculations ssus seed target max_iters accuracy =
   in
   let ik_config = ik_config ~max_iters ~accuracy in
   let problem = problem_for ~chain ~seed ~target in
-  Format.printf "Robot : %s (%d DOF)@." (Chain.name chain) (Chain.dof chain);
-  let report = Dadu_accel.Ikacc.solve ~config ~ik_config ~speculations problem in
-  Format.printf "%a@." Dadu_accel.Ikacc.pp_report report;
-  match report.Dadu_accel.Ikacc.result.Ik.status with
-  | Ik.Converged -> 0
-  | Ik.Max_iterations | Ik.Stalled | Ik.Diverged -> 1
+  match Dadu_accel.Ikacc.solve ~config ~ik_config ~speculations problem with
+  | exception Invalid_argument msg -> bad_input msg
+  | report ->
+    Format.printf "Robot : %s (%d DOF)@." (Chain.name chain) (Chain.dof chain);
+    Format.printf "%a@." Dadu_accel.Ikacc.pp_report report;
+    (match report.Dadu_accel.Ikacc.result.Ik.status with
+    | Ik.Converged -> 0
+    | Ik.Max_iterations | Ik.Stalled | Ik.Diverged -> 1)
 
 let ssus =
   Arg.(value & opt int 32 & info [ "ssus" ] ~doc:"Speculative Search Units (paper: 32).")
@@ -272,10 +257,15 @@ let run_batch chain m speculations seed count max_iters accuracy =
   let config = ik_config ~max_iters ~accuracy in
   let rng = Dadu_util.Rng.create seed in
   let problems = Array.init count (fun _ -> Ik.random_problem rng chain) in
-  let solver = solver_of_method m ~speculations ~config in
+  let solver p = Fallback.solver ~speculations m ~config p in
   let pool = Dadu_util.Domain_pool.create (Dadu_util.Domain_pool.recommended_size ()) in
-  let summary = Batch.solve ~pool ~solver problems in
-  Dadu_util.Domain_pool.shutdown pool;
+  match
+    Fun.protect
+      ~finally:(fun () -> Dadu_util.Domain_pool.shutdown pool)
+      (fun () -> Batch.solve ~pool ~solver problems)
+  with
+  | exception Invalid_argument msg -> bad_input msg
+  | summary ->
   Format.printf "Robot    : %s (%d DOF)@." (Chain.name chain) (Chain.dof chain);
   Format.printf "Solved   : %d/%d targets@." summary.Batch.converged count;
   Format.printf "Iterations: %.1f mean@." summary.Batch.mean_iterations;
@@ -298,7 +288,6 @@ let batch_cmd =
 (* ---- serve-batch ---- *)
 
 module Svc = Dadu_service.Service
-module Fallback = Dadu_service.Fallback
 
 let solvers_conv =
   Arg.conv
@@ -861,9 +850,11 @@ let sockaddr_of_listen = function
     Unix.ADDR_INET (ip, port)
 
 (* retry until the server's socket exists and accepts: the CI job starts
-   the server in the background and races the client against its bind *)
+   the server in the background and races the client against its bind.
+   The deadline is on the monotonic clock, so a wall-clock step neither
+   cuts the wait short nor stretches it. *)
 let connect_with_retry addr ~timeout_s =
-  let deadline = Unix.gettimeofday () +. timeout_s in
+  let deadline = Dadu_util.Trace.now_s () +. timeout_s in
   let rec go () =
     let domain =
       match addr with Unix.ADDR_UNIX _ -> Unix.PF_UNIX | _ -> Unix.PF_INET
@@ -872,7 +863,7 @@ let connect_with_retry addr ~timeout_s =
     match Unix.connect fd addr with
     | () -> Ok fd
     | exception Unix.Unix_error ((ECONNREFUSED | ENOENT), _, _)
-      when Unix.gettimeofday () < deadline ->
+      when Dadu_util.Trace.now_s () < deadline ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
       Unix.sleepf 0.05;
       go ()

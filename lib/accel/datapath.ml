@@ -100,8 +100,6 @@ let serial_pass chain ~theta ~end_transform ~target =
     alpha_base = s.out.alpha_base;
   }
 
-let candidate_pass chain theta = Fk.pose chain theta
-
 let candidate_pass_into scratch chain theta =
   Fk.run ~scratch chain theta;
   Fk.end_transform scratch

@@ -61,10 +61,8 @@ val serial_pass :
   Chain.t -> theta:Vec.t -> end_transform:Mat4.t -> target:Vec3.t -> serial_out
 (** Convenience wrapper over {!serial_pass_into} with a fresh scratch. *)
 
-val candidate_pass : Chain.t -> Vec.t -> Mat4.t
-(** Full FK transform of a speculative candidate (base, links, tool) —
-    what one SSU's FKU produces and hands back for the next serial pass. *)
-
 val candidate_pass_into : Fk.scratch -> Chain.t -> Vec.t -> Mat4.t
-(** Same, reusing an FK scratch; the returned matrix is the scratch's
+(** Full FK transform of a speculative candidate (base, links, tool) —
+    what one SSU's FKU produces and hands back for the next serial pass —
+    computed in an FK scratch; the returned matrix is the scratch's
     accumulator (valid until its next run). *)

@@ -3,5 +3,3 @@ let chain_cycles (cfg : Config.t) ~dof =
   let fill = cfg.Config.dh_cycles + cfg.Config.matmul_cycles in
   let steady = Stdlib.max cfg.Config.dh_cycles cfg.Config.matmul_cycles in
   fill + ((dof - 1) * steady)
-
-let matmul_count ~dof = dof

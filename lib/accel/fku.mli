@@ -7,6 +7,3 @@
 
 val chain_cycles : Config.t -> dof:int -> int
 (** Cycles for one full FK evaluation of a [dof]-joint chain. *)
-
-val matmul_count : dof:int -> int
-(** 4×4 products issued per FK evaluation (activity accounting). *)

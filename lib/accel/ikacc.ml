@@ -32,8 +32,8 @@ let time_for_iterations ?(config = Config.default) ~dof ~speculations ~iteration
 let solve ?(config = Config.default) ?ik_config ?(speculations = 64) problem =
   Config.validate config;
   let result =
-    Quick_ik.solve ~speculations ~strategy:Quick_ik.Uniform ~mode:Quick_ik.Sequential
-      ?config:ik_config problem
+    Quick_ik.solve ~speculations ~strategy:Quick_ik.Uniform ?config:ik_config
+      problem
   in
   let dof = Dadu_kinematics.Chain.dof problem.Ik.chain in
   let cycles_per_iteration, total_cycles, energy, ssu_utilization =

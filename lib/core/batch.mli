@@ -2,8 +2,7 @@
 
     The paper's workload is 1 000 targets per configuration; a robot farm
     or an animation pipeline has the same shape.  Problems are independent,
-    so they parallelize across domains at the *problem* level — coarser and
-    more efficient than Quick-IK's per-iteration candidate parallelism. *)
+    so they parallelize across domains at the *problem* level. *)
 
 type summary = {
   results : Ik.result array;  (** one per problem, in input order *)
@@ -20,6 +19,5 @@ val solve :
   summary
 (** With [pool], problems are distributed over the pool's domains; the
     [solver] closure is then called concurrently, which every solver in
-    this library supports (each solve owns its workspace) as long as the
-    closure does not itself use [Quick_ik.Parallel] on the same pool.
-    Results are positionally deterministic either way. *)
+    this library supports (each solve owns its workspace).  Results are
+    positionally deterministic either way. *)

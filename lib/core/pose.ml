@@ -168,10 +168,3 @@ let solve_quick ?(speculations = 64) ?(config = default_config) problem =
     end
   in
   run ~config ~speculations ~step problem
-
-let pp_result ppf r =
-  let status =
-    match r.status with Converged -> "converged" | Max_iterations -> "max-iterations"
-  in
-  Format.fprintf ppf "%s in %d iters (pos %.3g m, rot %.3g rad, %d specs)" status
-    r.iterations r.position_error r.orientation_error r.speculations

@@ -61,5 +61,3 @@ val solve_quick : ?speculations:int -> ?config:config -> problem -> result
 (** Quick-IK on the pose task: speculative search over the transpose step
     scalar, candidates ranked by the weighted 6-D error of their actual
     FK pose.  [speculations] default 64. *)
-
-val pp_result : Format.formatter -> result -> unit

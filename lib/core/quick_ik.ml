@@ -1,28 +1,11 @@
 module Ws = Workspace
-open Dadu_util
 open Dadu_linalg
 open Dadu_kinematics
 
 type strategy = Uniform | Log_spaced | Extended of float
 
-type mode = Sequential | Parallel of Domain_pool.t
-
-(* Below this many candidate·link folds the link-major kernel finishes
-   before a sleeping worker even wakes from the pool's broadcast: with
-   the fold in C the sweep runs ~9–18 ns per candidate·link, most of it
-   glibc's sincos (tools/cutover_probe, small angles, shared 2-vCPU Xeon
-   VM), so 4096 folds ≈ 35–75 µs of work — roughly 10× a multi-core
-   pool's wake-up latency, leaving headroom for faster hosts.  On that
-   VM pools of 2 and 4 won only at scattered points, mostly from 6400
-   folds up, both before and after the fold moved to C: the crossover
-   did not move.  See the chunking cost model in DESIGN.md §9; rerun the
-   probe when retuning this for new hardware. *)
-let parallel_cutover = 4096
-
-(* Builds the workspace and the per-iteration step closure of one solve,
-   which [solve] runs through [Loop.run]. *)
-let prepare_step ?(speculations = 64) ?(strategy = Uniform) ?(mode = Sequential)
-    ?workspace (problem : Ik.problem) =
+let solve ?(speculations = 64) ?(strategy = Uniform) ?on_iteration ?workspace
+    ?config (problem : Ik.problem) =
   if speculations <= 0 then invalid_arg "Quick_ik.solve: speculations must be positive";
   let { Ik.chain; target; _ } = problem in
   let dof = Chain.dof chain in
@@ -55,16 +38,6 @@ let prepare_step ?(speculations = 64) ?(strategy = Uniform) ?(mode = Sequential)
   | Uniform | Extended _ | Log_spaced -> ());
   let ladder = ws.Ws.ladder in
   let tx = target.Vec3.x and ty = target.Vec3.y and tz = target.Vec3.z in
-  (* Compile the chain constants into the workspace FK scratch up front:
-     Parallel chunks then share the scratch strictly read-only. *)
-  Fk.precompile ws.Ws.fk chain;
-  (* Allocated once per solve; [theta] and [dtheta] are re-read from the
-     workspace at call time because the driver pointer-swaps them. *)
-  let eval_range lo hi =
-    Fk.speculate_range_into ~scratch:ws.Ws.fk ~pos:cand_pos ~err2:cand_err2
-      ~tx ~ty ~tz chain ~theta:ws.Ws.theta ~dtheta:ws.Ws.dtheta ~coeffs
-      ~stride ~lo ~hi
-  in
   let step ws =
     Jacobian.position_jacobian_into ~dst:ws.Ws.jac chain ws.Ws.frames;
     Mat.gemv_t_into ~dst:ws.Ws.dtheta ws.Ws.jac ws.Ws.e;
@@ -104,20 +77,10 @@ let prepare_step ?(speculations = 64) ?(strategy = Uniform) ?(mode = Sequential)
           for k = 0 to speculations - 1 do
             coeffs.(k) <- alpha_base *. Array.unsafe_get ladder k
           done);
-      (* Speculation: one link-major sweep over all candidates.  Parallel
-         mode splits [0, Max) into ~pool-size contiguous chunks (one
-         kernel call each — candidates are independent, so any partition
-         is bit-identical to the full sweep), unless the whole sweep is
-         cheaper than waking the pool. *)
-      (match mode with
-      | Sequential -> eval_range 0 speculations
-      | Parallel pool ->
-        if dof * speculations < parallel_cutover then eval_range 0 speculations
-        else begin
-          let size = Domain_pool.size pool in
-          let grain = (speculations + size - 1) / size in
-          Domain_pool.parallel_for_chunks pool ~grain speculations eval_range
-        end);
+      (* Speculation: one link-major sweep over all candidates. *)
+      Fk.speculate_range_into ~scratch:ws.Ws.fk ~pos:cand_pos ~err2:cand_err2
+        ~tx ~ty ~tz chain ~theta:ws.Ws.theta ~dtheta:ws.Ws.dtheta ~coeffs
+        ~stride ~lo:0 ~hi:speculations;
       (* Algorithm 1 line 16: minimum error, ties toward smaller k — on
          squared errors, which order exactly as the distances do. *)
       let best = ref 0 in
@@ -136,12 +99,4 @@ let prepare_step ?(speculations = 64) ?(strategy = Uniform) ?(mode = Sequential)
       0
     end
   in
-  (ws, step)
-
-let solve ?speculations ?strategy ?mode ?on_iteration ?workspace ?config
-    (problem : Ik.problem) =
-  let speculations = match speculations with Some s -> s | None -> 64 in
-  let workspace, step =
-    prepare_step ~speculations ?strategy ?mode ?workspace problem
-  in
-  Loop.run ?config ?on_iteration ~workspace ~speculations ~step problem
+  Loop.run ?config ?on_iteration ~workspace:ws ~speculations ~step problem

@@ -1,5 +1,3 @@
-open Dadu_util
-
 (** Quick-IK: speculative parallel search over the transpose step size
     (paper §4, Algorithm 1).
 
@@ -11,8 +9,9 @@ open Dadu_util
     ({!Dadu_kinematics.Fk.speculate_range_into}): one backward tool→base
     sweep folds every candidate's end-effector position and squared target
     error, so no candidate ever pays for the full pose product, a θ
-    buffer, or a [sqrt].  The candidates are independent, so they
-    parallelize across domains (here) or SSUs (in IKAcc). *)
+    buffer, or a [sqrt].  The candidates are independent: IKAcc
+    evaluates them in parallel on its SSUs, while software runs one
+    sweep per iteration and parallelizes across requests instead. *)
 
 type strategy =
   | Uniform  (** paper Eq. 9: [α_k = (k/Max)·α_base] over [(0, α_base]] *)
@@ -23,23 +22,12 @@ type strategy =
       (** ablation: uniform over [(0, factor·α_base]]; [Extended 1.0] is
           {!Uniform}, [Extended 2.0] also speculates overshoot *)
 
-type mode =
-  | Sequential
-  | Parallel of Domain_pool.t
-      (** evaluates candidates on the pool in ~pool-size contiguous chunks
-          (one kernel sweep per chunk), falling back to the sequential
-          sweep when [dof × Max] is below a measured dispatch-latency
-          threshold; results are bit-identical to [Sequential] in either
-          case (pure candidate evaluation, deterministic minimum-error
-          selection with ties broken toward smaller [k]) *)
-
 val solve :
   ?speculations:int ->
   ?strategy:strategy ->
-  ?mode:mode ->
   ?on_iteration:(iter:int -> err:float -> unit) ->
   ?workspace:Workspace.t ->
   Ik.solver
 (** [speculations] is the paper's [Max], default 64 (the paper's chosen
     operating point, Figure 4); must be positive.  [strategy] defaults to
-    [Uniform], [mode] to [Sequential]. *)
+    [Uniform]. *)

@@ -72,52 +72,26 @@ let ensure_candidates t n =
 let pool_key : (int, t) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 8)
 
-(* Process-global accounting across every domain's cache, split by the
-   scheduler phase current when [local] ran.  Observability only (the
-   serve bench reports them); int Atomics, so bumping them in [local]
-   stays allocation-free.  The phase flag is set by the orchestrating
-   domain at phase boundaries — phases never overlap, so one global flag
-   attributes every domain's [local] calls correctly; code running
-   outside a scheduler wave (direct solver calls, benches) counts as
-   [Work], the historical behaviour. *)
-type phase = Prepare | Work
-
-let phase_flag = Atomic.make 0 (* 0 = Work (default), 1 = Prepare *)
-
-let set_phase = function
-  | Prepare -> Atomic.set phase_flag 1
-  | Work -> Atomic.set phase_flag 0
-
-let created_prepare = Atomic.make 0
-let created_work = Atomic.make 0
-let reused_prepare = Atomic.make 0
-let reused_work = Atomic.make 0
+(* Process-global accounting across every domain's cache.  Observability
+   only; int Atomics, so bumping them in [local] stays allocation-free. *)
+let n_created = Atomic.make 0
+let n_reused = Atomic.make 0
 
 type pool_stats = { created : int; reused : int }
 
-let phase_stats = function
-  | Prepare ->
-    { created = Atomic.get created_prepare; reused = Atomic.get reused_prepare }
-  | Work ->
-    { created = Atomic.get created_work; reused = Atomic.get reused_work }
-
 let local_stats () =
-  {
-    created = Atomic.get created_prepare + Atomic.get created_work;
-    reused = Atomic.get reused_prepare + Atomic.get reused_work;
-  }
+  { created = Atomic.get n_created; reused = Atomic.get n_reused }
 
 let local_count () = Hashtbl.length (Domain.DLS.get pool_key)
 
 let local ~dof =
-  let prepare = Atomic.get phase_flag = 1 in
   let tbl = Domain.DLS.get pool_key in
   match Hashtbl.find_opt tbl dof with
   | Some ws ->
-    Atomic.incr (if prepare then reused_prepare else reused_work);
+    Atomic.incr n_reused;
     ws
   | None ->
     let ws = create ~dof in
     Hashtbl.add tbl dof ws;
-    Atomic.incr (if prepare then created_prepare else created_work);
+    Atomic.incr n_created;
     ws

@@ -12,10 +12,7 @@ open Dadu_kinematics
     Ownership: a workspace must only be used by one solve at a time.
     Reuse across consecutive solves on the same thread is the intended
     pattern (and what {!local} provides); sharing one workspace between
-    concurrent solves races.  Quick-IK's [Parallel] mode shares the
-    candidate buffers across domains only over disjoint index ranges, and
-    the FK scratch only after {!Dadu_kinematics.Fk.precompile} — the only
-    cross-domain sharing allowed. *)
+    concurrent solves races. *)
 
 type scalars = { mutable err : float; mutable best_err : float }
 (** All-float record (flat in memory): scalar channel between driver and
@@ -67,34 +64,10 @@ type pool_stats = {
   reused : int;  (** {!local} calls served from a domain's cache *)
 }
 
-type phase = Prepare | Work
-(** Which scheduler phase a {!local} call is attributed to.  The
-    orchestrating domain brackets each wave phase with {!set_phase};
-    phases never overlap, so one process-global flag attributes every
-    domain's calls.  Code running outside a scheduler wave (direct
-    solver calls, benches) counts as [Work]. *)
-
-val set_phase : phase -> unit
-(** Set the current accounting phase.  Called by the serving scheduler at
-    phase boundaries; allocation-free (one atomic store). *)
-
-val phase_stats : phase -> pool_stats
-(** Process-global, cumulative accounting for {!local} calls made while
-    the given phase was current — the per-phase split of {!local_stats}.
-    [phase_stats Prepare] shows the workspaces the prepare phase builds
-    on a pool (its fused seed-scoring sweeps borrow each domain's
-    workspace FK scratch), which the work phase then
-    reuses: a healthy seed-heavy loop shows [created] concentrated in
-    whichever phase first touched each (domain, DOF) pair and [reused]
-    growing in both.  Use deltas around a workload. *)
-
 val local_stats : unit -> pool_stats
-(** Process-global, cumulative accounting for the per-domain pools — the
-    sum of {!phase_stats} over both phases; use deltas around a workload.
-    A healthy steady-state serving loop shows [reused] growing and
-    [created] flat at [domains × distinct DOFs].  Before the per-phase
-    split this was a single undifferentiated high-water mark, which hid
-    whether prepare or work built the pool. *)
+(** Process-global, cumulative accounting for the per-domain pools; use
+    deltas around a workload.  A healthy steady-state serving loop shows
+    [reused] growing and [created] flat at [domains × distinct DOFs]. *)
 
 val local_count : unit -> int
 (** Workspaces cached on the {e calling} domain. *)

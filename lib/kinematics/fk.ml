@@ -127,8 +127,7 @@ let position_into ~scratch ~dst chain q =
   dst.(2) <- m.(11)
 
 (* Without an explicit scratch a fresh one is allocated: a shared global
-   default would race under domain-parallel solving (Batch, Quick_ik's
-   Parallel mode). *)
+   default would race under domain-parallel solving (Batch). *)
 let position ?scratch chain q =
   let scratch = match scratch with Some s -> s | None -> make_scratch () in
   run ~scratch chain q;

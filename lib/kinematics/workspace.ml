@@ -75,10 +75,3 @@ let sample ?(samples = 1000) rng chain =
     condition = Stats.summarize cond;
     singular_fraction = float_of_int !singular /. float_of_int samples;
   }
-
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "@[<v>%d samples@,reach: max %.3g, median %.3g@,bbox: %a .. %a@,manipulability: %a@,condition: %a@,singular fraction: %.1f%%@]"
-    s.samples s.reach_max s.reach_p50 Vec3.pp s.extent_min Vec3.pp s.extent_max
-    Stats.pp_summary s.manipulability Stats.pp_summary s.condition
-    (100. *. s.singular_fraction)

@@ -42,5 +42,3 @@ val condition_cap : float
 
 val sample : ?samples:int -> Dadu_util.Rng.t -> Chain.t -> stats
 (** Monte-Carlo over {!Target.random_config} (default 1000 samples). *)
-
-val pp_stats : Format.formatter -> stats -> unit

@@ -26,8 +26,6 @@ let of_arrays a =
     a;
   init rows cols (fun i j -> a.(i).(j))
 
-let to_arrays m = Array.init m.rows (fun i -> Array.sub m.data (i * m.cols) m.cols)
-
 let copy m = { m with data = Array.copy m.data }
 
 let get m i j =

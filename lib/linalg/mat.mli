@@ -16,8 +16,6 @@ val identity : int -> t
 val of_arrays : float array array -> t
 (** Rows must be non-empty and of equal length. *)
 
-val to_arrays : t -> float array array
-
 val copy : t -> t
 
 val get : t -> int -> int -> float

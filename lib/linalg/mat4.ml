@@ -99,7 +99,6 @@ let transform_dir t (v : Vec3.t) =
 let position t = Vec3.make t.(3) t.(7) t.(11)
 
 let x_axis t = Vec3.make t.(0) t.(4) t.(8)
-let y_axis t = Vec3.make t.(1) t.(5) t.(9)
 let z_axis t = Vec3.make t.(2) t.(6) t.(10)
 
 let translation (v : Vec3.t) =

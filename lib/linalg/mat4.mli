@@ -48,7 +48,6 @@ val position : t -> Vec3.t
 (** Translation column ([.P] in the paper's notation). *)
 
 val x_axis : t -> Vec3.t
-val y_axis : t -> Vec3.t
 val z_axis : t -> Vec3.t
 (** Rotation columns; [z_axis] is the joint axis used by the geometric
     Jacobian. *)

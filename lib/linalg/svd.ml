@@ -114,11 +114,6 @@ let apply_pinv ?(rcond = 1e-12) t e =
   let gains = Array.map (fun s -> if s > cutoff then 1. /. s else 0.) t.sigma in
   apply_gains t gains e
 
-let apply_damped ~lambda t e =
-  let l2 = lambda *. lambda in
-  let gains = Array.map (fun s -> s /. ((s *. s) +. l2)) t.sigma in
-  apply_gains t gains e
-
 let pinv ?rcond a =
   let t = decompose a in
   let m, _ = Mat.dims a in

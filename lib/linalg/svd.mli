@@ -31,8 +31,5 @@ val apply_pinv : ?rcond:float -> t -> Vec.t -> Vec.t
 (** [apply_pinv svd e] is [A⁺·e = V·Σ⁺·Uᵀ·e] without materializing [A⁺].
     Singular values below [rcond·σ_max] are treated as zero. *)
 
-val apply_damped : lambda:float -> t -> Vec.t -> Vec.t
-(** Damped least squares through the factors: [V·diag(σᵢ/(σᵢ²+λ²))·Uᵀ·e]. *)
-
 val pinv : ?rcond:float -> Mat.t -> Mat.t
 (** Materialized Moore–Penrose pseudoinverse (n×m). *)

@@ -15,7 +15,3 @@ let ikacc =
   { name = "IKAcc"; technology = "65nm 1.1V"; frequency_hz = 1e9; avg_power_w = 0.1586 }
 
 let energy t ~time_s = t.avg_power_w *. time_s
-
-let pp ppf t =
-  Format.fprintf ppf "%s (%s, %.2g GHz, %g W)" t.name t.technology
-    (t.frequency_hz /. 1e9) t.avg_power_w

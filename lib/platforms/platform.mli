@@ -28,5 +28,3 @@ val ikacc : t
 val energy : t -> time_s:float -> float
 (** [avg_power_w × time_s] — how the paper computes Table 3 energies for
     the CPU/GPU rows. *)
-
-val pp : Format.formatter -> t -> unit

@@ -181,12 +181,6 @@ let posture t i =
   check_index t i;
   Vec.copy t.postures.(i)
 
-let blit_posture t i dst =
-  check_index t i;
-  if Array.length dst <> t.dof then
-    invalid_arg "Posture_library.blit_posture: dst length <> dof";
-  Array.blit t.postures.(i) 0 dst 0 t.dof
-
 (* offset variant for callers assembling postures into rows of a flat
    candidate plane (Seed_select's wave-fused scoring) *)
 let blit_posture_into t i dst ~pos =

@@ -63,16 +63,10 @@ val matches : t -> Chain.t -> bool
 val posture : t -> int -> Vec.t
 (** Posture [i] (fresh copy).  Raises [Invalid_argument] out of range. *)
 
-val blit_posture : t -> int -> Vec.t -> unit
-(** Copy posture [i] into a caller buffer of length [dof].
-    Allocation-free.  Raises [Invalid_argument] out of range or on a
-    wrong-length destination. *)
-
 val blit_posture_into : t -> int -> Vec.t -> pos:int -> unit
-(** Copy posture [i] into [dst.(pos .. pos+dof-1)] — the row-offset form
-    {!blit_posture} for callers packing postures into a flat candidate
-    plane.  Allocation-free.  Raises [Invalid_argument] out of range or
-    when the row does not fit. *)
+(** Copy posture [i] into [dst.(pos .. pos+dof-1)], for callers packing
+    postures into a flat candidate plane.  Allocation-free.  Raises
+    [Invalid_argument] out of range or when the row does not fit. *)
 
 val position : t -> int -> Vec3.t
 (** End-effector position of posture [i] (allocates the record). *)

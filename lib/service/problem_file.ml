@@ -238,14 +238,16 @@ let reserve r need =
     end
   end
 
-(* one refill bounded by [deadline] (absolute seconds, None = forever) *)
+(* one refill bounded by [deadline] (absolute seconds on the monotonic
+   [Trace.now_s] clock, so a wall-clock step cannot stretch a slow-loris
+   deadline or drop a healthy idle connection; None = forever) *)
 let refill r ~deadline =
   reserve r 1;
   let rec wait () =
     let timeout =
       match deadline with
       | None -> -1.
-      | Some d -> d -. Unix.gettimeofday ()
+      | Some d -> d -. Dadu_util.Trace.now_s ()
     in
     if timeout <= 0. && deadline <> None then `Timeout
     else
@@ -280,7 +282,7 @@ let read_frame_fd ?idle_timeout_s ?frame_timeout_s r =
     if r.rhi > r.rlo then Ok ()
     else
       match
-        refill r ~deadline:(deadline_of (Unix.gettimeofday ()) idle_timeout_s)
+        refill r ~deadline:(deadline_of (Dadu_util.Trace.now_s ()) idle_timeout_s)
       with
       | `Ok -> first_byte ()
       | `Eof -> Error Eof
@@ -292,7 +294,7 @@ let read_frame_fd ?idle_timeout_s ?frame_timeout_s r =
   | Ok () ->
     (* phase 2: a frame has started; it must complete within the frame
        deadline *)
-    let deadline = deadline_of (Unix.gettimeofday ()) frame_timeout_s in
+    let deadline = deadline_of (Dadu_util.Trace.now_s ()) frame_timeout_s in
     let rec fill_until have =
       if r.rhi - r.rlo >= have then Ok ()
       else

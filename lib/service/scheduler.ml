@@ -7,10 +7,6 @@ let create ?pool ?(chunk = 64) () =
   if chunk <= 0 then invalid_arg "Scheduler.create: chunk must be positive";
   { pool; chunk }
 
-let chunk_size t = t.chunk
-
-let parallelism t = match t.pool with None -> 1 | Some p -> Pool.size p
-
 let guarded f x = try Ok (f x) with exn -> Error exn
 
 let run_wave t f n =
@@ -33,13 +29,13 @@ type wave_phase = Prepare | Work | Commit
    an array: the wave-start snapshot of the clock.  Without deadlines or
    a budget the dispatch values are clock-independent.
 
-   Phase hooks: [phase_enter] fires on the orchestrating domain
-   immediately before each phase of each wave, [phase_done] immediately
-   after with the phase's wall time.  Both default to no-ops and never
-   affect scheduling; timing reads use the real monotonic clock, not the
-   (injectable) [now], so fake-clock tests keep their reading budget. *)
+   Phase hook: [phase_done] fires on the orchestrating domain immediately
+   after each phase of each wave with the phase's wall time.  It
+   defaults to a no-op and never affects scheduling; timing reads use
+   the real monotonic clock, not the (injectable) [now], so fake-clock
+   tests keep their reading budget. *)
 let map_deadlined t ?(now = Trace.now_s) ?budget_s ?deadline_s ?cut
-    ?phase_enter ?phase_done ~prepare ~work ~commit n =
+    ?phase_done ~prepare ~work ~commit n =
   if n = 0 then [||]
   else begin
     let t0 = now () in
@@ -74,7 +70,6 @@ let map_deadlined t ?(now = Trace.now_s) ?budget_s ?deadline_s ?cut
           !stop
       in
       let timed phase f =
-        (match phase_enter with None -> () | Some e -> e phase);
         match phase_done with
         | None -> f ()
         | Some d ->

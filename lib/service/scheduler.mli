@@ -26,11 +26,6 @@ val create : ?pool:Dadu_util.Domain_pool.t -> ?chunk:int -> unit -> t
     prepared serially, solved in parallel, committed serially.  Without
     [pool] everything runs on the caller. *)
 
-val chunk_size : t -> int
-
-val parallelism : t -> int
-(** Pool size, or 1 without a pool. *)
-
 val map : t -> ('a -> 'b) -> 'a array -> ('b, exn) result array
 (** Plain positional parallel map with per-item exception capture (a
     single wave; chunking irrelevant). *)
@@ -56,7 +51,6 @@ val map_deadlined :
   ?budget_s:float ->
   ?deadline_s:(int -> float option) ->
   ?cut:(base:int -> int -> bool) ->
-  ?phase_enter:(wave_phase -> unit) ->
   ?phase_done:
     (wave_phase -> base:int -> len:int -> start_s:float -> dur_s:float -> unit) ->
   prepare:(dispatch array -> 'p array) ->
@@ -100,10 +94,8 @@ val map_deadlined :
     and therefore results — are a pure function of the input, never of
     the pool size or the clock.
 
-    [phase_enter]/[phase_done] observe each wave's phases from the
-    orchestrating domain: [phase_enter p] immediately before phase [p],
-    [phase_done p ~base ~len ~start_s ~dur_s] immediately after, with
-    wall times from the real monotonic clock (never [now], so a fake
-    clock's reading budget is unaffected).  Both must not raise; they
-    exist for phase accounting (metrics, workspace attribution, trace
-    spans). *)
+    [phase_done p ~base ~len ~start_s ~dur_s] observes each wave's
+    phases from the orchestrating domain, immediately after phase [p],
+    with wall times from the real monotonic clock (never [now], so a
+    fake clock's reading budget is unaffected).  It must not raise; it
+    exists for phase accounting (metrics and trace spans). *)

@@ -107,10 +107,3 @@ let store t ~chain_id ~dof ~target theta =
       Hashtbl.add t.table key node;
       push_front t node
   end
-
-let clear t =
-  Hashtbl.reset t.table;
-  t.head <- None;
-  t.tail <- None;
-  t.hits <- 0;
-  t.misses <- 0

@@ -47,6 +47,3 @@ val store : t -> chain_id:int -> dof:int -> target:Vec3.t -> Vec.t -> unit
 val hits : t -> int
 
 val misses : t -> int
-
-val clear : t -> unit
-(** Drops every entry and zeroes the hit/miss counters. *)

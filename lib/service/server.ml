@@ -153,7 +153,6 @@ let replay_journal t records =
     type rstate = {
       rchain : Chain.t;
       mutable rcommitted : int;
-      mutable rwarm : int;
       mutable rslot : float array option;
       mutable rring : (int * string) list; (* newest first *)
     }
@@ -171,7 +170,7 @@ let replay_journal t records =
             if Chain.fingerprint chain = chain_fp && not (Hashtbl.mem live session)
             then begin
               Hashtbl.replace live session
-                { rchain = chain; rcommitted = 0; rwarm = 0; rslot = None; rring = [] };
+                { rchain = chain; rcommitted = 0; rslot = None; rring = [] };
               true
             end
             else false)
@@ -179,7 +178,6 @@ let replay_journal t records =
           (match Hashtbl.find_opt live session with
           | None -> false
           | Some st ->
-            if st.rslot <> None then st.rwarm <- st.rwarm + 1;
             st.rcommitted <- ordinal + 1;
             (match theta with Some th -> st.rslot <- Some th | None -> ());
             st.rring <- (ordinal, reply) :: st.rring;
@@ -197,7 +195,7 @@ let replay_journal t records =
     (fun name st ->
       let sess =
         Session.restore ~name ~chain:st.rchain ~committed:st.rcommitted
-          ~warm:st.rwarm ~slot:st.rslot
+          ~slot:st.rslot
       in
       List.iter
         (fun (ordinal, reply) -> Session.remember_reply sess ~ordinal reply)
@@ -970,5 +968,3 @@ let render_tenants t =
   in
   Mutex.unlock t.tlock;
   out
-
-let service t = t.service

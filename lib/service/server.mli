@@ -121,5 +121,3 @@ val render_tenants : t -> string
 (** Per-tenant metrics tables (sorted by tenant name) with shed
     counts — the summary the CLI prints after {!run} returns. *)
 
-val service : t -> Service.t
-(** The underlying service (cumulative metrics across all tenants). *)

@@ -614,8 +614,7 @@ let commit t ?trace requests i result =
       if converged then
         Session.store sess
           ~chain_fp:(chain_fingerprint t p.Ik.chain)
-          result.Ik.theta;
-      Session.record sess ~warm:session_hit
+          result.Ik.theta
     | None ->
       if converged then
         Seed_cache.store t.cache
@@ -665,15 +664,9 @@ let solve_requests ?budget_s ?trace t requests =
             !dup)
     else None
   in
-  (* phase hooks: workspace accounting attribution plus the wave-phase
-     wall-time breakdown (metrics always; trace spans under a sentinel
-     request -1 so per-request span pins stay closed over request ids) *)
-  let phase_enter phase =
-    Dadu_core.Workspace.set_phase
-      (match phase with
-      | Scheduler.Prepare -> Dadu_core.Workspace.Prepare
-      | Scheduler.Work | Scheduler.Commit -> Dadu_core.Workspace.Work)
-  in
+  (* phase hook: the wave-phase wall-time breakdown (metrics always;
+     trace spans under a sentinel request -1 so per-request span pins
+     stay closed over request ids) *)
   let phase_done phase ~base ~len ~start_s ~dur_s =
     let mphase =
       match phase with
@@ -695,7 +688,7 @@ let solve_requests ?budget_s ?trace t requests =
     ~deadline_s:(fun i -> requests.(i).deadline_s)
     ?cut
     ~prepare:(prepare t ?budget_s ?trace requests)
-    ~phase_enter ~phase_done ~work:(work t ?trace)
+    ~phase_done ~work:(work t ?trace)
     ~commit:(commit t ?trace requests)
     (Array.length requests)
   |> Array.map (function

@@ -15,8 +15,6 @@ type t = {
   chain_fp : int;
   mutable slot : Vec.t option;
       (* last converged joint vector; the temporal warm start *)
-  mutable waypoints : int;
-  mutable warm : int;
   mutable seq : int; (* next waypoint ordinal (enqueue-side counter) *)
   base : int; (* first ordinal this process handed out *)
   mutable newest : int; (* highest ordinal remembered; -1 before any *)
@@ -29,8 +27,6 @@ let fresh ~name ~chain ~base =
     chain;
     chain_fp = Chain.fingerprint chain;
     slot = None;
-    waypoints = 0;
-    warm = 0;
     seq = base;
     base;
     newest = -1;
@@ -43,10 +39,8 @@ let create ~name ~chain = fresh ~name ~chain ~base:0
    already durable, so the ordinal counter resumes right after them and
    the slot holds the last converged configuration — the state an
    uninterrupted server would hold with all in-flight work excluded. *)
-let restore ~name ~chain ~committed ~warm ~slot =
+let restore ~name ~chain ~committed ~slot =
   let t = fresh ~name ~chain ~base:committed in
-  t.waypoints <- committed;
-  t.warm <- warm;
   (match slot with
   | None -> ()
   | Some theta ->
@@ -58,10 +52,6 @@ let restore ~name ~chain ~committed ~warm ~slot =
 let name t = t.name
 
 let chain t = t.chain
-
-let waypoints t = t.waypoints
-
-let warm_hits t = t.warm
 
 let next_ordinal t =
   let o = t.seq in
@@ -88,10 +78,6 @@ let store t ~chain_fp theta =
     Array.blit theta 0 dst 0 (Array.length theta)
   end
 
-let record t ~warm =
-  t.waypoints <- t.waypoints + 1;
-  if warm then t.warm <- t.warm + 1
-
 let remember_reply t ~ordinal payload =
   Hashtbl.replace t.replies ordinal payload;
   if ordinal > t.newest then t.newest <- ordinal;
@@ -107,5 +93,3 @@ let awaiting_reply t ~ordinal =
   ordinal >= t.base && ordinal < t.seq
   && ordinal > t.newest - ring_capacity
   && not (Hashtbl.mem t.replies ordinal)
-
-let clear t = t.slot <- None

@@ -31,29 +31,17 @@ val create : name:string -> chain:Chain.t -> t
 (** A fresh, cold session for [chain].  [name] is only a label. *)
 
 val restore :
-  name:string ->
-  chain:Chain.t ->
-  committed:int ->
-  warm:int ->
-  slot:Vec.t option ->
-  t
+  name:string -> chain:Chain.t -> committed:int -> slot:Vec.t option -> t
 (** Rebuild a session from journal replay: the ordinal counter resumes
     at [committed] (ordinals handed out but never committed before the
-    crash are reissued to the resending client), the waypoint counter
-    matches it, and [slot] (copied) is the last converged configuration
-    — exactly the state an uninterrupted server would hold with
-    in-flight work excluded, which is what makes post-restart replies
-    byte-identical (DESIGN.md §16). *)
+    crash are reissued to the resending client), and [slot] (copied) is
+    the last converged configuration — exactly the state an
+    uninterrupted server would hold with in-flight work excluded, which
+    is what makes post-restart replies byte-identical (DESIGN.md §16). *)
 
 val name : t -> string
 
 val chain : t -> Chain.t
-
-val waypoints : t -> int
-(** Waypoints committed so far. *)
-
-val warm_hits : t -> int
-(** Waypoints that were offered the slot (i.e. all but the cold ones). *)
 
 val next_ordinal : t -> int
 (** The next waypoint's stable ordinal: 0, 1, 2, … — the enqueue-side
@@ -61,9 +49,9 @@ val next_ordinal : t -> int
     sequence, not to arrival interleaving. *)
 
 val accepted : t -> int
-(** Waypoints accepted (ordinals handed out) so far — unlike
-    {!waypoints} this is an enqueue-side count, so it is deterministic
-    for a fixed client stream even while solves are in flight. *)
+(** Waypoints accepted (ordinals handed out) so far — an enqueue-side
+    count, so it is deterministic for a fixed client stream even while
+    solves are in flight. *)
 
 val seed : t -> chain_fp:int -> Vec.t option
 (** The slot, if filled by a chain with this fingerprint (else [None]:
@@ -74,9 +62,6 @@ val seed : t -> chain_fp:int -> Vec.t option
 val store : t -> chain_fp:int -> Vec.t -> unit
 (** Overwrite the slot with a converged configuration (copied).  Ignored
     on a fingerprint mismatch.  Call only from the serial commit phase. *)
-
-val record : t -> warm:bool -> unit
-(** Count one committed waypoint ([warm] when the slot was offered). *)
 
 val remember_reply : t -> ordinal:int -> string -> unit
 (** Retain the final reply bytes for [ordinal] — its committed reply,
@@ -94,6 +79,3 @@ val awaiting_reply : t -> ordinal:int -> bool
     reply is still to come: not yet remembered, and not evicted from
     the ring.  Ordinals issued before a {!restore} are never awaited —
     whatever of them the journal did not hold is gone. *)
-
-val clear : t -> unit
-(** Drop the slot (the session goes cold; counters are kept). *)

@@ -1,9 +1,10 @@
 (** A reusable pool of OCaml 5 domains for data-parallel loops.
 
-    Quick-IK's speculative searches are embarrassingly parallel; this pool
-    plays the role of the paper's "multithreads architecture" on the host.
+    Independent IK work — a batch's problems, a serving wave's requests, a
+    wave's seed-scoring rows — is embarrassingly parallel; this pool plays
+    the role of the paper's "multithreads architecture" on the host.
     Domains are spawned once and reused across every {!parallel_for} call,
-    because spawning a domain per IK iteration would dominate the runtime.
+    because spawning a domain per wave would dominate the runtime.
 
     The pool serialises concurrent [parallel_for] calls: it is safe to call
     from one orchestrating thread at a time (the normal bench/solver usage).
@@ -33,8 +34,8 @@ val parallel_for_chunks : t -> grain:int -> int -> (int -> int -> unit) -> unit
     grained {!parallel_for}: [body lo hi] is called once per stolen chunk
     with [0 <= lo < hi <= n] and [hi - lo <= grain], chunks partitioning
     [\[0, n)] contiguously.  Use it when the caller has a kernel that
-    processes a whole range cheaper than per-item calls (Quick-IK's
-    link-major candidate sweep). *)
+    processes a whole range cheaper than per-item calls (the seed
+    selector's link-major row sweep). *)
 
 val map : t -> (int -> 'a) -> int -> 'a array
 (** [map t f n] is [Array.init n f] computed in parallel — all [n] items

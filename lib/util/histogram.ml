@@ -51,7 +51,3 @@ let summarize t =
         max = xs.(t.len - 1);
       }
   end
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.4g p50=%.4g p95=%.4g p99=%.4g max=%.4g" s.n
-    s.mean s.p50 s.p95 s.p99 s.max

@@ -41,5 +41,3 @@ type summary = {
 
 val summarize : t -> summary option
 (** [None] when no samples have been recorded. *)
-
-val pp_summary : Format.formatter -> summary -> unit

@@ -184,28 +184,6 @@ let test_choose_wave_exact () =
         ((w1 -. w0) /. 500.))
     [ 1; 8 ]
 
-(* Parallel candidate evaluation allocates by design — the domain pool
-   builds per-wave task bookkeeping — so it gets a documented slack bound
-   rather than zero: the point is that the per-candidate FK work itself
-   stays out of the allocator, leaving only O(pool) scheduling words.
-   100 DOF keeps dof×Max above the dispatch cutover so the pool path (not
-   the sequential fallback) is what gets measured. *)
-let test_quick_ik_parallel_bounded () =
-  let p = unreachable_problem ~dof:100 in
-  let ws = Workspace.create ~dof:100 in
-  let pool = Dadu_util.Domain_pool.create 2 in
-  let per_iter =
-    words_per_iter ~short:100 ~long:400 (fun config ->
-        ignore
-          (Quick_ik.solve ~speculations:64 ~mode:(Quick_ik.Parallel pool)
-             ~workspace:ws ~config p))
-  in
-  Dadu_util.Domain_pool.shutdown pool;
-  Alcotest.(check bool)
-    (Printf.sprintf "parallel mode bounded (%.1f words/iter)" per_iter)
-    true
-    (per_iter < 2000.)
-
 (* Reusing one workspace across many solves must not leak: total minor
    allocation for N repeat solves of the same problem stays constant per
    solve (result record + driver closures), independent of iteration
@@ -245,8 +223,6 @@ let () =
         ] );
       ( "bounded allocation",
         [
-          Alcotest.test_case "quick_ik parallel mode" `Slow
-            test_quick_ik_parallel_bounded;
           Alcotest.test_case "choose_wave, constant per wave" `Quick
             test_choose_wave_exact;
           Alcotest.test_case "workspace reuse, constant per solve" `Quick

@@ -263,50 +263,6 @@ let test_quick_ik_one_speculation_is_buss () =
       Alcotest.(check bool) "same final angles" true (q.Ik.theta = b.Ik.theta))
     (problems ~seed:34 4)
 
-let test_quick_ik_parallel_bit_identical () =
-  let pool = Dadu_util.Domain_pool.create 4 in
-  Fun.protect ~finally:(fun () -> Dadu_util.Domain_pool.shutdown pool) @@ fun () ->
-  Array.iter
-    (fun p ->
-      let seq = Quick_ik.solve ~speculations:64 ~config:(cfg ()) p in
-      let par =
-        Quick_ik.solve ~speculations:64 ~mode:(Quick_ik.Parallel pool) ~config:(cfg ()) p
-      in
-      Alcotest.(check int) "same iterations" seq.Ik.iterations par.Ik.iterations;
-      Alcotest.(check bool) "bit-identical theta" true (seq.Ik.theta = par.Ik.theta);
-      Alcotest.(check (float 0.)) "bit-identical error" seq.Ik.error par.Ik.error)
-    (problems ~seed:35 4)
-
-(* Above the dof×Max dispatch cutover the Parallel mode really runs on the
-   pool (chunked sweeps); candidates are independent, so the chunked result
-   must still match Sequential bit for bit — across pool sizes, which
-   exercise different chunk shapes. *)
-let test_quick_ik_parallel_bit_identical_above_cutover () =
-  let chain = Robots.eval_chain ~dof:100 in
-  Array.iter
-    (fun p ->
-      let seq = Quick_ik.solve ~speculations:64 ~config:(cfg ()) p in
-      List.iter
-        (fun pool_size ->
-          let pool = Dadu_util.Domain_pool.create pool_size in
-          Fun.protect ~finally:(fun () -> Dadu_util.Domain_pool.shutdown pool)
-          @@ fun () ->
-          let par =
-            Quick_ik.solve ~speculations:64 ~mode:(Quick_ik.Parallel pool)
-              ~config:(cfg ()) p
-          in
-          Alcotest.(check int)
-            (Printf.sprintf "same iterations (pool %d)" pool_size)
-            seq.Ik.iterations par.Ik.iterations;
-          Alcotest.(check bool)
-            (Printf.sprintf "bit-identical theta (pool %d)" pool_size)
-            true (seq.Ik.theta = par.Ik.theta);
-          Alcotest.(check (float 0.))
-            (Printf.sprintf "bit-identical error (pool %d)" pool_size)
-            seq.Ik.error par.Ik.error)
-        [ 2; 3; 5 ])
-    (problems ~chain ~seed:44 2)
-
 (* Satellite: the hoisted Log_spaced power table must reproduce the
    historical per-iteration closed form α_base·ratio^(Max−1−k) within
    1 ulp (it is in fact bit-exact: the same [**] calls, paid once). *)
@@ -776,129 +732,6 @@ let test_pose_invalid_speculations () =
        false
      with Invalid_argument _ -> true)
 
-(* ---- Restarts ---- *)
-
-let test_restarts_first_try () =
-  let rng = Rng.create 91 in
-  let p = (problems ~seed:91 1).(0) in
-  let o = Restarts.solve rng ~solver:(fun p -> Quick_ik.solve ~speculations:32 p) p in
-  Alcotest.(check int) "one attempt" 1 o.Restarts.attempts;
-  Alcotest.(check bool) "converged" true (o.Restarts.result.Ik.status = Ik.Converged)
-
-let test_restarts_recovers () =
-  (* a solver that fails unless started at a magic configuration; restarts
-     keep drawing new starts until one is close enough *)
-  let chain = Robots.eval_chain ~dof:4 in
-  let rng = Rng.create 92 in
-  let p = (problems ~chain ~seed:92 1).(0) in
-  let calls = ref 0 in
-  let flaky (problem : Ik.problem) =
-    incr calls;
-    if !calls < 3 then
-      { (Quick_ik.solve ~speculations:8 problem) with
-        Ik.status = Ik.Max_iterations; error = 1.0 }
-    else Quick_ik.solve ~speculations:8 problem
-  in
-  let o = Restarts.solve rng ~max_attempts:5 ~solver:flaky p in
-  Alcotest.(check int) "three attempts" 3 o.Restarts.attempts;
-  Alcotest.(check bool) "eventually converged" true
-    (o.Restarts.result.Ik.status = Ik.Converged)
-
-let test_restarts_exhausted_returns_best () =
-  let chain = Robots.arm_6dof () in
-  let rng = Rng.create 93 in
-  let target = Target.unreachable rng chain in
-  let p = Ik.problem ~chain ~target ~theta0:(Target.random_config rng chain) in
-  let solver p =
-    Quick_ik.solve ~speculations:8 ~config:{ (cfg ()) with Ik.max_iterations = 50 } p
-  in
-  let o = Restarts.solve rng ~max_attempts:3 ~solver p in
-  Alcotest.(check int) "all attempts used" 3 o.Restarts.attempts;
-  Alcotest.(check bool) "did not converge" true
-    (o.Restarts.result.Ik.status <> Ik.Converged);
-  Alcotest.(check bool) "iterations accumulated" true (o.Restarts.total_iterations = 150)
-
-let test_restarts_invalid () =
-  let rng = Rng.create 94 in
-  let p = (problems 1).(0) in
-  Alcotest.(check bool) "max_attempts 0 rejected" true
-    (try
-       ignore (Restarts.solve rng ~max_attempts:0 ~solver:(fun p -> Dls.solve p) p);
-       false
-     with Invalid_argument _ -> true)
-
-(* ---- Rmrc ---- *)
-
-let test_rmrc_static_target_settles () =
-  let chain = Robots.arm_7dof () in
-  let rng = Rng.create 105 in
-  let goal = Target.reachable rng chain in
-  let theta0 = Target.random_config rng chain in
-  let trace =
-    Rmrc.follow ~chain ~theta0 ~duration:2.0 (fun _ -> goal)
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "settles (final %.4f)" trace.Rmrc.final_error)
-    true
-    (trace.Rmrc.final_error < 1e-2)
-
-let test_rmrc_tracks_moving_target () =
-  let chain = Robots.arm_7dof () in
-  (* slow circular target well inside the workspace *)
-  let center = Vec3.make 0.45 0. 0.35 in
-  let target t =
-    Vec3.add center
-      (Vec3.make (0.1 *. cos (0.5 *. t)) (0.1 *. sin (0.5 *. t)) 0.)
-  in
-  let trace =
-    Rmrc.follow ~chain ~theta0:(Array.make 7 0.3) ~duration:10.0 target
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "tracking error settles (%.4f m)" trace.Rmrc.max_error_after_settle)
-    true
-    (trace.Rmrc.max_error_after_settle < 2e-2)
-
-let test_rmrc_sample_structure () =
-  let chain = Robots.arm_7dof () in
-  let goal = Fk.position chain (Array.make 7 0.2) in
-  let trace =
-    Rmrc.follow ~dt:0.1 ~chain ~theta0:(Array.make 7 0.25) ~duration:1.0
-      (fun _ -> goal)
-  in
-  Alcotest.(check int) "tick count" 11 (Array.length trace.Rmrc.samples);
-  Array.iteri
-    (fun i s ->
-      Alcotest.(check (float 1e-9)) "time grid" (0.1 *. float_of_int i) s.Rmrc.time)
-    trace.Rmrc.samples
-
-let test_rmrc_rate_limit_respected () =
-  let chain = Robots.arm_7dof () in
-  let goal = Target.reachable (Rng.create 106) chain in
-  let limit = 0.5 in
-  let dt = 0.05 in
-  let trace =
-    Rmrc.follow ~dt ~joint_rate_limit:limit ~chain ~theta0:(Array.make 7 0.9)
-      ~duration:1.0 (fun _ -> goal)
-  in
-  let ok = ref true in
-  for i = 1 to Array.length trace.Rmrc.samples - 1 do
-    let prev = trace.Rmrc.samples.(i - 1).Rmrc.theta in
-    let cur = trace.Rmrc.samples.(i).Rmrc.theta in
-    Array.iteri
-      (fun j q ->
-        if Float.abs (q -. prev.(j)) > (limit *. dt) +. 1e-9 then ok := false)
-      cur
-  done;
-  Alcotest.(check bool) "per-tick joint motion bounded" true !ok
-
-let test_rmrc_invalid () =
-  let chain = Robots.arm_7dof () in
-  Alcotest.(check bool) "bad dt" true
-    (try
-       ignore (Rmrc.follow ~dt:0. ~chain ~theta0:(Array.make 7 0.) ~duration:1. (fun _ -> Vec3.zero));
-       false
-     with Invalid_argument _ -> true)
-
 (* ---- on_iteration instrumentation ---- *)
 
 let test_on_iteration_observes_descent () =
@@ -917,7 +750,7 @@ let test_on_iteration_observes_descent () =
   Alcotest.(check bool) "first observation is the initial error" true
     (List.hd errs >= r.Ik.error)
 
-(* ---- Batch / Servo ---- *)
+(* ---- Batch ---- *)
 
 let test_batch_sequential () =
   let ps = problems ~seed:95 6 in
@@ -943,65 +776,6 @@ let test_batch_empty () =
   let s = Batch.solve ~solver:(fun p -> Dls.solve p) [||] in
   Alcotest.(check int) "no results" 0 (Array.length s.Batch.results);
   Alcotest.(check (float 0.)) "zero mean" 0. s.Batch.mean_iterations
-
-let test_servo_tracks_circle () =
-  let chain = Robots.arm_7dof () in
-  let path =
-    Traj.circle
-      ~center:(Vec3.make 0.45 0. 0.35)
-      ~radius:0.1 ~normal:(Vec3.make 0. 1. 0.) ~samples:16
-  in
-  let report =
-    Servo.track
-      ~solver:(fun p -> Dls.solve ~config:(cfg ()) p)
-      ~chain ~theta0:(Array.make 7 0.3) path
-  in
-  Alcotest.(check int) "all waypoints converge" 16 report.Servo.converged;
-  Alcotest.(check bool) "warm starts cheap" true (report.Servo.warm_mean_iterations < 50.);
-  Alcotest.(check bool) "max error below accuracy" true
-    (report.Servo.max_error < Ik.default_config.Ik.accuracy)
-
-let test_servo_warm_cheaper_than_cold () =
-  let chain = Robots.eval_chain ~dof:25 in
-  let rng = Rng.create 97 in
-  let anchor = Fk.position chain (Target.random_config rng chain) in
-  let path =
-    Traj.line ~from:anchor ~to_:(Vec3.add anchor (Vec3.make 0.1 0.05 (-0.05))) ~samples:12
-  in
-  let report =
-    Servo.track
-      ~solver:(fun p -> Quick_ik.solve ~speculations:32 ~config:(cfg ()) p)
-      ~chain ~theta0:(Target.random_config rng chain) path
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "warm (%.1f) cheaper than cold (%d)"
-       report.Servo.warm_mean_iterations report.Servo.cold_start_iterations)
-    true
-    (report.Servo.warm_mean_iterations < float_of_int report.Servo.cold_start_iterations)
-
-let test_servo_empty_path () =
-  let chain = Robots.arm_7dof () in
-  Alcotest.(check bool) "empty path rejected" true
-    (try
-       ignore (Servo.track ~solver:(fun p -> Dls.solve p) ~chain
-                 ~theta0:(Array.make 7 0.) [||]);
-       false
-     with Invalid_argument _ -> true)
-
-let test_servo_waypoint_order () =
-  let chain = Robots.arm_7dof () in
-  let path =
-    Traj.line ~from:(Vec3.make 0.4 0. 0.3) ~to_:(Vec3.make 0.4 0.2 0.3) ~samples:5
-  in
-  let report =
-    Servo.track ~solver:(fun p -> Dls.solve p) ~chain ~theta0:(Array.make 7 0.2) path
-  in
-  Array.iteri
-    (fun i (w : Servo.waypoint) ->
-      Alcotest.(check int) "index order" i w.Servo.index;
-      Alcotest.(check bool) "target preserved" true
-        (Vec3.approx_equal w.Servo.target path.(i)))
-    report.Servo.waypoints
 
 (* ---- Cross-solver behaviour ---- *)
 
@@ -1389,10 +1163,6 @@ let () =
           Alcotest.test_case "converges" `Quick test_quick_ik_converges;
           Alcotest.test_case "invalid speculations" `Quick test_quick_ik_invalid_speculations;
           Alcotest.test_case "1 speculation = buss" `Quick test_quick_ik_one_speculation_is_buss;
-          Alcotest.test_case "parallel bit-identical" `Quick
-            test_quick_ik_parallel_bit_identical;
-          Alcotest.test_case "parallel bit-identical above cutover" `Slow
-            test_quick_ik_parallel_bit_identical_above_cutover;
           Alcotest.test_case "log-spaced ladder pin" `Quick
             test_quick_ik_log_spaced_ladder_pin;
           Alcotest.test_case "extended 1.0 = uniform" `Quick
@@ -1410,6 +1180,7 @@ let () =
           Alcotest.test_case "random chains converge" `Slow test_quick_ik_random_chains;
           Alcotest.test_case "iteration-count pin (12/30/100 DOF)" `Slow
             test_quick_ik_iteration_pin;
+          Alcotest.test_case "on_iteration hook" `Quick test_on_iteration_observes_descent;
         ] );
       ( "pinv-dls-sdls",
         [
@@ -1449,33 +1220,12 @@ let () =
           Alcotest.test_case "invalid speculations" `Quick test_pose_invalid_speculations;
           Alcotest.test_case "target_of_mat4" `Quick test_pose_target_of_mat4_roundtrip;
         ] );
-      ( "restarts",
-        [
-          Alcotest.test_case "first try" `Quick test_restarts_first_try;
-          Alcotest.test_case "recovers" `Quick test_restarts_recovers;
-          Alcotest.test_case "exhausted returns best" `Quick
-            test_restarts_exhausted_returns_best;
-          Alcotest.test_case "invalid" `Quick test_restarts_invalid;
-        ] );
-      ( "rmrc",
-        [
-          Alcotest.test_case "static target settles" `Quick test_rmrc_static_target_settles;
-          Alcotest.test_case "tracks moving target" `Quick test_rmrc_tracks_moving_target;
-          Alcotest.test_case "sample structure" `Quick test_rmrc_sample_structure;
-          Alcotest.test_case "rate limit" `Quick test_rmrc_rate_limit_respected;
-          Alcotest.test_case "invalid dt" `Quick test_rmrc_invalid;
-          Alcotest.test_case "on_iteration hook" `Quick test_on_iteration_observes_descent;
-        ] );
-      ( "batch-servo",
+      ( "batch",
         [
           Alcotest.test_case "batch sequential" `Quick test_batch_sequential;
           Alcotest.test_case "batch parallel identical" `Quick
             test_batch_parallel_matches_sequential;
           Alcotest.test_case "batch empty" `Quick test_batch_empty;
-          Alcotest.test_case "servo circle" `Quick test_servo_tracks_circle;
-          Alcotest.test_case "servo warm vs cold" `Quick test_servo_warm_cheaper_than_cold;
-          Alcotest.test_case "servo empty path" `Quick test_servo_empty_path;
-          Alcotest.test_case "servo waypoint order" `Quick test_servo_waypoint_order;
         ] );
       ( "cross-solver",
         [

@@ -127,19 +127,6 @@ let test_experiment_pipeline_smoke () =
   let ssus = Dadu_experiments.Ablation.run_ssus ~ssus:[ 4 ] ~dof:5 m in
   Alcotest.(check int) "ablation rows" 1 (List.length ssus)
 
-let test_parallel_quick_ik_full_solve () =
-  let pool = Dadu_util.Domain_pool.create (Dadu_util.Domain_pool.recommended_size ()) in
-  Fun.protect ~finally:(fun () -> Dadu_util.Domain_pool.shutdown pool) @@ fun () ->
-  let chain = Robots.eval_chain ~dof:25 in
-  let rng = Rng.create 103 in
-  for _ = 1 to 3 do
-    let p = Ik.random_problem rng chain in
-    let seq = Quick_ik.solve ~speculations:64 p in
-    let par = Quick_ik.solve ~speculations:64 ~mode:(Quick_ik.Parallel pool) p in
-    Alcotest.(check bool) "parallel full solve identical" true
-      (seq.Ik.theta = par.Ik.theta && seq.Ik.iterations = par.Ik.iterations)
-  done
-
 let test_scara_pick_and_place () =
   (* SCARA working a pick-and-place line across its table *)
   let chain = Robots.scara () in
@@ -183,7 +170,6 @@ let () =
             test_multiple_solvers_reach_same_target;
           Alcotest.test_case "experiment pipeline smoke" `Quick
             test_experiment_pipeline_smoke;
-          Alcotest.test_case "parallel full solve" `Slow test_parallel_quick_ik_full_solve;
           Alcotest.test_case "SCARA pick-and-place" `Quick test_scara_pick_and_place;
           Alcotest.test_case "umbrella library" `Quick test_umbrella_library;
         ] );

@@ -1,5 +1,5 @@
-(* Unit and property tests for Dadu_linalg: Vec, Vec3, Mat, Rot, Quat,
-   Mat4, Svd, Cholesky. *)
+(* Unit and property tests for Dadu_linalg: Vec, Vec3, Mat, Rot, Mat4,
+   Svd, Eigen, Cholesky. *)
 
 open Dadu_linalg
 module Rng = Dadu_util.Rng
@@ -236,48 +236,12 @@ let test_rot_rpy_gimbal () =
   Alcotest.(check bool) "reconstructs at lock" true
     (Rot.approx_equal ~tol:1e-9 r (Rot.rpy ~roll:roll' ~pitch:pitch' ~yaw:yaw'))
 
-(* ---- Quat ---- *)
-
-let quat_gen =
-  QCheck.map
-    (fun (axis, angle) -> Quat.of_axis_angle axis angle)
-    (QCheck.pair nonzero_vec3_gen (QCheck.float_range 0.05 3.0))
-
-let test_quat_identity () =
-  Alcotest.(check bool) "q * 1 = q" true
-    (Quat.approx_equal (Quat.mul (Quat.of_axis_angle Vec3.ex 0.5) Quat.identity)
-       (Quat.of_axis_angle Vec3.ex 0.5))
-
-let test_quat_conjugate_inverse =
-  QCheck.Test.make ~name:"q * conj q = identity" ~count:200 quat_gen (fun q ->
-      Quat.approx_equal ~tol:1e-9 (Quat.mul q (Quat.conjugate q)) Quat.identity)
-
-let test_quat_rot_roundtrip =
-  QCheck.Test.make ~name:"of_rot (to_rot q) = ±q" ~count:200 quat_gen (fun q ->
-      Quat.approx_equal ~tol:1e-6 (Quat.of_rot (Quat.to_rot q)) q)
-
-let test_quat_rotate_matches_matrix =
-  QCheck.Test.make ~name:"quat rotate = matrix apply" ~count:200
-    (QCheck.pair quat_gen vec3_gen) (fun (q, v) ->
-      Vec3.approx_equal ~tol:1e-7 (Quat.rotate q v) (Rot.apply (Quat.to_rot q) v))
-
-let test_quat_slerp_endpoints () =
-  let a = Quat.of_axis_angle Vec3.ez 0.2 and b = Quat.of_axis_angle Vec3.ez 1.4 in
-  Alcotest.(check bool) "t=0" true (Quat.approx_equal ~tol:1e-9 (Quat.slerp a b 0.) a);
-  Alcotest.(check bool) "t=1" true (Quat.approx_equal ~tol:1e-9 (Quat.slerp a b 1.) b)
-
-let test_quat_slerp_halfway () =
-  let a = Quat.of_axis_angle Vec3.ez 0. and b = Quat.of_axis_angle Vec3.ez 1.0 in
-  let mid = Quat.slerp a b 0.5 in
-  Alcotest.(check bool) "halfway angle" true
-    (Quat.approx_equal ~tol:1e-9 mid (Quat.of_axis_angle Vec3.ez 0.5))
-
 (* ---- Mat4 ---- *)
 
 let rigid_gen =
   QCheck.map
-    (fun (q, p) -> Mat4.of_rot_trans (Quat.to_rot q) p)
-    (QCheck.pair quat_gen vec3_gen)
+    (fun ((axis, angle), p) -> Mat4.of_rot_trans (Rot.of_axis_angle axis angle) p)
+    (QCheck.pair (QCheck.pair nonzero_vec3_gen (QCheck.float_range 0.05 3.0)) vec3_gen)
 
 let test_mat4_identity_point () =
   let p = Vec3.make 1. 2. 3. in
@@ -402,15 +366,6 @@ let test_apply_pinv_matches_materialized =
       let e = [| 1.; -2.; 0.5 |] in
       Vec.approx_equal ~tol:1e-7 (Svd.apply_pinv svd e) (Mat.mul_vec (Svd.pinv a) e))
 
-let test_apply_damped_limit =
-  QCheck.Test.make ~name:"damped λ→0 approaches pinv" ~count:60 (random_mat_gen 3 5)
-    (fun a ->
-      let svd = Svd.decompose a in
-      let e = [| 0.3; 1.; -0.7 |] in
-      Vec.approx_equal ~tol:1e-4
-        (Svd.apply_damped ~lambda:1e-9 svd e)
-        (Svd.apply_pinv svd e))
-
 let test_svd_sweeps_positive () =
   let rng = Rng.create 77 in
   let a = random_mat rng 10 3 in
@@ -431,10 +386,6 @@ let test_rot_not_orthonormal () =
   let r = Rot.identity () in
   r.(0) <- 2.;
   Alcotest.(check bool) "scaled matrix rejected" false (Rot.is_orthonormal r)
-
-let test_quat_norm () =
-  check_float "unit quaternion" 1. (Quat.norm (Quat.of_axis_angle Vec3.ez 0.7));
-  check_float "identity norm" 1. (Quat.norm Quat.identity)
 
 (* ---- Eigen ---- *)
 
@@ -770,16 +721,6 @@ let () =
           Alcotest.test_case "rpy gimbal lock" `Quick test_rot_rpy_gimbal;
           Alcotest.test_case "not orthonormal" `Quick test_rot_not_orthonormal;
         ] );
-      ( "quat",
-        [
-          Alcotest.test_case "identity" `Quick test_quat_identity;
-          Alcotest.test_case "slerp endpoints" `Quick test_quat_slerp_endpoints;
-          Alcotest.test_case "slerp halfway" `Quick test_quat_slerp_halfway;
-          qcheck test_quat_conjugate_inverse;
-          qcheck test_quat_rot_roundtrip;
-          qcheck test_quat_rotate_matches_matrix;
-          Alcotest.test_case "norms" `Quick test_quat_norm;
-        ] );
       ( "mat4",
         [
           Alcotest.test_case "identity point" `Quick test_mat4_identity_point;
@@ -804,7 +745,6 @@ let () =
           qcheck test_pinv_moore_penrose;
           qcheck test_pinv_second_condition;
           qcheck test_apply_pinv_matches_materialized;
-          qcheck test_apply_damped_limit;
           Alcotest.test_case "sweeps recorded" `Quick test_svd_sweeps_positive;
           Alcotest.test_case "transpose-invariant sigma" `Quick test_svd_transpose_sigma;
         ] );
