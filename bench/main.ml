@@ -516,6 +516,67 @@ let session_steady_state ~dof =
   in
   (mean, p50, p95, words_per_waypoint, !iters_cold, iters_per_waypoint)
 
+(* Restart cost per journal record: one replay of a fixed synthetic
+   journal (32 eval:30 sessions x 200 commits, replies shaped like the
+   server's solved replies, ~7 MB) through [Server.replay_journal], the
+   restart step of [Server.create].  The journal is written before
+   anything is measured.  Words count minor plus direct-major
+   allocations, so a buffer sized to the file or a list of every record
+   shows up, not only the minor-heap churn. *)
+let journal_replay_steady_state () =
+  let module J = Dadu_service.Journal in
+  let module Server = Dadu_service.Server in
+  let open Dadu_kinematics in
+  let dof = 30 and sessions = 32 and commits = 200 in
+  let chain = Robots.eval_chain ~dof in
+  let path = Filename.temp_file "dadu_bench" ".journal" in
+  Sys.remove path;
+  let rng = Dadu_util.Rng.create 7 in
+  (match J.open_ path with
+  | Error e -> failwith (Format.asprintf "%a" J.pp_load_error e)
+  | Ok (j, _, _) ->
+    let name s = Printf.sprintf "s%02d" s in
+    for s = 0 to sessions - 1 do
+      J.append j
+        (J.Opened
+           { session = name s; robot = Printf.sprintf "eval:%d" dof;
+             chain_fp = Chain.fingerprint chain; dof })
+    done;
+    for o = 0 to commits - 1 do
+      for s = 0 to sessions - 1 do
+        let theta = Array.init dof (fun _ -> Dadu_util.Rng.float rng 6. -. 3.) in
+        let reply =
+          Printf.sprintf
+            "{\"reply\":\"solved\",\"id\":%d,\"session\":%S,\"ordinal\":%d,\"status\":\"converged\",\"solver\":\"quick-ik\",\"iterations\":%d,\"error\":%.17g,\"fallbacks\":0,\"retries\":0,\"cache_hit\":false,\"session_hit\":true,\"deadline_exceeded\":false,\"theta\":[%s]}"
+            ((s * commits) + o) (name s) o
+            (1 + Dadu_util.Rng.int rng 3)
+            (Dadu_util.Rng.float rng 1e-4)
+            (String.concat "," (List.map (Printf.sprintf "%.17g") (Array.to_list theta)))
+        in
+        J.append j (J.Committed { session = name s; ordinal = o; theta = Some theta; reply })
+      done
+    done;
+    J.close j);
+  let records = float_of_int (sessions * (commits + 1)) in
+  let replay () =
+    match Server.replay_journal path with
+    | Ok r -> J.close r.Server.journal
+    | Error e -> failwith (Format.asprintf "%a" J.pp_load_error e)
+  in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      replay ();
+      let words () =
+        let minor, promoted, major = Gc.counters () in
+        minor +. (major -. promoted)
+      in
+      let w0 = words () in
+      replay ();
+      let w1 = words () in
+      let mean, p50, p95 = time_ns ~units:records replay in
+      (mean, p50, p95, (w1 -. w0) /. records))
+
 let run_micro_json () =
   heading "Quick-IK steady-state kernel benchmark (JSON)";
   let table =
@@ -526,7 +587,8 @@ let run_micro_json () =
          warm-cache request through the serving path, prepare = one candidate \
          scoring through the wave-fused choose_wave (16 requests x 5 \
          candidates, sequential), session = one temporally warm-started \
-         waypoint along a 40-point ~1.5 cm cyclic trajectory"
+         waypoint along a 40-point ~1.5 cm cyclic trajectory, \
+         journal-replay = one record of a 32-session restart replay"
       [ ("benchmark", Table.Left); ("ns/iter", Table.Right);
         ("p50 ns", Table.Right); ("p95 ns", Table.Right);
         ("words/iter", Table.Right) ]
@@ -589,6 +651,7 @@ let run_micro_json () =
           entry (Printf.sprintf "prepare-dof%d" dof) dof
             (prepare_steady_state ~dof))
         dofs
+    @ [ entry "journal-replay" 30 (journal_replay_steady_state ()) ]
   in
   Table.print table;
   Json.write_file bench_json_path

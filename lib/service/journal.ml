@@ -14,10 +14,11 @@
    what makes the replay determinism argument of DESIGN.md §16 go
    through.
 
-   Recovery never trusts the tail: [load] decodes records until the
-   first defect, reports it as a typed [load_error], and returns the
-   longest valid prefix; [open_] additionally truncates the file back
-   to that prefix so subsequent appends extend a well-formed log. *)
+   Recovery never trusts the tail: [open_fold] streams records into a
+   fold until the first defect and reports it as a typed [load_error];
+   the folded records are the longest valid prefix, and the file is
+   truncated back to it so subsequent appends extend a well-formed log.
+   [load] and [open_] are that fold with a list accumulator. *)
 
 type record =
   | Opened of { session : string; robot : string; chain_fp : int; dof : int }
@@ -54,17 +55,6 @@ let max_string_len = 1 lsl 16
 let max_dof = 1 lsl 16
 let max_reply_len = 1 lsl 24
 let max_record_bytes = 4 + max_reply_len + (8 * max_dof) + (3 * max_string_len)
-
-let fnv1a bytes off len =
-  let h = ref 0xcbf29ce484222325L in
-  let prime = 0x100000001b3L in
-  for i = off to off + len - 1 do
-    h :=
-      Int64.mul
-        (Int64.logxor !h (Int64.of_int (Char.code (Bytes.get bytes i))))
-        prime
-  done;
-  !h
 
 (* ---- encoding -------------------------------------------------------- *)
 
@@ -111,109 +101,195 @@ let encode_record r =
   let out = Bytes.create (4 + n + 8) in
   Bytes.set_int32_le out 0 (Int32.of_int n);
   Bytes.blit_string payload 0 out 4 n;
-  Bytes.set_int64_le out (4 + n) (fnv1a out 4 n);
+  Checksum.seal out ~off:4 ~len:n;
   out
 
 (* ---- decoding -------------------------------------------------------- *)
 
 exception Defect of load_error
 
+(* A decode cursor over [b.[pos, stop)]: top-level readers rather than
+   closures, and theta read straight into a float array, so decoding a
+   record allocates only the record's own values. *)
+type cursor = { b : bytes; mutable pos : int; stop : int }
+
+let need c n = if c.pos + n > c.stop then raise (Defect (Malformed "short field"))
+
+let get_u8 c =
+  need c 1;
+  let v = Bytes.get_uint8 c.b c.pos in
+  c.pos <- c.pos + 1;
+  v
+
+let get_u32 c =
+  need c 4;
+  let v = Int32.to_int (Bytes.get_int32_le c.b c.pos) in
+  c.pos <- c.pos + 4;
+  if v < 0 then raise (Defect (Malformed "negative length field"));
+  v
+
+let get_int c =
+  need c 8;
+  let v = Int64.to_int (Bytes.get_int64_le c.b c.pos) in
+  c.pos <- c.pos + 8;
+  v
+
+let get_floats c n =
+  need c (8 * n);
+  let a = Array.create_float n in
+  for i = 0 to n - 1 do
+    Array.unsafe_set a i
+      (Int64.float_of_bits (Bytes.get_int64_le c.b (c.pos + (8 * i))))
+  done;
+  c.pos <- c.pos + (8 * n);
+  a
+
+let get_str c ~what ~cap =
+  let n = get_u32 c in
+  if n > cap then
+    raise (Defect (Malformed (Printf.sprintf "%s too long (%d)" what n)));
+  need c n;
+  let s = Bytes.sub_string c.b c.pos n in
+  c.pos <- c.pos + n;
+  s
+
 let decode_payload b off len =
-  let pos = ref off in
-  let stop = off + len in
-  let need n = if !pos + n > stop then raise (Defect (Malformed "short field")) in
-  let get_u8 () =
-    need 1;
-    let v = Char.code (Bytes.get b !pos) in
-    incr pos;
-    v
-  in
-  let get_u32 () =
-    need 4;
-    let v = Int32.to_int (Bytes.get_int32_le b !pos) in
-    pos := !pos + 4;
-    if v < 0 then raise (Defect (Malformed "negative length field"));
-    v
-  in
-  let get_i64 () =
-    need 8;
-    let v = Bytes.get_int64_le b !pos in
-    pos := !pos + 8;
-    v
-  in
-  let get_str ~what ~cap () =
-    let n = get_u32 () in
-    if n > cap then
-      raise (Defect (Malformed (Printf.sprintf "%s too long (%d)" what n)));
-    need n;
-    let s = Bytes.sub_string b !pos n in
-    pos := !pos + n;
-    s
-  in
+  let c = { b; pos = off; stop = off + len } in
   let r =
-    match get_u8 () with
+    match get_u8 c with
     | 1 ->
-      let session = get_str ~what:"session name" ~cap:max_string_len () in
-      let robot = get_str ~what:"robot spec" ~cap:max_string_len () in
-      let chain_fp = Int64.to_int (get_i64 ()) in
-      let dof = get_u32 () in
+      let session = get_str c ~what:"session name" ~cap:max_string_len in
+      let robot = get_str c ~what:"robot spec" ~cap:max_string_len in
+      let chain_fp = get_int c in
+      let dof = get_u32 c in
       if dof > max_dof then raise (Defect (Malformed "dof out of range"));
       Opened { session; robot; chain_fp; dof }
     | 2 ->
-      let session = get_str ~what:"session name" ~cap:max_string_len () in
-      let ordinal = get_u32 () in
+      let session = get_str c ~what:"session name" ~cap:max_string_len in
+      let ordinal = get_u32 c in
       let theta =
-        match get_u8 () with
+        match get_u8 c with
         | 0 -> None
         | 1 ->
-          let dof = get_u32 () in
+          let dof = get_u32 c in
           if dof > max_dof then raise (Defect (Malformed "dof out of range"));
-          Some
-            (Array.init dof (fun _ -> Int64.float_of_bits (get_i64 ())))
+          Some (get_floats c dof)
         | _ -> raise (Defect (Malformed "bad theta presence flag"))
       in
-      let reply = get_str ~what:"reply payload" ~cap:max_reply_len () in
+      let reply = get_str c ~what:"reply payload" ~cap:max_reply_len in
       Committed { session; ordinal; theta; reply }
     | 3 ->
-      let session = get_str ~what:"session name" ~cap:max_string_len () in
+      let session = get_str c ~what:"session name" ~cap:max_string_len in
       Closed { session }
     | tag -> raise (Defect (Malformed (Printf.sprintf "unknown record tag %d" tag)))
   in
-  if !pos <> stop then raise (Defect (Malformed "trailing record bytes"));
+  if c.pos <> c.stop then raise (Defect (Malformed "trailing record bytes"));
   r
 
-(* Decodes records from [b] starting after the header; returns the valid
-   prefix, the byte offset just past its last record, and the first
-   defect if the tail is damaged. *)
-let decode_records b total =
-  let records = ref [] in
-  let pos = ref header_len in
-  let defect = ref None in
-  (try
-     while !pos < total do
-       let start = !pos in
-       if start + 4 > total then raise (Defect Truncated);
-       let n = Int32.to_int (Bytes.get_int32_le b start) in
-       if n <= 0 || n > max_record_bytes then
-         raise (Defect (Malformed (Printf.sprintf "record length %d" n)));
-       if start + 4 + n + 8 > total then raise (Defect Truncated);
-       let stored = Bytes.get_int64_le b (start + 4 + n) in
-       if not (Int64.equal (fnv1a b (start + 4) n) stored) then
-         raise (Defect Checksum_mismatch);
-       let r = decode_payload b (start + 4) n in
-       records := r :: !records;
-       pos := start + 4 + n + 8
-     done
-   with Defect e -> defect := Some e);
-  (List.rev !records, !pos, !defect)
+(* ---- streaming reader -------------------------------------------------
 
-let load_bytes path =
-  match
-    In_channel.with_open_bin path (fun ic ->
-        In_channel.input_all ic)
-  with
-  | s -> Ok (Bytes.unsafe_of_string s)
-  | exception Sys_error msg -> Error (Io msg)
+   Replay reads the file once, front to back, through one buffer of
+   [buffer_bytes] (less for a smaller file), grown only for a record
+   larger than itself: neither the file nor a list of its records is
+   ever held.  The records wholly inside the buffer are checksummed up
+   to [batch] at a time by {!Checksum.verify} (four interleaved hash
+   chains), then decoded and handed to the fold in file order.  The
+   first defect stops the fold exactly where the whole-file decoder
+   stopped: records are checked in file order (length header, then
+   checksum, then payload), and the file's length — not the buffer's —
+   decides [Truncated]. *)
+
+let buffer_bytes = 1 lsl 20
+let batch = 64
+
+type reader = {
+  ic : In_channel.t;
+  total : int; (* file length *)
+  mutable buf : bytes;
+  mutable base : int; (* file offset of buf.[0] *)
+  mutable lo : int; (* buf.[lo, hi) holds the bytes not yet consumed *)
+  mutable hi : int;
+}
+
+(* Moves the unconsumed bytes to the front of the buffer — a new one of
+   [need] bytes if they are part of a record larger than the buffer —
+   and reads until it is full or the file ends. *)
+let refill r ~need =
+  let keep = r.hi - r.lo in
+  let b = if need > Bytes.length r.buf then Bytes.create need else r.buf in
+  Bytes.blit r.buf r.lo b 0 keep;
+  r.buf <- b;
+  r.base <- r.base + r.lo;
+  r.lo <- 0;
+  r.hi <- keep;
+  let want = min (Bytes.length b - keep) (r.total - (r.base + keep)) in
+  match In_channel.really_input r.ic b keep want with
+  | Some () -> r.hi <- keep + want
+  | None -> raise (Sys_error "session journal shrank while being read")
+
+type scan_stop =
+  | Batch_full
+  | Need of int (* the next record needs this many bytes resident *)
+  | End_of_file
+  | Bad_header of load_error
+
+(* Records in [spans] the payloads of the records wholly in
+   buf.[lo, hi), up to [batch] of them, and says why it stopped. *)
+let scan r spans =
+  let rec go count p =
+    let start = r.base + p in
+    if count = batch then (count, Batch_full)
+    else if start = r.total then (count, End_of_file)
+    else if start + 4 > r.total then (count, Bad_header Truncated)
+    else if p + 4 > r.hi then (count, Need 4)
+    else
+      let n = Int32.to_int (Bytes.get_int32_le r.buf p) in
+      if n <= 0 || n > max_record_bytes then
+        (count, Bad_header (Malformed (Printf.sprintf "record length %d" n)))
+      else if start + 4 + n + 8 > r.total then (count, Bad_header Truncated)
+      else if p + 4 + n + 8 > r.hi then (count, Need (4 + n + 8))
+      else begin
+        spans.(2 * count) <- p + 4;
+        spans.((2 * count) + 1) <- n;
+        go (count + 1) (p + 4 + n + 8)
+      end
+  in
+  go 0 r.lo
+
+(* Folds [f] over the records after the header; returns the accumulator,
+   the file offset just past the last record folded, and the first
+   defect if the tail is damaged.  A batch's records are checked in
+   file order: one before the first bad checksum may still fail to
+   decode, and a bad header comes after the whole batch. *)
+let fold_records r ~init ~f =
+  let spans = Array.make (2 * batch) 0 in
+  let rec loop acc =
+    let count, stop = scan r spans in
+    let bad = Checksum.verify r.buf ~spans ~count in
+    let rec decode acc i =
+      if i = count then Ok acc
+      else if i = bad then Error (acc, Checksum_mismatch)
+      else
+        let off = spans.(2 * i) and n = spans.((2 * i) + 1) in
+        match decode_payload r.buf off n with
+        | record ->
+          r.lo <- off + n + 8;
+          decode (f acc record) (i + 1)
+        | exception Defect e -> Error (acc, e)
+    in
+    match decode acc 0 with
+    | Error (acc, e) -> (acc, Some e)
+    | Ok acc ->
+      (match stop with
+      | Batch_full -> loop acc
+      | Need need ->
+        refill r ~need;
+        loop acc
+      | End_of_file -> (acc, None)
+      | Bad_header e -> (acc, Some e))
+  in
+  let acc, defect = loop init in
+  (acc, r.base + r.lo, defect)
 
 let check_header b total =
   if total < header_len then Error Truncated
@@ -223,22 +299,42 @@ let check_header b total =
     let v = Int32.to_int (Bytes.get_int32_le b (String.length magic)) in
     if v <> version then Error (Unsupported_version v) else Ok ()
 
+(* [Ok None] for an empty file; else the fold over its valid prefix,
+   with the valid length and the file length. *)
+let read path ~init ~f =
+  match
+    In_channel.with_open_bin path (fun ic ->
+        let total = Int64.to_int (In_channel.length ic) in
+        if total = 0 then Ok None
+        else
+          let size = min buffer_bytes total in
+          let r =
+            { ic; total; buf = Bytes.create size; base = 0; lo = 0; hi = 0 }
+          in
+          refill r ~need:0;
+          match check_header r.buf total with
+          | Error e -> Error e
+          | Ok () ->
+            r.lo <- header_len;
+            let acc, valid_len, defect = fold_records r ~init ~f in
+            Ok (Some (acc, valid_len, total, defect)))
+  with
+  | result -> result
+  | exception Sys_error msg -> Error (Io msg)
+
 let load path =
-  match load_bytes path with
+  match read path ~init:[] ~f:(fun records r -> r :: records) with
   | Error e -> Error e
-  | Ok b ->
-    let total = Bytes.length b in
-    (match check_header b total with
-    | Error e -> Error e
-    | Ok () ->
-      let records, _, defect = decode_records b total in
-      Ok (records, defect))
+  | Ok None -> Error Truncated
+  | Ok (Some (records, _, _, defect)) -> Ok (List.rev records, defect)
 
 (* ---- append handle ---------------------------------------------------- *)
 
 type t = { oc : out_channel; lock : Mutex.t; mutable appended : int }
 
-let open_ path =
+let handle oc = { oc; lock = Mutex.create (); appended = 0 }
+
+let open_fold path ~init ~f =
   let fresh () =
     match open_out_bin path with
     | oc ->
@@ -247,39 +343,37 @@ let open_ path =
       Bytes.set_int32_le b 0 (Int32.of_int version);
       output_bytes oc b;
       flush oc;
-      Ok ({ oc; lock = Mutex.create (); appended = 0 }, [], None)
+      Ok (handle oc, init, None)
     | exception Sys_error msg -> Error (Io msg)
   in
   if not (Sys.file_exists path) then fresh ()
   else
-    match load_bytes path with
+    match read path ~init ~f with
     | Error e -> Error e
-    | Ok b ->
-      let total = Bytes.length b in
-      if total = 0 then fresh ()
-      else (
-        match check_header b total with
-        | Error e -> Error e
-        | Ok () ->
-          let records, valid_len, defect = decode_records b total in
-          (* a torn or corrupt tail is cut off so every future append
-             extends a well-formed log *)
-          (match
-             let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
-             (match
-                if valid_len < total then Unix.ftruncate fd valid_len
-              with
-             | () -> ()
-             | exception e ->
-               (try Unix.close fd with Unix.Unix_error _ -> ());
-               raise e);
-             ignore (Unix.lseek fd valid_len Unix.SEEK_SET);
-             Unix.out_channel_of_descr fd
-           with
-          | oc ->
-            Ok ({ oc; lock = Mutex.create (); appended = 0 }, records, defect)
-          | exception Unix.Unix_error (e, _, _) ->
-            Error (Io (Unix.error_message e))))
+    | Ok None -> fresh ()
+    | Ok (Some (acc, valid_len, total, defect)) ->
+      (* a torn or corrupt tail is cut off so every future append
+         extends a well-formed log *)
+      (match
+         let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
+         (match
+            if valid_len < total then Unix.ftruncate fd valid_len
+          with
+         | () -> ()
+         | exception e ->
+           (try Unix.close fd with Unix.Unix_error _ -> ());
+           raise e);
+         ignore (Unix.lseek fd valid_len Unix.SEEK_SET);
+         Unix.out_channel_of_descr fd
+       with
+      | oc -> Ok (handle oc, acc, defect)
+      | exception Unix.Unix_error (e, _, _) ->
+        Error (Io (Unix.error_message e)))
+
+let open_ path =
+  Result.map
+    (fun (t, records, defect) -> (t, List.rev records, defect))
+    (open_fold path ~init:[] ~f:(fun records r -> r :: records))
 
 let append t r =
   let b = encode_record r in

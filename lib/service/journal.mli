@@ -11,10 +11,15 @@
     reply ring) exactly as an uninterrupted server would hold it, which
     is what makes post-restart replies byte-identical (DESIGN.md §16).
 
-    Recovery never trusts the tail: {!load} stops at the first defect,
-    reports it as a typed {!load_error}, and returns the longest valid
-    prefix; {!open_} additionally truncates the file back to that
-    prefix so subsequent appends extend a well-formed log. *)
+    Replay is one streaming pass: {!open_fold} reads the file through a
+    single buffer (1 MiB, or the file's size if smaller; grown only for
+    a larger record), checksums the records resident in it four at a
+    time ({!Checksum.verify}), and hands each decoded record to a fold
+    at once, so neither the file nor a list of its records is ever
+    held.  Recovery never trusts the tail: the fold stops at the first
+    defect, reported as a typed {!load_error}; the records folded are
+    the longest valid prefix.  {!load} and {!open_} are the same pass
+    with a list accumulator. *)
 
 type record =
   | Opened of { session : string; robot : string; chain_fp : int; dof : int }
@@ -55,11 +60,20 @@ type t
 (** An open journal positioned for appending.  Appends are serialized
     internally — safe to call from any thread. *)
 
+val open_fold :
+  string ->
+  init:'a ->
+  f:('a -> record -> 'a) ->
+  (t * 'a * load_error option, load_error) result
+(** [open_fold path ~init ~f] creates the journal (with header) if
+    missing or empty.  Otherwise it folds [f] over the longest valid
+    record prefix in file order, each record as soon as it is decoded,
+    {b truncates} any damaged tail back to that prefix, and returns the
+    handle positioned at the end with the accumulator and the defect.
+    [Error] as for {!load}; [f] may already have seen records then. *)
+
 val open_ : string -> (t * record list * load_error option, load_error) result
-(** [open_ path] creates the journal (with header) if missing, else
-    loads it as {!load} does, {b truncates} any damaged tail back to
-    the valid prefix, and returns the handle positioned at the end
-    together with the recovered records. *)
+(** {!open_fold} collecting the recovered records in a list. *)
 
 val append : t -> record -> unit
 (** Encode, write, and flush one record (the WAL barrier: callers write

@@ -317,17 +317,6 @@ let magic = "DADUPLIB"
 let version = 1
 let max_name_len = 4096
 
-let fnv1a bytes len =
-  let h = ref 0xcbf29ce484222325L in
-  let prime = 0x100000001b3L in
-  for i = 0 to len - 1 do
-    h :=
-      Int64.mul
-        (Int64.logxor !h (Int64.of_int (Char.code (Bytes.get bytes i))))
-        prime
-  done;
-  !h
-
 let encoded_size t =
   8 + 4 + 4
   + String.length t.chain_name
@@ -362,8 +351,8 @@ let encode t =
   put_f64 t.cell_size;
   Array.iter (fun q -> Array.iter put_f64 q) t.postures;
   Array.iter put_f64 t.positions;
-  put_i64 (fnv1a b (n - 8));
-  assert (!off = n);
+  Checksum.seal b ~off:0 ~len:(n - 8);
+  assert (!off + 8 = n);
   b
 
 let save t path =
@@ -418,9 +407,8 @@ let decode b =
   let* () =
     if len > expected then Error (Malformed "trailing bytes") else Ok ()
   in
-  let stored = Bytes.get_int64_le b (len - 8) in
   let* () =
-    if not (Int64.equal (fnv1a b (len - 8)) stored) then
+    if Checksum.verify b ~spans:[| 0; len - 8 |] ~count:1 = 0 then
       Error Checksum_mismatch
     else Ok ()
   in

@@ -143,66 +143,56 @@ let tenant_of t name =
   Mutex.unlock t.tlock;
   tn
 
-(* Rebuild the session registry from journal records: fold the per
-   session lifecycle (open / commit / close) into the final state, then
-   restore each surviving session with its ordinal counter, warm-start
-   slot, and recent-reply ring — the state an uninterrupted server
-   would hold with in-flight work excluded (DESIGN.md §16). *)
-let replay_journal t records =
-  let open struct
-    type rstate = {
-      rchain : Chain.t;
-      mutable rcommitted : int;
-      mutable rslot : float array option;
-      mutable rring : (int * string) list; (* newest first *)
-    }
-  end in
-  let live : (string, rstate) Hashtbl.t = Hashtbl.create 16 in
-  let applied = ref 0 in
-  List.iter
-    (fun record ->
-      let ok =
-        match record with
-        | Journal.Opened { session; robot; chain_fp; dof = _ } ->
-          (match Pf.robot_of_spec robot with
-          | Error _ -> false (* spec no longer resolves: drop the session *)
-          | Ok chain ->
-            if Chain.fingerprint chain = chain_fp && not (Hashtbl.mem live session)
-            then begin
-              Hashtbl.replace live session
-                { rchain = chain; rcommitted = 0; rslot = None; rring = [] };
-              true
-            end
-            else false)
-        | Journal.Committed { session; ordinal; theta; reply } ->
-          (match Hashtbl.find_opt live session with
-          | None -> false
-          | Some st ->
-            st.rcommitted <- ordinal + 1;
-            (match theta with Some th -> st.rslot <- Some th | None -> ());
-            st.rring <- (ordinal, reply) :: st.rring;
-            true)
-        | Journal.Closed { session } ->
-          if Hashtbl.mem live session then begin
-            Hashtbl.remove live session;
+type replayed = {
+  journal : Journal.t;
+  sessions : (string, Session.t) Hashtbl.t;
+  records : int;
+  applied : int;
+  defect : Journal.load_error option;
+}
+
+(* Rebuild the session registry from the journal in one streaming fold:
+   each record's lifecycle event (open / commit / close) is applied to
+   the registry as soon as it is decoded, so a live session holds its
+   ordinal counter, warm-start slot and reply window, and nothing else
+   of the history is kept — the state an uninterrupted server would
+   hold with in-flight work excluded (DESIGN.md §16). *)
+let replay_journal path =
+  let sessions = Hashtbl.create 16 in
+  let records = ref 0 in
+  let apply applied record =
+    incr records;
+    let ok =
+      match record with
+      | Journal.Opened { session; robot; chain_fp; dof = _ } ->
+        (match Pf.robot_of_spec robot with
+        | Error _ -> false (* spec no longer resolves: drop the session *)
+        | Ok chain ->
+          if Chain.fingerprint chain = chain_fp && not (Hashtbl.mem sessions session)
+          then begin
+            Hashtbl.replace sessions session (Session.create ~name:session ~chain);
             true
           end
-          else false
-      in
-      if ok then incr applied)
-    records;
-  Hashtbl.iter
-    (fun name st ->
-      let sess =
-        Session.restore ~name ~chain:st.rchain ~committed:st.rcommitted
-          ~slot:st.rslot
-      in
-      List.iter
-        (fun (ordinal, reply) -> Session.remember_reply sess ~ordinal reply)
-        (List.rev st.rring);
-      Hashtbl.replace t.sessions name sess)
-    live;
-  !applied
+          else false)
+      | Journal.Committed { session; ordinal; theta; reply } ->
+        (match Hashtbl.find_opt sessions session with
+        | None -> false
+        | Some sess ->
+          Session.replay_commit sess ~ordinal ~theta reply;
+          true)
+      | Journal.Closed { session } ->
+        if Hashtbl.mem sessions session then begin
+          Hashtbl.remove sessions session;
+          true
+        end
+        else false
+    in
+    if ok then applied + 1 else applied
+  in
+  match Journal.open_fold path ~init:0 ~f:apply with
+  | Ok (journal, applied, defect) ->
+    Ok { journal; sessions; records = !records; applied; defect }
+  | Error e -> Error e
 
 let create ?pool ?(config = default_config) () =
   if config.queue_capacity < 0 then
@@ -213,12 +203,12 @@ let create ?pool ?(config = default_config) () =
     invalid_arg "Server.create: max_connections must be positive";
   if config.retry_after_ms < 0 then
     invalid_arg "Server.create: retry_after_ms must be non-negative";
-  let journal, records, recovery =
+  let replayed =
     match config.journal with
-    | None -> (None, [], None)
+    | None -> None
     | Some path ->
-      (match Journal.open_ path with
-      | Ok (j, records, defect) -> (Some j, records, defect)
+      (match replay_journal path with
+      | Ok r -> Some r
       | Error e ->
         invalid_arg
           (Format.asprintf "Server.create: journal %s: %a" path
@@ -229,7 +219,8 @@ let create ?pool ?(config = default_config) () =
     {
       config;
       service = Service.create ?pool ~config:config.service ();
-      sessions = Hashtbl.create 16;
+      sessions =
+        (match replayed with Some r -> r.sessions | None -> Hashtbl.create 16);
       waiters = [];
       slock = Mutex.create ();
       tenants = Hashtbl.create 4;
@@ -244,17 +235,17 @@ let create ?pool ?(config = default_config) () =
       conns = [];
       clock = Mutex.create ();
       nconns = Atomic.make 0;
-      journal;
-      journal_recovery = recovery;
+      journal = Option.map (fun r -> r.journal) replayed;
+      journal_recovery = Option.bind replayed (fun r -> r.defect);
     }
   in
-  if records <> [] then begin
-    let applied = replay_journal t records in
+  (match replayed with
+  | Some r when r.records > 0 ->
     let metrics = (tenant_of t "default").metrics in
-    for _ = 1 to applied do
+    for _ = 1 to r.applied do
       Metrics.record_net metrics Metrics.Journal_replay
     done
-  end;
+  | Some _ | None -> ());
   t
 
 let journal_recovery t = t.journal_recovery

@@ -31,14 +31,16 @@
     (ordinal, θ, and the exact reply bytes) and [close] is appended to a
     checksummed {!Journal} {e before} the reply frame is written — the
     write-ahead barrier.  On startup the journal's valid prefix is
-    replayed into the session registry, so a client that re-[open]s
-    after a [kill -9] resumes with the same warm-start slot and ordinal
-    counter and its remaining waypoints solve byte-identically to an
-    uninterrupted run.  Waypoint ops may carry a client-side ["seq"]
+    replayed into the session registry in one streaming fold
+    ({!replay_journal}), so a client that re-[open]s after a [kill -9]
+    resumes with the same warm-start slot and ordinal counter and its
+    remaining waypoints solve byte-identically to an uninterrupted run;
+    the restart holds one read buffer and the live sessions, never the
+    whole history.  Waypoint ops may carry a client-side ["seq"]
     index: a resent waypoint whose [seq] already committed is answered
-    with the original reply bytes from a bounded per-session ring
-    (at most one solve and exactly one well-formed reply per waypoint,
-    whatever the wire did in between — DESIGN.md §16).
+    with the original reply bytes from a per-session window of the last
+    128 ordinals (at most one solve and exactly one well-formed reply
+    per waypoint, whatever the wire did in between — DESIGN.md §16).
 
     {2 Connection hygiene}
 
@@ -104,6 +106,22 @@ val create : ?pool:Dadu_util.Domain_pool.t -> ?config:config -> unit -> t
 (** Raises [Invalid_argument] on a negative queue capacity, a
     non-positive batch size or connection cap, a negative
     [retry_after_ms], or an unopenable/corrupt journal file. *)
+
+type replayed = {
+  journal : Journal.t;  (** positioned for appending *)
+  sessions : (string, Session.t) Hashtbl.t;  (** the live sessions, by name *)
+  records : int;  (** valid records read *)
+  applied : int;
+      (** records that changed the registry: the [journal_replays] stat *)
+  defect : Journal.load_error option;  (** the damaged tail cut off, if any *)
+}
+
+val replay_journal : string -> (replayed, Journal.load_error) result
+(** The restart step of {!create}: open the journal at the path with
+    {!Journal.open_fold} and fold every valid record straight into a
+    fresh session registry, so each session holds its ordinal counter,
+    warm-start slot and last-128 reply window and nothing else of the
+    history is kept.  [Error] when the journal cannot be opened. *)
 
 val journal_recovery : t -> Journal.load_error option
 (** The defect (if any) found at the journal's tail when {!create}

@@ -4,9 +4,10 @@ open Dadu_kinematics
 (* Recent final replies, kept verbatim for duplicate replay: a
    reconnecting client that resends an already-answered waypoint gets
    the original bytes back instead of a second solve — the at-most-once
-   half of the reconnect contract (DESIGN.md §16).  Bounded: entries
-   older than [ring_capacity] ordinals are evicted; a resend that far
-   behind is answered with a typed [stale] error by the server. *)
+   half of the reconnect contract (DESIGN.md §16).  Bounded: the ring
+   holds exactly the remembered ordinals in (newest - ring_capacity,
+   newest], in slot [ordinal mod ring_capacity]; a resend further behind
+   is answered with a typed [stale] error by the server. *)
 let ring_capacity = 128
 
 type t = {
@@ -16,38 +17,24 @@ type t = {
   mutable slot : Vec.t option;
       (* last converged joint vector; the temporal warm start *)
   mutable seq : int; (* next waypoint ordinal (enqueue-side counter) *)
-  base : int; (* first ordinal this process handed out *)
+  mutable base : int; (* first ordinal this process handed out *)
   mutable newest : int; (* highest ordinal remembered; -1 before any *)
-  replies : (int, string) Hashtbl.t; (* ordinal -> final reply bytes *)
+  ring_ordinals : int array; (* per slot: the ordinal held, -1 if none *)
+  ring_replies : string array; (* per slot: its final reply bytes *)
 }
 
-let fresh ~name ~chain ~base =
+let create ~name ~chain =
   {
     name;
     chain;
     chain_fp = Chain.fingerprint chain;
     slot = None;
-    seq = base;
-    base;
+    seq = 0;
+    base = 0;
     newest = -1;
-    replies = Hashtbl.create 16;
+    ring_ordinals = Array.make ring_capacity (-1);
+    ring_replies = Array.make ring_capacity "";
   }
-
-let create ~name ~chain = fresh ~name ~chain ~base:0
-
-(* Rebuild a session from journal replay: [committed] waypoints are
-   already durable, so the ordinal counter resumes right after them and
-   the slot holds the last converged configuration — the state an
-   uninterrupted server would hold with all in-flight work excluded. *)
-let restore ~name ~chain ~committed ~slot =
-  let t = fresh ~name ~chain ~base:committed in
-  (match slot with
-  | None -> ()
-  | Some theta ->
-    let dst = Array.make (Array.length theta) 0. in
-    Array.blit theta 0 dst 0 (Array.length theta);
-    t.slot <- Some dst);
-  t
 
 let name t = t.name
 
@@ -78,18 +65,37 @@ let store t ~chain_fp theta =
     Array.blit theta 0 dst 0 (Array.length theta)
   end
 
+let in_window t ordinal = ordinal >= 0 && ordinal > t.newest - ring_capacity
+
 let remember_reply t ~ordinal payload =
-  Hashtbl.replace t.replies ordinal payload;
   if ordinal > t.newest then t.newest <- ordinal;
-  let evict = ordinal - ring_capacity in
-  if evict >= 0 then Hashtbl.remove t.replies evict
+  if in_window t ordinal then begin
+    let i = ordinal mod ring_capacity in
+    t.ring_ordinals.(i) <- ordinal;
+    t.ring_replies.(i) <- payload
+  end
 
-let recall_reply t ~ordinal = Hashtbl.find_opt t.replies ordinal
+(* an in-window ordinal's slot holds it or an older ordinal, never a
+   newer one: two ordinals of one slot are [ring_capacity] apart *)
+let held t ordinal =
+  in_window t ordinal && t.ring_ordinals.(ordinal mod ring_capacity) = ordinal
 
-(* Handed out here, not answered yet, and not scrolled off the ring:
-   remembering [ordinal] evicts [ordinal - ring_capacity], so an
-   ordinal at or below [newest - ring_capacity] left the ring. *)
+let recall_reply t ~ordinal =
+  if held t ordinal then Some t.ring_replies.(ordinal mod ring_capacity)
+  else None
+
+(* Handed out here, not answered yet, and not scrolled off the ring. *)
 let awaiting_reply t ~ordinal =
-  ordinal >= t.base && ordinal < t.seq
-  && ordinal > t.newest - ring_capacity
-  && not (Hashtbl.mem t.replies ordinal)
+  ordinal >= t.base && ordinal < t.seq && in_window t ordinal
+  && not (held t ordinal)
+
+(* Journal replay: the journal holds commits in ordinal order, so after
+   the last one the counter resumes right after it, the slot holds the
+   last converged configuration and the ring the last replies — the
+   state an uninterrupted server would hold with all in-flight work
+   excluded. *)
+let replay_commit t ~ordinal ~theta reply =
+  t.seq <- ordinal + 1;
+  t.base <- ordinal + 1;
+  (match theta with Some _ -> t.slot <- theta | None -> ());
+  remember_reply t ~ordinal reply

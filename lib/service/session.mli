@@ -30,15 +30,6 @@ type t
 val create : name:string -> chain:Chain.t -> t
 (** A fresh, cold session for [chain].  [name] is only a label. *)
 
-val restore :
-  name:string -> chain:Chain.t -> committed:int -> slot:Vec.t option -> t
-(** Rebuild a session from journal replay: the ordinal counter resumes
-    at [committed] (ordinals handed out but never committed before the
-    crash are reissued to the resending client), and [slot] (copied) is
-    the last converged configuration — exactly the state an
-    uninterrupted server would hold with in-flight work excluded, which
-    is what makes post-restart replies byte-identical (DESIGN.md §16). *)
-
 val name : t -> string
 
 val chain : t -> Chain.t
@@ -65,17 +56,33 @@ val store : t -> chain_fp:int -> Vec.t -> unit
 
 val remember_reply : t -> ordinal:int -> string -> unit
 (** Retain the final reply bytes for [ordinal] — its committed reply,
-    or the [overloaded] reply that shed it — in a bounded ring (the
-    last 128 ordinals) so a reconnecting client resending an
-    already-answered waypoint can be answered verbatim instead of
-    solved twice.  Call from the server's delivery and shed paths,
-    under the same lock as {!recall_reply}. *)
+    or the [overloaded] reply that shed it — so a reconnecting client
+    resending an already-answered waypoint can be answered verbatim
+    instead of solved twice.  The ring is a window, not a queue: it
+    holds exactly the remembered ordinals in (newest − 128, newest],
+    newest being the highest ordinal ever remembered, however they
+    arrived — out of order, or with ordinals never remembered in
+    between (a shed missing from a replayed journal).  An ordinal
+    already below the window is not retained.  Call from the server's
+    delivery and shed paths, under the same lock as {!recall_reply}. *)
 
 val recall_reply : t -> ordinal:int -> string option
-(** The retained reply for [ordinal], if still within the ring. *)
+(** The retained reply for [ordinal], if it is within the window. *)
 
 val awaiting_reply : t -> ordinal:int -> bool
 (** [ordinal] was handed out by this process ({!next_ordinal}) and its
-    reply is still to come: not yet remembered, and not evicted from
-    the ring.  Ordinals issued before a {!restore} are never awaited —
-    whatever of them the journal did not hold is gone. *)
+    reply is still to come: not yet remembered, and not below the
+    window.  Ordinals issued before a {!replay_commit} are never
+    awaited — whatever of them the journal did not hold is gone. *)
+
+val replay_commit :
+  t -> ordinal:int -> theta:Vec.t option -> string -> unit
+(** Apply one journaled commit of [ordinal] during journal replay: the
+    ordinal counter resumes right after it (ordinals handed out but
+    never committed before the crash are reissued to the resending
+    client), [theta] (taken, not copied) becomes the slot when the
+    solve converged, and the reply enters the window.  Applied to a
+    fresh session in journal order, the commits leave exactly the state
+    an uninterrupted server would hold with in-flight work excluded,
+    which is what makes post-restart replies byte-identical (DESIGN.md
+    §16). *)

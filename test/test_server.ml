@@ -664,6 +664,85 @@ let test_live_journal_restart_byte_identical () =
   Alcotest.(check (list string))
     "resumed run byte-identical to the uninterrupted run" reference legB
 
+(* Restart from a multi-MB journal, so the streaming replay crosses its
+   read buffer many times: 6 gap-free sessions of 300 commits with ~3 KB
+   replies, written with [Journal.append] the way the dispatcher writes
+   them.  Every session re-opens resumed at its count; resends of its
+   last 128 ordinals return the journaled bytes, and the 129th one back
+   is stale. *)
+let test_live_restart_multi_mb_journal () =
+  let journal = Filename.temp_file "dadu_jrnl" ".wal" in
+  Sys.remove journal;
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove journal with Sys_error _ -> ())
+  @@ fun () ->
+  let sessions = 6 and commits = 300 in
+  let chain = Dadu_kinematics.Robots.eval_chain ~dof:12 in
+  let name s = Printf.sprintf "m%d" s in
+  let reply s o =
+    Printf.sprintf "{\"reply\":\"solved\",\"session\":%S,\"ordinal\":%d,\"pad\":%S}"
+      (name s) o
+      (String.make (2_500 + (((s * 7) + (o * 13)) mod 900)) (Char.chr (97 + ((s + o) mod 26))))
+  in
+  (match Journal.open_ journal with
+  | Error e -> Alcotest.fail (Format.asprintf "%a" Journal.pp_load_error e)
+  | Ok (j, _, _) ->
+    for s = 0 to sessions - 1 do
+      Journal.append j
+        (Journal.Opened
+           { session = name s; robot = "eval:12";
+             chain_fp = Dadu_kinematics.Chain.fingerprint chain; dof = 12 })
+    done;
+    for o = 0 to commits - 1 do
+      for s = 0 to sessions - 1 do
+        Journal.append j
+          (Journal.Committed
+             { session = name s; ordinal = o;
+               theta = Some (Array.init 12 (fun i -> float_of_int (i + o) /. 97.));
+               reply = reply s o })
+      done
+    done;
+    Journal.close j);
+  Alcotest.(check bool) "the journal spans several read buffers" true
+    ((Unix.stat journal).Unix.st_size > 5 * (1 lsl 20));
+  let config = { Server.default_config with Server.journal = Some journal } in
+  with_server ~config @@ fun server path ->
+  Alcotest.(check bool) "journal replayed clean" true
+    (Server.journal_recovery server = None);
+  let fd, rd, oc = connect path in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  for s = 0 to sessions - 1 do
+    send oc
+      (Printf.sprintf
+         "{\"op\":\"open\",\"id\":0,\"session\":%S,\"robot\":\"eval:12\"}"
+         (name s));
+    let opened = expect_kind "opened" "opened" (recv rd) in
+    Alcotest.(check (option bool)) "resumed" (Some true)
+      (bool_member "resumed" opened);
+    Alcotest.(check (option int)) "count" (Some commits)
+      (int_member "waypoints" opened);
+    let resend o =
+      send oc
+        (Printf.sprintf
+           "{\"op\":\"waypoint\",\"id\":%d,\"session\":%S,\"seq\":%d,\"target\":[4.0,1.0,2.0]}"
+           o (name s) o);
+      recv rd
+    in
+    for o = commits - 128 to commits - 1 do
+      Alcotest.(check string)
+        (Printf.sprintf "%s ordinal %d replayed verbatim" (name s) o)
+        (reply s o)
+        (fst (resend o))
+    done;
+    let stale = expect_kind "129th back" "error" (resend (commits - 129)) in
+    Alcotest.(check bool) "typed stale" true
+      (match str_member "message" stale with
+      | Some m -> Astring.String.is_prefix ~affix:"stale waypoint seq" m
+      | None -> false)
+  done
+
 let () =
   Alcotest.run "dadu_server"
     [
@@ -702,5 +781,7 @@ let () =
           Alcotest.test_case "deadline-aware shed" `Slow test_live_deadline_shed;
           Alcotest.test_case "journal restart byte-identical" `Slow
             test_live_journal_restart_byte_identical;
+          Alcotest.test_case "restart from a multi-MB journal" `Slow
+            test_live_restart_multi_mb_journal;
         ] );
     ]

@@ -1088,6 +1088,39 @@ let test_session_chain_mismatch_serves_cold () =
       | _ -> Alcotest.fail "expected Solved")
     replies
 
+(* The reply ring is a window: it holds exactly the remembered ordinals
+   in (newest - 128, newest], however they arrived.  Remembering 200
+   after 0-9 (the ordinals between were shed, and a replayed journal
+   holds no shed) leaves none of 0-9 recallable; a later reply is kept
+   only if it is still inside the window. *)
+let test_session_reply_window () =
+  let sess = Session.create ~name:"window" ~chain:eval12 in
+  let reply o = Printf.sprintf "r%d" o in
+  for o = 0 to 9 do
+    Session.remember_reply sess ~ordinal:o (reply o)
+  done;
+  Alcotest.(check (option string)) "5 held before the jump" (Some "r5")
+    (Session.recall_reply sess ~ordinal:5);
+  Session.remember_reply sess ~ordinal:200 (reply 200);
+  Alcotest.(check (option string)) "5 left the window" None
+    (Session.recall_reply sess ~ordinal:5);
+  Alcotest.(check (option string)) "200 held" (Some "r200")
+    (Session.recall_reply sess ~ordinal:200);
+  Session.remember_reply sess ~ordinal:73 (reply 73);
+  Session.remember_reply sess ~ordinal:72 (reply 72);
+  Alcotest.(check (option string)) "73 is the oldest in the window"
+    (Some "r73")
+    (Session.recall_reply sess ~ordinal:73);
+  Alcotest.(check (option string)) "72 is below the window" None
+    (Session.recall_reply sess ~ordinal:72);
+  Session.remember_reply sess ~ordinal:201 (reply 201);
+  Alcotest.(check (option string)) "73 leaves as 201 arrives" None
+    (Session.recall_reply sess ~ordinal:73);
+  Alcotest.(check (option string)) "never-remembered ordinal" None
+    (Session.recall_reply sess ~ordinal:150);
+  Alcotest.(check (option string)) "negative ordinal" None
+    (Session.recall_reply sess ~ordinal:(-1))
+
 (* Tentpole acceptance (DESIGN.md §15): a session's replies are a pure
    function of its own waypoint sequence.  Riffle session A's waypoints
    against another session's and one-shot noise in a random arrival
@@ -1575,6 +1608,8 @@ let () =
             test_session_intra_wave_ordering;
           Alcotest.test_case "chain mismatch serves cold" `Slow
             test_session_chain_mismatch_serves_cold;
+          Alcotest.test_case "reply ring is a 128-ordinal window" `Quick
+            test_session_reply_window;
           qcheck test_session_interleaving_independence;
           qcheck test_session_determinism_pools;
         ] );
