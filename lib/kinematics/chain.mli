@@ -18,13 +18,16 @@ val name : t -> string
 val dof : t -> int
 
 val links : t -> link array
-(** The underlying links (do not mutate). *)
+(** The underlying links (do not mutate, as {!base}). *)
 
 val link : t -> int -> link
 
 val base : t -> Mat4.t
+(** The chain's own base transform (do not mutate: chains are shared,
+    and {!fingerprint} is computed once). *)
 
 val tool : t -> Mat4.t
+(** The chain's own tool transform (do not mutate, as {!base}). *)
 
 val reach : t -> float
 (** Conservative workspace radius: sum over links of
@@ -44,7 +47,9 @@ val fingerprint : t -> int
     parameter, joint limit, and the base/tool transforms).  Excludes the
     chain name: geometrically identical chains fingerprint equal.  Two
     different robots with the same DOF count get different fingerprints
-    with overwhelming probability — used to key seed caches and posture
-    libraries per chain. *)
+    with overwhelming probability — used to key seed caches, session
+    slots and posture libraries per chain, and stored in journals and
+    posture library files.  Computed once by {!make}: this is a field
+    read. *)
 
 val pp : Format.formatter -> t -> unit

@@ -49,6 +49,11 @@ type load_error =
 
 val pp_load_error : Format.formatter -> load_error -> unit
 
+val max_dof : int
+(** The most joints a record holds (65,536): the decoder rejects a
+    larger [dof] as [Malformed], so {!Problem_file.robot_of_spec}
+    refuses a larger robot before a session can journal it. *)
+
 val load : string -> (record list * load_error option, load_error) result
 (** [load path] decodes the longest valid record prefix.  [Error] only
     for file-level defects (unreadable, bad magic, bad version, file

@@ -4,12 +4,66 @@ module Vec = Dadu_linalg.Vec
 module Vec3 = Dadu_linalg.Vec3
 module Rng = Dadu_util.Rng
 
+(* A built-in robot spec, parsed: the intern table's key, so "EVAL:30"
+   and "eval:030" name one robot. *)
+type builtin = Arm6 | Arm7 | Scara | Snake of int | Eval of int | Planar of int
+
+let builtin_dof = function
+  | Arm6 -> 6
+  | Arm7 -> 7
+  | Scara -> 4
+  | Snake d | Eval d | Planar d -> d
+
+let build = function
+  | Arm6 -> Robots.arm_6dof ()
+  | Arm7 -> Robots.arm_7dof ()
+  | Scara -> Robots.scara ()
+  | Snake d -> Robots.snake ~dof:d
+  | Eval d -> Robots.eval_chain ~dof:d
+  | Planar d -> Robots.planar ~dof:d ~reach:(float_of_int d) ()
+
+(* One shared chain per built-in robot, so every session, one-shot solve
+   and replayed journal record of a robot carries the same [Chain.t] and
+   the per-chain caches keyed by physical identity (Fk's compiled link
+   table, Seed_select's same-chain runs) hit.  The table holds at most
+   [intern_links] links in all; a robot past that resolves to a fresh
+   chain each time.  Chains are never mutated, so sharing one across
+   threads and domains is safe. *)
+let intern_links = 4096
+
+let interned : (builtin, Chain.t) Hashtbl.t = Hashtbl.create 8
+let interned_total = ref 0
+let intern_lock = Mutex.create ()
+
+let shared robot =
+  let found =
+    Mutex.protect intern_lock (fun () ->
+        match Hashtbl.find_opt interned robot with
+        | Some _ as found -> found
+        | None when !interned_total + builtin_dof robot <= intern_links ->
+          let chain = build robot in
+          Hashtbl.add interned robot chain;
+          interned_total := !interned_total + builtin_dof robot;
+          Some chain
+        | None -> None)
+  in
+  match found with Some chain -> chain | None -> build robot
+
+(* A journal record holds at most [Journal.max_dof] joints: a larger
+   robot would be journaled as a record the next restart rejects. *)
+let too_many_dof what dof =
+  Error
+    (Printf.sprintf "%s has %d DOF, more than the %d a session can hold" what
+       dof Journal.max_dof)
+
 let robot_of_spec spec =
   let spec = String.trim spec in
   match String.index_opt spec ':' with
   | Some i when String.lowercase_ascii (String.sub spec 0 i) = "file" ->
     let path = String.sub spec (i + 1) (String.length spec - i - 1) in
     (match Chain_format.parse_file path with
+    | Ok chain when Chain.dof chain > Journal.max_dof ->
+      too_many_dof path (Chain.dof chain)
     | Ok chain -> Ok chain
     | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
   | _ ->
@@ -20,19 +74,26 @@ let robot_of_spec spec =
             eval:<dof> | planar:<dof> | file:<path>)"
            spec)
     in
-    (match String.split_on_char ':' (String.lowercase_ascii spec) with
-    | [ "arm6" ] -> Ok (Robots.arm_6dof ())
-    | [ "arm7" ] -> Ok (Robots.arm_7dof ())
-    | [ "scara" ] -> Ok (Robots.scara ())
-    | [ kind; dof ] ->
-      (match (kind, int_of_string_opt dof) with
-      | _, None -> fail ()
-      | _, Some d when d <= 0 -> fail ()
-      | "snake", Some d -> Ok (Robots.snake ~dof:d)
-      | "eval", Some d -> Ok (Robots.eval_chain ~dof:d)
-      | "planar", Some d -> Ok (Robots.planar ~dof:d ~reach:(float_of_int d) ())
-      | _, Some _ -> fail ())
-    | _ -> fail ())
+    let parsed =
+      match String.split_on_char ':' (String.lowercase_ascii spec) with
+      | [ "arm6" ] -> Some Arm6
+      | [ "arm7" ] -> Some Arm7
+      | [ "scara" ] -> Some Scara
+      | [ kind; dof ] ->
+        (match (kind, int_of_string_opt dof) with
+        | _, None -> None
+        | _, Some d when d <= 0 -> None
+        | "snake", Some d -> Some (Snake d)
+        | "eval", Some d -> Some (Eval d)
+        | "planar", Some d -> Some (Planar d)
+        | _, Some _ -> None)
+      | _ -> None
+    in
+    (match parsed with
+    | None -> fail ()
+    | Some robot when builtin_dof robot > Journal.max_dof ->
+      too_many_dof (Printf.sprintf "robot %S" spec) (builtin_dof robot)
+    | Some robot -> Ok (shared robot))
 
 let floats_of_csv s =
   let parts = String.split_on_char ',' s in

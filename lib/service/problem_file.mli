@@ -30,7 +30,13 @@ open Dadu_kinematics
     problem the line draws. *)
 
 val robot_of_spec : string -> (Chain.t, string) result
-(** The [robot] line's spec parser, usable on its own. *)
+(** The [robot] line's spec parser, usable on its own.  A built-in spec
+    resolves to one shared chain per robot (keyed by kind and DOF, so
+    [EVAL:30] and [eval:030] are one chain), up to a fixed budget of
+    4,096 interned links; past it, a fresh chain.  [file:] specs are
+    parsed afresh each time.  A robot with more than
+    {!Journal.max_dof} joints is an [Error]; a built-in one is refused
+    before its chain is built. *)
 
 type entry = { problem : Ik.problem; deadline_s : float option }
 

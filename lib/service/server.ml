@@ -263,8 +263,18 @@ let stop t =
    values — the `cmp` determinism gates compare these bytes across pool
    sizes.  Nothing clock-derived is ever included. *)
 
+(* the runtime conversion behind Printf's "%.17g", called directly: a
+   reply's θ entries are most of its bytes *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let json_floats xs =
-  String.concat "," (List.map (Printf.sprintf "%.17g") (Array.to_list xs))
+  (* 24 bytes is the widest %.17g double, -2.2250738585072014e-308 *)
+  let b = Buffer.create (25 * Array.length xs) in
+  for i = 0 to Array.length xs - 1 do
+    if i > 0 then Buffer.add_char b ',';
+    Buffer.add_string b (format_float "%.17g" xs.(i))
+  done;
+  Buffer.contents b
 
 (* mark the connection unusable and force the peer to notice: a planned
    cut or short frame must unblock a peer blocked on replies, so the

@@ -135,6 +135,10 @@ val run : t -> listen:listen -> unit
     completes.  Ignores SIGPIPE.  An existing Unix socket file at the
     path is replaced, and removed again on shutdown. *)
 
+val json_floats : float array -> string
+(** A reply's [theta] entries: each printed as Printf's ["%.17g"] does,
+    comma-separated. *)
+
 val render_tenants : t -> string
 (** Per-tenant metrics tables (sorted by tenant name) with shed
     counts — the summary the CLI prints after {!run} returns. *)

@@ -58,10 +58,6 @@ type t = {
   seed_select : Seed_select.t;
       (* speculative seed-selection scratch; touched only in the serial
          prepare phase *)
-  mutable fp_memo : (Chain.t * int) option;
-      (* last chain fingerprinted (physical identity): batches reuse one
-         chain value, so prepare/commit rarely rehash.  Serial phases
-         only. *)
 }
 
 let create ?pool ?(config = default_config) () =
@@ -100,18 +96,7 @@ let create ?pool ?(config = default_config) () =
           Array.of_list (List.map (fun _ -> Breaker.create settings) config.solvers))
         config.breaker;
     seed_select = Seed_select.create ();
-    fp_memo = None;
   }
-
-(* fingerprints are O(dof) to compute; the memo collapses that to a
-   pointer compare for the common one-chain-per-batch case *)
-let chain_fingerprint t chain =
-  match t.fp_memo with
-  | Some (c, fp) when c == chain -> fp
-  | Some _ | None ->
-    let fp = Chain.fingerprint chain in
-    t.fp_memo <- Some (chain, fp);
-    fp
 
 let config t = t.config
 
@@ -283,7 +268,7 @@ let snapshot t ?budget_s requests (d : Scheduler.dispatch) =
     then Snap_done (lookup p false)
     else begin
       let dof = Chain.dof p.Ik.chain in
-      let chain_id = chain_fingerprint t p.Ik.chain in
+      let chain_id = Chain.fingerprint p.Ik.chain in
       (* the temporal warm start: the session's previous converged
          solution.  Session requests bypass the shared seed cache
          entirely — the slot is the cache, scoped to the trajectory, so
@@ -612,13 +597,12 @@ let commit t ?trace requests i result =
          trajectory and nothing else, keeping session replies
          independent of other traffic (DESIGN.md §15) *)
       if converged then
-        Session.store sess
-          ~chain_fp:(chain_fingerprint t p.Ik.chain)
+        Session.store sess ~chain_fp:(Chain.fingerprint p.Ik.chain)
           result.Ik.theta
     | None ->
       if converged then
         Seed_cache.store t.cache
-          ~chain_id:(chain_fingerprint t p.Ik.chain)
+          ~chain_id:(Chain.fingerprint p.Ik.chain)
           ~dof:(Chain.dof p.Ik.chain)
           ~target:p.Ik.target result.Ik.theta);
     Metrics.record t.metrics

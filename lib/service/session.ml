@@ -13,7 +13,6 @@ let ring_capacity = 128
 type t = {
   name : string;
   chain : Chain.t;
-  chain_fp : int;
   mutable slot : Vec.t option;
       (* last converged joint vector; the temporal warm start *)
   mutable seq : int; (* next waypoint ordinal (enqueue-side counter) *)
@@ -27,7 +26,6 @@ let create ~name ~chain =
   {
     name;
     chain;
-    chain_fp = Chain.fingerprint chain;
     slot = None;
     seq = 0;
     base = 0;
@@ -50,10 +48,11 @@ let accepted t = t.seq
 (* The slot is only offered to the chain that filled it: a mismatched
    fingerprint (different robot under the same session object) is treated
    as cold rather than risking a wrong-DOF blit. *)
-let seed t ~chain_fp = if chain_fp = t.chain_fp then t.slot else None
+let seed t ~chain_fp =
+  if chain_fp = Chain.fingerprint t.chain then t.slot else None
 
 let store t ~chain_fp theta =
-  if chain_fp = t.chain_fp then begin
+  if chain_fp = Chain.fingerprint t.chain then begin
     let dst =
       match t.slot with
       | Some dst when Array.length dst = Array.length theta -> dst

@@ -204,6 +204,61 @@ let test_workspace_reuse_constant_per_solve () =
     true
     (per_solve < 500.)
 
+(* The serving path of a `track`-shaped load, counted: 128 eval:30
+   sessions opened the way the server opens them (each resolves its spec
+   through [Problem_file.robot_of_spec]), then warm waypoints, one per
+   session per batch of 128, built as the server builds them and run
+   through [Service.solve_requests].  Every session carries the one
+   shared eval:30 chain, and its fingerprint is a field read, so nothing
+   per waypoint builds or hashes a chain.  The bound leaves room for the
+   solve's own records (about 860 words) and fails if a waypoint folds a
+   30-DOF fingerprint in boxed Int64 (6,555 words a fold). *)
+let test_track_waypoint_words () =
+  let module Pf = Dadu_service.Problem_file in
+  let module Session = Dadu_service.Session in
+  let module Svc = Dadu_service.Service in
+  let resolve () =
+    match Pf.robot_of_spec "eval:30" with
+    | Ok chain -> chain
+    | Error msg -> Alcotest.fail msg
+  in
+  Alcotest.(check bool) "two resolutions of one spec are one chain" true
+    (resolve () == resolve ());
+  let n = 128 in
+  let sessions =
+    Array.init n (fun i -> Session.create ~name:(Printf.sprintf "s%d" i) ~chain:(resolve ()))
+  in
+  let svc = Svc.create () in
+  (* session i tracks a line at 1.5 cm per waypoint from its own start *)
+  let batch k =
+    Array.mapi
+      (fun i sess ->
+        let chain = Session.chain sess in
+        let target =
+          Dadu_linalg.Vec3.make 4.0
+            (1.0 +. (0.015 *. float_of_int k))
+            (2.0 +. (0.01 *. float_of_int i))
+        in
+        Svc.request ~session:sess ~ordinal:(Session.next_ordinal sess)
+          (Ik.problem ~chain ~target
+             ~theta0:(Chain.clamp_config chain (Array.make (Chain.dof chain) 0.))))
+      sessions
+  in
+  for k = 0 to 3 do
+    ignore (Svc.solve_requests svc (batch k))
+  done;
+  (* warm *)
+  let rounds = 8 in
+  let w0 = Gc.minor_words () in
+  for k = 4 to 3 + rounds do
+    ignore (Svc.solve_requests svc (batch k))
+  done;
+  let w1 = Gc.minor_words () in
+  let per_waypoint = (w1 -. w0) /. float_of_int (rounds * n) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per warm waypoint, at most 2,000" per_waypoint)
+    true (per_waypoint <= 2_000.)
+
 let () =
   Alcotest.run "dadu_alloc"
     [
@@ -220,6 +275,11 @@ let () =
           Alcotest.test_case "dls 30 DOF" `Quick test_dls;
           Alcotest.test_case "wave-fused row-scoring kernel, 30 DOF" `Quick
             test_score_rows_kernel_zero;
+        ] );
+      ( "steady-state serving",
+        [
+          Alcotest.test_case "track waypoint words, 128 eval:30 sessions" `Quick
+            test_track_waypoint_words;
         ] );
       ( "bounded allocation",
         [

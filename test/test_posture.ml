@@ -120,6 +120,76 @@ let test_fingerprint_identity () =
   Alcotest.(check bool) "library refuses an equal-DOF stranger" false
     (Posture_library.matches lib b)
 
+(* The fingerprint as it was first specified: FNV-1a over boxed Int64,
+   one byte at a time.  Journals and posture library files store this
+   value, so the field [Chain.make] computes must equal it bit for bit. *)
+let reference_fingerprint chain =
+  let h = ref 0xcbf29ce484222325L in
+  let prime = 0x100000001b3L in
+  let mix_int64 x =
+    for shift = 0 to 7 do
+      let byte = Int64.to_int (Int64.shift_right_logical x (shift * 8)) land 0xff in
+      h := Int64.mul (Int64.logxor !h (Int64.of_int byte)) prime
+    done
+  in
+  let mix_float x = mix_int64 (Int64.bits_of_float x) in
+  let mix_int i = mix_int64 (Int64.of_int i) in
+  mix_int (Chain.dof chain);
+  Array.iter
+    (fun { Chain.joint; dh; _ } ->
+      (match joint.Joint.kind with
+      | Joint.Revolute -> mix_int 1
+      | Joint.Prismatic -> mix_int 2);
+      mix_float joint.Joint.lower;
+      mix_float joint.Joint.upper;
+      mix_float dh.Dh.a;
+      mix_float dh.Dh.alpha;
+      mix_float dh.Dh.d;
+      mix_float dh.Dh.theta)
+    (Chain.links chain);
+  Array.iter mix_float (Chain.base chain);
+  Array.iter mix_float (Chain.tool chain);
+  Int64.to_int !h land max_int
+
+let check_reference what chain =
+  Alcotest.(check int) (what ^ ": stored fingerprint = reference fold")
+    (reference_fingerprint chain) (Chain.fingerprint chain)
+
+let test_fingerprint_reference () =
+  let rng = Rng.create 20 in
+  for i = 1 to 40 do
+    let dof = 1 + Rng.int rng 100 in
+    check_reference (Printf.sprintf "random chain %d (%d DOF)" i dof)
+      (Robots.random rng ~dof ~reach:(0.5 +. Rng.float rng 10.) ())
+  done;
+  List.iter
+    (fun spec ->
+      match Problem_file.robot_of_spec spec with
+      | Error msg -> Alcotest.fail msg
+      | Ok chain ->
+        check_reference spec chain;
+        (* a description-file round trip rebuilds the same geometry *)
+        (match Chain_format.parse (Chain_format.to_string chain) with
+        | Error msg -> Alcotest.fail msg
+        | Ok copy ->
+          check_reference (spec ^ " round trip") copy;
+          Alcotest.(check int) (spec ^ ": round trip keeps the fingerprint")
+            (Chain.fingerprint chain) (Chain.fingerprint copy)))
+    [ "arm6"; "arm7"; "scara"; "snake:1"; "snake:100"; "eval:1"; "eval:30";
+      "eval:100"; "planar:2"; "planar:64" ];
+  (match
+     Chain_format.parse
+       "chain demo\nbase translate 0.1 -0.2 0.3\n\
+        joint a revolute a=0.5 alpha=90deg limits=-170deg,170deg\n\
+        joint b prismatic d=-0.25 limits=0,0.18\ntool translate 0 0 0.05\n"
+   with
+  | Error msg -> Alcotest.fail msg
+  | Ok chain -> check_reference "described chain with base and tool" chain);
+  (* journals and .plib files written before the fingerprint was stored
+     carry this value for eval:30 *)
+  Alcotest.(check int) "eval:30 golden fingerprint" 3201358522906459403
+    (Chain.fingerprint (Robots.eval_chain ~dof:30))
+
 (* ---- persistence ---- *)
 
 let with_tmp f =
@@ -447,6 +517,8 @@ let () =
             test_build_deterministic;
           Alcotest.test_case "chain fingerprints" `Quick
             test_fingerprint_identity;
+          Alcotest.test_case "stored fingerprint = reference fold" `Quick
+            test_fingerprint_reference;
         ] );
       ( "persistence",
         [

@@ -95,6 +95,41 @@ let test_framing_property =
       with_frames_file [ payload ] (fun rd ->
           Problem_file.read_frame_fd rd = Problem_file.Frame payload))
 
+(* ---- reply float formatting ---- *)
+
+(* A reply's θ must read exactly as Printf's "%.17g" joined by commas
+   wrote it: random arrays, with the values where a formatter is likeliest
+   to differ forced in (signed zeros, subnormals, the extremes,
+   infinities, both signs of nan). *)
+let test_json_floats_property =
+  let special =
+    [ 0.; -0.; 4.9406564584124654e-324; -4.9406564584124654e-324;
+      2.2250738585072009e-308; Float.min_float; max_float; -.max_float;
+      infinity; neg_infinity; nan; Float.neg nan; 1e21; 0.1 ]
+  in
+  let gen =
+    let open QCheck.Gen in
+    let entry =
+      frequency
+        [ (4, float); (2, float_range (-4.) 4.); (2, oneofl special) ]
+    in
+    let* xs = array_size (int_range 0 40) entry in
+    (* every special value once, at a random place *)
+    let* at = int_range 0 (Array.length xs) in
+    return
+      (Array.concat
+         [ Array.sub xs 0 at; Array.of_list special;
+           Array.sub xs at (Array.length xs - at) ])
+  in
+  QCheck.Test.make ~name:"json_floats = Printf %.17g, comma-joined" ~count:300
+    (QCheck.make ~print:QCheck.Print.(array float) gen)
+    (fun xs ->
+      Server.json_floats xs
+      = String.concat "," (List.map (Printf.sprintf "%.17g") (Array.to_list xs)))
+
+let test_json_floats_empty () =
+  Alcotest.(check string) "no entries" "" (Server.json_floats [||])
+
 (* ---- client scripts ---- *)
 
 let test_script_parses () =
@@ -664,6 +699,67 @@ let test_live_journal_restart_byte_identical () =
   Alcotest.(check (list string))
     "resumed run byte-identical to the uninterrupted run" reference legB
 
+(* A robot too large for a journal record is refused at [open]: the
+   journal never receives a record its decoder rejects, so a restart
+   still replays every later record of every other session. *)
+let test_live_over_dof_open_keeps_journal () =
+  let journal = Filename.temp_file "dadu_jrnl" ".wal" in
+  Sys.remove journal;
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove journal with Sys_error _ -> ())
+  @@ fun () ->
+  let config = { Server.default_config with Server.journal = Some journal } in
+  let open_ rd oc ~id session robot =
+    send oc
+      (Printf.sprintf "{\"op\":\"open\",\"id\":%d,\"session\":%S,\"robot\":%S}"
+         id session robot);
+    recv rd
+  in
+  let wp rd oc ~id session seq =
+    send oc
+      (Printf.sprintf
+         "{\"op\":\"waypoint\",\"id\":%d,\"session\":%S,\"seq\":%d,\"target\":[4.0,%.17g,2.0]}"
+         id session seq
+         (1.0 +. (0.02 *. float_of_int seq)));
+    fst (recv rd)
+  in
+  let first =
+    with_server ~config @@ fun _server path ->
+    let fd, rd, oc = connect path in
+    Fun.protect
+      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    @@ fun () ->
+    ignore (expect_kind "open a" "opened" (open_ rd oc ~id:1 "a" "eval:12"));
+    let a0 = wp rd oc ~id:2 "a" 0 in
+    let refused = expect_kind "open big" "error" (open_ rd oc ~id:3 "big" "snake:65537") in
+    Alcotest.(check bool) "the error names the limit" true
+      (match str_member "message" refused with
+      | Some m -> Astring.String.is_infix ~affix:(string_of_int Journal.max_dof) m
+      | None -> false);
+    ignore (expect_kind "open b" "opened" (open_ rd oc ~id:4 "b" "eval:12"));
+    let b0 = wp rd oc ~id:5 "b" 0 in
+    let a1 = wp rd oc ~id:6 "a" 1 in
+    [ a0; b0; a1 ]
+  in
+  with_server ~config @@ fun server path ->
+  Alcotest.(check bool) "journal replayed clean" true
+    (Server.journal_recovery server = None);
+  let fd, rd, oc = connect path in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  let resumed session count =
+    let opened = expect_kind ("reopen " ^ session) "opened" (open_ rd oc ~id:7 session "eval:12") in
+    Alcotest.(check (option bool)) (session ^ " resumed") (Some true)
+      (bool_member "resumed" opened);
+    Alcotest.(check (option int)) (session ^ " commits kept") (Some count)
+      (int_member "waypoints" opened)
+  in
+  resumed "a" 2;
+  resumed "b" 1;
+  Alcotest.(check (list string)) "resends answer the journaled replies" first
+    [ wp rd oc ~id:2 "a" 0; wp rd oc ~id:5 "b" 0; wp rd oc ~id:6 "a" 1 ]
+
 (* Restart from a multi-MB journal, so the streaming replay crosses its
    read buffer many times: 6 gap-free sessions of 300 commits with ~3 KB
    replies, written with [Journal.append] the way the dispatcher writes
@@ -754,6 +850,11 @@ let () =
           Alcotest.test_case "errors" `Quick test_framing_errors;
           qcheck test_framing_property;
         ] );
+      ( "reply floats",
+        [
+          qcheck test_json_floats_property;
+          Alcotest.test_case "empty" `Quick test_json_floats_empty;
+        ] );
       ( "script",
         [
           Alcotest.test_case "parses" `Quick test_script_parses;
@@ -781,6 +882,8 @@ let () =
           Alcotest.test_case "deadline-aware shed" `Slow test_live_deadline_shed;
           Alcotest.test_case "journal restart byte-identical" `Slow
             test_live_journal_restart_byte_identical;
+          Alcotest.test_case "over-DOF open keeps the journal" `Slow
+            test_live_over_dof_open_keeps_journal;
           Alcotest.test_case "restart from a multi-MB journal" `Slow
             test_live_restart_multi_mb_journal;
         ] );

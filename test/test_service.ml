@@ -1302,6 +1302,67 @@ let test_problem_file_random_deterministic () =
          a b)
   | _ -> Alcotest.fail "parse failed"
 
+let resolve spec =
+  match Problem_file.robot_of_spec spec with
+  | Ok chain -> chain
+  | Error msg -> Alcotest.fail msg
+
+(* A built-in robot resolves to one chain however its spec is spelled,
+   so the caches keyed by physical chain identity hit across sessions;
+   distinct robots and description files stay distinct. *)
+let test_robot_specs_intern () =
+  let a = resolve "eval:30" in
+  Alcotest.(check bool) "EVAL:30 is the eval:30 chain" true
+    (resolve " EVAL:30 " == a);
+  Alcotest.(check bool) "eval:030 is the eval:30 chain" true
+    (resolve "eval:030" == a);
+  Alcotest.(check bool) "snake:30 is another chain" true
+    (resolve "snake:30" != a);
+  Alcotest.(check bool) "arm7 resolves to one chain" true
+    (resolve "arm7" == resolve "arm7");
+  Alcotest.(check bool) "a robot past the 4,096-link budget is built afresh"
+    true
+    (resolve "eval:5000" != resolve "eval:5000");
+  Alcotest.(check int) "the shared chain is the factory's robot"
+    (Chain.fingerprint (Robots.eval_chain ~dof:30))
+    (Chain.fingerprint a);
+  let path = Filename.temp_file "dadu_robot" ".txt" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc (Chain_format.to_string (Robots.eval_chain ~dof:3)));
+      let f1 = resolve ("file:" ^ path) and f2 = resolve ("file:" ^ path) in
+      Alcotest.(check bool) "file: specs are parsed afresh" true (f1 != f2);
+      Alcotest.(check int) "same geometry, same fingerprint"
+        (Chain.fingerprint f1) (Chain.fingerprint f2))
+
+(* A robot the journal cannot record (more than Journal.max_dof joints)
+   is refused up front, a built-in one before any link is built. *)
+let test_robot_spec_dof_cap () =
+  let refused spec =
+    match Problem_file.robot_of_spec spec with
+    | Ok chain ->
+      Alcotest.failf "%s resolved to a %d-DOF chain" spec (Chain.dof chain)
+    | Error msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %S names the limit" spec msg)
+        true
+        (Astring.String.is_infix ~affix:(string_of_int Journal.max_dof) msg)
+  in
+  refused "snake:65537";
+  refused "planar:70000";
+  refused "eval:1000000000";
+  Alcotest.(check int) "the limit itself resolves" Journal.max_dof
+    (Chain.dof (resolve (Printf.sprintf "snake:%d" Journal.max_dof)));
+  let path = Filename.temp_file "dadu_robot" ".txt" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc "chain wide\n";
+          for _ = 0 to Journal.max_dof do
+            output_string oc "joint j revolute a=1\n"
+          done);
+      refused ("file:" ^ path));
+  expect_error "robot snake:65537\ntarget 1,2,3\n" "line 1"
+
 (* ---- Breaker (per-solver circuit state machine) ---- *)
 
 module Fault = Dadu_util.Fault
@@ -1621,5 +1682,8 @@ let () =
             test_problem_file_random_deterministic;
           Alcotest.test_case "deadlines" `Quick test_problem_file_deadlines;
           Alcotest.test_case "deadline errors" `Quick test_problem_file_deadline_errors;
+          Alcotest.test_case "built-in robots intern" `Quick test_robot_specs_intern;
+          Alcotest.test_case "robot DOF capped at the journal's" `Quick
+            test_robot_spec_dof_cap;
         ] );
     ]
