@@ -516,6 +516,15 @@ let session_steady_state ~dof =
   in
   (mean, p50, p95, words_per_waypoint, !iters_cold, iters_per_waypoint)
 
+(* Words allocated so far: the minor heap's plus what went straight to
+   the major heap (major minus promoted).  The minor count is
+   Gc.minor_words: Gc.counters' own minor field undercounts the part of
+   the minor heap in use (OCaml 5.1), so the difference of two readings
+   would move with where the minor collections fall. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. (major -. promoted)
+
 (* Restart cost per journal record: one replay of a fixed synthetic
    journal (32 eval:30 sessions x 200 commits, replies shaped like the
    server's solved replies, ~7 MB) through [Server.replay_journal], the
@@ -567,15 +576,79 @@ let journal_replay_steady_state () =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       replay ();
-      let words () =
-        let minor, promoted, major = Gc.counters () in
-        minor +. (major -. promoted)
-      in
-      let w0 = words () in
+      let w0 = allocated_words () in
       replay ();
-      let w1 = words () in
+      let w1 = allocated_words () in
       let mean, p50, p95 = time_ns ~units:records replay in
       (mean, p50, p95, (w1 -. w0) /. records))
+
+(* The dispatcher's reply path for one solved eval:30 session reply:
+   encoded once ([Server.encode_reply]) and its commit record staged in
+   place ([Journal.stage]); every 32 staged records go to a temp journal
+   with one write and one flush, as the dispatcher writes a batch.  ns
+   and words are per reply. *)
+let reply_encode_steady_state () =
+  let module J = Dadu_service.Journal in
+  let module Server = Dadu_service.Server in
+  let module Svc = Dadu_service.Service in
+  let dof = 30 and batch = 32 in
+  let rng = Dadu_util.Rng.create 11 in
+  let theta = Array.init dof (fun _ -> Dadu_util.Rng.float rng 6. -. 3.) in
+  let reply =
+    Svc.Solved
+      {
+        result =
+          {
+            Dadu_core.Ik.theta;
+            error = Dadu_util.Rng.float rng 1e-4;
+            iterations = 2;
+            speculations = 64;
+            status = Dadu_core.Ik.Converged;
+            svd_sweeps = 0;
+          };
+        solver = Dadu_service.Fallback.Quick_ik;
+        fallbacks = 0;
+        cache_hit = false;
+        session_hit = true;
+        deadline_exceeded = false;
+        breaker_skips = 0;
+        retries = 0;
+        retry_converged = false;
+        trail = [];
+        latency_s = 0.;
+      }
+  in
+  let path = Filename.temp_file "dadu_bench" ".journal" in
+  Sys.remove path;
+  match J.open_ path with
+  | Error e -> failwith (Format.asprintf "%a" J.pp_load_error e)
+  | Ok (j, _, _) ->
+    let enc = Server.encoder () and staging = J.staging () in
+    let run () =
+      for i = 0 to batch - 1 do
+        let ordinal = 500 + i in
+        let payload =
+          Server.encode_reply enc ~id:(1000 + i) ~session:(Some "s042") ~ordinal reply
+        in
+        J.stage staging
+          (J.Committed { session = "s042"; ordinal; theta = Some theta; reply = payload })
+      done;
+      J.write_staged j staging
+    in
+    Fun.protect
+      ~finally:(fun () ->
+        J.close j;
+        try Sys.remove path with Sys_error _ -> ())
+      (fun () ->
+        run ();
+        let rounds = 20 in
+        let w0 = allocated_words () in
+        for _ = 1 to rounds do
+          run ()
+        done;
+        let w1 = allocated_words () in
+        let mean, p50, p95 = time_ns ~units:(float_of_int batch) run in
+        (mean, p50, p95, (w1 -. w0) /. float_of_int (rounds * batch)))
 
 let run_micro_json () =
   heading "Quick-IK steady-state kernel benchmark (JSON)";
@@ -588,7 +661,9 @@ let run_micro_json () =
          scoring through the wave-fused choose_wave (16 requests x 5 \
          candidates, sequential), session = one temporally warm-started \
          waypoint along a 40-point ~1.5 cm cyclic trajectory, \
-         journal-replay = one record of a 32-session restart replay"
+         journal-replay = one record of a 32-session restart replay, \
+         reply-encode = one solved session reply encoded and its journal \
+         record staged, written 32 to a flush"
       [ ("benchmark", Table.Left); ("ns/iter", Table.Right);
         ("p50 ns", Table.Right); ("p95 ns", Table.Right);
         ("words/iter", Table.Right) ]
@@ -651,7 +726,8 @@ let run_micro_json () =
           entry (Printf.sprintf "prepare-dof%d" dof) dof
             (prepare_steady_state ~dof))
         dofs
-    @ [ entry "journal-replay" 30 (journal_replay_steady_state ()) ]
+    @ [ entry "journal-replay" 30 (journal_replay_steady_state ());
+        entry "reply-encode-dof30" 30 (reply_encode_steady_state ()) ]
   in
   Table.print table;
   Json.write_file bench_json_path

@@ -456,18 +456,27 @@ let replies_out =
 
 (* One reply, one JSON line, nothing clock-dependent: %.17g round-trips
    doubles exactly, so two runs producing bit-identical results produce
-   byte-identical files. *)
+   byte-identical files.  Written as the server writes its replies, with
+   Reply_text's Buffer adds and exact "%.17g". *)
 let write_replies path replies =
+  let module T = Dadu_service.Reply_text in
+  let b = Buffer.create 4096 in
+  let digits = Bytes.create T.scratch_bytes in
+  let text s = Buffer.add_string b s in
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) @@ fun () ->
   Array.iteri
     (fun i reply ->
-      match reply with
+      Buffer.clear b;
+      text "{\"index\":";
+      T.add_int b i;
+      (match reply with
       | Svc.Rejected invalid ->
-        Printf.fprintf oc "{\"index\":%d,\"reply\":\"rejected\",\"reason\":%S}\n" i
-          (Format.asprintf "%a" Ik.pp_invalid invalid)
+        text ",\"reply\":\"rejected\",\"reason\":";
+        T.add_quoted b (Format.asprintf "%a" Ik.pp_invalid invalid)
       | Svc.Faulted msg ->
-        Printf.fprintf oc "{\"index\":%d,\"reply\":\"faulted\",\"reason\":%S}\n" i msg
+        text ",\"reply\":\"faulted\",\"reason\":";
+        T.add_quoted b msg
       | Svc.Solved
           {
             result;
@@ -478,16 +487,27 @@ let write_replies path replies =
             retries;
             _;
           } ->
-        let theta =
-          String.concat ","
-            (List.map (Printf.sprintf "%.17g") (Array.to_list result.Ik.theta))
-        in
-        Printf.fprintf oc
-          "{\"index\":%d,\"reply\":\"solved\",\"status\":%S,\"solver\":%S,\"iterations\":%d,\"error\":%.17g,\"fallbacks\":%d,\"retries\":%d,\"cache_hit\":%b,\"deadline_exceeded\":%b,\"theta\":[%s]}\n"
-          i
-          (Format.asprintf "%a" Ik.pp_status result.Ik.status)
-          (Fallback.name solver) result.Ik.iterations result.Ik.error fallbacks
-          retries cache_hit deadline_exceeded theta)
+        text ",\"reply\":\"solved\",\"status\":";
+        T.add_quoted b (Ik.string_of_status result.Ik.status);
+        text ",\"solver\":";
+        T.add_quoted b (Fallback.name solver);
+        text ",\"iterations\":";
+        T.add_int b result.Ik.iterations;
+        text ",\"error\":";
+        T.add_float b digits result.Ik.error;
+        text ",\"fallbacks\":";
+        T.add_int b fallbacks;
+        text ",\"retries\":";
+        T.add_int b retries;
+        text ",\"cache_hit\":";
+        T.add_bool b cache_hit;
+        text ",\"deadline_exceeded\":";
+        T.add_bool b deadline_exceeded;
+        text ",\"theta\":[";
+        T.add_floats b digits result.Ik.theta;
+        text "]");
+      text "}\n";
+      Buffer.output_buffer oc b)
     replies
 
 (* Output files are written once the work they record has run: an

@@ -95,6 +95,10 @@ val work : result -> int
 val error_of : Chain.t -> Vec3.t -> Vec.t -> float
 (** [‖target − f(θ)‖]. *)
 
+val string_of_status : status -> string
+(** ["converged"], ["max-iterations"], ["stalled"] or ["diverged"]: the
+    status as replies and reports print it. *)
+
 val pp_status : Format.formatter -> status -> unit
 
 val pp_result : Format.formatter -> result -> unit

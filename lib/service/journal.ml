@@ -4,15 +4,15 @@
    An append-only stream of length-prefixed records, each carrying its
    own FNV-1a checksum, after a fixed magic+version header — the same
    format discipline as Posture_library, but record-oriented so a
-   SIGKILL can only ever tear the *tail*.  The server appends one
-   record per session lifecycle event (open / waypoint commit / close)
-   from the dispatcher's serial commit path, flushing before the reply
-   frame is written: a record present in the journal is a commitment
-   the reply it stores was (or could have been) sent, and a crash
-   between solve and append simply re-solves the waypoint from the
-   journalled predecessor state — byte-identical either way, which is
-   what makes the replay determinism argument of DESIGN.md §16 go
-   through.
+   SIGKILL can only ever tear the *tail*.  The server writes one record
+   per session lifecycle event (open / waypoint commit / close).  The
+   dispatcher stages the commit records of a whole batch and writes
+   them with one flush before any of the batch's reply frames (group
+   commit): a record present in the journal is a commitment the reply
+   it stores was (or could have been) sent, and a crash between solve
+   and write simply re-solves the waypoint from the journalled
+   predecessor state — byte-identical either way, which is what makes
+   the replay determinism argument of DESIGN.md §16 go through.
 
    Recovery never trusts the tail: [open_fold] streams records into a
    fold until the first defect and reports it as a typed [load_error];
@@ -56,53 +56,89 @@ let max_dof = 1 lsl 16
 let max_reply_len = 1 lsl 24
 let max_record_bytes = 4 + max_reply_len + (8 * max_dof) + (3 * max_string_len)
 
-(* ---- encoding -------------------------------------------------------- *)
+(* ---- encoding ---------------------------------------------------------
 
-let encode_record r =
-  let buf = Buffer.create 128 in
-  let put_u8 v = Buffer.add_char buf (Char.chr (v land 0xff)) in
-  let put_u32 v =
-    let b = Bytes.create 4 in
-    Bytes.set_int32_le b 0 (Int32.of_int v);
-    Buffer.add_bytes buf b
-  in
-  let put_i64 v =
-    let b = Bytes.create 8 in
-    Bytes.set_int64_le b 0 v;
-    Buffer.add_bytes buf b
-  in
-  let put_str s =
-    put_u32 (String.length s);
-    Buffer.add_string buf s
-  in
+   Records are encoded straight into a reusable staging buffer: the
+   record's exact size is reserved first, the fields are set in place,
+   and the checksum is sealed over the payload where it lies.  A staged
+   batch is then written with one [output] and one flush. *)
+
+type staging = { mutable buf : bytes; mutable len : int; mutable records : int }
+
+let staging_bytes = 4096
+
+(* a buffer grown past this by one large batch is dropped after it is
+   written, so a burst does not pin its peak size *)
+let keep_bytes = 1 lsl 20
+
+let staging () = { buf = Bytes.create staging_bytes; len = 0; records = 0 }
+
+let clear st =
+  st.len <- 0;
+  st.records <- 0;
+  if Bytes.length st.buf > keep_bytes then st.buf <- Bytes.create staging_bytes
+
+let payload_bytes = function
+  | Opened { session; robot; _ } ->
+    1 + 4 + String.length session + 4 + String.length robot + 8 + 4
+  | Committed { session; theta; reply; _ } ->
+    1 + 4 + String.length session + 4 + 1
+    + (match theta with None -> 0 | Some th -> 4 + (8 * Array.length th))
+    + 4 + String.length reply
+  | Closed { session } -> 1 + 4 + String.length session
+
+let put_u8 st v =
+  Bytes.set_uint8 st.buf st.len v;
+  st.len <- st.len + 1
+
+let put_u32 st v =
+  Bytes.set_int32_le st.buf st.len (Int32.of_int v);
+  st.len <- st.len + 4
+
+let put_str st s =
+  put_u32 st (String.length s);
+  Bytes.blit_string s 0 st.buf st.len (String.length s);
+  st.len <- st.len + String.length s
+
+let stage st r =
+  let n = payload_bytes r in
+  let need = st.len + 4 + n + 8 in
+  if need > Bytes.length st.buf then begin
+    let b = Bytes.create (max need (2 * Bytes.length st.buf)) in
+    Bytes.blit st.buf 0 b 0 st.len;
+    st.buf <- b
+  end;
+  let start = st.len in
+  put_u32 st n;
   (match r with
   | Opened { session; robot; chain_fp; dof } ->
-    put_u8 1;
-    put_str session;
-    put_str robot;
-    put_i64 (Int64.of_int chain_fp);
-    put_u32 dof
+    put_u8 st 1;
+    put_str st session;
+    put_str st robot;
+    Bytes.set_int64_le st.buf st.len (Int64.of_int chain_fp);
+    st.len <- st.len + 8;
+    put_u32 st dof
   | Committed { session; ordinal; theta; reply } ->
-    put_u8 2;
-    put_str session;
-    put_u32 ordinal;
+    put_u8 st 2;
+    put_str st session;
+    put_u32 st ordinal;
     (match theta with
-    | None -> put_u8 0
+    | None -> put_u8 st 0
     | Some th ->
-      put_u8 1;
-      put_u32 (Array.length th);
-      Array.iter (fun v -> put_i64 (Int64.bits_of_float v)) th);
-    put_str reply
+      put_u8 st 1;
+      put_u32 st (Array.length th);
+      for i = 0 to Array.length th - 1 do
+        Bytes.set_int64_le st.buf (st.len + (8 * i))
+          (Int64.bits_of_float (Array.unsafe_get th i))
+      done;
+      st.len <- st.len + (8 * Array.length th));
+    put_str st reply
   | Closed { session } ->
-    put_u8 3;
-    put_str session);
-  let payload = Buffer.contents buf in
-  let n = String.length payload in
-  let out = Bytes.create (4 + n + 8) in
-  Bytes.set_int32_le out 0 (Int32.of_int n);
-  Bytes.blit_string payload 0 out 4 n;
-  Checksum.seal out ~off:4 ~len:n;
-  out
+    put_u8 st 3;
+    put_str st session);
+  Checksum.seal st.buf ~off:(start + 4) ~len:n;
+  st.len <- start + 4 + n + 8;
+  st.records <- st.records + 1
 
 (* ---- decoding -------------------------------------------------------- *)
 
@@ -330,9 +366,14 @@ let load path =
 
 (* ---- append handle ---------------------------------------------------- *)
 
-type t = { oc : out_channel; lock : Mutex.t; mutable appended : int }
+type t = {
+  oc : out_channel;
+  lock : Mutex.t;
+  own : staging; (* [append]'s, used under [lock] *)
+  mutable appended : int;
+}
 
-let handle oc = { oc; lock = Mutex.create (); appended = 0 }
+let handle oc = { oc; lock = Mutex.create (); own = staging (); appended = 0 }
 
 let open_fold path ~init ~f =
   let fresh () =
@@ -375,15 +416,29 @@ let open_ path =
     (fun (t, records, defect) -> (t, List.rev records, defect))
     (open_fold path ~init:[] ~f:(fun records r -> r :: records))
 
-let append t r =
-  let b = encode_record r in
+(* called with [lock] held: one output and one flush for everything
+   staged *)
+let output_staged t (st : staging) =
+  output t.oc st.buf 0 st.len;
+  flush t.oc;
+  t.appended <- t.appended + st.records
+
+(* the staging is emptied whether or not the write succeeds *)
+let locked t (st : staging) f =
   Mutex.lock t.lock;
   Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.lock)
-    (fun () ->
-      output_bytes t.oc b;
-      flush t.oc;
-      t.appended <- t.appended + 1)
+    ~finally:(fun () ->
+      clear st;
+      Mutex.unlock t.lock)
+    f
+
+let write_staged t (st : staging) =
+  if st.records > 0 then locked t st (fun () -> output_staged t st)
+
+let append t r =
+  locked t t.own (fun () ->
+      stage t.own r;
+      output_staged t t.own)
 
 let appended t = t.appended
 

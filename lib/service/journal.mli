@@ -4,9 +4,10 @@
     An append-only stream of length-prefixed, FNV-1a-checksummed records
     behind a [DADUJRNL] magic+version header — {!Posture_library}'s
     format discipline, record-oriented so a SIGKILL can only tear the
-    tail.  The server appends one record per session lifecycle event
-    (open / waypoint commit / close) and flushes {e before} writing the
-    reply frame; replaying the journal at startup therefore rebuilds
+    tail.  The server writes one record per session lifecycle event
+    (open / waypoint commit / close), and a batch's commit records with
+    one flush ({!write_staged}), {e before} writing any of the batch's
+    reply frames; replaying the journal at startup therefore rebuilds
     the {!Session} registry (ordinal counter, warm-start slot, recent
     reply ring) exactly as an uninterrupted server would hold it, which
     is what makes post-restart replies byte-identical (DESIGN.md §16).
@@ -54,6 +55,11 @@ val max_dof : int
     larger [dof] as [Malformed], so {!Problem_file.robot_of_spec}
     refuses a larger robot before a session can journal it. *)
 
+val max_string_len : int
+(** The longest session name or robot spec a record holds (65,536
+    bytes): the decoder rejects a longer one as [Malformed], so the
+    server refuses it at [open] before a session can journal it. *)
+
 val load : string -> (record list * load_error option, load_error) result
 (** [load path] decodes the longest valid record prefix.  [Error] only
     for file-level defects (unreadable, bad magic, bad version, file
@@ -83,6 +89,25 @@ val open_ : string -> (t * record list * load_error option, load_error) result
 val append : t -> record -> unit
 (** Encode, write, and flush one record (the WAL barrier: callers write
     the reply frame only after [append] returns). *)
+
+type staging
+(** Records encoded and sealed, waiting to be written together: one
+    batch's group commit.  A reusable buffer with one writer: not
+    thread-safe. *)
+
+val staging : unit -> staging
+
+val stage : staging -> record -> unit
+(** Encode a record at the end of the staging buffer, in place, and seal
+    its checksum there.  The record is read at once: nothing of it (θ
+    included) is kept. *)
+
+val write_staged : t -> staging -> unit
+(** Write every staged record with one output and one flush, then empty
+    the staging, also when the write raises; nothing happens when
+    nothing is staged.  The bytes are those {!append} writes for the
+    same records one by one.  The WAL barrier for a batch: callers
+    write the batch's reply frames only after it returns. *)
 
 val appended : t -> int
 (** Records appended through this handle (not counting replayed ones). *)

@@ -92,6 +92,9 @@ type conn = {
   mutable eof : bool; (* reader finished *)
   mutable dead : bool; (* write failed or fatal framing error: stop writing *)
   mutable closed : bool;
+  mutable unflushed : bool;
+      (* the dispatcher wrote frames it has not flushed yet: it flushes
+         each such connection once, at the end of its batch *)
 }
 
 (* a resend of a waypoint whose reply is still to come: answered with
@@ -258,22 +261,83 @@ let stop t =
 
 (* ---- reply serialization ----------------------------------------------
 
-   Reply payloads are built with Printf (%.17g doubles, %S strings), not
-   a JSON pretty-printer, so their bytes are a pure function of the reply
+   Reply payloads are built by direct Buffer adds (Reply_text), not by
+   Printf or a JSON pretty-printer: ints as %d, booleans as %b, strings
+   as %S and doubles as C's "%.17g" print them, the doubles by an exact
+   integer conversion.  Their bytes are a pure function of the reply
    values — the `cmp` determinism gates compare these bytes across pool
    sizes.  Nothing clock-derived is ever included. *)
 
-(* the runtime conversion behind Printf's "%.17g", called directly: a
-   reply's θ entries are most of its bytes *)
-external format_float : string -> float -> string = "caml_format_float"
+type encoder = { text : Buffer.t; digits : bytes }
+
+let encoder () =
+  { text = Buffer.create 1024; digits = Bytes.create Reply_text.scratch_bytes }
 
 let json_floats xs =
-  (* 24 bytes is the widest %.17g double, -2.2250738585072014e-308 *)
   let b = Buffer.create (25 * Array.length xs) in
-  for i = 0 to Array.length xs - 1 do
-    if i > 0 then Buffer.add_char b ',';
-    Buffer.add_string b (format_float "%.17g" xs.(i))
-  done;
+  Reply_text.add_floats b (Bytes.create Reply_text.scratch_bytes) xs;
+  Buffer.contents b
+
+let encode_reply enc ~id ~session ~ordinal (reply : Service.reply) =
+  let open Reply_text in
+  let b = enc.text in
+  Buffer.clear b;
+  let reason kind msg =
+    Buffer.add_string b "{\"reply\":\"";
+    Buffer.add_string b kind;
+    Buffer.add_string b "\",\"id\":";
+    add_int b id;
+    Buffer.add_string b ",\"reason\":";
+    add_quoted b msg;
+    Buffer.add_char b '}'
+  in
+  (match reply with
+  | Service.Rejected invalid ->
+    reason "rejected" (Format.asprintf "%a" Ik.pp_invalid invalid)
+  | Service.Faulted msg -> reason "faulted" msg
+  | Service.Solved
+      {
+        result;
+        solver;
+        fallbacks;
+        cache_hit;
+        session_hit;
+        deadline_exceeded;
+        retries;
+        _;
+      } ->
+    Buffer.add_string b "{\"reply\":\"solved\",\"id\":";
+    add_int b id;
+    Buffer.add_char b ',';
+    (match session with
+    | None -> ()
+    | Some s ->
+      Buffer.add_string b "\"session\":";
+      add_quoted b s;
+      Buffer.add_string b ",\"ordinal\":";
+      add_int b ordinal;
+      Buffer.add_char b ',');
+    Buffer.add_string b "\"status\":";
+    add_quoted b (Ik.string_of_status result.Ik.status);
+    Buffer.add_string b ",\"solver\":";
+    add_quoted b (Fallback.name solver);
+    Buffer.add_string b ",\"iterations\":";
+    add_int b result.Ik.iterations;
+    Buffer.add_string b ",\"error\":";
+    add_float b enc.digits result.Ik.error;
+    Buffer.add_string b ",\"fallbacks\":";
+    add_int b fallbacks;
+    Buffer.add_string b ",\"retries\":";
+    add_int b retries;
+    Buffer.add_string b ",\"cache_hit\":";
+    add_bool b cache_hit;
+    Buffer.add_string b ",\"session_hit\":";
+    add_bool b session_hit;
+    Buffer.add_string b ",\"deadline_exceeded\":";
+    add_bool b deadline_exceeded;
+    Buffer.add_string b ",\"theta\":[";
+    add_floats b enc.digits result.Ik.theta;
+    Buffer.add_string b "]}");
   Buffer.contents b
 
 (* mark the connection unusable and force the peer to notice: a planned
@@ -310,37 +374,6 @@ let maybe_close_locked conn =
 let reply_error conn ~id msg =
   let idpart = if id >= 0 then Printf.sprintf "\"id\":%d," id else "" in
   send conn (Printf.sprintf "{\"reply\":\"error\",%s\"message\":%S}" idpart msg)
-
-let reply_of job (reply : Service.reply) =
-  match reply with
-  | Service.Rejected invalid ->
-    Printf.sprintf "{\"reply\":\"rejected\",\"id\":%d,\"reason\":%S}" job.jid
-      (Format.asprintf "%a" Ik.pp_invalid invalid)
-  | Service.Faulted msg ->
-    Printf.sprintf "{\"reply\":\"faulted\",\"id\":%d,\"reason\":%S}" job.jid msg
-  | Service.Solved
-      {
-        result;
-        solver;
-        fallbacks;
-        cache_hit;
-        session_hit;
-        deadline_exceeded;
-        retries;
-        _;
-      } ->
-    let spart =
-      match job.jsession with
-      | None -> ""
-      | Some s -> Printf.sprintf "\"session\":%S,\"ordinal\":%d," s job.jordinal
-    in
-    Printf.sprintf
-      "{\"reply\":\"solved\",\"id\":%d,%s\"status\":%S,\"solver\":%S,\"iterations\":%d,\"error\":%.17g,\"fallbacks\":%d,\"retries\":%d,\"cache_hit\":%b,\"session_hit\":%b,\"deadline_exceeded\":%b,\"theta\":[%s]}"
-      job.jid spart
-      (Format.asprintf "%a" Ik.pp_status result.Ik.status)
-      (Fallback.name solver) result.Ik.iterations result.Ik.error fallbacks
-      retries cache_hit session_hit deadline_exceeded
-      (json_floats result.Ik.theta)
 
 (* mirror the Service's own commit-phase accounting into the tenant's
    registry; replies carry everything the event needs *)
@@ -379,66 +412,125 @@ let record_tenant t job (reply : Service.reply) =
            iterations = result.Ik.iterations;
          })
 
-(* write a reply the connection is owed (counted in [pending]) *)
-let write_owed conn payload =
+(* Write a reply the connection is owed (counted in [pending]).  Given
+   [later], the dispatcher's list of connections to flush at the end of
+   its batch, the frame goes into the channel unflushed and the
+   connection joins the list once; a channel that fills up is flushed
+   early, which is still after the batch's journal write.  Under a
+   wire-fault plan every frame still goes out on its own through
+   [write_frame_injected], so the fault sites see the same frames. *)
+let write_owed ?later conn payload =
   Mutex.lock conn.wlock;
   (if not (conn.dead || conn.closed) then
      try
-       if not (Pf.write_frame_injected ~fault:conn.wfault conn.oc payload)
-       then kill_conn_locked conn
+       match later with
+       | Some later when not (Dadu_util.Fault.enabled conn.wfault) ->
+         Pf.write_frame conn.oc payload;
+         if not conn.unflushed then begin
+           conn.unflushed <- true;
+           later := conn :: !later
+         end
+       | Some _ | None ->
+         if not (Pf.write_frame_injected ~fault:conn.wfault conn.oc payload)
+         then kill_conn_locked conn
      with Sys_error _ | Unix.Unix_error _ -> conn.dead <- true);
   conn.pending <- conn.pending - 1;
   maybe_close_locked conn;
   Mutex.unlock conn.wlock
 
+let flush_later later =
+  List.iter
+    (fun conn ->
+      Mutex.lock conn.wlock;
+      (if conn.unflushed then begin
+         conn.unflushed <- false;
+         if not (conn.dead || conn.closed) then
+           try flush conn.oc
+           with Sys_error _ | Unix.Unix_error _ -> conn.dead <- true
+       end);
+      Mutex.unlock conn.wlock)
+    later
+
+(* The resends waiting on the reply of [sess]'s [ordinal], taken off the
+   list; called with slock held.  Matched on the job's own session
+   object, so a session closed (or closed and re-opened) meanwhile still
+   answers its waiters. *)
+let take_waiters (t : t) sess ~ordinal =
+  match t.waiters with
+  | [] -> []
+  | waiters ->
+    let mine, others =
+      List.partition (fun w -> w.wsession == sess && w.wordinal = ordinal) waiters
+    in
+    t.waiters <- others;
+    mine
+
 (* [payload] is the final reply of the session's [ordinal]: keep it for
-   resends, and answer the resends that arrived while it was pending.
-   Works on the job's own session object, so a session closed (or
-   closed and re-opened) meanwhile still answers its waiters. *)
+   resends, and answer the resends that arrived while it was pending. *)
 let settle t sess ~ordinal payload =
   Mutex.lock t.slock;
   Session.remember_reply sess ~ordinal payload;
-  let answered =
-    match t.waiters with
-    | [] -> []
-    | waiters ->
-      let mine, others =
-        List.partition
-          (fun w -> w.wsession == sess && w.wordinal = ordinal)
-          waiters
-      in
-      t.waiters <- others;
-      mine
-  in
+  let answered = take_waiters t sess ~ordinal in
   Mutex.unlock t.slock;
   List.iter (fun w -> write_owed w.wconn payload) answered
 
-let deliver t job reply =
-  record_tenant t job reply;
-  let payload = reply_of job reply in
-  (match (job.jsession, job.jrequest.Service.session) with
-  | Some sname, Some sess ->
-    (* write-ahead: journal and remember the committed reply before the
-       frame goes out.  A crash after the append replays these exact
-       bytes to a resending client; a crash before it re-solves the
-       waypoint from the journalled predecessor state — byte-identical
-       either way (DESIGN.md §16). *)
-    let theta =
-      match reply with
-      | Service.Solved { result; _ } when result.Ik.status = Ik.Converged ->
-        Some (Array.copy result.Ik.theta)
-      | _ -> None
-    in
-    (match t.journal with
-    | Some j ->
-      Journal.append j
-        (Journal.Committed
-           { session = sname; ordinal = job.jordinal; theta; reply = payload });
-      Metrics.record_net (tenant_of t job.jtenant).metrics Metrics.Journal_append
-    | None -> ());
-    settle t sess ~ordinal:job.jordinal payload
-  | _ -> ());
-  write_owed job.jconn payload
+let registered (t : t) name sess =
+  match Hashtbl.find_opt t.sessions name with
+  | Some current -> current == sess
+  | None -> false
+
+(* Group commit, the write-ahead step of a batch, under slock.  First
+   the commit record of every session reply whose session is still the
+   one registered under its name is staged, and the batch's records are
+   written with one flush.  Only then is each session reply remembered
+   in its session's window, and the resends waiting on it are taken, to
+   be answered with the batch's frames.  A crash after the write
+   replays these exact bytes to a resending client; a crash before it
+   re-solves the waypoints from the journalled predecessor state —
+   byte-identical either way (DESIGN.md §16).
+
+   The registration check keeps a pipelined close and re-open sound: a
+   late reply of the closed session still goes to its client, but its
+   record would land after the new session's [Opened] record and replay
+   would apply it to the new session.  [handle_open] and [handle_close]
+   append under slock as well, so no [Opened] or [Closed] record lands
+   between the check and the write. *)
+let commit_batch t staging jobs (replies : Service.reply array) payloads =
+  let answered = Array.make (Array.length jobs) [] in
+  Mutex.lock t.slock;
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock t.slock)
+    (fun () ->
+      (match t.journal with
+      | None -> ()
+      | Some j ->
+        Array.iteri
+          (fun i job ->
+            match (job.jsession, job.jrequest.Service.session) with
+            | Some session, Some sess when registered t session sess ->
+              let theta =
+                match replies.(i) with
+                | Service.Solved { result; _ } when result.Ik.status = Ik.Converged ->
+                  Some result.Ik.theta
+                | _ -> None
+              in
+              Journal.stage staging
+                (Journal.Committed
+                   { session; ordinal = job.jordinal; theta; reply = payloads.(i) });
+              Metrics.record_net (tenant_of t job.jtenant).metrics
+                Metrics.Journal_append
+            | _ -> ())
+          jobs;
+        Journal.write_staged j staging);
+      Array.iteri
+        (fun i job ->
+          match (job.jsession, job.jrequest.Service.session) with
+          | Some _, Some sess ->
+            Session.remember_reply sess ~ordinal:job.jordinal payloads.(i);
+            answered.(i) <- take_waiters t sess ~ordinal:job.jordinal
+          | _ -> ())
+        jobs);
+  answered
 
 (* ---- admission --------------------------------------------------------
 
@@ -502,6 +594,9 @@ let enqueue t job =
    the session slot chain plus stable ordinals carry it (DESIGN.md §15). *)
 
 let dispatcher t () =
+  let enc = encoder () in
+  let staging = Journal.staging () in
+  let later = ref [] in
   let running = ref true in
   while !running do
     Mutex.lock t.qlock;
@@ -524,7 +619,24 @@ let dispatcher t () =
       let jobs = Array.of_list (List.rev !jobs) in
       let requests = Array.map (fun j -> j.jrequest) jobs in
       let replies = Service.solve_requests t.service requests in
-      Array.iteri (fun i job -> deliver t job replies.(i)) jobs
+      (* each reply encoded once; the journal written once per batch,
+         before any frame; each connection flushed once *)
+      let payloads =
+        Array.mapi
+          (fun i job ->
+            record_tenant t job replies.(i);
+            encode_reply enc ~id:job.jid ~session:job.jsession
+              ~ordinal:job.jordinal replies.(i))
+          jobs
+      in
+      let answered = commit_batch t staging jobs replies payloads in
+      Array.iteri
+        (fun i job ->
+          List.iter (fun w -> write_owed ~later w.wconn payloads.(i)) answered.(i);
+          write_owed ~later job.jconn payloads.(i))
+        jobs;
+      flush_later !later;
+      later := []
     end
   done
 
@@ -567,7 +679,21 @@ let clamped_zero chain =
   Chain.clamp_config chain (Dadu_linalg.Vec.create (Chain.dof chain))
 
 let handle_open t conn ~id ~session ~robot =
-  match Pf.robot_of_spec robot with
+  (* a record holding a longer name or spec would be cut off, with
+     every later record, by the next restart's decoder *)
+  let too_long what s =
+    Error
+      (Printf.sprintf "%s is %d bytes, longer than the limit of %d" what
+         (String.length s) Journal.max_string_len)
+  in
+  let chain =
+    if String.length session > Journal.max_string_len then
+      too_long "session name" session
+    else if String.length robot > Journal.max_string_len then
+      too_long "robot spec" robot
+    else Pf.robot_of_spec robot
+  in
+  match chain with
   | Error msg -> reply_error conn ~id msg
   | Ok chain ->
     Mutex.lock t.slock;
@@ -917,6 +1043,7 @@ let run t ~listen =
                 eof = false;
                 dead = false;
                 closed = false;
+                unflushed = false;
               }
             in
             Atomic.incr t.nconns;

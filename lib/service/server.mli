@@ -11,7 +11,7 @@
     {2 Determinism}
 
     Solve-type reply payloads are built from reply values only (no
-    clocks, no addresses), with [%.17g] doubles — the bytes a client
+    clocks, no addresses), with ["%.17g"] doubles — the bytes a client
     dumps are compared with [cmp] across pool sizes in CI.  Session
     waypoints carry stable ordinals from the session's own enqueue
     counter and warm-start from the session slot, bypassing the shared
@@ -30,7 +30,14 @@
     With [config.journal] set, every session [open], committed waypoint
     (ordinal, θ, and the exact reply bytes) and [close] is appended to a
     checksummed {!Journal} {e before} the reply frame is written — the
-    write-ahead barrier.  On startup the journal's valid prefix is
+    write-ahead barrier.  The dispatcher keeps it per batch: it writes
+    the commit records of a whole batch with one flush, and only then
+    remembers the replies for resends and writes their frames, flushing
+    each connection once.  A reply whose session was closed (or closed
+    and re-opened) meanwhile is still sent, but gets no record.  An
+    [open] whose session name or robot spec is longer than
+    {!Journal.max_string_len} bytes is refused with an [error] reply,
+    with or without a journal.  On startup the journal's valid prefix is
     replayed into the session registry in one streaming fold
     ({!replay_journal}), so a client that re-[open]s after a [kill -9]
     resumes with the same warm-start slot and ordinal counter and its
@@ -136,8 +143,25 @@ val run : t -> listen:listen -> unit
     path is replaced, and removed again on shutdown. *)
 
 val json_floats : float array -> string
-(** A reply's [theta] entries: each printed as Printf's ["%.17g"] does,
-    comma-separated. *)
+(** A reply's [theta] entries: each printed as Printf's ["%.17g"] does
+    ({!Reply_text}), comma-separated. *)
+
+type encoder
+(** A reusable reply buffer and float scratch.  One per thread. *)
+
+val encoder : unit -> encoder
+
+val encode_reply :
+  encoder ->
+  id:int ->
+  session:string option ->
+  ordinal:int ->
+  Service.reply ->
+  string
+(** The payload of a [solve] ([session = None]) or [waypoint] reply, as
+    the dispatcher writes it: [solved], [rejected] or [faulted], written
+    with {!Reply_text} (no Printf on the [solved] path).  [ordinal] is
+    printed only with a session. *)
 
 val render_tenants : t -> string
 (** Per-tenant metrics tables (sorted by tenant name) with shed

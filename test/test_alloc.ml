@@ -208,12 +208,11 @@ let test_workspace_reuse_constant_per_solve () =
    sessions opened the way the server opens them (each resolves its spec
    through [Problem_file.robot_of_spec]), then warm waypoints, one per
    session per batch of 128, built as the server builds them and run
-   through [Service.solve_requests].  Every session carries the one
-   shared eval:30 chain, and its fingerprint is a field read, so nothing
-   per waypoint builds or hashes a chain.  The bound leaves room for the
-   solve's own records (about 860 words) and fails if a waypoint folds a
-   30-DOF fingerprint in boxed Int64 (6,555 words a fold). *)
-let test_track_waypoint_words () =
+   through [Service.solve_requests]; [after] sees each batch's requests
+   and replies.  Every session carries the one shared eval:30 chain, and
+   its fingerprint is a field read, so nothing per waypoint builds or
+   hashes a chain.  Returns the minor words per warm waypoint. *)
+let track_waypoint_words ~after =
   let module Pf = Dadu_service.Problem_file in
   let module Session = Dadu_service.Session in
   let module Svc = Dadu_service.Service in
@@ -244,19 +243,77 @@ let test_track_waypoint_words () =
              ~theta0:(Chain.clamp_config chain (Array.make (Chain.dof chain) 0.))))
       sessions
   in
+  let run k =
+    let requests = batch k in
+    after requests (Svc.solve_requests svc requests)
+  in
   for k = 0 to 3 do
-    ignore (Svc.solve_requests svc (batch k))
+    run k
   done;
   (* warm *)
   let rounds = 8 in
   let w0 = Gc.minor_words () in
   for k = 4 to 3 + rounds do
-    ignore (Svc.solve_requests svc (batch k))
+    run k
   done;
   let w1 = Gc.minor_words () in
-  let per_waypoint = (w1 -. w0) /. float_of_int (rounds * n) in
+  (w1 -. w0) /. float_of_int (rounds * n)
+
+(* The solve alone.  The bound leaves room for the solve's own records
+   (about 860 words) and fails if a waypoint folds a 30-DOF fingerprint
+   in boxed Int64 (6,555 words a fold). *)
+let test_track_waypoint_words () =
+  let per_waypoint = track_waypoint_words ~after:(fun _ _ -> ()) in
   Alcotest.(check bool)
     (Printf.sprintf "%.0f minor words per warm waypoint, at most 2,000" per_waypoint)
+    true (per_waypoint <= 2_000.)
+
+(* The dispatcher's whole reply path on the same load: each reply
+   encoded once, its commit record staged in place, and each batch's
+   records written to a journal with one flush.  The bound fails on a
+   Printf-built reply (about 1,200 words) with a record encoded through
+   copies (about 700). *)
+let test_track_reply_path_words () =
+  let module Journal = Dadu_service.Journal in
+  let module Server = Dadu_service.Server in
+  let module Svc = Dadu_service.Service in
+  let path = Filename.temp_file "dadu_alloc" ".wal" in
+  Sys.remove path;
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  let journal =
+    match Journal.open_ path with
+    | Ok (j, _, _) -> j
+    | Error e -> Alcotest.fail (Format.asprintf "%a" Journal.pp_load_error e)
+  in
+  let enc = Server.encoder () and staging = Journal.staging () in
+  let names = Array.init 128 (Printf.sprintf "s%d") in
+  let after (requests : Svc.request array) replies =
+    Array.iteri
+      (fun i (reply : Svc.reply) ->
+        let session = names.(i) in
+        let ordinal = Option.value ~default:0 requests.(i).Svc.ordinal in
+        let payload =
+          Server.encode_reply enc ~id:i ~session:(Some session) ~ordinal reply
+        in
+        let theta =
+          match reply with
+          | Svc.Solved { result; _ } when result.Ik.status = Ik.Converged ->
+            Some result.Ik.theta
+          | _ -> None
+        in
+        Journal.stage staging
+          (Journal.Committed { session; ordinal; theta; reply = payload }))
+      replies;
+    Journal.write_staged journal staging
+  in
+  let per_waypoint = track_waypoint_words ~after in
+  Journal.close journal;
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "%.0f minor words per warm waypoint with its reply and record, at most 2,000"
+       per_waypoint)
     true (per_waypoint <= 2_000.)
 
 let () =
@@ -280,6 +337,8 @@ let () =
         [
           Alcotest.test_case "track waypoint words, 128 eval:30 sessions" `Quick
             test_track_waypoint_words;
+          Alcotest.test_case "track reply path words, 128 eval:30 sessions" `Quick
+            test_track_reply_path_words;
         ] );
       ( "bounded allocation",
         [

@@ -80,6 +80,29 @@ let test_roundtrip () =
     Alcotest.(check bool) "no defect" true (defect = None);
     check_records "records round-trip" sample_records records
 
+(* A batch staged and written at once is byte for byte the records
+   appended one by one, and a staging buffer is reused across batches
+   (the dispatcher's group commit). *)
+let test_staged_equals_appended () =
+  with_tmp @@ fun appended_path ->
+  write_records appended_path sample_records;
+  with_tmp @@ fun staged_path ->
+  Sys.remove staged_path;
+  match J.open_ staged_path with
+  | Error e -> Alcotest.fail (Format.asprintf "open_: %a" J.pp_load_error e)
+  | Ok (t, _, _) ->
+    let staging = J.staging () in
+    J.write_staged t staging;
+    Alcotest.(check int) "an empty staging writes nothing" 0 (J.appended t);
+    let first, second = List.partition (fun r -> r <> J.Closed { session = "s1" }) sample_records in
+    List.iter (J.stage staging) first;
+    J.write_staged t staging;
+    List.iter (J.stage staging) second;
+    J.write_staged t staging;
+    Alcotest.(check int) "appended count" (List.length sample_records) (J.appended t);
+    J.close t;
+    Alcotest.(check string) "same bytes" (read_file appended_path) (read_file staged_path)
+
 (* ---- torn tail ---- *)
 
 let test_truncated_tail () =
@@ -528,8 +551,11 @@ let () =
   Alcotest.run "dadu_journal"
     [
       ( "roundtrip",
-        [ Alcotest.test_case "encode -> load is identical" `Quick test_roundtrip ]
-      );
+        [
+          Alcotest.test_case "encode -> load is identical" `Quick test_roundtrip;
+          Alcotest.test_case "staged batches = one append per record" `Quick
+            test_staged_equals_appended;
+        ] );
       ( "recovery",
         [
           Alcotest.test_case "torn tail" `Quick test_truncated_tail;

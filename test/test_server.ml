@@ -121,7 +121,7 @@ let test_json_floats_property =
          [ Array.sub xs 0 at; Array.of_list special;
            Array.sub xs at (Array.length xs - at) ])
   in
-  QCheck.Test.make ~name:"json_floats = Printf %.17g, comma-joined" ~count:300
+  QCheck.Test.make ~name:"json_floats = Printf %.17g, comma-joined" ~count:2_000
     (QCheck.make ~print:QCheck.Print.(array float) gen)
     (fun xs ->
       Server.json_floats xs
@@ -129,6 +129,173 @@ let test_json_floats_property =
 
 let test_json_floats_empty () =
   Alcotest.(check string) "no entries" "" (Server.json_floats [||])
+
+(* The float writer against Printf's "%.17g", deterministically, where an
+   integer conversion is likeliest to slip: exact ties (n / 2^j with odd
+   n and 18 significant digits, the last a 5, so the 17th is rounded
+   half to even; every j from 15 to 20, 100,000 of them at j = 17), the
+   neighbours of every power of ten from 1e-30 to 1e30, random bit
+   patterns, values in a reply's range and across magnitudes. *)
+let test_reply_text_sweep () =
+  let scratch = Bytes.create Reply_text.scratch_bytes in
+  let checked = ref 0 and mismatches = ref [] in
+  let check x =
+    incr checked;
+    let got = Bytes.sub_string scratch 0 (Reply_text.write_float scratch 0 x) in
+    let want = Printf.sprintf "%.17g" x in
+    if got <> want && List.length !mismatches < 5 then
+      mismatches := Printf.sprintf "%h: %s, not %s" x got want :: !mismatches
+  in
+  let both x =
+    check x;
+    check (-.x)
+  in
+  (* n / 2^j has j fraction digits, so it has 18 significant digits in
+     [10^(16-j), 10^(17-j)) *)
+  for j = 15 to 20 do
+    let lo = Float.ldexp (10. ** float_of_int (16 - j)) j in
+    let first = int_of_float (Float.ceil lo) lor 1 in
+    let count = if j = 17 then 100_000 else 20_000 in
+    for i = 0 to count - 1 do
+      both (Float.ldexp (float_of_int (first + (2 * i))) (-j))
+    done
+  done;
+  for k = -30 to 30 do
+    let p = float_of_string (Printf.sprintf "1e%d" k) in
+    let up = ref p and down = ref p in
+    for _ = 0 to 20 do
+      both !up;
+      both !down;
+      up := Float.succ !up;
+      down := Float.pred !down
+    done
+  done;
+  let rng = Random.State.make [| 17 |] in
+  for _ = 1 to 200_000 do
+    check (Int64.float_of_bits (Random.State.bits64 rng))
+  done;
+  for _ = 1 to 100_000 do
+    check (Random.State.float rng 8. -. 4.);
+    both (10. ** (Random.State.float rng 44. -. 26.))
+  done;
+  for i = 0 to 10_000 do
+    both (float_of_int i)
+  done;
+  List.iter both
+    [ 0.; 4.9406564584124654e-324; 2.2250738585072009e-308; Float.min_float;
+      max_float; infinity; nan; 1e21; 1e22; 1e23; 0.1; 9007199254740991.;
+      9007199254740992.; 1e-22; 9.9999999999999995e-5; 0.00010000000000000001 ];
+  Alcotest.(check (list string))
+    (Printf.sprintf "every one of %d values matches" !checked)
+    [] (List.rev !mismatches)
+
+(* A reply's θ is converted without allocating: only the values left
+   to the runtime's conversion would allocate. *)
+let test_reply_text_no_alloc () =
+  let scratch = Bytes.create Reply_text.scratch_bytes in
+  let xs = Array.init 1_000 (fun i -> (float_of_int i /. 125.) -. 4.) in
+  let b = Buffer.create (25 * 1_000) in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10 do
+    Buffer.clear b;
+    Reply_text.add_floats b scratch xs
+  done;
+  let w1 = Gc.minor_words () in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words for 10,000 doubles" (w1 -. w0))
+    true
+    (w1 -. w0 < 100.);
+  Alcotest.check_raises "the scratch must have room"
+    (Invalid_argument "Reply_text.write_float: fewer than 32 bytes from the offset")
+    (fun () -> ignore (Reply_text.write_float scratch 1 1.5))
+
+(* ---- whole replies ---- *)
+
+(* The reply template as the server wrote it with Printf before replies
+   were built by Buffer adds: the encoder must write these bytes. *)
+let printf_reply ~id ~session ~ordinal (reply : Service.reply) =
+  let open Dadu_core in
+  match reply with
+  | Service.Rejected invalid ->
+    Printf.sprintf "{\"reply\":\"rejected\",\"id\":%d,\"reason\":%S}" id
+      (Format.asprintf "%a" Ik.pp_invalid invalid)
+  | Service.Faulted msg ->
+    Printf.sprintf "{\"reply\":\"faulted\",\"id\":%d,\"reason\":%S}" id msg
+  | Service.Solved
+      { result; solver; fallbacks; cache_hit; session_hit; deadline_exceeded; retries; _ } ->
+    let spart =
+      match session with
+      | None -> ""
+      | Some s -> Printf.sprintf "\"session\":%S,\"ordinal\":%d," s ordinal
+    in
+    Printf.sprintf
+      "{\"reply\":\"solved\",\"id\":%d,%s\"status\":%S,\"solver\":%S,\"iterations\":%d,\"error\":%.17g,\"fallbacks\":%d,\"retries\":%d,\"cache_hit\":%b,\"session_hit\":%b,\"deadline_exceeded\":%b,\"theta\":[%s]}"
+      id spart
+      (Format.asprintf "%a" Ik.pp_status result.Ik.status)
+      (Fallback.name solver) result.Ik.iterations result.Ik.error fallbacks
+      retries cache_hit session_hit deadline_exceeded
+      (String.concat "," (List.map (Printf.sprintf "%.17g") (Array.to_list result.Ik.theta)))
+
+let reply_gen =
+  let open QCheck.Gen in
+  let open Dadu_core in
+  let any_int = oneof [ int; oneofl [ 0; -1; 1; max_int; min_int ]; small_signed_int ] in
+  let float =
+    frequency
+      [ (3, float); (3, float_range (-4.) 4.);
+        (1, oneofl [ 0.; -0.; nan; infinity; neg_infinity; 5e-324; 1e-5 ]) ]
+  in
+  (* quotes, backslashes, control bytes, DEL, UTF-8 and raw high bytes *)
+  let text =
+    string_size ~gen:(oneof [ char; oneofl [ '"'; '\\'; '\n'; '\t'; '\000'; '\127' ] ])
+      (int_range 0 24)
+    >|= fun s -> s ^ "\xc3\xa9\xe2\x82\xac"
+  in
+  let solved =
+    let* theta = array_size (int_range 0 40) float
+    and* error = float
+    and* iterations = any_int
+    and* status = oneofl [ Ik.Converged; Ik.Max_iterations; Ik.Stalled; Ik.Diverged ]
+    and* solver = oneofl (List.map snd Fallback.all)
+    and* fallbacks = any_int
+    and* retries = any_int
+    and* cache_hit = bool
+    and* session_hit = bool
+    and* deadline_exceeded = bool in
+    return
+      (Service.Solved
+         {
+           result = { Ik.theta; error; iterations; speculations = 64; status; svd_sweeps = 0 };
+           solver; fallbacks; cache_hit; session_hit; deadline_exceeded;
+           breaker_skips = 0; retries; retry_converged = false; trail = [];
+           latency_s = 0.;
+         })
+  in
+  let reply =
+    frequency
+      [
+        (6, solved);
+        (1, map (fun msg -> Service.Faulted msg) text);
+        ( 1,
+          oneof
+            [
+              map2 (fun expected got -> Service.Rejected (Ik.Dof_mismatch { expected; got })) any_int any_int;
+              oneofl [ Service.Rejected Ik.Nonfinite_target; Service.Rejected Ik.Nonfinite_theta0 ];
+            ] );
+      ]
+  in
+  quad any_int (opt text) any_int reply
+
+let test_encode_reply_property =
+  let enc = Server.encoder () in
+  QCheck.Test.make ~name:"encode_reply = the Printf reply template" ~count:2_000
+    (QCheck.make
+       ~print:(fun (id, session, ordinal, reply) ->
+         printf_reply ~id ~session ~ordinal reply)
+       reply_gen)
+    (fun (id, session, ordinal, reply) ->
+      Server.encode_reply enc ~id ~session ~ordinal reply
+      = printf_reply ~id ~session ~ordinal reply)
 
 (* ---- client scripts ---- *)
 
@@ -699,6 +866,22 @@ let test_live_journal_restart_byte_identical () =
   Alcotest.(check (list string))
     "resumed run byte-identical to the uninterrupted run" reference legB
 
+(* [open] and a [seq]-numbered waypoint on a line, each answered before
+   the next op is sent *)
+let open_ rd oc ~id session robot =
+  send oc
+    (Printf.sprintf "{\"op\":\"open\",\"id\":%d,\"session\":%S,\"robot\":%S}"
+       id session robot);
+  recv rd
+
+let wp rd oc ~id session seq =
+  send oc
+    (Printf.sprintf
+       "{\"op\":\"waypoint\",\"id\":%d,\"session\":%S,\"seq\":%d,\"target\":[4.0,%.17g,2.0]}"
+       id session seq
+       (1.0 +. (0.02 *. float_of_int seq)));
+  fst (recv rd)
+
 (* A robot too large for a journal record is refused at [open]: the
    journal never receives a record its decoder rejects, so a restart
    still replays every later record of every other session. *)
@@ -709,20 +892,6 @@ let test_live_over_dof_open_keeps_journal () =
     ~finally:(fun () -> try Sys.remove journal with Sys_error _ -> ())
   @@ fun () ->
   let config = { Server.default_config with Server.journal = Some journal } in
-  let open_ rd oc ~id session robot =
-    send oc
-      (Printf.sprintf "{\"op\":\"open\",\"id\":%d,\"session\":%S,\"robot\":%S}"
-         id session robot);
-    recv rd
-  in
-  let wp rd oc ~id session seq =
-    send oc
-      (Printf.sprintf
-         "{\"op\":\"waypoint\",\"id\":%d,\"session\":%S,\"seq\":%d,\"target\":[4.0,%.17g,2.0]}"
-         id session seq
-         (1.0 +. (0.02 *. float_of_int seq)));
-    fst (recv rd)
-  in
   let first =
     with_server ~config @@ fun _server path ->
     let fd, rd, oc = connect path in
@@ -759,6 +928,195 @@ let test_live_over_dof_open_keeps_journal () =
   resumed "b" 1;
   Alcotest.(check (list string)) "resends answer the journaled replies" first
     [ wp rd oc ~id:2 "a" 0; wp rd oc ~id:5 "b" 0; wp rd oc ~id:6 "a" 1 ]
+
+(* A session name or robot spec longer than a journal record holds is
+   refused at [open], with or without a journal: a journaled server
+   never writes a record the restart's decoder would reject and cut the
+   journal at, with every later record of every session. *)
+let test_live_long_name_open_keeps_journal () =
+  let journal = Filename.temp_file "dadu_jrnl" ".wal" in
+  Sys.remove journal;
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove journal with Sys_error _ -> ())
+  @@ fun () ->
+  let long = String.make 70_000 'x' in
+  let refused name (_, json) =
+    Alcotest.(check string) name "error" (reply_kind json);
+    Alcotest.(check bool) (name ^ ": the error names the limit") true
+      (match str_member "message" json with
+      | Some m -> Astring.String.is_infix ~affix:(string_of_int Journal.max_string_len) m
+      | None -> false)
+  in
+  (* without a journal the refusal is the same *)
+  (with_server @@ fun _server path ->
+   let fd, rd, oc = connect path in
+   Fun.protect
+     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+   @@ fun () ->
+   refused "long name, no journal" (open_ rd oc ~id:1 long "eval:12");
+   refused "long robot spec, no journal" (open_ rd oc ~id:2 "c" ("eval:12" ^ long)));
+  let config = { Server.default_config with Server.journal = Some journal } in
+  let first =
+    with_server ~config @@ fun _server path ->
+    let fd, rd, oc = connect path in
+    Fun.protect
+      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    @@ fun () ->
+    ignore (expect_kind "open a" "opened" (open_ rd oc ~id:1 "a" "eval:12"));
+    let a0 = wp rd oc ~id:2 "a" 0 in
+    refused "long name" (open_ rd oc ~id:3 long "eval:12");
+    refused "long robot spec" (open_ rd oc ~id:4 "c" ("eval:12" ^ long));
+    ignore (expect_kind "open b" "opened" (open_ rd oc ~id:5 "b" "eval:12"));
+    let b0 = wp rd oc ~id:6 "b" 0 in
+    [ a0; b0 ]
+  in
+  with_server ~config @@ fun server path ->
+  Alcotest.(check bool) "journal replayed clean" true
+    (Server.journal_recovery server = None);
+  let fd, rd, oc = connect path in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  List.iter
+    (fun session ->
+      let opened = expect_kind ("reopen " ^ session) "opened" (open_ rd oc ~id:7 session "eval:12") in
+      Alcotest.(check (option bool)) (session ^ " resumed") (Some true)
+        (bool_member "resumed" opened);
+      Alcotest.(check (option int)) (session ^ " commits kept") (Some 1)
+        (int_member "waypoints" opened))
+    [ "a"; "b" ];
+  Alcotest.(check (list string)) "resends answer the journaled replies" first
+    [ wp rd oc ~id:2 "a" 0; wp rd oc ~id:6 "b" 0 ]
+
+let committed_of = function
+  | Journal.Committed { session; ordinal; reply; _ } -> Some (session, ordinal, reply)
+  | Journal.Opened _ | Journal.Closed _ -> None
+
+let load_journal path =
+  match Journal.load path with
+  | Ok (records, _) -> records
+  | Error e -> Alcotest.fail (Format.asprintf "%a" Journal.pp_load_error e)
+
+(* A close and a re-open of one session, pipelined behind its in-flight
+   waypoints: the old session's late replies still reach the client, but
+   none of them is journaled after the new session's [Opened] record,
+   so a restart resumes the new session at the count the live server
+   held (0), not at the old session's late commits. *)
+let test_live_pipelined_close_reopen () =
+  let journal = Filename.temp_file "dadu_jrnl" ".wal" in
+  Sys.remove journal;
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove journal with Sys_error _ -> ())
+  @@ fun () ->
+  let config = { Server.default_config with Server.journal = Some journal } in
+  let n = 60 in
+  let open_op id = Printf.sprintf "{\"op\":\"open\",\"id\":%d,\"session\":\"s0\",\"robot\":\"eval:30\"}" id in
+  let reopened ~live rd oc =
+    send oc (open_op 999);
+    let opened = expect_kind "open s0 again" "opened" (recv rd) in
+    Alcotest.(check (option bool)) (live ^ ": resumed") (Some true)
+      (bool_member "resumed" opened);
+    Alcotest.(check (option int)) (live ^ ": the new session's count") (Some 0)
+      (int_member "waypoints" opened)
+  in
+  (with_server ~config @@ fun _server path ->
+   let fd, rd, oc = connect path in
+   Fun.protect
+     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+   @@ fun () ->
+   let frame = Problem_file.write_frame oc in
+   frame (open_op 0);
+   for i = 1 to n do
+     frame
+       (Printf.sprintf
+          "{\"op\":\"waypoint\",\"id\":%d,\"session\":\"s0\",\"target\":[4.0,%.17g,2.0]}"
+          i (1.0 +. (0.015 *. float_of_int i)))
+   done;
+   frame "{\"op\":\"close\",\"id\":100,\"session\":\"s0\"}";
+   frame (open_op 101);
+   (* one write (the frames fit the channel's buffer): the reader takes
+      the close and the re-open while the dispatcher still works through
+      the waypoints *)
+   flush oc;
+   let kinds = List.init (n + 3) (fun _ -> reply_kind (snd (recv rd))) in
+   Alcotest.(check int) "every waypoint answered" n
+     (List.length (List.filter (( = ) "solved") kinds));
+   Alcotest.(check int) "opened twice" 2
+     (List.length (List.filter (( = ) "opened") kinds));
+   reopened ~live:"live" rd oc);
+  let records = load_journal journal in
+  let rec after_second_open opens = function
+    | [] -> []
+    | Journal.Opened { session = "s0"; _ } :: rest ->
+      if opens = 1 then rest else after_second_open (opens + 1) rest
+    | _ :: rest -> after_second_open opens rest
+  in
+  Alcotest.(check (list (pair string int)))
+    "no commit of s0 after its second open" []
+    (List.filter_map
+       (fun r -> Option.map (fun (s, o, _) -> (s, o)) (committed_of r))
+       (after_second_open 0 records));
+  with_server ~config @@ fun server path ->
+  Alcotest.(check bool) "journal replayed clean" true
+    (Server.journal_recovery server = None);
+  let fd, rd, oc = connect path in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () -> reopened ~live:"restarted" rd oc
+
+(* Write-ahead per batch, seen from the client: 4 sessions x 100
+   waypoints pipelined, and each time a solved reply is read, the
+   journal already holds that waypoint's commit record with exactly the
+   reply's bytes. *)
+let test_live_write_ahead_per_batch () =
+  let journal = Filename.temp_file "dadu_jrnl" ".wal" in
+  Sys.remove journal;
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove journal with Sys_error _ -> ())
+  @@ fun () ->
+  let config = { Server.default_config with Server.journal = Some journal } in
+  with_server ~config @@ fun _server path ->
+  let fd, rd, oc = connect path in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  let sessions = 4 and waypoints = 100 in
+  for s = 0 to sessions - 1 do
+    send oc
+      (Printf.sprintf "{\"op\":\"open\",\"id\":%d,\"session\":\"w%d\",\"robot\":\"eval:12\"}" s s);
+    ignore (expect_kind "opened" "opened" (recv rd))
+  done;
+  for k = 0 to waypoints - 1 do
+    for s = 0 to sessions - 1 do
+      Problem_file.write_frame oc
+        (Printf.sprintf
+           "{\"op\":\"waypoint\",\"id\":%d,\"session\":\"w%d\",\"target\":[3.0,%.17g,%.17g]}"
+           ((k * sessions) + s) s
+           (1.0 +. (0.01 *. float_of_int k))
+           (1.0 +. (0.1 *. float_of_int s)))
+    done
+  done;
+  flush oc;
+  for _ = 1 to sessions * waypoints do
+    let payload, json = recv rd in
+    Alcotest.(check string) "solved" "solved" (reply_kind json);
+    let key =
+      match (str_member "session" json, int_member "ordinal" json) with
+      | Some s, Some o -> (s, o)
+      | _ -> Alcotest.fail ("no session or ordinal in " ^ payload)
+    in
+    let journaled =
+      List.find_map
+        (fun r ->
+          match committed_of r with
+          | Some (s, o, reply) when (s, o) = key -> Some reply
+          | _ -> None)
+        (load_journal journal)
+    in
+    Alcotest.(check (option string))
+      (Printf.sprintf "%s #%d journaled before its reply" (fst key) (snd key))
+      (Some payload) journaled
+  done
 
 (* Restart from a multi-MB journal, so the streaming replay crosses its
    read buffer many times: 6 gap-free sessions of 300 commits with ~3 KB
@@ -839,6 +1197,9 @@ let test_live_restart_multi_mb_journal () =
       | None -> false)
   done
 
+(* Alcotest shortens a long test name by the length of the longest suite
+   name, so a suite name longer than "reply floats" would change how the
+   existing tests' names print. *)
 let () =
   Alcotest.run "dadu_server"
     [
@@ -854,7 +1215,10 @@ let () =
         [
           qcheck test_json_floats_property;
           Alcotest.test_case "empty" `Quick test_json_floats_empty;
+          Alcotest.test_case "sweep against Printf" `Quick test_reply_text_sweep;
+          Alcotest.test_case "no allocation" `Quick test_reply_text_no_alloc;
         ] );
+      ("encode reply", [ qcheck test_encode_reply_property ]);
       ( "script",
         [
           Alcotest.test_case "parses" `Quick test_script_parses;
@@ -884,6 +1248,12 @@ let () =
             test_live_journal_restart_byte_identical;
           Alcotest.test_case "over-DOF open keeps the journal" `Slow
             test_live_over_dof_open_keeps_journal;
+          Alcotest.test_case "over-long session name keeps the journal" `Slow
+            test_live_long_name_open_keeps_journal;
+          Alcotest.test_case "pipelined close and re-open" `Slow
+            test_live_pipelined_close_reopen;
+          Alcotest.test_case "write-ahead per batch" `Slow
+            test_live_write_ahead_per_batch;
           Alcotest.test_case "restart from a multi-MB journal" `Slow
             test_live_restart_multi_mb_journal;
         ] );
