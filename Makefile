@@ -11,7 +11,7 @@ build:
 test:
 	dune runtest
 
-# the batched serving layer's suite only (scheduler/cache/fallback/metrics)
+# the batched serving layer's suite only (scheduler/seeds/fallback/metrics)
 test-service:
 	dune build @all
 	dune exec test/test_service.exe

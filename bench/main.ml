@@ -85,10 +85,9 @@ let run_ablation () =
 
 (* ---- serving layer ---- *)
 
-(* A serving workload for the steady-state request benchmark: every fresh
-   problem is revisited with a new random start, so the second visit can
-   warm-start from the cache.  Rebuilt from the same seed per run so every
-   run sees byte-identical input. *)
+(* A serving workload for the steady-state request benchmark: every target
+   is visited twice, the second time from a new random start.  Rebuilt from
+   the same seed per run so every run sees byte-identical input. *)
 let serve_workload ~dof ~fresh_count =
   let open Dadu_kinematics in
   let chain = Robots.eval_chain ~dof in
@@ -265,16 +264,16 @@ let speckernel_steady_state ~dof =
   in
   (mean, p50, p95, words_per_sweep)
 
-(* Steady-state cost of one request through the serving path (scheduler +
-   cache + fallback chain + metrics), serial, warm cache: the number
-   bench_diff gates so scheduler/tracing overhead cannot creep into the
-   per-request allocation budget unnoticed. *)
+(* Steady-state cost of one cold one-shot request through
+   [Service.solve_batch] (scheduler + fallback chain + metrics), serial:
+   the number bench_diff gates so scheduler/tracing overhead cannot creep
+   into the per-request allocation budget unnoticed. *)
 let serve_steady_state ~dof =
   let module Svc = Dadu_service.Service in
   let problems = serve_workload ~dof ~fresh_count:32 in
   let n = Array.length problems in
   let service = Svc.create () in
-  (* warm: seed cache populated, per-domain workspaces built *)
+  (* warm: per-domain workspaces built *)
   ignore (Svc.solve_batch service problems);
   ignore (Svc.solve_batch service problems);
   let batch () = ignore (Svc.solve_batch service problems) in
@@ -291,7 +290,7 @@ let serve_steady_state ~dof =
    the informational fields pin the acceptance criterion (seeded mean
    iterations to the paper accuracy strictly below cold), while the gated
    metrics price the seed selection itself — one perturbation-free
-   4-candidate selection (theta0 / cache / library NN / zero) as a
+   4-candidate selection (theta0 / session / library NN / zero) as a
    one-request [choose_wave] on warm scratch.  The waves, library rows
    included, are built before the timed loop, so the loop allocates only
    each wave's result array. *)
@@ -312,7 +311,7 @@ let seeded_steady_state ~dof =
     Dadu_core.Quick_ik.solve ~speculations:64 ~workspace:ws ~config p
   in
   let sel = Sel.create () in
-  let waves ~cache_seed =
+  let waves ~session_seed =
     Array.mapi
       (fun i (p : Dadu_core.Ik.problem) ->
         let t = p.Dadu_core.Ik.target in
@@ -327,8 +326,7 @@ let seeded_steady_state ~dof =
             ty = y;
             tz = z;
             theta0 = p.Dadu_core.Ik.theta0;
-            session_seed = None;
-            cache_seed;
+            session_seed;
             library = Some library;
             library_index =
               Dadu_service.Posture_library.nearest_index library ~x ~y ~z;
@@ -340,7 +338,7 @@ let seeded_steady_state ~dof =
       problems
   in
   let mean_iters seeded =
-    let waves = waves ~cache_seed:None in
+    let waves = waves ~session_seed:None in
     let total = ref 0 in
     Array.iteri
       (fun i p ->
@@ -357,9 +355,9 @@ let seeded_steady_state ~dof =
   in
   let iters_cold = mean_iters false in
   let iters_seeded = mean_iters true in
-  (* selection cost: warm cache seed present, so no Perturbed slot (whose
+  (* selection cost: session seed present, so no Perturbed slot (whose
      fresh Rng would allocate) *)
-  let timed = waves ~cache_seed:(Some (Array.make dof 0.1)) in
+  let timed = waves ~session_seed:(Some (Array.make dof 0.1)) in
   let reps = 100 in
   let sweep () =
     for i = 0 to reps - 1 do
@@ -394,7 +392,7 @@ let prepare_steady_state ~dof =
   let problems =
     Array.init waves (fun _ -> Dadu_core.Ik.random_problem rng chain)
   in
-  let cache_seed = Some (Array.make dof 0.1) in
+  let session_seed = Some (Array.make dof 0.1) in
   let specs =
     Array.mapi
       (fun i (p : Dadu_core.Ik.problem) ->
@@ -406,8 +404,7 @@ let prepare_steady_state ~dof =
           ty = t.Dadu_linalg.Vec3.y;
           tz = t.Dadu_linalg.Vec3.z;
           theta0 = p.Dadu_core.Ik.theta0;
-          session_seed = None;
-          cache_seed;
+          session_seed;
           library = Some library;
           library_index =
             Dadu_service.Posture_library.nearest_index library
@@ -657,9 +654,9 @@ let run_micro_json () =
       ~title:
         "steady state: quickik = solver iteration (64 spec), \
          speckernel = one raw 64-candidate sweep, serve-request = one \
-         warm-cache request through the serving path, prepare = one candidate \
-         scoring through the wave-fused choose_wave (16 requests x 5 \
-         candidates, sequential), session = one temporally warm-started \
+         cold one-shot request through Service.solve_batch, prepare = one \
+         candidate scoring through the wave-fused choose_wave (16 requests \
+         x 5 candidates, sequential), session = one temporally warm-started \
          waypoint along a 40-point ~1.5 cm cyclic trajectory, \
          journal-replay = one record of a 32-session restart replay, \
          reply-encode = one solved session reply encoded and its journal \

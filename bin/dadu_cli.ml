@@ -320,20 +320,12 @@ let jobs =
     value & opt int (Dadu_util.Domain_pool.recommended_size ()) & info [ "j"; "jobs" ] ~doc)
 
 let chunk =
-  let doc = "Scheduler wave size (cache warm-starts cross wave boundaries)." in
+  let doc =
+    "Scheduler wave size: requests per serial prepare / parallel solve / \
+     serial commit round.  Replies do not depend on it unless circuit \
+     breakers or deadlines are set."
+  in
   Arg.(value & opt int Svc.default_config.Svc.chunk & info [ "chunk" ] ~doc)
-
-let cache_cell =
-  let doc = "Warm-start cache grid cell side in meters." in
-  Arg.(value & opt float Svc.default_config.Svc.cache_cell_m & info [ "cache-cell" ] ~doc)
-
-let cache_capacity =
-  let doc = "Warm-start cache capacity in cells (LRU beyond this)." in
-  Arg.(
-    value & opt int Svc.default_config.Svc.cache_capacity & info [ "cache-capacity" ] ~doc)
-
-let no_warm_start =
-  Arg.(value & flag & info [ "no-warm-start" ] ~doc:"Disable the warm-start seed cache.")
 
 let time_budget =
   let doc =
@@ -423,7 +415,10 @@ let seed_library_arg =
 let seed_candidates_arg =
   let doc =
     "Speculative seed starts scored per request (argmin of first-iteration \
-     FK error wins).  1 (the default) keeps the classic warm-start path."
+     FK error wins) among the request's own start, its session's slot, the \
+     --seed-library neighbour, the zero posture and perturbations.  1 (the \
+     default) starts a one-shot from its own start and a waypoint from \
+     its session's slot, unscored."
   in
   Arg.(
     value
@@ -521,10 +516,9 @@ let written what write =
     false
 
 let run_serve_batch file solvers speculations max_iters accuracy jobs chunk
-    cache_cell cache_capacity no_warm_start time_budget batch_budget
-    default_deadline trace_out retries retry_scale breaker_threshold
-    breaker_cooldown fault_plan fault_seed guard_flag seed_library
-    seed_candidates replies_out =
+    time_budget batch_budget default_deadline trace_out retries retry_scale
+    breaker_threshold breaker_cooldown fault_plan fault_seed guard_flag
+    seed_library seed_candidates replies_out =
   match Dadu_service.Problem_file.parse_requests_file file with
   | Error msg ->
     Format.eprintf "dadu: %s: %s@." file msg;
@@ -568,9 +562,6 @@ let run_serve_batch file solvers speculations max_iters accuracy jobs chunk
         accuracy;
         max_iterations = max_iters;
         time_budget_s = time_budget;
-        warm_start = not no_warm_start;
-        cache_cell_m = cache_cell;
-        cache_capacity;
         chunk;
         guard = (if guard_flag then Some Ik.default_guard else None);
         fault;
@@ -639,19 +630,20 @@ let run_serve_batch file solvers speculations max_iters accuracy jobs chunk
 
 let serve_batch_cmd =
   let doc =
-    "Serve a batch of IK problems from a file: scheduler, warm-start cache, \
+    "Serve a batch of IK problems from a file: scheduler, seed selection, \
      solver fallback chain, circuit breakers, perturbed-seed retries, \
-     per-request deadlines, fault injection, tracing, metrics table."
+     per-request deadlines, fault injection, tracing, metrics table.  \
+     Without breakers or deadlines, each reply depends only on its own \
+     problem and its index."
   in
   Cmd.v
     (Cmd.info "serve-batch" ~doc)
     Term.(
       const run_serve_batch $ problems_file $ solvers_arg $ speculations
-      $ max_iters $ accuracy $ jobs $ chunk $ cache_cell $ cache_capacity
-      $ no_warm_start $ time_budget $ batch_budget $ default_deadline
-      $ trace_out $ retries $ retry_scale $ breaker_threshold
-      $ breaker_cooldown $ fault_plan $ fault_seed $ guard_flag
-      $ seed_library_arg $ seed_candidates_arg $ replies_out)
+      $ max_iters $ accuracy $ jobs $ chunk $ time_budget $ batch_budget
+      $ default_deadline $ trace_out $ retries $ retry_scale
+      $ breaker_threshold $ breaker_cooldown $ fault_plan $ fault_seed
+      $ guard_flag $ seed_library_arg $ seed_candidates_arg $ replies_out)
 
 (* ---- serve (persistent streaming server) ---- *)
 
@@ -663,11 +655,7 @@ let listen_conv =
         match Server.listen_of_string s with
         | Ok l -> Ok l
         | Error msg -> Error (`Msg msg)),
-      fun ppf l ->
-        Format.pp_print_string ppf
-          (match l with
-          | Server.Unix_sock p -> "unix:" ^ p
-          | Server.Tcp (h, p) -> Printf.sprintf "tcp:%s:%d" h p) )
+      fun ppf l -> Format.pp_print_string ppf (Server.string_of_listen l) )
 
 let listen_arg =
   let doc =
@@ -758,8 +746,8 @@ let net_fault_seed_arg =
 
 let run_serve listen queue max_batch journal max_conns idle_timeout
     frame_timeout retry_after est_job_ms net_fault_plan net_fault_seed solvers
-    speculations max_iters accuracy jobs chunk cache_cell cache_capacity
-    no_warm_start retries retry_scale guard_flag seed_library seed_candidates =
+    speculations max_iters accuracy jobs chunk retries retry_scale guard_flag
+    seed_library seed_candidates =
   let library = load_seed_library ~seed_candidates seed_library in
   let net_fault =
     match net_fault_plan with
@@ -781,9 +769,6 @@ let run_serve listen queue max_batch journal max_conns idle_timeout
         accuracy;
         max_iterations = max_iters;
         time_budget_s = None;
-        warm_start = not no_warm_start;
-        cache_cell_m = cache_cell;
-        cache_capacity;
         chunk;
         guard = (if guard_flag then Some Ik.default_guard else None);
         fault = Dadu_util.Fault.disabled;
@@ -827,15 +812,17 @@ let run_serve listen queue max_batch journal max_conns idle_timeout
             (Option.value ~default:"?" journal)
             Dadu_service.Journal.pp_load_error defect
         | None -> ());
+        match Server.bind listen with
+        | Error reason ->
+          Format.eprintf "dadu: cannot listen on %s: %s@."
+            (Server.string_of_listen listen) reason;
+          3
+        | Ok listener ->
         let handler = Sys.Signal_handle (fun _ -> Server.stop server) in
         (try Sys.set_signal Sys.sigterm handler with Invalid_argument _ -> ());
         (try Sys.set_signal Sys.sigint handler with Invalid_argument _ -> ());
-        Format.eprintf "dadu: serving on %a@."
-          (fun ppf -> function
-            | Server.Unix_sock p -> Format.fprintf ppf "unix:%s" p
-            | Server.Tcp (h, p) -> Format.fprintf ppf "tcp:%s:%d" h p)
-          listen;
-        Server.run server ~listen;
+        Format.eprintf "dadu: serving on %s@." (Server.string_of_listen listen);
+        Server.run server listener;
         print_string (Server.render_tenants server);
         0)
 
@@ -851,23 +838,13 @@ let serve_cmd =
       const run_serve $ listen_arg $ queue_arg $ max_batch_arg $ journal_arg
       $ max_conns_arg $ idle_timeout_arg $ frame_timeout_arg $ retry_after_arg
       $ est_job_ms_arg $ net_fault_plan_arg $ net_fault_seed_arg $ solvers_arg
-      $ speculations $ max_iters $ accuracy $ jobs $ chunk $ cache_cell
-      $ cache_capacity $ no_warm_start $ retries $ retry_scale $ guard_flag
-      $ seed_library_arg $ seed_candidates_arg)
+      $ speculations $ max_iters $ accuracy $ jobs $ chunk $ retries
+      $ retry_scale $ guard_flag $ seed_library_arg $ seed_candidates_arg)
 
 (* ---- client (script-driven frame stream) ---- *)
 
 module Json = Dadu_util.Json
 module Pf = Dadu_service.Problem_file
-
-let sockaddr_of_listen = function
-  | Server.Unix_sock path -> Unix.ADDR_UNIX path
-  | Server.Tcp (host, port) ->
-    let ip =
-      try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-      with Not_found -> Unix.inet_addr_of_string host
-    in
-    Unix.ADDR_INET (ip, port)
 
 (* retry until the server's socket exists and accepts: the CI job starts
    the server in the background and races the client against its bind.
@@ -910,12 +887,14 @@ let run_client connect script dump timeout_s retries backoff_ms read_timeout
           (Dadu_util.Fault.arm ~seed:net_fault_seed)
           (Dadu_util.Fault.parse_plan s)
     in
-    (match fault with
-    | Error msg ->
+    (match (fault, Server.sockaddr connect) with
+    | Error msg, _ ->
       Format.eprintf "dadu: %s@." msg;
       3
-    | Ok fault ->
-      let addr = sockaddr_of_listen connect in
+    | _, Error msg ->
+      Format.eprintf "dadu: cannot connect: %s@." msg;
+      4
+    | Ok fault, Ok addr ->
       let connect () = connect_with_retry addr ~timeout_s in
       let read_timeout_s = if read_timeout > 0. then Some read_timeout else None in
       (match

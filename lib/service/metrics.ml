@@ -9,8 +9,6 @@ type t = {
   faulted : int Atomic.t;
   fallback_used : int Atomic.t;
   deadline_exceeded : int Atomic.t;
-  cache_hits : int Atomic.t;
-  cache_misses : int Atomic.t;
   diverged : int Atomic.t;
   breaker_skips : int Atomic.t;
   retries : int Atomic.t;
@@ -20,7 +18,6 @@ type t = {
   library_hits : int Atomic.t;
   seed_theta0_wins : int Atomic.t;
   seed_session_wins : int Atomic.t;
-  seed_cache_wins : int Atomic.t;
   seed_library_wins : int Atomic.t;
   seed_zero_wins : int Atomic.t;
   seed_perturbed_wins : int Atomic.t;
@@ -51,8 +48,6 @@ let create () =
     faulted = Atomic.make 0;
     fallback_used = Atomic.make 0;
     deadline_exceeded = Atomic.make 0;
-    cache_hits = Atomic.make 0;
-    cache_misses = Atomic.make 0;
     diverged = Atomic.make 0;
     breaker_skips = Atomic.make 0;
     retries = Atomic.make 0;
@@ -62,7 +57,6 @@ let create () =
     library_hits = Atomic.make 0;
     seed_theta0_wins = Atomic.make 0;
     seed_session_wins = Atomic.make 0;
-    seed_cache_wins = Atomic.make 0;
     seed_library_wins = Atomic.make 0;
     seed_zero_wins = Atomic.make 0;
     seed_perturbed_wins = Atomic.make 0;
@@ -102,7 +96,6 @@ type event =
       converged : bool;
       diverged : bool;
       fallbacks : int;
-      cache_hit : bool;
       session : bool;
       session_hit : bool;
       deadline_exceeded : bool;
@@ -125,7 +118,6 @@ let record_seed t ~library_hit (source : Seed_select.source) =
     (match source with
     | Seed_select.Theta0 -> t.seed_theta0_wins
     | Seed_select.Session -> t.seed_session_wins
-    | Seed_select.Cache -> t.seed_cache_wins
     | Seed_select.Library -> t.seed_library_wins
     | Seed_select.Zero -> t.seed_zero_wins
     | Seed_select.Perturbed -> t.seed_perturbed_wins)
@@ -158,7 +150,6 @@ let record t event =
         converged;
         diverged;
         fallbacks;
-        cache_hit;
         session;
         session_hit;
         deadline_exceeded;
@@ -175,13 +166,10 @@ let record t event =
     add t.breaker_skips breaker_skips;
     add t.retries retries;
     if retry_converged then bump t.retry_converged;
-    (* session requests bypass the shared seed cache entirely (the slot
-       is the cache), so they count in their own lookup universe *)
     if session then begin
       bump t.session_requests;
       if session_hit then bump t.session_warm
-    end
-    else bump (if cache_hit then t.cache_hits else t.cache_misses);
+    end;
     Mutex.lock t.lock;
     Fun.protect
       ~finally:(fun () -> Mutex.unlock t.lock)
@@ -200,8 +188,6 @@ let reset t =
       t.faulted;
       t.fallback_used;
       t.deadline_exceeded;
-      t.cache_hits;
-      t.cache_misses;
       t.diverged;
       t.breaker_skips;
       t.retries;
@@ -211,7 +197,6 @@ let reset t =
       t.library_hits;
       t.seed_theta0_wins;
       t.seed_session_wins;
-      t.seed_cache_wins;
       t.seed_library_wins;
       t.seed_zero_wins;
       t.seed_perturbed_wins;
@@ -249,7 +234,6 @@ type snapshot = {
   library_hits : int;
   seed_theta0_wins : int;
   seed_session_wins : int;
-  seed_cache_wins : int;
   seed_library_wins : int;
   seed_zero_wins : int;
   seed_perturbed_wins : int;
@@ -282,8 +266,8 @@ let snapshot t =
     faulted = Atomic.get t.faulted;
     fallback_used = Atomic.get t.fallback_used;
     deadline_exceeded = Atomic.get t.deadline_exceeded;
-    cache_hits = Atomic.get t.cache_hits;
-    cache_misses = Atomic.get t.cache_misses;
+    cache_hits = 0;
+    cache_misses = 0;
     diverged = Atomic.get t.diverged;
     breaker_skips = Atomic.get t.breaker_skips;
     retries = Atomic.get t.retries;
@@ -293,7 +277,6 @@ let snapshot t =
     library_hits = Atomic.get t.library_hits;
     seed_theta0_wins = Atomic.get t.seed_theta0_wins;
     seed_session_wins = Atomic.get t.seed_session_wins;
-    seed_cache_wins = Atomic.get t.seed_cache_wins;
     seed_library_wins = Atomic.get t.seed_library_wins;
     seed_zero_wins = Atomic.get t.seed_zero_wins;
     seed_perturbed_wins = Atomic.get t.seed_perturbed_wins;
@@ -328,16 +311,6 @@ let render s =
   int_row "faulted" s.faulted;
   int_row "fallback used" s.fallback_used;
   int_row "deadline exceeded" s.deadline_exceeded;
-  let lookups = s.cache_hits + s.cache_misses in
-  Table.add_row table
-    [
-      "cache hits";
-      (if lookups = 0 then "0"
-       else
-         Printf.sprintf "%d (%.1f%%)" s.cache_hits
-           (100. *. float_of_int s.cache_hits /. float_of_int lookups));
-    ];
-  int_row "cache misses" s.cache_misses;
   int_row "diverged" s.diverged;
   int_row "breaker skips" s.breaker_skips;
   int_row "retries" s.retries;
@@ -354,7 +327,6 @@ let render s =
   int_row "library hits" s.library_hits;
   int_row "seed wins (theta0)" s.seed_theta0_wins;
   int_row "seed wins (session)" s.seed_session_wins;
-  int_row "seed wins (cache)" s.seed_cache_wins;
   int_row "seed wins (library)" s.seed_library_wins;
   int_row "seed wins (zero)" s.seed_zero_wins;
   int_row "seed wins (perturbed)" s.seed_perturbed_wins;

@@ -8,13 +8,8 @@ open Dadu_core
     from the scheduler's serial commit phase, which additionally makes
     the recorded stream deterministic.
 
-    Invariants (tested):
-    [converged + failed + rejected + faulted = requests] and
-    [cache_hits + cache_misses = requests - rejected - faulted -
-    session_requests] (seed-cache lookups happen only for problems that
-    pass validation, complete their solve, and do not belong to a
-    trajectory session — session requests bypass the shared cache, their
-    warm-start slot is counted by [session_warm] instead). *)
+    Invariant (tested): [converged + failed + rejected + faulted =
+    requests]. *)
 
 type t
 
@@ -27,7 +22,6 @@ type event =
       converged : bool;
       diverged : bool;  (** reported attempt ended [Diverged] *)
       fallbacks : int;  (** extra solvers tried after the first *)
-      cache_hit : bool;  (** warm-started from the seed cache *)
       session : bool;  (** belongs to a trajectory session *)
       session_hit : bool;
           (** the session's warm-start slot was filled and offered
@@ -89,6 +83,8 @@ type snapshot = {
   deadline_exceeded : int;  (** requests short-circuited past deadline *)
   cache_hits : int;
   cache_misses : int;
+      (** both always 0: nothing is cached between requests.  Kept
+          until the benchmark replay stops reading them. *)
   diverged : int;  (** replies whose reported attempt diverged *)
   breaker_skips : int;  (** total tiers skipped by open breakers *)
   retries : int;  (** total perturbed-seed retries *)
@@ -98,7 +94,6 @@ type snapshot = {
   library_hits : int;  (** posture-library NN candidates offered *)
   seed_theta0_wins : int;  (** speculative selections won by θ₀ *)
   seed_session_wins : int;  (** … by the session warm-start slot *)
-  seed_cache_wins : int;  (** … by the seed-cache hit *)
   seed_library_wins : int;  (** … by the posture-library neighbour *)
   seed_zero_wins : int;  (** … by the clamped zero posture *)
   seed_perturbed_wins : int;  (** … by a perturbed base *)
@@ -123,6 +118,6 @@ val serial_fraction : snapshot -> float option
     recorded. *)
 
 val render : snapshot -> string
-(** The metrics table `dadu serve-batch` prints: counters, cache hit
-    rate, the per-phase wall-time breakdown with its serial fraction,
+(** The metrics table `dadu serve-batch` prints: counters, the
+    per-phase wall-time breakdown with its serial fraction,
     latency p50/p95/p99 in milliseconds, iteration percentiles. *)

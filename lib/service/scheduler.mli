@@ -7,9 +7,9 @@
 
     - {b positional}: result [i] always corresponds to input [i];
     - {b deterministic}: serial [prepare]/[commit] phases run in input
-      order between parallel waves, so stateful per-batch logic (the seed
-      cache, metrics) observes the same interleaving whatever the pool
-      size — including no pool at all;
+      order between parallel waves, so stateful per-batch logic (session
+      slots, breakers, metrics) observes the same interleaving whatever
+      the pool size — including no pool at all;
     - {b contained}: an exception thrown by a work item is captured as
       that item's [Error], never escaping a worker domain or poisoning
       the rest of the batch.

@@ -4,12 +4,11 @@ module Rng = Dadu_util.Rng
 module Pool = Dadu_util.Domain_pool
 module Ws = Dadu_core.Workspace
 
-type source = Theta0 | Session | Cache | Library | Zero | Perturbed
+type source = Theta0 | Session | Library | Zero | Perturbed
 
 let source_name = function
   | Theta0 -> "theta0"
   | Session -> "session"
-  | Cache -> "cache"
   | Library -> "library"
   | Zero -> "zero"
   | Perturbed -> "perturbed"
@@ -120,7 +119,6 @@ type spec = {
   tz : float;
   theta0 : Vec.t;
   session_seed : Vec.t option;
-  cache_seed : Vec.t option;
   library : Posture_library.t option;
   library_index : int;
   candidates : int;
@@ -131,14 +129,13 @@ type spec = {
 let usable dof = function Some v -> Array.length v = dof | None -> false
 
 (* How many base rows spec [s] assembles: θ₀, then each usable source in
-   priority order (session slot, cache hit, library neighbour, zero
-   posture) while the candidate budget lasts.  [assemble_base] fills
-   exactly these rows, in that order. *)
+   priority order (session slot, library neighbour, zero posture) while
+   the candidate budget lasts.  [assemble_base] fills exactly these rows,
+   in that order. *)
 let base_count (s : spec) =
   let dof = Chain.dof s.chain in
   let usable_sources =
     Bool.to_int (usable dof s.session_seed)
-    + Bool.to_int (usable dof s.cache_seed)
     + Bool.to_int (s.library <> None && s.library_index >= 0)
     + 1 (* zero *)
   in
@@ -181,11 +178,6 @@ let assemble_base t (specs : spec array) r =
     (match s.session_seed with
     | Some v when Array.length v = dof && !k < hi ->
       blit_row t s r !k Session v;
-      incr k
-    | Some _ | None -> ());
-    (match s.cache_seed with
-    | Some v when Array.length v = dof && !k < hi ->
-      blit_row t s r !k Cache v;
       incr k
     | Some _ | None -> ());
     (match s.library with

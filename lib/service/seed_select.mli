@@ -7,19 +7,19 @@ open Dadu_kinematics
     Given a request, up to [candidates] starting configurations are
     assembled in a fixed priority order — the request's own [θ₀], the
     trajectory session's previous-waypoint solution (the temporal warm
-    start, see {!Session}), the seed-cache hit, the posture-library
-    nearest neighbour, the clamped zero posture, then Gaussian
-    perturbations of the best-scoring base —
-    each scored by its first-iteration FK error (squared end-effector
-    distance to the target, computed with the {!Dadu_kinematics.Fk}
-    row-scoring kernel), and only the argmin winner is committed as the
-    start the solver chain sees.  Selection runs a whole scheduler wave
-    at once ({!choose_wave}); a single request is a wave of one.
+    start, see {!Session}), the posture-library nearest neighbour, the
+    clamped zero posture, then Gaussian perturbations of the
+    best-scoring base — each scored by its first-iteration FK error
+    (squared end-effector distance to the target, computed with the
+    {!Dadu_kinematics.Fk} row-scoring kernel), and only the argmin
+    winner is committed as the start the solver chain sees.  Selection
+    runs a whole scheduler wave at once ({!choose_wave}); a single
+    request is a wave of one.
 
     Determinism contract: the winner is a pure function of the request's
-    {!spec} (ordinal, chain, target, θ₀, session seed, cache seed,
-    library row).  Perturbation noise is seeded from the request ordinal
-    and the perturbation index alone, rows are scored independently, and
+    {!spec} (ordinal, chain, target, θ₀, session seed, library row).
+    Perturbation noise is seeded from the request ordinal and the
+    perturbation index alone, rows are scored independently, and
     ties break to the earliest (highest-priority) candidate — so replies
     are byte-identical across pool sizes (pinned by test against an
     independent per-candidate oracle).
@@ -29,12 +29,11 @@ open Dadu_kinematics
     vectors (pinned by the alloc suite for the perturbation-free
     candidate set). *)
 
-type source = Theta0 | Session | Cache | Library | Zero | Perturbed
+type source = Theta0 | Session | Library | Zero | Perturbed
 (** Where the winning seed came from, in assembly priority order. *)
 
 val source_name : source -> string
-(** ["theta0"], ["session"], ["cache"], ["library"], ["zero"],
-    ["perturbed"]. *)
+(** ["theta0"], ["session"], ["library"], ["zero"], ["perturbed"]. *)
 
 type t
 (** Reusable scratch: a flat row-major candidate θ plane (joint [i] of
@@ -58,8 +57,6 @@ type spec = {
   session_seed : Vec.t option;
       (** frozen session warm-start slot (the previous waypoint's
           solution), resolved in the serial snapshot pass *)
-  cache_seed : Vec.t option;
-      (** frozen seed-cache hit, resolved in the serial snapshot pass *)
   library : Posture_library.t option;
       (** the library, only when it {!Posture_library.matches} the chain *)
   library_index : int;
@@ -71,9 +68,9 @@ type spec = {
   dst : Vec.t;  (** the winning start is written here (length dof) *)
 }
 (** One request's frozen selection inputs: every read of mutable serial
-    state ({!Seed_cache}, {!Posture_library} NN, the session slot) is
-    captured by the service's serial snapshot pass, so the assembly and
-    scoring passes touch no shared state. *)
+    state ({!Posture_library} NN, the session slot) is captured by the
+    service's serial snapshot pass, so the assembly and scoring passes
+    touch no shared state. *)
 
 val choose_wave :
   t -> ?pool:Dadu_util.Domain_pool.t -> spec array -> source array
@@ -88,8 +85,8 @@ val choose_wave :
 
     [candidates] must be at least 1; [scale] is the perturbation std-dev
     (radians).  [session_seed] — the trajectory session's previous
-    converged solution — ranks just below the request's own [θ₀]; it,
-    [cache_seed] and the library posture are used only when present
+    converged solution — ranks just below the request's own [θ₀]; it
+    and the library posture are used only when present
     (the library only with [library_index >= 0]).  With [candidates = 1]
     the request's own [θ₀] is returned unscored (clamped), preserving the
     non-speculative path exactly.

@@ -33,6 +33,20 @@ let listen_of_string s =
     | None ->
       if s = "" then Error "empty listen address" else Ok (Unix_sock s))
 
+let string_of_listen = function
+  | Unix_sock p -> "unix:" ^ p
+  | Tcp (h, p) -> Printf.sprintf "tcp:%s:%d" h p
+
+let sockaddr = function
+  | Unix_sock path -> Ok (Unix.ADDR_UNIX path)
+  | Tcp (host, port) ->
+    (match (Unix.gethostbyname host).Unix.h_addr_list.(0) with
+    | ip -> Ok (Unix.ADDR_INET (ip, port))
+    | exception Not_found ->
+      (match Unix.inet_addr_of_string host with
+      | ip -> Ok (Unix.ADDR_INET (ip, port))
+      | exception Failure _ -> Error ("unknown host " ^ host)))
+
 (* ---- configuration --------------------------------------------------- *)
 
 type config = {
@@ -386,7 +400,6 @@ let record_tenant t job (reply : Service.reply) =
       {
         result;
         fallbacks;
-        cache_hit;
         session_hit;
         deadline_exceeded;
         breaker_skips;
@@ -401,7 +414,6 @@ let record_tenant t job (reply : Service.reply) =
            converged = result.Ik.status = Ik.Converged;
            diverged = result.Ik.status = Ik.Diverged;
            fallbacks;
-           cache_hit;
            session = job.jsession <> None;
            session_hit;
            deadline_exceeded;
@@ -868,10 +880,10 @@ let handle_stats t conn =
   let s = Metrics.snapshot tn.metrics in
   send conn
     (Printf.sprintf
-       "{\"reply\":\"stats\",\"tenant\":%S,\"requests\":%d,\"converged\":%d,\"failed\":%d,\"rejected\":%d,\"faulted\":%d,\"cache_hits\":%d,\"cache_misses\":%d,\"session_requests\":%d,\"session_warm\":%d,\"overloaded\":%d,\"timeouts\":%d,\"disconnects\":%d,\"journal_appends\":%d,\"journal_replays\":%d,\"retry_after_sheds\":%d,\"busy\":%d}"
+       "{\"reply\":\"stats\",\"tenant\":%S,\"requests\":%d,\"converged\":%d,\"failed\":%d,\"rejected\":%d,\"faulted\":%d,\"session_requests\":%d,\"session_warm\":%d,\"overloaded\":%d,\"timeouts\":%d,\"disconnects\":%d,\"journal_appends\":%d,\"journal_replays\":%d,\"retry_after_sheds\":%d,\"busy\":%d}"
        conn.tenant s.Metrics.requests s.Metrics.converged s.Metrics.failed
-       s.Metrics.rejected s.Metrics.faulted s.Metrics.cache_hits
-       s.Metrics.cache_misses s.Metrics.session_requests s.Metrics.session_warm
+       s.Metrics.rejected s.Metrics.faulted s.Metrics.session_requests
+       s.Metrics.session_warm
        (Atomic.get tn.overloaded) s.Metrics.timeouts s.Metrics.disconnects
        s.Metrics.journal_appends s.Metrics.journal_replays
        s.Metrics.retry_after_sheds s.Metrics.busy_refusals)
@@ -978,26 +990,43 @@ let begin_drain t =
   Condition.broadcast t.qcond;
   Mutex.unlock t.qlock
 
-let run t ~listen =
+type listener = { lfd : Unix.file_descr; path : string option }
+
+let unlink_quietly path = try Unix.unlink path with Unix.Unix_error _ -> ()
+
+(* a socket file left by an earlier run is replaced; any other file at the
+   path is kept, and the bind then fails on it *)
+let remove_stale_socket path =
+  match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_SOCK; _ } -> unlink_quietly path
+  | _ | (exception Unix.Unix_error _) -> ()
+
+let bind listen =
+  match sockaddr listen with
+  | Error _ as e -> e
+  | Ok addr ->
+    let path = match listen with Unix_sock p -> Some p | Tcp _ -> None in
+    Option.iter remove_stale_socket path;
+    (match
+       Unix.socket ~cloexec:true (Unix.domain_of_sockaddr addr)
+         Unix.SOCK_STREAM 0
+     with
+    | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+    | lfd ->
+      (match
+         Unix.setsockopt lfd Unix.SO_REUSEADDR true;
+         Unix.bind lfd addr;
+         Unix.listen lfd 64
+       with
+      | () -> Ok { lfd; path }
+      | exception Unix.Unix_error (e, _, _) ->
+        Unix.close lfd;
+        Error (Unix.error_message e)))
+
+let run t { lfd; path } =
   if Atomic.get t.stop_flag then invalid_arg "Server.run: already stopped";
   (* a client vanishing mid-write must not kill the server *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let domain, addr, cleanup =
-    match listen with
-    | Unix_sock path ->
-      (try Unix.unlink path with Unix.Unix_error _ -> ());
-      (Unix.PF_UNIX, Unix.ADDR_UNIX path, fun () -> try Unix.unlink path with Unix.Unix_error _ -> ())
-    | Tcp (host, port) ->
-      let ip =
-        try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-        with Not_found -> Unix.inet_addr_of_string host
-      in
-      (Unix.PF_INET, Unix.ADDR_INET (ip, port), fun () -> ())
-  in
-  let lfd = Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0 in
-  Unix.setsockopt lfd Unix.SO_REUSEADDR true;
-  Unix.bind lfd addr;
-  Unix.listen lfd 64;
   let disp = Thread.create (dispatcher t) () in
   let readers = ref [] in
   let accepted = ref 0 in
@@ -1057,7 +1086,7 @@ let run t ~listen =
   (* graceful drain: stop accepting, push EOF at every reader, let the
      dispatcher finish everything already admitted, flush, then close *)
   (try Unix.close lfd with Unix.Unix_error _ -> ());
-  cleanup ();
+  Option.iter unlink_quietly path;
   Mutex.lock t.clock;
   let conns = t.conns in
   Mutex.unlock t.clock;

@@ -14,16 +14,14 @@
     clocks, no addresses), with ["%.17g"] doubles — the bytes a client
     dumps are compared with [cmp] across pool sizes in CI.  Session
     waypoints carry stable ordinals from the session's own enqueue
-    counter and warm-start from the session slot, bypassing the shared
-    seed cache, so their replies are a pure function of the session's
-    waypoint sequence — independent of how other connections interleave
-    (DESIGN.md §15).  One-shot solves use the client-assigned [id] as
-    their stable ordinal; with warm-starting enabled their cache
-    visibility can still depend on dispatcher batch boundaries, so
-    full-stream byte determinism additionally needs the shared cache
-    off.  Shedding consumes nothing for one-shot solves but a shed
-    waypoint still consumed its ordinal — determinism is forfeited for
-    a session that sheds.
+    counter and warm-start from the session slot, so their replies are
+    a pure function of the session's waypoint sequence — independent of
+    how other connections interleave (DESIGN.md §15).  One-shot solves
+    use the client-assigned [id] as their stable ordinal and start from
+    their own request, so their replies do not depend on dispatcher
+    batch boundaries either.  Shedding consumes nothing for one-shot
+    solves but a shed waypoint still consumed its ordinal — determinism
+    is forfeited for a session that sheds.
 
     {2 Crash safety}
 
@@ -75,6 +73,13 @@ type listen = Unix_sock of string | Tcp of string * int
 val listen_of_string : string -> (listen, string) result
 (** ["unix:<path>"], ["tcp:<host>:<port>"] (empty host means
     127.0.0.1), or a bare path (treated as a Unix socket). *)
+
+val string_of_listen : listen -> string
+(** ["unix:<path>"] or ["tcp:<host>:<port>"]. *)
+
+val sockaddr : listen -> (Unix.sockaddr, string) result
+(** Resolve the address (a host name, else a dotted address);
+    [Error "unknown host <host>"] when it is neither. *)
 
 type config = {
   service : Service.config;
@@ -137,10 +142,19 @@ val journal_recovery : t -> Journal.load_error option
 val stop : t -> unit
 (** Begin a graceful drain.  Async-signal-safe and idempotent. *)
 
-val run : t -> listen:listen -> unit
-(** Bind, accept, and serve until {!stop}; returns after the drain
-    completes.  Ignores SIGPIPE.  An existing Unix socket file at the
-    path is replaced, and removed again on shutdown. *)
+type listener
+(** A bound, listening socket. *)
+
+val bind : listen -> (listener, string) result
+(** Resolve the address, bind and listen.  A Unix socket file left at
+    the path is replaced; any other file there is kept and refused.
+    [Error reason] when the address cannot be used (an unknown host, a
+    missing directory, a port in use, an existing non-socket file). *)
+
+val run : t -> listener -> unit
+(** Accept and serve until {!stop}; returns after the drain completes,
+    having closed the listener and removed its Unix socket file.
+    Ignores SIGPIPE. *)
 
 val json_floats : float array -> string
 (** A reply's [theta] entries: each printed as Printf's ["%.17g"] does

@@ -10,9 +10,6 @@ type config = {
   accuracy : float;
   max_iterations : int;
   time_budget_s : float option;
-  warm_start : bool;
-  cache_cell_m : float;
-  cache_capacity : int;
   chunk : int;
   guard : Ik.guard option;
   fault : Fault.t;
@@ -30,9 +27,6 @@ let default_config =
     accuracy = 1e-2;
     max_iterations = 2_000;
     time_budget_s = None;
-    warm_start = true;
-    cache_cell_m = 0.05;
-    cache_capacity = 4096;
     chunk = 64;
     guard = None;
     fault = Fault.disabled;
@@ -50,7 +44,6 @@ type t = {
   pool : Dadu_util.Domain_pool.t option;
       (* the scheduler's pool, lent to the prepare phase's wave-fused
          seed scoring ([Seed_select.choose_wave]) *)
-  cache : Seed_cache.t;
   metrics : Metrics.t;
   breakers : Breaker.t array option;
       (* one per chain tier, same order as [config.solvers]; mutated only
@@ -87,8 +80,6 @@ let create ?pool ?(config = default_config) () =
     ik_config;
     scheduler = Scheduler.create ?pool ~chunk:config.chunk ();
     pool;
-    (* Seed_cache.create and Scheduler.create validate their own fields *)
-    cache = Seed_cache.create ~capacity:config.cache_capacity ~cell_size:config.cache_cell_m ();
     metrics = Metrics.create ();
     breakers =
       Option.map
@@ -154,7 +145,6 @@ type prepared =
       index : int;
       ordinal : int; (* stable noise key, see [req_ordinal] *)
       problem : Ik.problem;
-      cache_hit : bool;
       session_hit : bool;
       expired : bool;
       solve_budget_s : float option;
@@ -203,13 +193,12 @@ let solve_budget t ?budget_s (d : Scheduler.dispatch) (rq : request) =
     (min_opt (remaining rq.deadline_s) (remaining budget_s))
 
 let mk_dispatch t ?budget_s (d : Scheduler.dispatch) (rq : request)
-    ~chain ~breaker_skips ?(session_hit = false) problem cache_hit =
+    ~chain ~breaker_skips ?(session_hit = false) problem =
   Dispatch
     {
       index = d.Scheduler.index;
       ordinal = req_ordinal d rq;
       problem;
-      cache_hit;
       session_hit;
       expired = d.Scheduler.expired;
       solve_budget_s = solve_budget t ?budget_s d rq;
@@ -224,12 +213,11 @@ let mk_dispatch t ?budget_s (d : Scheduler.dispatch) (rq : request)
    request is a wave of one.
 
    Pass A (serial, ordinal order) snapshots every read of mutable serial
-   state — validation, breaker gating, the session slot, the seed-cache
-   probe (its LRU and counters mutate), the posture-library NN query (its
-   ring scratch mutates), the fault fork, and the dispatch's frozen
-   clock/expiry — into an immutable per-request record.  Nothing commits
-   mid-wave, so the frozen values are exactly what each request would
-   read at any point of the phase.
+   state — validation, breaker gating, the session slot, the
+   posture-library NN query (its ring scratch mutates), the fault fork,
+   and the dispatch's frozen clock/expiry — into an immutable per-request
+   record.  Nothing commits mid-wave, so the frozen values are exactly
+   what each request would read at any point of the phase.
 
    Pass B hands the frozen specs to {!Seed_select.choose_wave}: candidate
    assembly fans out per request and the R×S candidate scorings collapse
@@ -247,7 +235,6 @@ type snap =
       rq : request;
       spec : Seed_select.spec;
       library_hit : bool;
-      cache_hit : bool;
       session_hit : bool;
       chain : Fallback.kind list;
       breaker_skips : int;
@@ -262,90 +249,70 @@ let snapshot t ?budget_s requests (d : Scheduler.dispatch) =
   | Ok () ->
     let chain, breaker_skips = breaker_chain t d in
     let lookup = mk_dispatch t ?budget_s d rq ~chain ~breaker_skips in
-    let is_session = rq.session <> None in
-    if (not t.config.warm_start) && t.config.seed_candidates = 1
-       && not is_session
-    then Snap_done (lookup p false)
+    (* the temporal warm start: the session's previous converged
+       solution, scoped to the trajectory, so a session's replies never
+       depend on other traffic (DESIGN.md §15).  The wave cut guarantees
+       no earlier request of this wave writes the slot. *)
+    let session_seed =
+      match rq.session with
+      | None -> None
+      | Some sess -> Session.seed sess ~chain_fp:(Chain.fingerprint p.Ik.chain)
+    in
+    if t.config.seed_candidates = 1 then
+      (* non-speculative path: a one-shot starts from its own θ₀, a
+         session waypoint from its slot once clamped to this chain's
+         limits *)
+      match session_seed with
+      | Some seed ->
+        let theta0 = Chain.clamp_config p.Ik.chain seed in
+        Snap_done (lookup ~session_hit:true { p with Ik.theta0 })
+      | None -> Snap_done (lookup p)
     else begin
-      let dof = Chain.dof p.Ik.chain in
-      let chain_id = Chain.fingerprint p.Ik.chain in
-      (* the temporal warm start: the session's previous converged
-         solution.  Session requests bypass the shared seed cache
-         entirely — the slot is the cache, scoped to the trajectory, so
-         a session's replies never depend on other traffic (DESIGN.md
-         §15).  The wave cut guarantees no earlier request of this wave
-         writes the slot. *)
-      let session_seed =
-        match rq.session with
-        | None -> None
-        | Some sess -> Session.seed sess ~chain_fp:chain_id
+      let library =
+        match t.config.seed_library with
+        | Some lib when Posture_library.matches lib p.Ik.chain -> Some lib
+        | Some _ | None -> None
       in
-      let session_hit = session_seed <> None in
-      let cache_seed =
-        if t.config.warm_start && not is_session then
-          Seed_cache.find t.cache ~chain_id ~dof p.Ik.target
-        else None
+      let target = p.Ik.target in
+      (* the NN query runs here, serially: its scratch mutates.
+         Querying even when the candidate budget is already full is
+         harmless — the selector simply won't use the row. *)
+      let library_index =
+        match library with
+        | Some lib ->
+          Posture_library.nearest_index lib ~x:target.Dadu_linalg.Vec3.x
+            ~y:target.Dadu_linalg.Vec3.y ~z:target.Dadu_linalg.Vec3.z
+        | None -> -1
       in
-      if t.config.seed_candidates = 1 then
-        (* non-speculative path: the warm start is the seed itself, once
-           clamped to this chain's limits *)
-        match (session_seed, cache_seed) with
-        | Some seed, _ ->
-          let theta0 = Chain.clamp_config p.Ik.chain seed in
-          Snap_done (lookup ~session_hit:true { p with Ik.theta0 } false)
-        | None, Some seed ->
-          let theta0 = Chain.clamp_config p.Ik.chain seed in
-          Snap_done (lookup { p with Ik.theta0 } true)
-        | None, None -> Snap_done (lookup p false)
-      else begin
-        let library =
-          match t.config.seed_library with
-          | Some lib when Posture_library.matches lib p.Ik.chain -> Some lib
-          | Some _ | None -> None
-        in
-        let target = p.Ik.target in
-        (* the NN query runs here, serially: its scratch mutates.
-           Querying even when the candidate budget is already full is
-           harmless — the selector simply won't use the row. *)
-        let library_index =
-          match library with
-          | Some lib ->
-            Posture_library.nearest_index lib ~x:target.Dadu_linalg.Vec3.x
-              ~y:target.Dadu_linalg.Vec3.y ~z:target.Dadu_linalg.Vec3.z
-          | None -> -1
-        in
-        let library_hit =
-          match library with
-          | Some lib -> Posture_library.size lib > 0
-          | None -> false
-        in
-        Snap_spec
-          {
-            d;
-            rq;
-            spec =
-              {
-                Seed_select.ordinal = req_ordinal d rq;
-                chain = p.Ik.chain;
-                tx = target.Dadu_linalg.Vec3.x;
-                ty = target.Dadu_linalg.Vec3.y;
-                tz = target.Dadu_linalg.Vec3.z;
-                theta0 = p.Ik.theta0;
-                session_seed;
-                cache_seed;
-                library;
-                library_index;
-                candidates = t.config.seed_candidates;
-                scale = t.config.retry_scale;
-                dst = Array.make dof 0.;
-              };
-            library_hit;
-            cache_hit = cache_seed <> None;
-            session_hit;
-            chain;
-            breaker_skips;
-          }
-      end
+      let library_hit =
+        match library with
+        | Some lib -> Posture_library.size lib > 0
+        | None -> false
+      in
+      Snap_spec
+        {
+          d;
+          rq;
+          spec =
+            {
+              Seed_select.ordinal = req_ordinal d rq;
+              chain = p.Ik.chain;
+              tx = target.Dadu_linalg.Vec3.x;
+              ty = target.Dadu_linalg.Vec3.y;
+              tz = target.Dadu_linalg.Vec3.z;
+              theta0 = p.Ik.theta0;
+              session_seed;
+              library;
+              library_index;
+              candidates = t.config.seed_candidates;
+              scale = t.config.retry_scale;
+              dst = Array.make (Chain.dof p.Ik.chain) 0.;
+            };
+          library_hit;
+          session_hit = session_seed <> None;
+          chain;
+          breaker_skips;
+        }
     end
 
 let prepare t ?budget_s ?trace requests (ds : Scheduler.dispatch array) =
@@ -376,7 +343,6 @@ let prepare t ?budget_s ?trace requests (ds : Scheduler.dispatch array) =
               rq;
               spec;
               library_hit;
-              cache_hit;
               session_hit;
               chain;
               breaker_skips;
@@ -394,8 +360,7 @@ let prepare t ?budget_s ?trace requests (ds : Scheduler.dispatch array) =
               ~attrs:[ ("winner", Seed_select.source_name source) ]
               ~start_s:select_start ~dur_s:select_dur ());
           mk_dispatch t ?budget_s d rq ~chain ~breaker_skips ~session_hit
-            { rq.problem with Ik.theta0 = spec.Seed_select.dst }
-            cache_hit)
+            { rq.problem with Ik.theta0 = spec.Seed_select.dst })
       snaps
   in
   (match trace with
@@ -430,7 +395,6 @@ let work t ?trace prep =
         index;
         ordinal;
         problem;
-        cache_hit;
         session_hit;
         expired;
         solve_budget_s;
@@ -527,7 +491,6 @@ let work t ?trace prep =
           [
             ("solver", Fallback.name outcome.Fallback.solver);
             ("fallbacks", string_of_int outcome.Fallback.fallbacks);
-            ("cache_hit", string_of_bool cache_hit);
             ("deadline_exceeded", string_of_bool expired);
           ]
         ~start_s:t0 ~dur_s:latency_s ());
@@ -536,7 +499,7 @@ let work t ?trace prep =
         result = outcome.Fallback.result;
         solver = outcome.Fallback.solver;
         fallbacks = outcome.Fallback.fallbacks;
-        cache_hit;
+        cache_hit = false;
         session_hit;
         deadline_exceeded = expired;
         breaker_skips;
@@ -578,7 +541,6 @@ let commit t ?trace requests i result =
         {
           result;
           fallbacks;
-          cache_hit;
           session_hit;
           deadline_exceeded;
           breaker_skips;
@@ -589,29 +551,21 @@ let commit t ?trace requests i result =
         }) ->
     let converged = result.Ik.status = Ik.Converged in
     let rq = requests.(i) in
-    let p = rq.problem in
+    (* a converged waypoint feeds the next waypoint of the same
+       trajectory and nothing else, keeping session replies independent
+       of other traffic (DESIGN.md §15); one-shots leave no trace *)
     (match rq.session with
-    | Some sess ->
-      (* the session slot replaces the shared cache for this request:
-         the converged solution feeds the next waypoint of the same
-         trajectory and nothing else, keeping session replies
-         independent of other traffic (DESIGN.md §15) *)
-      if converged then
-        Session.store sess ~chain_fp:(Chain.fingerprint p.Ik.chain)
-          result.Ik.theta
-    | None ->
-      if converged then
-        Seed_cache.store t.cache
-          ~chain_id:(Chain.fingerprint p.Ik.chain)
-          ~dof:(Chain.dof p.Ik.chain)
-          ~target:p.Ik.target result.Ik.theta);
+    | Some sess when converged ->
+      Session.store sess
+        ~chain_fp:(Chain.fingerprint rq.problem.Ik.chain)
+        result.Ik.theta
+    | Some _ | None -> ());
     Metrics.record t.metrics
       (Metrics.Solved
          {
            converged;
            diverged = result.Ik.status = Ik.Diverged;
            fallbacks;
-           cache_hit;
            session = rq.session <> None;
            session_hit;
            deadline_exceeded;
@@ -686,12 +640,8 @@ let solve_batch t problems =
          { problem; deadline_s = None; session = None; ordinal = None })
        problems)
 
-let seed_cache t = t.cache
-
 let metrics t = Metrics.snapshot t.metrics
 
 let render_metrics t = Metrics.render (metrics t)
 
 let reset_metrics t = Metrics.reset t.metrics
-
-let cache_length t = Seed_cache.length t.cache

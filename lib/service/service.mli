@@ -1,33 +1,37 @@
 open Dadu_core
 
-(** The batched IK serving layer: scheduler → seed cache → solver chain →
-    metrics, with per-request deadlines and tracing.
+(** The batched IK serving layer: scheduler → seed selection → solver
+    chain → metrics, with per-request deadlines and tracing.
 
-    One {!t} is a long-lived server object: it owns a warm-start
-    {!Seed_cache}, a {!Metrics} registry accumulating across batches, and
-    a {!Scheduler} over an optional caller-owned domain pool.  Each
-    {!solve_requests} call:
+    One {!t} is a long-lived server object: it owns a {!Metrics} registry
+    accumulating across batches and a {!Scheduler} over an optional
+    caller-owned domain pool.  It keeps no answers between requests: a
+    one-shot request starts from its own [θ₀] (or from the best of the
+    {!Seed_select} candidates when [seed_candidates > 1]), and a session
+    request from its session's slot.  Each {!solve_requests} call:
 
     + validates every problem ({!Ik.validate}) — malformed requests
       become typed {!reply} values, they are never dispatched and no
       exception crosses a domain boundary;
-    + looks up warm-start seeds for valid problems (serially, in input
-      order) from targets solved in earlier batches or earlier chunks of
-      this one, and decides deadline expiry from the clock read as each
-      chunk starts;
+    + picks each valid problem's start (serially, in input order: the
+      session slot, the posture-library neighbour, breaker gates) and
+      decides deadline expiry from the clock read as each chunk starts;
     + solves each chunk in parallel through the {!Fallback} chain with
       per-attempt iteration budgets — each worker domain reusing its own
       {!Dadu_core.Workspace.local} pool — while requests past their
       deadline or the batch budget short-circuit to the chain's first
       (cheapest) solver alone;
-    + stores converged configurations back into the cache and records
-      metrics (serially, in input order).
+    + stores converged session waypoints into their session slots and
+      records metrics (serially, in input order).
 
     Results are positionally deterministic: with no deadlines, no batch
     budget and [time_budget_s = None], replies (statuses, joint vectors,
-    solver choices, cache hits) are byte-identical whatever the pool
-    size, because every cache and metrics mutation happens in the
-    scheduler's serial phases and expiry cannot trigger (DESIGN.md §10).
+    solver choices) are byte-identical whatever the pool size, because
+    every slot and metrics mutation happens in the scheduler's serial
+    phases and expiry cannot trigger (DESIGN.md §10).  With breakers and
+    fault plans off as well, a one-shot reply is a pure function of
+    (request, ordinal, config): it does not depend on [chunk], on the
+    pool, or on the other requests of the batch.
 
     When a {!Dadu_util.Trace.t} is supplied, every request contributes
     monotonic-clock spans — [prepare], one [fallback-tier] per solver
@@ -48,9 +52,6 @@ type config = {
   time_budget_s : float option;
       (** per-problem wall-clock budget checked between attempts; breaks
           determinism — leave [None] unless serving live traffic *)
-  warm_start : bool;  (** consult the seed cache *)
-  cache_cell_m : float;  (** seed-cache grid cell side, meters *)
-  cache_capacity : int;  (** seed-cache cells before LRU eviction *)
   chunk : int;  (** scheduler wave size *)
   guard : Ik.guard option;
       (** divergence guard threaded into every solver attempt; [None]
@@ -73,13 +74,14 @@ type config = {
           only offered to chains it {!Posture_library.matches} *)
   seed_candidates : int;
       (** speculative seed starts per request ({!Seed_select}): with the
-          default 1 the seeding path is exactly the classic warm-start
-          lookup; with [S >= 2] up to [S] candidate starts (θ₀, cache
-          hit, library neighbour, zero, perturbed best) are scored by
-          first-iteration FK error and only the winner is dispatched.
-          Each wave's prepare snapshots every read of mutable serial
-          state (seed-cache probe, posture-library NN query, breaker
-          gates, fault forks, deadline clock) serially in ordinal order,
+          default 1 a one-shot starts from its own [θ₀] and a session
+          waypoint from its slot; with [S >= 2] up to [S] candidate
+          starts (θ₀, session slot, library neighbour, zero, perturbed
+          best) are scored by first-iteration FK error and only the
+          winner is dispatched.  Each wave's prepare snapshots every read
+          of mutable serial state (session slot, posture-library NN
+          query, breaker gates, fault forks, deadline clock) serially in
+          ordinal order,
           scores all the wave's candidates in chunked sweeps of the SoA
           row kernel on the pool ({!Seed_select.choose_wave}), and seals
           the winners serially (DESIGN.md §14) — replies stay
@@ -88,8 +90,8 @@ type config = {
 
 val default_config : config
 (** [Quick_ik → Dls → Sdls], 64 speculations, 1e-2 m accuracy, 2 000
-    iterations per attempt, no time budget, warm starts on a 5 cm grid,
-    4096 cells, chunk 64; resilience extras all off (no guard, no
+    iterations per attempt, no time budget, chunk 64, one seed
+    candidate, no library; resilience extras all off (no guard, no
     faults, no breakers, no retries, jitter 0.1 rad). *)
 
 type t
@@ -97,7 +99,7 @@ type t
 val create : ?pool:Dadu_util.Domain_pool.t -> ?config:config -> unit -> t
 (** The pool, when given, is borrowed — the caller shuts it down.
     Raises [Invalid_argument] on a nonsensical config (empty chain,
-    non-positive speculations/iterations/chunk/cell/capacity). *)
+    non-positive speculations/iterations/chunk). *)
 
 val config : t -> config
 
@@ -114,11 +116,10 @@ type request = {
   session : Session.t option;
       (** the trajectory session this request belongs to.  Session
           requests warm-start from the session's slot (the previous
-          waypoint's converged solution) and bypass the shared seed
-          cache in both directions; the scheduler wave is cut so two
-          requests of one session never share a wave, making the later
-          one's prepare observe the earlier one's commit even inside a
-          single batch (DESIGN.md §15) *)
+          waypoint's converged solution); the scheduler wave is cut so
+          two requests of one session never share a wave, making the
+          later one's prepare observe the earlier one's commit even
+          inside a single batch (DESIGN.md §15) *)
   ordinal : int option;
       (** stable per-request ordinal overriding the batch index as the
           noise key for speculative perturbations and retry jitter —
@@ -135,12 +136,13 @@ type reply =
       result : Ik.result;
       solver : Fallback.kind;  (** chain member that produced [result] *)
       fallbacks : int;  (** solvers tried after the first *)
-      cache_hit : bool;  (** warm-started from a cached neighbour *)
+      cache_hit : bool;
+          (** always [false]: nothing is cached between requests.  Kept
+              so reply dumps and the wire keep their ["cache_hit":false]
+              field until the benchmark replay stops reading it. *)
       session_hit : bool;
           (** the session's warm-start slot was filled and offered
-              (always false for session-free requests; [cache_hit] is
-              always false for session requests — the two lookup paths
-              are disjoint) *)
+              (always false for session-free requests) *)
       deadline_exceeded : bool;
           (** short-circuited: only the cheapest solver ran *)
       breaker_skips : int;  (** tiers skipped by open breakers *)
@@ -169,16 +171,9 @@ val solve_batch : t -> Ik.problem array -> reply array
 (** {!solve_requests} with no deadlines, no budget, no trace — the fully
     deterministic path. *)
 
-val seed_cache : t -> Seed_cache.t
-(** The shared warm-start cache — exposed for tests that pre-load or
-    poison cells (sessions must never read it). *)
-
 val metrics : t -> Metrics.snapshot
 (** Cumulative across every batch served so far. *)
 
 val render_metrics : t -> string
 
 val reset_metrics : t -> unit
-
-val cache_length : t -> int
-(** Live seed-cache cells (for tests and capacity tuning). *)

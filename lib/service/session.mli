@@ -17,10 +17,9 @@ open Dadu_kinematics
     same session never share a wave).  A session's replies are therefore
     a pure function of its own waypoint sequence — independent of pool
     size and of how other sessions' requests interleave with it
-    (DESIGN.md §15).  Session requests bypass
-    the shared {!Seed_cache} entirely: the slot {e is} the cache, scoped
-    to the trajectory, which is what makes the independence argument
-    hold.
+    (DESIGN.md §15).  No other request's answer is ever offered as a
+    seed: the slot is scoped to the trajectory, which is what makes the
+    independence argument hold.
 
     Not thread-safe: mutate only from the scheduler's serial phases (the
     slot) or from a single enqueue thread ({!next_ordinal}). *)

@@ -136,7 +136,7 @@ let test_score_rows_kernel_zero () =
     ((w1 -. w0) /. 1000.)
 
 (* A sequential wave through choose_wave on warm scratch, perturbation-
-   free candidate sets (theta0 / cache / library / zero): assembly,
+   free candidate sets (theta0 / session / library / zero): assembly,
    scoring and the argmins stay out of the allocator, so a wave of [n]
    requests allocates exactly its [n]-element result array — [n + 1]
    words.  Perturbed slots are excluded because each one seeds a fresh
@@ -146,7 +146,7 @@ let test_choose_wave_exact () =
   let chain = Robots.eval_chain ~dof in
   let library = Dadu_service.Posture_library.build ~chain ~count:128 ~seed:7 () in
   let module Sel = Dadu_service.Seed_select in
-  let cache_seed = Some (Array.make dof 0.1) in
+  let session_seed = Some (Array.make dof 0.1) in
   List.iter
     (fun wave ->
       let specs =
@@ -159,8 +159,7 @@ let test_choose_wave_exact () =
               ty = -0.3;
               tz = 1.1;
               theta0 = Array.make dof 0.2;
-              session_seed = None;
-              cache_seed;
+              session_seed;
               library = Some library;
               library_index =
                 Dadu_service.Posture_library.nearest_index library ~x:tx

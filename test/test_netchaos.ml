@@ -22,8 +22,7 @@ let qcheck = QCheck_alcotest.to_alcotest
 let service_config =
   {
     Service.default_config with
-    Service.warm_start = false (* one-shot solves batch-independent *);
-    max_iterations = 60;
+    Service.max_iterations = 60;
     chunk = 8;
   }
 
@@ -41,7 +40,9 @@ let with_server ~net_fault f =
   Sys.remove path;
   let server = Server.create ~config () in
   let runner =
-    Thread.create (fun () -> Server.run server ~listen:(Server.Unix_sock path)) ()
+    match Server.bind (Server.Unix_sock path) with
+    | Error reason -> Alcotest.failf "bind %s: %s" path reason
+    | Ok listener -> Thread.create (fun () -> Server.run server listener) ()
   in
   Fun.protect
     ~finally:(fun () ->

@@ -313,11 +313,11 @@ let oracle_score chain ~tx ~ty ~tz theta =
 let clamp chain v = Chain.clamp_config chain v
 
 (* The selector's candidate list, assembled independently: θ₀, session
-   slot, cache, library NN, zero, then perturbations of the best base (the
+   slot, library NN, zero, then perturbations of the best base (the
    documented (0x5eed, ordinal, slot) noise stream), truncated to
    [candidates]. *)
-let oracle_candidates ~library ~session_seed ~cache_seed ~candidates ~ordinal
-    ~scale ~chain ~target ~theta0 =
+let oracle_candidates ~library ~session_seed ~candidates ~ordinal ~scale
+    ~chain ~target ~theta0 =
   let dof = Chain.dof chain in
   let base = ref [] in
   let push src v = base := (src, clamp chain v) :: !base in
@@ -325,7 +325,6 @@ let oracle_candidates ~library ~session_seed ~cache_seed ~candidates ~ordinal
   (match session_seed with
   | Some s -> push Seed_select.Session s
   | None -> ());
-  (match cache_seed with Some s -> push Seed_select.Cache s | None -> ());
   (match library with
   | Some lib when Posture_library.matches lib chain ->
     (match Posture_library.nearest lib target with
@@ -361,11 +360,11 @@ let oracle_candidates ~library ~session_seed ~cache_seed ~candidates ~ordinal
   done;
   Array.append cands (Array.of_list (List.rev !perturbed))
 
-let oracle_choose ~library ~session_seed ~cache_seed ~candidates ~ordinal
-    ~scale ~chain ~target ~theta0 =
+let oracle_choose ~library ~session_seed ~candidates ~ordinal ~scale ~chain
+    ~target ~theta0 =
   let cands =
-    oracle_candidates ~library ~session_seed ~cache_seed ~candidates ~ordinal
-      ~scale ~chain ~target ~theta0
+    oracle_candidates ~library ~session_seed ~candidates ~ordinal ~scale
+      ~chain ~target ~theta0
   in
   let scores =
     Array.map
@@ -380,7 +379,7 @@ let oracle_choose ~library ~session_seed ~cache_seed ~candidates ~ordinal
 
 (* One request's selector spec, with the library row resolved the way the
    service's snapshot pass does. *)
-let spec ~library ~session_seed ~cache_seed ~candidates ~ordinal ~scale ~chain
+let spec ~library ~session_seed ~candidates ~ordinal ~scale ~chain
     (p : Ik.problem) =
   let t = p.Ik.target in
   {
@@ -391,7 +390,6 @@ let spec ~library ~session_seed ~cache_seed ~candidates ~ordinal ~scale ~chain
     tz = t.Vec3.z;
     theta0 = p.Ik.theta0;
     session_seed;
-    cache_seed;
     library;
     library_index =
       (match library with
@@ -403,7 +401,7 @@ let spec ~library ~session_seed ~cache_seed ~candidates ~ordinal ~scale ~chain
   }
 
 (* A wave of 1-8 requests on mixed chains and DOFs, each with its own
-   candidate count and any mix of session seed, cache seed and library:
+   candidate count and any mix of session seed and library:
    every spec's winner must be bit-equal to scoring its own candidates one
    at a time, whatever else shares the wave. *)
 let test_winner_matches_oracle =
@@ -428,28 +426,23 @@ let test_winner_matches_oracle =
               if draw land 2 = 0 then Some (Target.random_config rng chain)
               else None
             in
-            let cache_seed =
-              if draw land 4 = 0 then Some (Target.random_config rng chain)
-              else None
-            in
             let candidates = 1 + Rng.int rng 8 in
-            (chain, p, library, session_seed, cache_seed, candidates, seed + r))
+            (chain, p, library, session_seed, candidates, seed + r))
       in
       let specs =
         Array.map
-          (fun (chain, p, library, session_seed, cache_seed, candidates, ordinal) ->
-            spec ~library ~session_seed ~cache_seed ~candidates ~ordinal
-              ~scale:0.1 ~chain p)
+          (fun (chain, p, library, session_seed, candidates, ordinal) ->
+            spec ~library ~session_seed ~candidates ~ordinal ~scale:0.1 ~chain
+              p)
           cases
       in
       let sources = Seed_select.choose_wave (Seed_select.create ()) specs in
       Array.for_all Fun.id
         (Array.mapi
-           (fun r (chain, p, library, session_seed, cache_seed, candidates, ordinal) ->
+           (fun r (chain, p, library, session_seed, candidates, ordinal) ->
              let osrc, otheta =
-               oracle_choose ~library ~session_seed ~cache_seed ~candidates
-                 ~ordinal ~scale:0.1 ~chain ~target:p.Ik.target
-                 ~theta0:p.Ik.theta0
+               oracle_choose ~library ~session_seed ~candidates ~ordinal
+                 ~scale:0.1 ~chain ~target:p.Ik.target ~theta0:p.Ik.theta0
              in
              sources.(r) = osrc && vec_bits_equal specs.(r).Seed_select.dst otheta)
            cases))
@@ -466,8 +459,8 @@ let test_selector_scratch_reuse () =
     let lib = Posture_library.build ~chain ~count:16 ~seed:i () in
     let run sel =
       let s =
-        spec ~library:(Some lib) ~session_seed:None ~cache_seed:None
-          ~candidates:(2 + (i mod 5)) ~ordinal:i ~scale:0.1 ~chain p
+        spec ~library:(Some lib) ~session_seed:None ~candidates:(2 + (i mod 5))
+          ~ordinal:i ~scale:0.1 ~chain p
       in
       let src = Seed_select.choose_wave sel [| s |] in
       (src.(0), s.Seed_select.dst)

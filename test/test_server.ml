@@ -28,6 +28,21 @@ let test_listen_of_string () =
   Alcotest.(check bool) "empty errors" true
     (Result.is_error (Server.listen_of_string ""))
 
+(* An address that cannot be bound is an [Error] with the reason, never an
+   exception, and a file that is not a socket is never removed to make
+   room.  Unix paths only: they need no resolver. *)
+let test_bind_unusable () =
+  let refused path expect =
+    match Server.bind (Server.Unix_sock path) with
+    | Ok _ -> Alcotest.failf "bound %s" path
+    | Error reason -> Alcotest.(check string) path expect reason
+  in
+  refused "/nonexistent-dir/x.sock" (Unix.error_message Unix.ENOENT);
+  let file = Filename.temp_file "dadu_srv" ".txt" in
+  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+  refused file (Unix.error_message Unix.EADDRINUSE);
+  Alcotest.(check bool) "the file is kept" true (Sys.file_exists file)
+
 (* ---- wire framing ---- *)
 
 (* Frames are read back through the descriptor reader the server uses. *)
@@ -355,13 +370,17 @@ let test_script_errors () =
    [stop] + join is the graceful-drain path the CI job drives with
    SIGTERM (the handler calls exactly this [Server.stop]). *)
 
+(* bound on the caller, so a client may connect as soon as this returns *)
+let serve server path =
+  match Server.bind (Server.Unix_sock path) with
+  | Error reason -> Alcotest.failf "bind %s: %s" path reason
+  | Ok listener -> Thread.create (fun () -> Server.run server listener) ()
+
 let with_server ?(config = Server.default_config) f =
   let path = Filename.temp_file "dadu_srv" ".sock" in
   Sys.remove path;
   let server = Server.create ~config () in
-  let runner =
-    Thread.create (fun () -> Server.run server ~listen:(Server.Unix_sock path)) ()
-  in
+  let runner = serve server path in
   Fun.protect
     ~finally:(fun () ->
       Server.stop server;
@@ -565,9 +584,7 @@ let test_live_drain_flushes_in_flight () =
   let path = Filename.temp_file "dadu_srv" ".sock" in
   Sys.remove path;
   let server = Server.create () in
-  let runner =
-    Thread.create (fun () -> Server.run server ~listen:(Server.Unix_sock path)) ()
-  in
+  let runner = serve server path in
   let fd, rd, oc = connect path in
   let n = 16 in
   send oc "{\"op\":\"open\",\"id\":0,\"session\":\"d\",\"robot\":\"eval:30\"}";
@@ -614,11 +631,7 @@ let test_live_replies_byte_identical_across_pools () =
       else None
     in
     let server = Server.create ?pool ~config () in
-    let runner =
-      Thread.create
-        (fun () -> Server.run server ~listen:(Server.Unix_sock path))
-        ()
-    in
+    let runner = serve server path in
     Fun.protect
       ~finally:(fun () ->
         Server.stop server;
@@ -1204,7 +1217,11 @@ let () =
   Alcotest.run "dadu_server"
     [
       ( "listen",
-        [ Alcotest.test_case "listen_of_string" `Quick test_listen_of_string ] );
+        [
+          Alcotest.test_case "listen_of_string" `Quick test_listen_of_string;
+          Alcotest.test_case "bind reports an unusable address" `Quick
+            test_bind_unusable;
+        ] );
       ( "framing",
         [
           Alcotest.test_case "round-trip" `Quick test_framing_roundtrip;

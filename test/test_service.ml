@@ -1,5 +1,5 @@
 (* Unit and property tests for Dadu_service: the batched IK serving layer
-   (scheduler, warm-start seed cache, fallback chain, metrics). *)
+   (scheduler, seed selection, fallback chain, metrics, sessions). *)
 
 open Dadu_linalg
 open Dadu_kinematics
@@ -46,120 +46,6 @@ let test_validate_nan_theta0 () =
   Alcotest.(check bool) "nan theta0 rejected" true
     (Ik.validate { p with Ik.theta0 } = Error Ik.Nonfinite_theta0)
 
-(* ---- Seed_cache ---- *)
-
-let test_cache_hit_miss () =
-  let c = Seed_cache.create ~cell_size:0.1 () in
-  let target = Vec3.make 0.51 0.22 0.13 in
-  Alcotest.(check (option reject)) "cold lookup misses" None
-    (Seed_cache.find c ~chain_id:0 ~dof:3 target);
-  Seed_cache.store c ~chain_id:0 ~dof:3 ~target [| 0.1; 0.2; 0.3 |];
-  (match Seed_cache.find c ~chain_id:0 ~dof:3 (Vec3.make 0.53 0.24 0.11) with
-  | Some theta ->
-    Alcotest.(check (array (float 0.))) "same-cell neighbour returns the seed"
-      [| 0.1; 0.2; 0.3 |] theta
-  | None -> Alcotest.fail "expected a same-cell hit");
-  Alcotest.(check (option reject)) "different cell misses" None
-    (Seed_cache.find c ~chain_id:0 ~dof:3 (Vec3.make 0.91 0.22 0.13));
-  Alcotest.(check int) "hits" 1 (Seed_cache.hits c);
-  Alcotest.(check int) "misses" 2 (Seed_cache.misses c)
-
-let test_cache_dof_keyed () =
-  let c = Seed_cache.create ~cell_size:0.1 () in
-  let target = Vec3.make 0.5 0.5 0.5 in
-  Seed_cache.store c ~chain_id:0 ~dof:3 ~target [| 1.; 2.; 3. |];
-  Alcotest.(check (option reject)) "same cell, other dof misses" None
-    (Seed_cache.find c ~chain_id:0 ~dof:7 target)
-
-let test_cache_lru_eviction () =
-  let c = Seed_cache.create ~capacity:2 ~cell_size:1.0 () in
-  let t1 = Vec3.make 0.5 0.5 0.5 in
-  let t2 = Vec3.make 1.5 0.5 0.5 in
-  let t3 = Vec3.make 2.5 0.5 0.5 in
-  Seed_cache.store c ~chain_id:0 ~dof:2 ~target:t1 [| 1.; 1. |];
-  Seed_cache.store c ~chain_id:0 ~dof:2 ~target:t2 [| 2.; 2. |];
-  (* touch t1 so t2 becomes least-recently-used *)
-  ignore (Seed_cache.find c ~chain_id:0 ~dof:2 t1);
-  Seed_cache.store c ~chain_id:0 ~dof:2 ~target:t3 [| 3.; 3. |];
-  Alcotest.(check int) "capacity respected" 2 (Seed_cache.length c);
-  Alcotest.(check bool) "recently-used survivor" true
-    (Seed_cache.find c ~chain_id:0 ~dof:2 t1 <> None);
-  Alcotest.(check (option reject)) "LRU entry evicted" None
-    (Seed_cache.find c ~chain_id:0 ~dof:2 t2);
-  Alcotest.(check bool) "newcomer present" true (Seed_cache.find c ~chain_id:0 ~dof:2 t3 <> None)
-
-let test_cache_replaces_cell () =
-  let c = Seed_cache.create ~cell_size:1.0 () in
-  let target = Vec3.make 0.5 0.5 0.5 in
-  Seed_cache.store c ~chain_id:0 ~dof:1 ~target [| 1. |];
-  Seed_cache.store c ~chain_id:0 ~dof:1 ~target:(Vec3.make 0.6 0.6 0.6) [| 2. |];
-  Alcotest.(check int) "one cell" 1 (Seed_cache.length c);
-  (match Seed_cache.find c ~chain_id:0 ~dof:1 target with
-  | Some theta -> Alcotest.(check (array (float 0.))) "latest wins" [| 2. |] theta
-  | None -> Alcotest.fail "expected hit")
-
-let test_cache_rejects_bad_inputs () =
-  Alcotest.check_raises "non-positive cell"
-    (Invalid_argument "Seed_cache.create: cell_size must be positive and finite")
-    (fun () -> ignore (Seed_cache.create ~cell_size:0. ()));
-  let c = Seed_cache.create ~cell_size:0.1 () in
-  Alcotest.check_raises "wrong dof store"
-    (Invalid_argument "Seed_cache.store: theta length <> dof") (fun () ->
-      Seed_cache.store c ~chain_id:0 ~dof:3 ~target:Vec3.zero [| 1. |]);
-  (* non-finite targets neither store nor crash *)
-  Seed_cache.store c ~chain_id:0 ~dof:1 ~target:(Vec3.make Float.nan 0. 0.) [| 1. |];
-  Alcotest.(check int) "nan target not stored" 0 (Seed_cache.length c);
-  Alcotest.(check (option reject)) "nan lookup misses" None
-    (Seed_cache.find c ~chain_id:0 ~dof:1 (Vec3.make Float.nan 0. 0.))
-
-(* Satellite property: whatever the operation history, a cache lookup only
-   ever returns a usable seed — right dimension, every entry finite. *)
-let test_cache_seeds_always_valid =
-  QCheck.Test.make ~name:"cache returns only valid seeds (right DOF, finite)"
-    ~count:200
-    QCheck.(int_range 0 100_000)
-    (fun seed ->
-      let rng = Rng.create seed in
-      let c = Seed_cache.create ~capacity:8 ~cell_size:0.25 () in
-      let ok = ref true in
-      let finds = ref 0 in
-      for _ = 1 to 100 do
-        let dof = if Rng.int rng 2 = 0 then 3 else 5 in
-        let target =
-          Vec3.make (Rng.uniform rng (-1.) 1.) (Rng.uniform rng (-1.) 1.)
-            (Rng.uniform rng (-1.) 1.)
-        in
-        if Rng.int rng 2 = 0 then
-          Seed_cache.store c ~chain_id:0 ~dof ~target
-            (Vec.init dof (fun _ -> Rng.uniform rng (-3.) 3.))
-        else begin
-          incr finds;
-          match Seed_cache.find c ~chain_id:0 ~dof target with
-          | None -> ()
-          | Some theta ->
-            if Vec.dim theta <> dof || not (Array.for_all Float.is_finite theta)
-            then ok := false
-        end
-      done;
-      !ok
-      && Seed_cache.hits c + Seed_cache.misses c = !finds
-      && Seed_cache.length c <= 8)
-
-(* Regression (chain-identity keying): two different robots with the same
-   DOF count must not cross-pollinate seeds. *)
-let test_cache_chain_keyed () =
-  let a = Chain.fingerprint (Robots.eval_chain ~dof:12) in
-  let b = Chain.fingerprint (Robots.snake ~dof:12) in
-  Alcotest.(check bool) "distinct fingerprints" true (a <> b);
-  let c = Seed_cache.create ~cell_size:0.1 () in
-  let target = Vec3.make 0.25 0.25 0.25 in
-  let theta = Array.make 12 0.5 in
-  Seed_cache.store c ~chain_id:a ~dof:12 ~target theta;
-  Alcotest.(check (option reject)) "equal-DOF stranger misses" None
-    (Seed_cache.find c ~chain_id:b ~dof:12 target);
-  Alcotest.(check bool) "owner still hits" true
-    (Seed_cache.find c ~chain_id:a ~dof:12 target <> None)
-
 (* ---- Scheduler ---- *)
 
 let test_scheduler_map_positional () =
@@ -194,8 +80,8 @@ let test_scheduler_captures_exceptions () =
     (Scheduler.map sched Fun.id xs = Array.map (fun x -> Ok x) xs)
 
 (* prepare/commit interleaving is serial, in input order, and identical with
-   and without a pool — the property the cache and metrics determinism rides
-   on *)
+   and without a pool — the property the session-slot and metrics
+   determinism rides on *)
 let test_scheduler_chunk_phases () =
   let run pool =
     let sched = Scheduler.create ?pool ~chunk:3 () in
@@ -336,7 +222,6 @@ let test_metrics_sums () =
          converged = true;
          diverged = false;
          fallbacks = 0;
-         cache_hit = true;
          session = false;
          session_hit = false;
          deadline_exceeded = false;
@@ -352,7 +237,6 @@ let test_metrics_sums () =
          converged = true;
          diverged = false;
          fallbacks = 2;
-         cache_hit = false;
          session = false;
          session_hit = false;
          deadline_exceeded = true;
@@ -368,7 +252,6 @@ let test_metrics_sums () =
          converged = false;
          diverged = true;
          fallbacks = 1;
-         cache_hit = false;
          session = false;
          session_hit = false;
          deadline_exceeded = false;
@@ -386,7 +269,6 @@ let test_metrics_sums () =
   Alcotest.(check int) "faulted" 1 s.Metrics.faulted;
   Alcotest.(check int) "fallback used" 2 s.Metrics.fallback_used;
   Alcotest.(check int) "deadline exceeded" 1 s.Metrics.deadline_exceeded;
-  Alcotest.(check int) "cache split" 3 (s.Metrics.cache_hits + s.Metrics.cache_misses);
   Alcotest.(check int) "sum invariant" s.Metrics.requests
     (s.Metrics.converged + s.Metrics.failed + s.Metrics.rejected + s.Metrics.faulted);
   (match s.Metrics.latency with
@@ -405,7 +287,6 @@ let test_metrics_render () =
          converged = true;
          diverged = false;
          fallbacks = 0;
-         cache_hit = false;
          session = false;
          session_hit = false;
          deadline_exceeded = false;
@@ -421,7 +302,7 @@ let test_metrics_render () =
       Alcotest.(check bool) (Printf.sprintf "mentions %s" needle) true
         (Astring.String.is_infix ~affix:needle rendered))
     [
-      "requests"; "converged"; "cache hits"; "deadline exceeded"; "latency p50";
+      "requests"; "converged"; "deadline exceeded"; "latency p50";
       "latency p99"; "iterations p95";
     ]
 
@@ -455,7 +336,6 @@ let strip_latency = function
         result;
         solver;
         fallbacks;
-        cache_hit;
         session_hit;
         deadline_exceeded;
         breaker_skips;
@@ -463,12 +343,12 @@ let strip_latency = function
         retry_converged;
         trail;
         latency_s = _;
+        _;
       } ->
     `Solved
       ( result,
         solver,
         fallbacks,
-        cache_hit,
         session_hit,
         deadline_exceeded,
         breaker_skips,
@@ -494,25 +374,67 @@ let test_service_determinism_across_pool_sizes () =
   (* structural equality on float arrays is byte equality (no NaNs here) *)
   Alcotest.(check bool) "replies byte-identical across pool sizes" true (solo = pooled)
 
-let test_service_warm_start_hits () =
-  let problems = mixed_batch ~seed:5 12 in
-  let s = Service.create ~config:(service_config ()) () in
-  let replies = Service.solve_batch s problems in
-  let m = Service.metrics s in
-  Alcotest.(check int) "all answered" (Array.length problems) (Array.length replies);
-  Alcotest.(check bool) "revisits hit the cache" true (m.Metrics.cache_hits > 0);
-  Alcotest.(check bool) "cache populated" true (Service.cache_length s > 0);
-  (* a warm-started revisit of a solved target converges *)
-  Array.iteri
-    (fun i r ->
-      match r with
-      | Service.Solved { cache_hit = true; result; _ } ->
-        Alcotest.(check bool)
-          (Printf.sprintf "warm-started %d converged" i)
-          true
-          (result.Ik.status = Ik.Converged)
-      | _ -> ())
-    replies
+(* A one-shot reply is a pure function of (request, ordinal, config).
+   With breakers, fault plans and deadlines off it is byte-identical
+   across wave sizes 1/8/64 and pools 1/2/4, and it stays the same when
+   the other requests' targets change.  Every batch revisits earlier
+   targets in later waves: no request's answer may seed another's. *)
+let test_oneshot_replies_independent =
+  QCheck.Test.make
+    ~name:"one-shot replies independent of chunk, pool and other targets"
+    ~count:5
+    QCheck.(triple (int_range 1 10) (int_range 0 100_000) bool)
+    (fun (n, seed, seeded) ->
+      let n = max 1 n in
+      let rng = Rng.create seed in
+      let first = Array.init n (fun _ -> Ik.random_problem rng eval12) in
+      (* revisits: an earlier target, from its own start or a new one *)
+      let revisits =
+        Array.init n (fun _ ->
+            let p = first.(Rng.int rng n) in
+            if Rng.int rng 2 = 0 then p
+            else { p with Ik.theta0 = Target.random_config rng eval12 })
+      in
+      let batch = Array.append first revisits in
+      let library = Posture_library.build ~chain:eval12 ~count:32 ~seed:9 () in
+      let run ?pool chunk problems =
+        let config =
+          {
+            (service_config ~chunk ()) with
+            Service.max_iterations = 250;
+            seed_library = Some library;
+            seed_candidates = (if seeded then 3 else 1);
+          }
+        in
+        let s = Service.create ?pool ~config () in
+        Service.solve_requests s
+          (Array.mapi (fun i p -> Service.request ~ordinal:i p) problems)
+        |> Array.map strip_latency
+      in
+      let reference = run 64 batch in
+      let invariant =
+        List.for_all
+          (fun size ->
+            let pool = Option.map Pool.create size in
+            Fun.protect ~finally:(fun () -> Option.iter Pool.shutdown pool)
+            @@ fun () ->
+            List.for_all
+              (fun chunk -> run ?pool chunk batch = reference)
+              [ 1; 8; 64 ])
+          [ None; Some 2; Some 4 ]
+      in
+      (* the odd positions aim elsewhere; the even replies must not move *)
+      let moved =
+        Array.mapi
+          (fun i (p : Ik.problem) ->
+            if i mod 2 = 0 then p
+            else { p with Ik.target = Target.reachable rng eval12 })
+          batch
+      in
+      let others_changed = run 8 moved in
+      invariant
+      && Array.for_all Fun.id
+           (Array.mapi (fun i r -> i mod 2 = 1 || r = reference.(i)) others_changed))
 
 let test_service_counter_consistency () =
   let rng = Rng.create 11 in
@@ -538,9 +460,6 @@ let test_service_counter_consistency () =
     m.Metrics.requests
     (m.Metrics.converged + m.Metrics.failed + m.Metrics.rejected + m.Metrics.faulted);
   Alcotest.(check int) "rejected both malformed" 2 m.Metrics.rejected;
-  Alcotest.(check int) "lookups = dispatched"
-    (m.Metrics.requests - m.Metrics.rejected - m.Metrics.faulted)
-    (m.Metrics.cache_hits + m.Metrics.cache_misses);
   Alcotest.(check bool) "unreachable failed, not crashed" true (m.Metrics.failed >= 1);
   (* typed rejections land at the right positions *)
   (match replies.(Array.length good) with
@@ -605,9 +524,7 @@ let test_service_counters_property =
       Array.length replies = n
       && m.Metrics.requests = n
       && m.Metrics.converged + m.Metrics.failed + m.Metrics.rejected + m.Metrics.faulted
-         = n
-      && m.Metrics.cache_hits + m.Metrics.cache_misses
-         = n - m.Metrics.rejected - m.Metrics.faulted)
+         = n)
 
 (* ---- deadlines: scheduler expiry under a fake clock ---- *)
 
@@ -692,10 +609,7 @@ let test_service_all_expired () =
     replies;
   let m = Service.metrics s in
   Alcotest.(check int) "all counted deadline-exceeded" 6 m.Metrics.deadline_exceeded;
-  Alcotest.(check int) "no fallback counted" 0 m.Metrics.fallback_used;
-  Alcotest.(check int) "lookups still happen for expired requests"
-    m.Metrics.requests
-    (m.Metrics.cache_hits + m.Metrics.cache_misses)
+  Alcotest.(check int) "no fallback counted" 0 m.Metrics.fallback_used
 
 let test_service_mixed_deadlines () =
   let problems = random_problems ~seed:78 6 in
@@ -748,9 +662,11 @@ let test_service_parallel_determinism =
 
 (* ---- multi-seed speculative starts ---- *)
 
-(* The same regression end to end: a converged solve on one chain must not
-   warm-start an equal-DOF different chain aimed at the same target. *)
-let test_service_no_cross_chain_warm_start () =
+(* No answer crosses from one request to another: after a converged solve
+   on one chain, neither an equal-DOF different chain aimed at the same
+   target nor a same-chain revisit is warm-started from it — each replies
+   exactly as a fresh service that sees it alone. *)
+let test_service_no_cross_chain_seed () =
   let planar6 = Robots.planar ~dof:6 ~reach:6. () in
   let eval6 = Robots.eval_chain ~dof:6 in
   Alcotest.(check int) "same dof" (Chain.dof planar6) (Chain.dof eval6);
@@ -765,16 +681,16 @@ let test_service_no_cross_chain_warm_start () =
     Alcotest.(check bool) "first chain converges" true
       (result.Ik.status = Ik.Converged)
   | _ -> Alcotest.fail "expected Solved");
-  let replies = Service.solve_batch s [| prob eval6; prob planar6 |] in
-  (match replies.(0) with
-  | Service.Solved { cache_hit; _ } ->
-    Alcotest.(check bool) "equal-DOF stranger gets no warm start" false
-      cache_hit
-  | _ -> Alcotest.fail "expected Solved");
-  match replies.(1) with
-  | Service.Solved { cache_hit; _ } ->
-    Alcotest.(check bool) "same chain still warm-starts" true cache_hit
-  | _ -> Alcotest.fail "expected Solved"
+  let later = [| prob eval6; prob planar6 |] in
+  let replies = Array.map strip_latency (Service.solve_batch s later) in
+  let alone p =
+    let fresh = Service.create ~config:(service_config ()) () in
+    strip_latency (Service.solve_batch fresh [| p |]).(0)
+  in
+  Alcotest.(check bool) "equal-DOF stranger solves as if alone" true
+    (replies.(0) = alone later.(0));
+  Alcotest.(check bool) "same-chain revisit solves as if alone" true
+    (replies.(1) = alone later.(1))
 
 let seeded_config ?(candidates = 4) ~library () =
   {
@@ -784,22 +700,22 @@ let seeded_config ?(candidates = 4) ~library () =
     seed_candidates = candidates;
   }
 
-(* Satellite pin: --seed-candidates 1 is the classic path — replies and
-   cache hit/miss behaviour are bitwise unchanged even with a library
-   configured. *)
+(* Pin: --seed-candidates 1 is the classic path — replies are
+   bitwise unchanged even with a library configured. *)
 let test_seed_candidates_one_is_classic_path () =
   let problems = mixed_batch ~seed:411 12 in
   let run config =
     let s = Service.create ~config () in
-    let replies = Array.map strip_latency (Service.solve_batch s problems) in
-    let m = Service.metrics s in
-    (replies, m.Metrics.cache_hits, m.Metrics.cache_misses)
+    Array.map strip_latency (Service.solve_batch s problems)
   in
   let library = Posture_library.build ~chain:eval12 ~count:64 ~seed:5 () in
-  let classic = run (service_config ~chunk:7 ()) in
   let seeded1 = run (seeded_config ~candidates:1 ~library ()) in
+  (* the same config, library off *)
+  let classic =
+    run { (seeded_config ~candidates:1 ~library ()) with seed_library = None }
+  in
   Alcotest.(check bool)
-    "seed_candidates=1 leaves replies and cache counters untouched" true
+    "seed_candidates=1 leaves replies untouched" true
     (classic = seeded1)
 
 (* Acceptance: with speculative seeding enabled (library + multi-seed),
@@ -919,9 +835,8 @@ let test_seeded_metrics_accounting () =
   Alcotest.(check int) "every request offered a library candidate" 10
     m.Metrics.library_hits;
   Alcotest.(check int) "seed wins partition the batch" 10
-    (m.Metrics.seed_theta0_wins + m.Metrics.seed_cache_wins
-    + m.Metrics.seed_library_wins + m.Metrics.seed_zero_wins
-    + m.Metrics.seed_perturbed_wins)
+    (m.Metrics.seed_theta0_wins + m.Metrics.seed_library_wins
+    + m.Metrics.seed_zero_wins + m.Metrics.seed_perturbed_wins)
 
 (* ---- tracing ---- *)
 
@@ -1036,27 +951,16 @@ let test_session_warm_iteration_pin () =
     (!cold > 20);
   let m = Service.metrics s in
   Alcotest.(check int) "all session requests" 12 m.Metrics.session_requests;
-  Alcotest.(check int) "all but the first warm" 11 m.Metrics.session_warm;
-  Alcotest.(check int) "sessions bypass the shared cache" 0
-    (m.Metrics.cache_hits + m.Metrics.cache_misses)
+  Alcotest.(check int) "all but the first warm" 11 m.Metrics.session_warm
 
 (* Satellite fix: two waypoints of one session landing in one scheduler
    chunk must still see each other's results — the wave cut makes the
-   earlier ordinal's commit visible to the later one's prepare, and the
-   shared seed cache (here poisoned with a junk seed at the second
-   waypoint's cell) never enters the picture. *)
+   earlier ordinal's commit visible to the later one's prepare. *)
 let test_session_intra_wave_ordering () =
   let targets = line_waypoints 2 in
   let solve_chunked chunk =
     let sess = Session.create ~name:"wave" ~chain:eval30 in
     let s = Service.create ~config:(service_config ~chunk ()) () in
-    (* poison: a junk-but-valid seed sitting exactly where waypoint 1's
-       cache lookup would land *)
-    Seed_cache.store
-      (Service.seed_cache s)
-      ~chain_id:(Chain.fingerprint eval30)
-      ~dof:30 ~target:targets.(1)
-      (Array.make 30 0.7);
     Array.map strip_latency
       (Service.solve_requests s (session_requests sess targets))
   in
@@ -1067,9 +971,8 @@ let test_session_intra_wave_ordering () =
   Alcotest.(check bool) "same replies whether or not they share a chunk" true
     (together = apart);
   match together.(1) with
-  | `Solved (_, _, _, cache_hit, session_hit, _, _, _, _, _) ->
-    Alcotest.(check bool) "second waypoint warm from the slot" true session_hit;
-    Alcotest.(check bool) "poisoned cache never consulted" false cache_hit
+  | `Solved (_, _, _, session_hit, _, _, _, _, _) ->
+    Alcotest.(check bool) "second waypoint warm from the slot" true session_hit
   | _ -> Alcotest.fail "expected Solved"
 
 (* Session replies must not change when the session is created against a
@@ -1578,17 +1481,6 @@ let () =
           Alcotest.test_case "nan target" `Quick test_validate_nan_target;
           Alcotest.test_case "nan theta0" `Quick test_validate_nan_theta0;
         ] );
-      ( "seed-cache",
-        [
-          Alcotest.test_case "hit/miss accounting" `Quick test_cache_hit_miss;
-          Alcotest.test_case "dof keyed" `Quick test_cache_dof_keyed;
-          Alcotest.test_case "lru eviction" `Quick test_cache_lru_eviction;
-          Alcotest.test_case "cell replacement" `Quick test_cache_replaces_cell;
-          Alcotest.test_case "bad inputs" `Quick test_cache_rejects_bad_inputs;
-          qcheck test_cache_seeds_always_valid;
-          Alcotest.test_case "chain-identity keying" `Quick
-            test_cache_chain_keyed;
-        ] );
       ( "scheduler",
         [
           Alcotest.test_case "positional map" `Quick test_scheduler_map_positional;
@@ -1640,7 +1532,7 @@ let () =
         [
           Alcotest.test_case "determinism across pool sizes" `Slow
             test_service_determinism_across_pool_sizes;
-          Alcotest.test_case "warm-start cache hits" `Slow test_service_warm_start_hits;
+          qcheck test_oneshot_replies_independent;
           Alcotest.test_case "counter consistency" `Slow test_service_counter_consistency;
           Alcotest.test_case "fallback counted" `Slow test_service_fallback_counted;
           Alcotest.test_case "empty batch" `Quick test_service_empty_batch;
@@ -1651,7 +1543,7 @@ let () =
           qcheck test_service_parallel_determinism;
           Alcotest.test_case "trace spans" `Slow test_service_trace_spans;
           Alcotest.test_case "no cross-chain warm start" `Slow
-            test_service_no_cross_chain_warm_start;
+            test_service_no_cross_chain_seed;
           Alcotest.test_case "seed-candidates 1 is classic path" `Slow
             test_seed_candidates_one_is_classic_path;
           qcheck test_seeded_determinism;
@@ -1665,7 +1557,7 @@ let () =
         [
           Alcotest.test_case "warm waypoints <= 4 iters at 30 DOF" `Slow
             test_session_warm_iteration_pin;
-          Alcotest.test_case "intra-wave ordering (cut + poisoned cache)" `Slow
+          Alcotest.test_case "intra-wave ordering (cut)" `Slow
             test_session_intra_wave_ordering;
           Alcotest.test_case "chain mismatch serves cold" `Slow
             test_session_chain_mismatch_serves_cold;
