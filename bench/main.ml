@@ -440,18 +440,13 @@ let prepare_steady_state ~dof =
   in
   (mean, p50, p95, words_per_cand)
 
-(* Temporal warm-starting along a Cartesian trajectory: the session
-   workload at kernel level.  Waypoint targets are generated by FK along
-   a joint-space sine sweep around a well-conditioned base posture
+(* The session workload's path: 40 waypoint targets generated by FK
+   along a joint-space sine sweep around a well-conditioned base posture
    (guaranteed reachable at every DOF, and cyclic so the path never
    drifts toward a workspace boundary the way a straight joint-space
    line does), with amplitude scaled so consecutive targets sit ~1.5 cm
-   apart.  Each Quick-IK solve starts from the previous waypoint's
-   solution — the seed chain a trajectory session maintains.
-   [iters_per_waypoint] (warm mean) is a gated, machine-independent
-   metric: the temporal-coherence win the session subsystem exists for
-   must not silently erode. *)
-let session_steady_state ~dof =
+   apart. *)
+let session_path ~dof =
   let open Dadu_kinematics in
   let chain = Robots.eval_chain ~dof in
   let scratch = Fk.make_scratch () in
@@ -477,8 +472,18 @@ let session_steady_state ~dof =
       (fun i b -> b +. (amp *. sin (omega *. float_of_int k) *. dir.(i)))
       base
   in
-  let waypoints = 40 in
-  let targets = Array.init waypoints (fun k -> Fk.position ~scratch chain (at k)) in
+  (chain, Array.init 40 (fun k -> Fk.position ~scratch chain (at k)))
+
+(* Temporal warm-starting along the session path: the session workload
+   at kernel level.  Each Quick-IK solve starts from the previous
+   waypoint's solution — the seed chain a trajectory session maintains.
+   [iters_per_waypoint] (warm mean) is a gated, machine-independent
+   metric: the temporal-coherence win the session subsystem exists for
+   must not silently erode. *)
+let session_steady_state ~dof =
+  let open Dadu_kinematics in
+  let chain, targets = session_path ~dof in
+  let waypoints = Array.length targets in
   let ws = Dadu_core.Workspace.create ~dof in
   let config = { Dadu_core.Ik.default_config with max_iterations = 2_000 } in
   let seed = Array.make dof 0. in
@@ -512,6 +517,76 @@ let session_steady_state ~dof =
     time_ns ~units:(float_of_int waypoints) (fun () -> trajectory false)
   in
   (mean, p50, p95, words_per_waypoint, !iters_cold, iters_per_waypoint)
+
+(* The filtered sweep Quick-IK runs ([Fk.speculate_argmin]), timed on
+   solver states taken from the session path: the first iteration of
+   each warm waypoint (θ the previous waypoint's answer, Δθ and the 64
+   step sizes that iteration computed), so the sweep takes the paths it
+   takes in serving.  Also reports the share of sweeps that re-scored a
+   range exactly and of those that declined the fast path. *)
+let specargmin_steady_state ~dof =
+  let open Dadu_kinematics in
+  let module Ik = Dadu_core.Ik in
+  let chain, targets = session_path ~dof in
+  let count = 64 in
+  let ws = Dadu_core.Workspace.create ~dof in
+  let solve ~max_iterations ~target ~theta0 =
+    Dadu_core.Quick_ik.solve ~speculations:count ~workspace:ws
+      ~config:{ Ik.default_config with max_iterations }
+      (Ik.problem ~chain ~target ~theta0)
+  in
+  let seed = ref (Chain.clamp_config chain (Array.make dof 0.)) in
+  let states = ref [] in
+  Array.iteri
+    (fun k target ->
+      let theta0 = Array.copy !seed in
+      if k > 0 && (solve ~max_iterations:1 ~target ~theta0).Ik.iterations = 1
+      then
+        states :=
+          ( theta0,
+            Array.copy ws.Dadu_core.Workspace.dtheta,
+            Array.sub ws.Dadu_core.Workspace.coeffs 0 count,
+            target.Dadu_linalg.Vec3.x,
+            target.Dadu_linalg.Vec3.y,
+            target.Dadu_linalg.Vec3.z )
+          :: !states;
+      seed := (solve ~max_iterations:2_000 ~target ~theta0).Ik.theta)
+    targets;
+  let states = Array.of_list (List.rev !states) in
+  let scratch = Fk.make_scratch () in
+  let pos = Array.make (3 * count) 0. and err2 = Array.make count 0. in
+  (* a loop, not Array.iter: its closure would be the only allocation *)
+  let pass () =
+    for i = 0 to Array.length states - 1 do
+      let theta, dtheta, coeffs, tx, ty, tz = states.(i) in
+      ignore
+        (Fk.speculate_argmin ~scratch ~pos ~err2 ~tx ~ty ~tz chain ~theta
+           ~dtheta ~coeffs ~stride:count ~lo:0 ~hi:count)
+    done
+  in
+  pass ();
+  (* warm *)
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 20 do
+    pass ()
+  done;
+  let w1 = Gc.minor_words () in
+  let sweeps = float_of_int (Array.length states) in
+  let reps = 10 in
+  let mean, p50, p95 =
+    time_ns ~units:(float_of_int reps *. sweeps) (fun () ->
+        for _ = 1 to reps do
+          pass ()
+        done)
+  in
+  let c = Fk.filter_counts scratch in
+  let per_sweep n = float_of_int n /. float_of_int c.Fk.sweeps in
+  ( mean,
+    p50,
+    p95,
+    (w1 -. w0) /. (20. *. sweeps),
+    per_sweep c.Fk.rescores,
+    per_sweep c.Fk.declined )
 
 (* Words allocated so far: the minor heap's plus what went straight to
    the major heap (major minus promoted).  The minor count is
@@ -653,7 +728,9 @@ let run_micro_json () =
     Table.create
       ~title:
         "steady state: quickik = solver iteration (64 spec), \
-         speckernel = one raw 64-candidate sweep, serve-request = one \
+         speckernel = one raw 64-candidate sweep, specargmin = one \
+         filtered 64-candidate sweep on a session-path solver state, \
+         serve-request = one \
          cold one-shot request through Service.solve_batch, prepare = one \
          candidate scoring through the wave-fused choose_wave (16 requests \
          x 5 candidates, sequential), session = one temporally warm-started \
@@ -690,6 +767,23 @@ let run_micro_json () =
         (fun dof ->
           entry (Printf.sprintf "speckernel64-dof%d" dof) dof
             (speckernel_steady_state ~dof))
+        dofs
+    @ List.map
+        (fun dof ->
+          let mean, p50, p95, words, rescores, declined =
+            specargmin_steady_state ~dof
+          in
+          let json =
+            entry (Printf.sprintf "specargmin64-dof%d" dof) dof
+              (mean, p50, p95, words)
+          in
+          match json with
+          | Json.Obj fields ->
+            Json.Obj
+              (fields
+              @ [ ("rescores_per_sweep", Json.num rescores);
+                  ("declined_per_sweep", Json.num declined) ])
+          | other -> other)
         dofs
     @ [ entry "serve-request-dof12" 12 (serve_steady_state ~dof:12) ]
     @ List.map

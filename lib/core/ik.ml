@@ -64,7 +64,8 @@ type result = {
 
 let work r = r.speculations * r.iterations
 
-let error_of chain target theta = Vec3.dist target (Fk.position chain theta)
+let error_of ?scratch chain target theta =
+  Vec3.dist target (Fk.position ?scratch chain theta)
 
 let string_of_status = function
   | Converged -> "converged"

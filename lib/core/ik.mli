@@ -92,8 +92,10 @@ val work : result -> int
 (** [speculations × iterations] — the paper's Figure 5(b) computation-load
     metric. *)
 
-val error_of : Chain.t -> Vec3.t -> Vec.t -> float
-(** [‖target − f(θ)‖]. *)
+val error_of : ?scratch:Fk.scratch -> Chain.t -> Vec3.t -> Vec.t -> float
+(** [‖target − f(θ)‖].  With [scratch] (typically the domain's
+    {!Workspace.local} FK scratch, already compiled for the chain) FK
+    runs in it instead of a fresh one; the value is the same bits. *)
 
 val string_of_status : status -> string
 (** ["converged"], ["max-iterations"], ["stalled"] or ["diverged"]: the

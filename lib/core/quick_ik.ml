@@ -77,20 +77,18 @@ let solve ?(speculations = 64) ?(strategy = Uniform) ?on_iteration ?workspace
           for k = 0 to speculations - 1 do
             coeffs.(k) <- alpha_base *. Array.unsafe_get ladder k
           done);
-      (* Speculation: one link-major sweep over all candidates. *)
-      Fk.speculate_range_into ~scratch:ws.Ws.fk ~pos:cand_pos ~err2:cand_err2
-        ~tx ~ty ~tz chain ~theta:ws.Ws.theta ~dtheta:ws.Ws.dtheta ~coeffs
-        ~stride ~lo:0 ~hi:speculations;
-      (* Algorithm 1 line 16: minimum error, ties toward smaller k — on
-         squared errors, which order exactly as the distances do. *)
-      let best = ref 0 in
-      for k = 1 to speculations - 1 do
-        if cand_err2.(k) < cand_err2.(!best) then best := k
-      done;
+      (* Speculation and Algorithm 1 line 16 in one filtered sweep: the
+         minimum error, ties toward smaller k — on squared errors, which
+         order exactly as the distances do. *)
+      let best =
+        Fk.speculate_argmin ~scratch:ws.Ws.fk ~pos:cand_pos ~err2:cand_err2
+          ~tx ~ty ~tz chain ~theta:ws.Ws.theta ~dtheta:ws.Ws.dtheta ~coeffs
+          ~stride ~lo:0 ~hi:speculations
+      in
       (* Rebuild the winner's configuration with the same expression the
          kernel used, bit-identical to the θ-candidate the pose path
          materialized. *)
-      let alpha = coeffs.(!best) in
+      let alpha = coeffs.(best) in
       let th = ws.Ws.theta and dt = ws.Ws.dtheta and nx = ws.Ws.theta_next in
       for i = 0 to dof - 1 do
         Array.unsafe_set nx i

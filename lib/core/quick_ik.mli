@@ -5,11 +5,14 @@
     [Δθ_base = Jᵀe], base scalar [α_base] (Eq. 8) — then evaluates [Max]
     candidate steps [α_k = (k/Max)·α_base] (Eq. 9), keeping the candidate
     whose FK lands closest to the target.  Candidate evaluation runs on
-    the link-major position-only kernel
-    ({!Dadu_kinematics.Fk.speculate_range_into}): one backward tool→base
+    the filtered link-major position-only sweep
+    ({!Dadu_kinematics.Fk.speculate_argmin}): one backward tool→base
     sweep folds every candidate's end-effector position and squared target
-    error, so no candidate ever pays for the full pose product, a θ
-    buffer, or a [sqrt].  The candidates are independent: IKAcc
+    error with a vectorized [sincos], so no candidate ever pays for the
+    full pose product, a θ buffer, a [sqrt] or a libm call, and a
+    rounding-error bound proves the winner is the one the exact kernel
+    ({!Dadu_kinematics.Fk.speculate_range_into}) would pick, re-scoring
+    exactly on a near-tie.  The candidates are independent: IKAcc
     evaluates them in parallel on its SSUs, while software runs one
     sweep per iteration and parallelizes across requests instead. *)
 

@@ -35,8 +35,12 @@ type t = {
   mutable iter : int;  (** 0-based index of the current iteration *)
   mutable cand_pos : Vec.t;
       (** speculative candidate positions, flat SoA: x at [[0, s)], y at
-          [[s, 2s)], z at [[2s, 3s)] where [s = Array.length cand_err2] *)
-  mutable cand_err2 : float array;  (** candidate *squared* target errors *)
+          [[s, 2s)], z at [[2s, 3s)] where [s = Array.length cand_err2].
+          After Quick-IK's filtered sweep
+          ({!Dadu_kinematics.Fk.speculate_argmin}) these are the fast
+          sweep's values, except in a range it re-scored exactly. *)
+  mutable cand_err2 : float array;
+      (** candidate *squared* target errors, fast values like [cand_pos] *)
   mutable coeffs : float array;  (** per-candidate step sizes *)
   mutable ladder : float array;
       (** Log-spaced geometric ladder [ratio^(Max-1-k)], hoisted out of the

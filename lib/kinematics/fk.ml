@@ -10,6 +10,11 @@ type scratch = {
   mutable pre : float array;
   mutable revolute : bool array;
   mutable compiled_for : Chain.t option;
+  (* [speculate_argmin]'s counts: plain ints, as a scratch belongs to one
+     domain *)
+  mutable sweeps : int;
+  mutable rescores : int;
+  mutable declined : int;
 }
 
 let make_scratch ?(dof = 0) () =
@@ -23,6 +28,9 @@ let make_scratch ?(dof = 0) () =
     pre = [||];
     revolute = [||];
     compiled_for = None;
+    sweeps = 0;
+    rescores = 0;
+    declined = 0;
   }
 
 (* The link twist never changes, so cos α / sin α (half the trig of a
@@ -407,6 +415,105 @@ let speculate_range_into ~scratch ~pos ~err2 ~tx ~ty ~tz chain ~theta ~dtheta
        no per-candidate sqrt (sqrt is monotone) *)
     Array.unsafe_set err2 k (((dx *. dx) +. (dy *. dy)) +. (dz *. dz))
   done
+
+(* ---- filtered speculation ------------------------------------------
+
+   [speculate_argmin] finds the candidate the exact sweep would pick
+   without running it: fk_filter.c folds every candidate with an inlined
+   vector sincos, brackets each fast err² with a rounding-error bound
+   (DESIGN.md §9) and returns the winner when one candidate's interval
+   lies below every other's.  Otherwise it names the narrowest range
+   holding every candidate that could still win, and [speculate_range_into]
+   re-scores that range exactly; when the bound cannot be trusted
+   (non-finite values, angles past 2²⁰) it declines and the exact sweep
+   runs over the whole range.  Either way the winner is the exact sweep's
+   first-index argmin. *)
+external argmin_fast :
+  float array ->
+  bool array ->
+  (int[@untagged]) ->
+  float array ->
+  float array ->
+  float array ->
+  float array ->
+  float array ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  float array ->
+  float array ->
+  (float[@unboxed]) ->
+  (float[@unboxed]) ->
+  (float[@unboxed]) ->
+  (int[@untagged]) = "dadu_fk_argmin_fast_byte" "dadu_fk_argmin_fast"
+[@@noalloc]
+
+external fast_sincos : float array -> float array -> float array -> unit
+  = "dadu_fk_fast_sincos"
+[@@noalloc]
+
+(* Algorithm 1 line 16 over [lo, hi): the least err², ties toward the
+   smaller index.  A NaN at [lo] keeps [lo]; a later NaN never wins. *)
+let first_argmin (err2 : float array) lo hi =
+  let best = ref lo in
+  for k = lo + 1 to hi - 1 do
+    if Array.unsafe_get err2 k < Array.unsafe_get err2 !best then best := k
+  done;
+  !best
+
+let exact_argmin ~scratch ~pos ~err2 ~tx ~ty ~tz chain ~theta ~dtheta ~coeffs
+    ~stride ~lo ~hi =
+  speculate_range_into ~scratch ~pos ~err2 ~tx ~ty ~tz chain ~theta ~dtheta
+    ~coeffs ~stride ~lo ~hi;
+  first_argmin err2 lo hi
+
+let speculate_argmin ~scratch ~pos ~err2 ~tx ~ty ~tz chain ~theta ~dtheta
+    ~coeffs ~stride ~lo ~hi =
+  check_many_args "Fk.speculate_argmin" chain ~theta ~dtheta ~coeffs ~stride
+    ~lo ~hi;
+  if lo >= hi then invalid_arg "Fk.speculate_argmin: empty candidate range";
+  if Array.length pos < 3 * stride then
+    invalid_arg "Fk.speculate_argmin: pos shorter than 3*stride";
+  if Array.length err2 < stride then
+    invalid_arg "Fk.speculate_argmin: err2 shorter than stride";
+  ensure_compiled scratch chain;
+  scratch.sweeps <- scratch.sweeps + 1;
+  seed_tool chain ~pos ~stride ~lo ~hi;
+  let r =
+    argmin_fast scratch.pre scratch.revolute (Chain.dof chain) theta dtheta
+      coeffs pos err2 stride lo hi (Chain.base chain) (Chain.tool chain) tx ty
+      tz
+  in
+  if r >= 0 then r
+  else if r = -1 then begin
+    scratch.declined <- scratch.declined + 1;
+    exact_argmin ~scratch ~pos ~err2 ~tx ~ty ~tz chain ~theta ~dtheta ~coeffs
+      ~stride ~lo ~hi
+  end
+  else begin
+    (* r = -2 - (first·stride + last): re-score [first, last] *)
+    let first = (-2 - r) / stride and last = (-2 - r) mod stride in
+    scratch.rescores <- scratch.rescores + 1;
+    exact_argmin ~scratch ~pos ~err2 ~tx ~ty ~tz chain ~theta ~dtheta ~coeffs
+      ~stride ~lo:first ~hi:(last + 1)
+  end
+
+type filter_counts = { sweeps : int; rescores : int; declined : int }
+
+let filter_counts (s : scratch) =
+  { sweeps = s.sweeps; rescores = s.rescores; declined = s.declined }
+
+(* The C conversion of the octant is undefined past int range: the
+   wrapper keeps every argument inside the measured range and a margin. *)
+let fast_sincos_into ~x ~sin ~cos =
+  let n = Array.length x in
+  if Array.length sin < n || Array.length cos < n then
+    invalid_arg "Fk.fast_sincos_into: sin or cos shorter than x";
+  for i = 0 to n - 1 do
+    if not (Float.abs (Array.unsafe_get x i) <= 0x1p21) then
+      invalid_arg "Fk.fast_sincos_into: argument non-finite or past 2^21"
+  done;
+  fast_sincos x sin cos
 
 (* One 4×4 matrix product is 64 multiplies + 48 adds = 112 flops; building
    a DH local transform costs 4 trigs + 2 multiplies, counted as 10.  The

@@ -11,7 +11,9 @@ open Dadu_linalg
     ({!run}, {!position_into}, {!frames_into} and the candidate kernels)
     perform zero minor-heap allocation.  The candidate kernels' per-link
     fold runs as one C loop per sweep (fk_stubs.c) whose results are
-    bit-identical to the OCaml expression order it replaced. *)
+    bit-identical to the OCaml expression order it replaced; Quick-IK's
+    {!speculate_argmin} folds with a vectorized [sincos] instead
+    (fk_filter.c) and proves its winner equal to theirs. *)
 
 type scratch
 
@@ -105,7 +107,7 @@ val speculate_range_into :
   lo:int ->
   hi:int ->
   unit
-(** The Quick-IK speculation engine: like {!positions_many_into} restricted
+(** The exact speculation sweep: like {!positions_many_into} restricted
     to candidates [k ∈ \[lo, hi)] of a buffer laid out with plane stride
     [stride] ([pos] has [3·stride] floats), and additionally writes each
     candidate's *squared* distance to the target [(tx, ty, tz)] into
@@ -114,7 +116,71 @@ val speculate_range_into :
     [\[0, count)] into ranges (one call per range, same buffers) yields
     bit-identical [pos]/[err2] contents to a single full-range call; with
     a {!precompile}d scratch the ranges may run on concurrent domains.
-    Allocation-free. *)
+    Quick-IK calls {!speculate_argmin}, which needs this sweep only on a
+    near-tie; the accelerator simulator reads every candidate's err² from
+    it.  Allocation-free. *)
+
+val speculate_argmin :
+  scratch:scratch ->
+  pos:Vec.t ->
+  err2:Vec.t ->
+  tx:float ->
+  ty:float ->
+  tz:float ->
+  Chain.t ->
+  theta:Vec.t ->
+  dtheta:Vec.t ->
+  coeffs:Vec.t ->
+  stride:int ->
+  lo:int ->
+  hi:int ->
+  int
+(** [speculate_argmin] (same arguments as {!speculate_range_into}, with
+    [lo < hi]) returns the candidate Quick-IK keeps: the first-index
+    argmin over [\[lo, hi)] of the squared errors {!speculate_range_into}
+    writes, bit for bit — the same winner, so the same θ, iterations and
+    replies — at a fraction of the cost.
+
+    A filtered sweep folds every candidate once with an inlined,
+    vectorized [sincos] instead of glibc's, and bounds how far each fast
+    err² can lie from the exact one (DESIGN.md §9).  When one candidate's
+    interval lies below every other's it wins outright; otherwise the
+    exact fold re-scores the narrowest range holding every candidate
+    whose interval reaches the lowest upper bound, and the first-index
+    argmin there wins.  The sweep declines the fast path — and runs the
+    exact sweep over the whole range — unless every coefficient, fast
+    err² and the bound are finite and every revolute angle bound
+    [|θ₀ᵢ| + |θᵢ| + max|c_k|·|Δθᵢ|] is at most 2²⁰.  A solve stuck
+    short of an unreachable target can tie most candidates in every
+    sweep and then pays both folds.
+
+    Afterwards [pos] and [err2] hold the fast sweep's values in
+    [\[lo, hi)], except in a re-scored range (and after a declined sweep),
+    where they hold {!speculate_range_into}'s.  Each call is counted on
+    the scratch ({!filter_counts}), so unlike {!speculate_range_into}
+    concurrent calls must not share one.  Allocation-free.  Raises
+    [Invalid_argument] as {!speculate_range_into} does, and on an empty
+    range. *)
+
+type filter_counts = {
+  sweeps : int;  (** {!speculate_argmin} calls *)
+  rescores : int;  (** calls that re-scored a sub-range exactly *)
+  declined : int;
+      (** calls that ran the exact sweep over the whole range because the
+          bound could not be trusted *)
+}
+
+val filter_counts : scratch -> filter_counts
+(** The scratch's cumulative {!speculate_argmin} counts.  A scratch
+    belongs to one domain, so these are plain ints. *)
+
+val fast_sincos_into : x:Vec.t -> sin:Vec.t -> cos:Vec.t -> unit
+(** [fast_sincos_into ~x ~sin ~cos] writes the filtered sweep's inlined
+    sine and cosine of each [x.(i)] into [sin.(i)] and [cos.(i)]: within
+    2u (u = 2⁻⁵³) of the true values for [|x| ≤ 2²⁰], the accuracy the
+    filter's bound assumes.  Exposed for that accuracy test; raises
+    [Invalid_argument] when [sin] or [cos] is shorter than [x], or when
+    some [x.(i)] is non-finite or past 2²¹ in magnitude. *)
 
 val score_rows_into :
   scratch:scratch ->

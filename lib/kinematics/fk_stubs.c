@@ -30,27 +30,7 @@
    not race.  The OCaml wrappers check every bound before calling. */
 
 #include <math.h>
-#include <caml/mlvalues.h>
-
-/* Float arrays are read as [double *]: that needs the flat layout. */
-#ifndef FLAT_FLOAT_ARRAY
-#error "fk_stubs.c reads float arrays as double *: needs FLAT_FLOAT_ARRAY"
-#endif
-
-#define Doubles(v) ((double *) (v))
-
-/* p <- R p + t for one candidate, factored through w and u (15 flops). */
-static inline void fold(double *px, double *py, double *pz, intnat k,
-                        double ct, double st, double ca, double sa, double a,
-                        double d)
-{
-  const double x = px[k], y = py[k], z = pz[k];
-  const double w = x + a;
-  const double u = (ca * y) - (sa * z);
-  px[k] = (ct * w) - (st * u);
-  py[k] = (st * w) + (ct * u);
-  pz[k] = ((sa * y) + (ca * z)) + d;
-}
+#include "fk_fold.h"
 
 /* [pre] holds the compiled link constants [cos a; sin a; a; d; theta0]
    at 5*i and [rev] the revolute flags (Fk.scratch).  Links fold from

@@ -51,8 +51,9 @@ let chain_to_string chain = String.concat "," (List.map name chain)
    scheduler domains) runs the solvers' zero-allocation paths instead of
    rebuilding scratch buffers per request.  Safe because each domain runs
    one solve at a time. *)
-let solver ?(speculations = 64) kind ~config p =
-  let workspace = Workspace.local ~dof:(Dadu_kinematics.Chain.dof p.Ik.chain) in
+let local_workspace p = Workspace.local ~dof:(Dadu_kinematics.Chain.dof p.Ik.chain)
+
+let solve_in ~workspace ?(speculations = 64) kind ~config p =
   match kind with
   | Quick_ik -> Dadu_core.Quick_ik.solve ~speculations ~workspace ~config p
   | Jt_serial -> Dadu_core.Jt_serial.solve ~workspace ~config p
@@ -62,6 +63,9 @@ let solver ?(speculations = 64) kind ~config p =
   | Dls -> Dadu_core.Dls.solve ~workspace ~config p
   | Sdls -> Dadu_core.Sdls.solve ~workspace ~config p
   | Ccd -> Dadu_core.Ccd.solve ~workspace ~config p
+
+let solver ?speculations kind ~config p =
+  solve_in ~workspace:(local_workspace p) ?speculations kind ~config p
 
 type outcome = {
   result : Ik.result;
@@ -75,11 +79,12 @@ type outcome = {
 (* Demote a claimed convergence that FK does not confirm; keeps the
    never-Converged-above-accuracy invariant independent of any individual
    solver's bookkeeping.  A non-finite true error (poisoned θ) is a
-   malfunction, not a miss: demote to [Diverged] so the breaker sees it. *)
-let verify ~config p (r : Ik.result) =
+   malfunction, not a miss: demote to [Diverged] so the breaker sees it.
+   FK runs in the solve's own scratch, already compiled for the chain. *)
+let verify ~scratch ~config p (r : Ik.result) =
   match r.Ik.status with
   | Ik.Converged ->
-    let actual = Ik.error_of p.Ik.chain p.Ik.target r.Ik.theta in
+    let actual = Ik.error_of ~scratch p.Ik.chain p.Ik.target r.Ik.theta in
     if actual <= config.Ik.accuracy then r
     else if Float.is_finite actual then
       { r with Ik.status = Ik.Stalled; error = actual }
@@ -89,11 +94,11 @@ let verify ~config p (r : Ik.result) =
 (* A crashed tier must not take the whole request down: stand in a
    best-effort result (the clamped initial pose, honestly scored) marked
    [Diverged] so the chain moves on and the breaker counts the crash. *)
-let crashed ?(speculations = 64) (p : Ik.problem) =
+let crashed ~scratch ?(speculations = 64) (p : Ik.problem) =
   let theta = Dadu_kinematics.Chain.clamp_config p.Ik.chain p.Ik.theta0 in
   {
     Ik.theta;
-    error = Ik.error_of p.Ik.chain p.Ik.target theta;
+    error = Ik.error_of ~scratch p.Ik.chain p.Ik.target theta;
     iterations = 0;
     speculations;
     status = Ik.Diverged;
@@ -110,11 +115,13 @@ let run ?speculations ?time_budget_s ?attempt_hook
   let out_of_time () =
     match time_budget_s with None -> false | Some b -> elapsed () > b
   in
+  let workspace = local_workspace p in
+  let scratch = workspace.Workspace.fk in
   let attempt kind =
     match Fault.fires fault ~site:"solver-raise" () with
     | Some _ -> failwith ("injected fault: " ^ name kind ^ " crashed")
     | None ->
-      let r = solver ?speculations kind ~config p in
+      let r = solve_in ~workspace ?speculations kind ~config p in
       let r =
         (* corrupt θ after the solve, like a scribbled result buffer *)
         match Fault.fires fault ~site:"solver-nan" () with
@@ -135,8 +142,8 @@ let run ?speculations ?time_budget_s ?attempt_hook
       let start_s = now () in
       let r =
         match attempt kind with
-        | raw -> verify ~config p raw
-        | exception _ -> crashed ?speculations p
+        | raw -> verify ~scratch ~config p raw
+        | exception _ -> crashed ~scratch ?speculations p
       in
       (match attempt_hook with
       | None -> ()

@@ -63,6 +63,47 @@ let test_speculation_kernel_zero () =
   Alcotest.(check (float 0.)) "kernel minor words per sweep" 0.
     ((w1 -. w0) /. 1000.)
 
+(* The filtered sweep ([Fk.speculate_argmin]) on its paths, each
+   confirmed through the scratch's counts: a fast-path winner, an exact
+   re-score forced by duplicated coefficients, and a declined sweep whose
+   angles pass 2²⁰.  None may allocate. *)
+let test_filtered_sweep_zero () =
+  let dof = 30 and count = 64 in
+  let chain = Robots.eval_chain ~dof in
+  let dtheta = Array.make dof 0.02 in
+  let pos = Array.make (3 * count) 0. in
+  let err2 = Array.make count 0. in
+  let ladder = Array.init count (fun k -> float_of_int (k + 1) /. 64.) in
+  let twins = Array.init count (fun k -> ladder.(k / 2)) in
+  List.iter
+    (fun (path, theta, coeffs, expect) ->
+      let scratch = Fk.make_scratch () in
+      let sweep () =
+        ignore
+          (Fk.speculate_argmin ~scratch ~pos ~err2 ~tx:3. ~ty:2. ~tz:1. chain
+             ~theta ~dtheta ~coeffs ~stride:count ~lo:0 ~hi:count)
+      in
+      sweep ();
+      (* warm *)
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 1000 do
+        sweep ()
+      done;
+      let w1 = Gc.minor_words () in
+      let c = Fk.filter_counts scratch in
+      Alcotest.(check bool)
+        (path ^ ": every sweep took this path")
+        true
+        (expect c = c.Fk.sweeps && c.Fk.sweeps = 1001);
+      Alcotest.(check (float 0.)) (path ^ ": minor words per sweep") 0.
+        ((w1 -. w0) /. 1000.))
+    [
+      ("fast path", Array.make dof 0.1, ladder, fun c ->
+        c.Fk.sweeps - c.Fk.rescores - c.Fk.declined);
+      ("re-score", Array.make dof 0.1, twins, fun c -> c.Fk.rescores);
+      ("declined", Array.make dof 2e6, ladder, fun c -> c.Fk.declined);
+    ]
+
 let test_quick_ik_12dof () =
   let p = unreachable_problem ~dof:12 in
   let ws = Workspace.create ~dof:12 in
@@ -259,19 +300,22 @@ let track_waypoint_words ~after =
   (w1 -. w0) /. float_of_int (rounds * n)
 
 (* The solve alone.  The bound leaves room for the solve's own records
-   (about 860 words) and fails if a waypoint folds a 30-DOF fingerprint
-   in boxed Int64 (6,555 words a fold). *)
+   (about 620 words) and fails if the FK re-verification of a converged
+   answer builds a fresh FK scratch (about 860 words in all), let alone
+   if a waypoint folds a 30-DOF fingerprint in boxed Int64 (6,555 words
+   a fold). *)
 let test_track_waypoint_words () =
   let per_waypoint = track_waypoint_words ~after:(fun _ _ -> ()) in
   Alcotest.(check bool)
-    (Printf.sprintf "%.0f minor words per warm waypoint, at most 2,000" per_waypoint)
-    true (per_waypoint <= 2_000.)
+    (Printf.sprintf "%.0f minor words per warm waypoint, at most 720" per_waypoint)
+    true (per_waypoint <= 720.)
 
 (* The dispatcher's whole reply path on the same load: each reply
    encoded once, its commit record staged in place, and each batch's
-   records written to a journal with one flush.  The bound fails on a
-   Printf-built reply (about 1,200 words) with a record encoded through
-   copies (about 700). *)
+   records written to a journal with one flush (about 755 words in all).
+   The bound fails if the FK re-verification builds a fresh FK scratch
+   (about 990 words), and on a Printf-built reply (about 1,200 words)
+   with a record encoded through copies (about 700). *)
 let test_track_reply_path_words () =
   let module Journal = Dadu_service.Journal in
   let module Server = Dadu_service.Server in
@@ -311,9 +355,9 @@ let test_track_reply_path_words () =
   Journal.close journal;
   Alcotest.(check bool)
     (Printf.sprintf
-       "%.0f minor words per warm waypoint with its reply and record, at most 2,000"
+       "%.0f minor words per warm waypoint with its reply and record, at most 880"
        per_waypoint)
-    true (per_waypoint <= 2_000.)
+    true (per_waypoint <= 880.)
 
 let () =
   Alcotest.run "dadu_alloc"
@@ -331,6 +375,8 @@ let () =
           Alcotest.test_case "dls 30 DOF" `Quick test_dls;
           Alcotest.test_case "wave-fused row-scoring kernel, 30 DOF" `Quick
             test_score_rows_kernel_zero;
+          Alcotest.test_case "filtered sweep: fast path and both fallbacks"
+            `Quick test_filtered_sweep_zero;
         ] );
       ( "steady-state serving",
         [

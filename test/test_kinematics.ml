@@ -1280,6 +1280,171 @@ let test_exact_score_rows =
       same_bits "err2" want_err2 err2;
       true)
 
+(* ---- filtered speculation: speculate_argmin ----
+
+   [Fk.speculate_argmin] must return exactly the first-index argmin of
+   the err² [speculate_range_into] writes over the same range: the winner
+   decides θ, the iteration count and every reply byte.  Cases reuse the
+   bit-exact section's chains (mixed joints, zero-length links, random
+   affine base and tool) and angle bands, out to 1e6 and with products
+   past the fast path's 2²⁰ range; coefficients repeat (exact ties),
+   vanish, or form a Quick-IK ladder; Δθ may be zero or tiny (near-ties
+   inside the bound); θ may be non-finite. *)
+
+let filter_case seed =
+  let rng, chain, count, lo, hi = exact_case seed in
+  let lo, hi = if lo < hi then (lo, hi) else (0, count) in
+  let dof = Chain.dof chain in
+  let theta = Array.init dof (fun _ -> band_value rng (1 + Rng.int rng 6)) in
+  let dtheta =
+    match Rng.int rng 6 with
+    | 0 -> Array.make dof 0.
+    | 1 ->
+      let scale = 10. ** -.float_of_int (6 + Rng.int rng 9) in
+      Array.init dof (fun _ -> scale *. Rng.uniform rng (-1.) 1.)
+    | _ -> Array.init dof (fun _ -> band_value rng (1 + Rng.int rng 5))
+  in
+  if Rng.int rng 10 = 0 then
+    theta.(Rng.int rng dof) <-
+      (match Rng.int rng 3 with 0 -> nan | 1 -> infinity | _ -> neg_infinity);
+  let coeffs =
+    match Rng.int rng 4 with
+    | 0 ->
+      let alpha = band_value rng 3 in
+      Array.init count (fun k ->
+          float_of_int (k + 1) /. float_of_int count *. alpha)
+    | 1 ->
+      let c = Array.init count (fun _ -> band_value rng 3) in
+      for k = 0 to count - 1 do
+        if Rng.int rng 3 = 0 then c.(k) <- c.(Rng.int rng count)
+      done;
+      c
+    | _ -> Array.init count (fun _ -> band_value rng (1 + Rng.int rng 4))
+  in
+  let tx = Rng.uniform rng (-3.) 3.
+  and ty = Rng.uniform rng (-3.) 3.
+  and tz = Rng.uniform rng (-3.) 3. in
+  (chain, theta, dtheta, coeffs, count, lo, hi, (tx, ty, tz))
+
+(* Quick-IK's scan over the exact sweep's err²: the reference winner. *)
+let exact_winner chain ~theta ~dtheta ~coeffs ~count ~lo ~hi (tx, ty, tz) =
+  let pos = Array.make (3 * count) sentinel
+  and err2 = Array.make count sentinel in
+  Fk.speculate_range_into ~scratch:(Fk.make_scratch ()) ~pos ~err2 ~tx ~ty
+    ~tz chain ~theta ~dtheta ~coeffs ~stride:count ~lo ~hi;
+  let best = ref lo in
+  for k = lo + 1 to hi - 1 do
+    if err2.(k) < err2.(!best) then best := k
+  done;
+  !best
+
+let filtered_winner scratch chain ~theta ~dtheta ~coeffs ~count ~lo ~hi
+    (tx, ty, tz) =
+  let pos = Array.make (3 * count) sentinel
+  and err2 = Array.make count sentinel in
+  Fk.speculate_argmin ~scratch ~pos ~err2 ~tx ~ty ~tz chain ~theta ~dtheta
+    ~coeffs ~stride:count ~lo ~hi
+
+let test_argmin_matches_exact =
+  QCheck.Test.make
+    ~name:"speculate_argmin = first-index argmin of speculate_range_into"
+    ~count:1000 QCheck.(int_bound 999_999) (fun seed ->
+      let chain, theta, dtheta, coeffs, count, lo, hi, t = filter_case seed in
+      let want = exact_winner chain ~theta ~dtheta ~coeffs ~count ~lo ~hi t in
+      let got =
+        filtered_winner (Fk.make_scratch ()) chain ~theta ~dtheta ~coeffs
+          ~count ~lo ~hi t
+      in
+      if got <> want then
+        Alcotest.failf "seed %d: filtered winner %d, exact winner %d" seed got
+          want;
+      true)
+
+(* The ways a filtered sweep ends, each seen through the scratch's counts
+   and each agreeing with the exact winner: a fast-path winner, an exact
+   re-score forced by duplicated coefficients (identical candidates tie
+   exactly), a tie across the whole range, and a declined sweep whose
+   angles pass 2²⁰. *)
+let test_argmin_paths () =
+  let chain = Robots.eval_chain ~dof:30 in
+  let theta = Array.init 30 (fun i -> 0.1 +. (0.01 *. float_of_int i)) in
+  let dtheta = Array.init 30 (fun i -> 0.02 -. (0.001 *. float_of_int i)) in
+  let count = 64 and t = (3., 2., 1.) in
+  let ladder = Array.init count (fun k -> float_of_int (k + 1) /. 64. *. 2.) in
+  let run ?(scratch = Fk.make_scratch ()) ~theta ~coeffs () =
+    let got =
+      filtered_winner scratch chain ~theta ~dtheta ~coeffs ~count ~lo:0
+        ~hi:count t
+    in
+    Alcotest.(check int) "filtered = exact winner"
+      (exact_winner chain ~theta ~dtheta ~coeffs ~count ~lo:0 ~hi:count t)
+      got;
+    Fk.filter_counts scratch
+  in
+  let counts name want c =
+    Alcotest.(check (list int))
+      (name ^ ": sweeps, rescores, declined")
+      want
+      [ c.Fk.sweeps; c.Fk.rescores; c.Fk.declined ]
+  in
+  counts "fast path" [ 1; 0; 0 ] (run ~theta ~coeffs:ladder ());
+  (* every candidate twice: the winner ties with its twin *)
+  let twins = Array.init count (fun k -> ladder.(k / 2)) in
+  counts "re-score" [ 1; 1; 0 ] (run ~theta ~coeffs:twins ());
+  counts "whole-range tie" [ 1; 1; 0 ]
+    (run ~theta ~coeffs:(Array.make count 0.5) ());
+  let far = Array.map (fun q -> q +. 2e6) theta in
+  counts "declined" [ 1; 0; 1 ] (run ~theta:far ~coeffs:ladder ())
+
+(* The filter's bound assumes the inlined sincos is within 2u of sin and
+   cos and glibc within 1u (u = 2⁻⁵³; DESIGN.md §9), so the two may differ
+   by 3u.  10⁷ arguments over the fast range: uniform up to 2²⁰, small
+   magnitudes down to 2⁻⁶⁰, ±1e-6 around multiples of π/4 (where the
+   reduction cancels) and the range edge, with the angle's rounding past
+   2²⁰, both signs. *)
+let test_fast_sincos_accuracy () =
+  let rng = Rng.create 2024 in
+  let chunk = 100_000 in
+  let x = Array.make chunk 0. in
+  let s = Array.make chunk 0. and c = Array.make chunk 0. in
+  let bound = 3. *. epsilon_float /. 2. in
+  let worst = ref 0. and worst_x = ref 0. in
+  for round = 0 to 99 do
+    for i = 0 to chunk - 1 do
+      let v =
+        match (round + i) mod 4 with
+        | 0 -> Rng.uniform rng 0. 0x1p20
+        | 1 -> ldexp (Rng.uniform rng 0. 1.) (-Rng.int rng 61)
+        | 2 ->
+          (float_of_int (Rng.int rng 1_335_088) *. (pi /. 4.))
+          +. Rng.uniform rng (-1e-6) 1e-6
+        | _ -> 0x1p20 +. Rng.uniform rng (-1e-3) 0x1p-30
+      in
+      x.(i) <- (if Rng.int rng 2 = 0 then v else -.v)
+    done;
+    Fk.fast_sincos_into ~x ~sin:s ~cos:c;
+    for i = 0 to chunk - 1 do
+      let d =
+        Float.max (Float.abs (s.(i) -. sin x.(i))) (Float.abs (c.(i) -. cos x.(i)))
+      in
+      if not (d <= !worst) then begin
+        worst := d;
+        worst_x := x.(i)
+      end
+    done
+  done;
+  if not (!worst <= bound) then
+    Alcotest.failf "fast sincos differs from glibc by %.3fu at x = %h"
+      (!worst /. (epsilon_float /. 2.))
+      !worst_x;
+  (* past the range its octant's int conversion would be undefined *)
+  List.iter
+    (fun v ->
+      Alcotest.check_raises (Printf.sprintf "refuses %h" v)
+        (Invalid_argument "Fk.fast_sincos_into: argument non-finite or past 2^21")
+        (fun () -> Fk.fast_sincos_into ~x:[| 0.5; v |] ~sin:s ~cos:c))
+    [ nan; infinity; neg_infinity; 0x1.0000000000001p21; -1e10 ]
+
 let test_chain_rejects_non_affine () =
   let bad = Mat4.identity () in
   bad.(12) <- 0.5;
@@ -1318,6 +1483,14 @@ let () =
             test_speculate_validation;
           qcheck test_exact_speculate;
           qcheck test_exact_score_rows;
+        ] );
+      ( "filtered-sweep",
+        [
+          qcheck test_argmin_matches_exact;
+          Alcotest.test_case "fast path, re-score, declined" `Quick
+            test_argmin_paths;
+          Alcotest.test_case "inlined sincos within 3u of glibc" `Quick
+            test_fast_sincos_accuracy;
         ] );
       ( "joint",
         [
