@@ -182,24 +182,7 @@ module Json = Dadu_util.Json
 
 let bench_json_path = "BENCH_quickik.json"
 
-(* The timed half of every steady-state entry: 31 samples of [run],
-   each scaled to ns per unit of work ([units] per call), summarised as
-   (mean, p50, p95) with nearest-rank percentiles over the sorted
-   samples. *)
-let time_ns ~units run =
-  let samples = 31 in
-  let ns = Array.make samples 0. in
-  for s = 0 to samples - 1 do
-    let t0 = Unix.gettimeofday () in
-    run ();
-    ns.(s) <- (Unix.gettimeofday () -. t0) *. 1e9 /. units
-  done;
-  Array.sort compare ns;
-  let pct p =
-    ns.(int_of_float (Float.round (p *. float_of_int (samples - 1))))
-  in
-  let mean = Array.fold_left ( +. ) 0. ns /. float_of_int samples in
-  (mean, pct 0.5, pct 0.95)
+module Stats = Dadu_util.Stats
 
 let quickik_steady_state ~dof =
   let open Dadu_kinematics in
@@ -223,10 +206,10 @@ let quickik_steady_state ~dof =
   let w2 = Gc.minor_words () in
   let words_per_iter = ((w2 -. w1) -. (w1 -. w0)) /. 100. in
   let iters = 40 in
-  let mean, p50, p95 =
-    time_ns ~units:(float_of_int iters) (fun () -> solve iters)
+  let t =
+    Stats.measure ~units:(float_of_int iters) (fun () -> solve iters)
   in
-  (mean, p50, p95, words_per_iter)
+  (t, words_per_iter)
 
 (* The raw link-major speculation kernel, measured without the solver
    driver around it: one sweep = 64 candidates through the whole chain
@@ -256,13 +239,13 @@ let speckernel_steady_state ~dof =
   let w1 = Gc.minor_words () in
   let words_per_sweep = (w1 -. w0) /. 100. in
   let reps = 500 in
-  let mean, p50, p95 =
-    time_ns ~units:(float_of_int reps) (fun () ->
+  let t =
+    Stats.measure ~units:(float_of_int reps) (fun () ->
         for _ = 1 to reps do
           sweep ()
         done)
   in
-  (mean, p50, p95, words_per_sweep)
+  (t, words_per_sweep)
 
 (* Steady-state cost of one cold one-shot request through
    [Service.solve_batch] (scheduler + fallback chain + metrics), serial:
@@ -283,8 +266,8 @@ let serve_steady_state ~dof =
   done;
   let w1 = Gc.minor_words () in
   let words_per_request = (w1 -. w0) /. float_of_int (5 * n) in
-  let mean, p50, p95 = time_ns ~units:(float_of_int n) batch in
-  (mean, p50, p95, words_per_request)
+  let t = Stats.measure ~units:(float_of_int n) batch in
+  (t, words_per_request)
 
 (* Cold-start vs library-seeded Quick-IK over a fixed reachable workload:
    the informational fields pin the acceptance criterion (seeded mean
@@ -373,8 +356,8 @@ let seeded_steady_state ~dof =
   sweep ();
   let w2 = Gc.minor_words () in
   let words_per_iter = ((w2 -. w1) -. (w1 -. w0)) /. float_of_int reps in
-  let mean, p50, p95 = time_ns ~units:(float_of_int reps) sweep in
-  (mean, p50, p95, words_per_iter, iters_cold, iters_seeded)
+  let t = Stats.measure ~units:(float_of_int reps) sweep in
+  (t, words_per_iter, iters_cold, iters_seeded)
 
 (* Steady-state cost of one candidate scoring through the wave-fused
    prepare path: one [Seed_select.choose_wave] over a 16-request wave at
@@ -432,13 +415,13 @@ let prepare_steady_state ~dof =
   done;
   let w2 = Gc.minor_words () in
   let words_per_cand = ((w2 -. w1) -. (w1 -. w0)) /. float_of_int reps /. cands in
-  let mean, p50, p95 =
-    time_ns ~units:(float_of_int reps *. cands) (fun () ->
+  let t =
+    Stats.measure ~units:(float_of_int reps *. cands) (fun () ->
         for _ = 1 to reps do
           wave ()
         done)
   in
-  (mean, p50, p95, words_per_cand)
+  (t, words_per_cand)
 
 (* The session workload's path: 40 waypoint targets generated by FK
    along a joint-space sine sweep around a well-conditioned base posture
@@ -513,18 +496,16 @@ let session_steady_state ~dof =
   done;
   let w1 = Gc.minor_words () in
   let words_per_waypoint = (w1 -. w0) /. float_of_int (5 * waypoints) in
-  let mean, p50, p95 =
-    time_ns ~units:(float_of_int waypoints) (fun () -> trajectory false)
+  let t =
+    Stats.measure ~units:(float_of_int waypoints) (fun () -> trajectory false)
   in
-  (mean, p50, p95, words_per_waypoint, !iters_cold, iters_per_waypoint)
+  (t, words_per_waypoint, !iters_cold, iters_per_waypoint)
 
-(* The filtered sweep Quick-IK runs ([Fk.speculate_argmin]), timed on
-   solver states taken from the session path: the first iteration of
+(* Solver states taken from the session path: the first iteration of
    each warm waypoint (θ the previous waypoint's answer, Δθ and the 64
-   step sizes that iteration computed), so the sweep takes the paths it
-   takes in serving.  Also reports the share of sweeps that re-scored a
-   range exactly and of those that declined the fast path. *)
-let specargmin_steady_state ~dof =
+   step sizes that iteration computed), so the kernels timed on them take
+   the paths they take in serving. *)
+let session_states ~dof =
   let open Dadu_kinematics in
   let module Ik = Dadu_core.Ik in
   let chain, targets = session_path ~dof in
@@ -552,7 +533,34 @@ let specargmin_steady_state ~dof =
           :: !states;
       seed := (solve ~max_iterations:2_000 ~target ~theta0).Ik.theta)
     targets;
-  let states = Array.of_list (List.rev !states) in
+  (chain, Array.of_list (List.rev !states))
+
+(* Times [pass] (one kernel call per session state) and counts its
+   words; ns and words are per call. *)
+let per_state_steady_state ~states pass =
+  pass ();
+  (* warm *)
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 20 do
+    pass ()
+  done;
+  let w1 = Gc.minor_words () in
+  let calls = float_of_int (Array.length states) in
+  let reps = 10 in
+  let t =
+    Stats.measure ~units:(float_of_int reps *. calls) (fun () ->
+        for _ = 1 to reps do
+          pass ()
+        done)
+  in
+  (t, (w1 -. w0) /. (20. *. calls))
+
+(* The filtered sweep Quick-IK runs ([Fk.speculate_argmin]) on the
+   session-path states.  Also reports the share of sweeps that re-scored
+   a range exactly and of those that declined the fast path. *)
+let specargmin_steady_state (chain, states) =
+  let open Dadu_kinematics in
+  let count = 64 in
   let scratch = Fk.make_scratch () in
   let pos = Array.make (3 * count) 0. and err2 = Array.make count 0. in
   (* a loop, not Array.iter: its closure would be the only allocation *)
@@ -564,29 +572,25 @@ let specargmin_steady_state ~dof =
            ~dtheta ~coeffs ~stride:count ~lo:0 ~hi:count)
     done
   in
-  pass ();
-  (* warm *)
-  let w0 = Gc.minor_words () in
-  for _ = 1 to 20 do
-    pass ()
-  done;
-  let w1 = Gc.minor_words () in
-  let sweeps = float_of_int (Array.length states) in
-  let reps = 10 in
-  let mean, p50, p95 =
-    time_ns ~units:(float_of_int reps *. sweeps) (fun () ->
-        for _ = 1 to reps do
-          pass ()
-        done)
-  in
+  let t, words = per_state_steady_state ~states pass in
   let c = Fk.filter_counts scratch in
   let per_sweep n = float_of_int n /. float_of_int c.Fk.sweeps in
-  ( mean,
-    p50,
-    p95,
-    (w1 -. w0) /. (20. *. sweeps),
-    per_sweep c.Fk.rescores,
-    per_sweep c.Fk.declined )
+  (t, words, per_sweep c.Fk.rescores, per_sweep c.Fk.declined)
+
+(* The frames pass each of those iterations starts with: one
+   [Fk.frames_into] at each session-path state's θ, the serial half of a
+   Quick-IK iteration beside the sweep. *)
+let frames_steady_state (chain, states) =
+  let open Dadu_kinematics in
+  let scratch = Fk.make_scratch () in
+  let dst = Array.init (Chain.dof chain + 1) (fun _ -> Array.make 16 0.) in
+  let pass () =
+    for i = 0 to Array.length states - 1 do
+      let theta, _, _, _, _, _ = states.(i) in
+      Fk.frames_into ~scratch ~dst chain theta
+    done
+  in
+  per_state_steady_state ~states pass
 
 (* Words allocated so far: the minor heap's plus what went straight to
    the major heap (major minus promoted).  The minor count is
@@ -651,8 +655,8 @@ let journal_replay_steady_state () =
       let w0 = allocated_words () in
       replay ();
       let w1 = allocated_words () in
-      let mean, p50, p95 = time_ns ~units:records replay in
-      (mean, p50, p95, (w1 -. w0) /. records))
+      let t = Stats.measure ~units:records replay in
+      (t, (w1 -. w0) /. records))
 
 (* The dispatcher's reply path for one solved eval:30 session reply:
    encoded once ([Server.encode_reply]) and its commit record staged in
@@ -719,17 +723,20 @@ let reply_encode_steady_state () =
           run ()
         done;
         let w1 = allocated_words () in
-        let mean, p50, p95 = time_ns ~units:(float_of_int batch) run in
-        (mean, p50, p95, (w1 -. w0) /. float_of_int (rounds * batch)))
+        let t = Stats.measure ~units:(float_of_int batch) run in
+        (t, (w1 -. w0) /. float_of_int (rounds * batch)))
 
 let run_micro_json () =
   heading "Quick-IK steady-state kernel benchmark (JSON)";
+  let isa = Dadu_kinematics.Fk.sweep_isa () in
   let table =
     Table.create
       ~title:
-        "steady state: quickik = solver iteration (64 spec), \
+        ("steady state (filtered sweep: " ^ isa ^ " clone): quickik = \
+         solver iteration (64 spec), \
          speckernel = one raw 64-candidate sweep, specargmin = one \
          filtered 64-candidate sweep on a session-path solver state, \
+         frames = one frames pass on the same states, \
          serve-request = one \
          cold one-shot request through Service.solve_batch, prepare = one \
          candidate scoring through the wave-fused choose_wave (16 requests \
@@ -737,26 +744,35 @@ let run_micro_json () =
          waypoint along a 40-point ~1.5 cm cyclic trajectory, \
          journal-replay = one record of a 32-session restart replay, \
          reply-encode = one solved session reply encoded and its journal \
-         record staged, written 32 to a flush"
+         record staged, written 32 to a flush")
       [ ("benchmark", Table.Left); ("ns/iter", Table.Right);
-        ("p50 ns", Table.Right); ("p95 ns", Table.Right);
+        ("min ns", Table.Right); ("p50 ns", Table.Right);
+        ("iqr ns", Table.Right); ("p95 ns", Table.Right);
         ("words/iter", Table.Right) ]
   in
-  let entry name dof (mean, p50, p95, words) =
+  let entry name dof ((t : Stats.timing), words) =
+    let ns x = x *. 1e9 in
+    let iqr = t.Stats.q3 -. t.Stats.q1 in
     Table.add_row table
-      [ name; Printf.sprintf "%.0f" mean; Printf.sprintf "%.0f" p50;
-        Printf.sprintf "%.0f" p95; Printf.sprintf "%.2f" words ];
+      [ name; Printf.sprintf "%.0f" (ns t.Stats.mean);
+        Printf.sprintf "%.0f" (ns t.Stats.min);
+        Printf.sprintf "%.0f" (ns t.Stats.median);
+        Printf.sprintf "%.0f" (ns iqr); Printf.sprintf "%.0f" (ns t.Stats.p95);
+        Printf.sprintf "%.2f" words ];
     (* Json.num, not Num: one poisoned statistic (a NaN mean from a
        zero-iteration run) must cost a null field, not the whole export *)
     Json.Obj
       [ ("name", Json.Str name);
         ("dof", Json.num (float_of_int dof));
-        ("ns_per_iter", Json.num mean);
-        ("p50_ns", Json.num p50);
-        ("p95_ns", Json.num p95);
+        ("ns_per_iter", Json.num (ns t.Stats.mean));
+        ("min_ns", Json.num (ns t.Stats.min));
+        ("p50_ns", Json.num (ns t.Stats.median));
+        ("iqr_ns", Json.num (ns iqr));
+        ("p95_ns", Json.num (ns t.Stats.p95));
         ("words_per_iter", Json.num words) ]
   in
   let dofs = [ 12; 30; 100 ] in
+  let states = List.map (fun dof -> (dof, session_states ~dof)) dofs in
   let benchmarks =
     List.map
       (fun dof ->
@@ -769,13 +785,10 @@ let run_micro_json () =
             (speckernel_steady_state ~dof))
         dofs
     @ List.map
-        (fun dof ->
-          let mean, p50, p95, words, rescores, declined =
-            specargmin_steady_state ~dof
-          in
+        (fun (dof, st) ->
+          let t, words, rescores, declined = specargmin_steady_state st in
           let json =
-            entry (Printf.sprintf "specargmin64-dof%d" dof) dof
-              (mean, p50, p95, words)
+            entry (Printf.sprintf "specargmin64-dof%d" dof) dof (t, words)
           in
           match json with
           | Json.Obj fields ->
@@ -784,12 +797,16 @@ let run_micro_json () =
               @ [ ("rescores_per_sweep", Json.num rescores);
                   ("declined_per_sweep", Json.num declined) ])
           | other -> other)
-        dofs
+        states
+    @ List.map
+        (fun (dof, st) ->
+          entry (Printf.sprintf "frames-dof%d" dof) dof (frames_steady_state st))
+        states
     @ [ entry "serve-request-dof12" 12 (serve_steady_state ~dof:12) ]
     @ List.map
         (fun dof ->
-          let mean, p50, p95, words, cold, seeded = seeded_steady_state ~dof in
-          let json = entry (Printf.sprintf "seeded-dof%d" dof) dof (mean, p50, p95, words) in
+          let t, words, cold, seeded = seeded_steady_state ~dof in
+          let json = entry (Printf.sprintf "seeded-dof%d" dof) dof (t, words) in
           match json with
           | Json.Obj fields ->
             Json.Obj
@@ -800,9 +817,9 @@ let run_micro_json () =
         dofs
     @ List.map
         (fun dof ->
-          let mean, p50, p95, words, cold, per_wp = session_steady_state ~dof in
+          let t, words, cold, per_wp = session_steady_state ~dof in
           let json =
-            entry (Printf.sprintf "session-dof%d" dof) dof (mean, p50, p95, words)
+            entry (Printf.sprintf "session-dof%d" dof) dof (t, words)
           in
           match json with
           | Json.Obj fields ->
@@ -822,7 +839,9 @@ let run_micro_json () =
   in
   Table.print table;
   Json.write_file bench_json_path
-    (Json.Obj [ ("schema", Json.Num 1.); ("benchmarks", Json.List benchmarks) ]);
+    (Json.Obj
+       [ ("schema", Json.Num 1.); ("sweep_isa", Json.Str isa);
+         ("benchmarks", Json.List benchmarks) ]);
   Printf.printf "  [json] %s\n%!" bench_json_path
 
 let run_scorecard () =

@@ -3,7 +3,6 @@ open Dadu_linalg
 type scratch = {
   mutable acc : Mat4.t;
   mutable tmp : Mat4.t;
-  local : Mat4.t;
   mutable frames_buf : Mat4.t array;
   (* compiled link constants for the chain last seen by [run]: 5 floats
      per link [cos α; sin α; a; d; θ₀] plus a revolute flag *)
@@ -21,7 +20,6 @@ let make_scratch ?(dof = 0) () =
   {
     acc = Mat4.identity ();
     tmp = Mat4.identity ();
-    local = Mat4.identity ();
     frames_buf =
       (if dof > 0 then Array.init (dof + 1) (fun _ -> Array.make 16 0.)
        else [||]);
@@ -146,51 +144,43 @@ let pose chain q =
   run ~scratch chain q;
   Mat4.copy scratch.acc
 
-(* Writes link [i]'s DH transform at joint value [q.(i)] into
-   [scratch.local] from the compiled table: the entries and products of
-   [Dh.transform_at], without its per-call [cos α]/[sin α]. *)
-let local_into scratch i q =
-  let pre = scratch.pre and m = scratch.local in
-  let b = 5 * i in
-  let ca = pre.(b) and sa = pre.(b + 1) and a = pre.(b + 2) in
-  let qi = q.(i) in
-  let theta, d =
-    if scratch.revolute.(i) then (pre.(b + 4) +. qi, pre.(b + 3))
-    else (pre.(b + 4), pre.(b + 3) +. qi)
-  in
-  let ct = cos theta and st = sin theta in
-  m.(0) <- ct;
-  m.(1) <- -.st *. ca;
-  m.(2) <- st *. sa;
-  m.(3) <- a *. ct;
-  m.(4) <- st;
-  m.(5) <- ct *. ca;
-  m.(6) <- -.ct *. sa;
-  m.(7) <- a *. st;
-  m.(8) <- 0.;
-  m.(9) <- sa;
-  m.(10) <- ca;
-  m.(11) <- d;
-  m.(12) <- 0.;
-  m.(13) <- 0.;
-  m.(14) <- 0.;
-  m.(15) <- 1.
+(* The link loop runs in C (fk_stubs.c), one call per pass: each link
+   takes a cos/sin pair and an affine product, and in OCaml the two
+   [cos]/[sin] externals per link spill every live float register and the
+   per-product checks cost about as much as the product.  The C loop builds
+   each link's DH transform with the entries and products of
+   [Dh.transform_at] and multiplies as [Mat4.mul_affine_into] does, zero
+   entries included, so every frame is bit-identical to the OCaml loop it
+   replaced (test_kinematics.ml keeps that loop as the reference).  It
+   reads [pre], [revolute], [q] and every frame unchecked: the wrapper
+   checks them first. *)
+external frames_fold :
+  float array ->
+  bool array ->
+  (int[@untagged]) ->
+  float array ->
+  Mat4.t ->
+  Mat4.t ->
+  Mat4.t array ->
+  unit = "dadu_fk_frames_byte" "dadu_fk_frames"
+[@@noalloc]
 
 let frames_into ~scratch ~dst chain q =
   Chain.check_config chain q;
   let n = Chain.dof chain in
   if Array.length dst < n + 1 then invalid_arg "Fk.frames_into: dst too short";
-  ensure_compiled scratch chain;
-  Mat4.blit (Chain.base chain) dst.(0);
-  for i = 0 to n - 2 do
-    local_into scratch i q;
-    Mat4.mul_affine_into ~dst:dst.(i + 1) dst.(i) scratch.local
+  for i = 0 to n do
+    let m = dst.(i) in
+    if Array.length m <> 16 then invalid_arg "Fk.frames_into: frame not a 4x4";
+    if i > 0 && m == dst.(i - 1) then
+      invalid_arg "Fk.frames_into: neighbouring frames share a buffer"
   done;
-  (* Last slot folds the tool in, so the final product detours through the
-     ping-pong buffer rather than aliasing dst.(n) as source and target. *)
-  local_into scratch (n - 1) q;
-  Mat4.mul_affine_into ~dst:scratch.tmp dst.(n - 1) scratch.local;
-  Mat4.mul_affine_into ~dst:dst.(n) scratch.tmp (Chain.tool chain)
+  (* the tool product reads the tool while it writes the last frame *)
+  if dst.(n) == Chain.tool chain then
+    invalid_arg "Fk.frames_into: the last frame is the chain's tool";
+  ensure_compiled scratch chain;
+  frames_fold scratch.pre scratch.revolute n q (Chain.base chain)
+    (Chain.tool chain) dst
 
 (* Exact-size check (not >=): Jacobian builders take the frame count from
    the array length, so a buffer left over from a larger chain would lie. *)
@@ -502,6 +492,14 @@ type filter_counts = { sweeps : int; rescores : int; declined : int }
 
 let filter_counts (s : scratch) =
   { sweeps = s.sweeps; rescores = s.rescores; declined = s.declined }
+
+external sweep_isa_level : unit -> int = "dadu_fk_sweep_isa" [@@noalloc]
+
+let sweep_isa () =
+  match sweep_isa_level () with
+  | 2 -> "x86-64-v4"
+  | 1 -> "avx2"
+  | _ -> "baseline"
 
 (* The C conversion of the octant is undefined past int range: the
    wrapper keeps every argument inside the measured range and a margin. *)

@@ -5,15 +5,16 @@ open Dadu_linalg
     The speculative search evaluates FK once per candidate per iteration,
     so this is the hottest code in the library.  {!scratch} owns every
     buffer the kernels need — the two ping-pong accumulators, the
-    per-link local transform, the compiled per-link constants
-    ([cos α], [sin α], [a], [d], [θ₀] and the joint kind, shared by every
-    fold), and (lazily) a frame array — so the steady-state paths
-    ({!run}, {!position_into}, {!frames_into} and the candidate kernels)
-    perform zero minor-heap allocation.  The candidate kernels' per-link
-    fold runs as one C loop per sweep (fk_stubs.c) whose results are
-    bit-identical to the OCaml expression order it replaced; Quick-IK's
+    compiled per-link constants ([cos α], [sin α], [a], [d], [θ₀] and the
+    joint kind, shared by every fold), and (lazily) a frame array — so
+    the steady-state paths ({!run}, {!position_into}, {!frames_into} and
+    the candidate kernels) perform zero minor-heap allocation.  The
+    candidate kernels' per-link fold and {!frames_into}'s link loop each
+    run as one C loop per call (fk_stubs.c) whose results are
+    bit-identical to the OCaml expression order they replaced; Quick-IK's
     {!speculate_argmin} folds with a vectorized [sincos] instead
-    (fk_filter.c) and proves its winner equal to theirs. *)
+    (fk_filter.c, up to 8 doubles wide) and proves its winner equal to
+    theirs. *)
 
 type scratch
 
@@ -49,10 +50,15 @@ val frames_into : scratch:scratch -> dst:Mat4.t array -> Chain.t -> Vec.t -> uni
 (** [frames_into ~scratch ~dst chain q] fills [dst.(0..dof)] with the
     cumulative transforms: [dst.(i)] is [⁰Tᵢ] (base through link [i-1]),
     and [dst.(dof)] includes the tool.  [dst] must have at least [dof+1]
-    entries of distinct 4×4 buffers.  Each link's transform is built from
-    the scratch's compiled constants with the entries and products of
-    {!Dh.transform_at}, so frames are bit-identical to folding
-    [Dh.transform_at] matrices.  Allocation-free. *)
+    entries of 4×4 buffers, neighbours distinct; entries past [dof] are
+    not touched.  The link loop runs in C: each link's transform is built
+    from the scratch's compiled constants with the entries and products
+    of {!Dh.transform_at} and multiplied as {!Mat4.mul_affine_into} does,
+    so frames are bit-identical to folding [Dh.transform_at] matrices
+    with it.  Allocation-free.  Raises [Invalid_argument] when [q] does
+    not match the chain, [dst] is too short, one of its first [dof+1]
+    entries is not 16 floats long, two neighbours share a buffer, or
+    [dst.(dof)] is the chain's own tool transform. *)
 
 val frames : ?scratch:scratch -> Chain.t -> Vec.t -> Mat4.t array
 (** Cumulative transforms: [frames.(i)] is [⁰Tᵢ] (base through link [i-1]),
@@ -173,6 +179,14 @@ type filter_counts = {
 val filter_counts : scratch -> filter_counts
 (** The scratch's cumulative {!speculate_argmin} counts.  A scratch
     belongs to one domain, so these are plain ints. *)
+
+val sweep_isa : unit -> string
+(** Which clone of the filtered sweep's candidate fold runs on this CPU:
+    ["x86-64-v4"] (AVX-512, 8 doubles per instruction), ["avx2"] (4) or
+    ["baseline"] (SSE2, 2; also every build without function
+    multiversioning).  The clones compute the same values, so this names
+    only the speed; benchmark files record it so that a change of host
+    reads as a change of clone. *)
 
 val fast_sincos_into : x:Vec.t -> sin:Vec.t -> cos:Vec.t -> unit
 (** [fast_sincos_into ~x ~sin ~cos] writes the filtered sweep's inlined

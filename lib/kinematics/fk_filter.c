@@ -29,8 +29,12 @@
    The default build vectorizes at baseline SSE2: the quadrant comes from
    int conversions (cvttpd2dq/cvtdq2pd), never from libm [floor], and
    every select is between doubles.  Where GCC supports function
-   multiversioning (ELF, glibc, x86-64) the sweep also gets an AVX2 clone
-   chosen at load time.  No flag of the build names an instruction set.
+   multiversioning (ELF, glibc, x86-64) the revolute fold also gets an
+   x86-64-v4 (AVX-512, 8 doubles wide) and an AVX2 (4 wide) clone, one
+   chosen at load time.  Every clone performs the same IEEE operations
+   per candidate (no contraction, no fast-math), so all three compute the
+   same fast err2 and return the same result.  No flag of the build
+   names an instruction set.
 
    Like fk_stubs.c: [@@noalloc] stubs that allocate nothing, raise
    nothing and never call into the runtime; the OCaml wrapper checks
@@ -40,14 +44,23 @@
 #include <math.h>
 #include "fk_fold.h"
 
+/* The clones, highest priority first: GCC's resolver picks the first
+   the CPU supports, and [DADU_CLONE_ISA] asks the same questions in the
+   same order. */
 #if defined(__x86_64__) && defined(__linux__) && defined(__GLIBC__) \
   && defined(__GNUC__) && defined(__has_attribute)
 #if __has_attribute(target_clones)
-#define DADU_CLONES __attribute__((target_clones("avx2", "default")))
+#define DADU_CLONES \
+  __attribute__((target_clones("arch=x86-64-v4", "avx2", "default")))
+#define DADU_CLONE_ISA()                                        \
+  (__builtin_cpu_supports("x86-64-v4") ? 2                      \
+   : __builtin_cpu_supports("avx2")    ? 1                      \
+                                       : 0)
 #endif
 #endif
 #ifndef DADU_CLONES
 #define DADU_CLONES
+#define DADU_CLONE_ISA() 0
 #endif
 
 /* Cephes (S. L. Moshier): 4/pi, pi/4 split in three parts whose first
@@ -235,4 +248,12 @@ CAMLprim value dadu_fk_fast_sincos(value vx, value vs, value vc)
   const mlsize_t n = Wosize_val(vx) / Double_wosize;
   for (mlsize_t i = 0; i < n; i++) fast_sincos(x[i], &s[i], &c[i]);
   return Val_unit;
+}
+
+/* Which clone of [fold_revolute] runs here: 2 for x86-64-v4, 1 for
+   AVX2, 0 for the baseline build (Fk.sweep_isa). */
+CAMLprim value dadu_fk_sweep_isa(value unit)
+{
+  (void) unit;
+  return Val_int(DADU_CLONE_ISA());
 }

@@ -250,10 +250,14 @@ type snapshot = {
   iterations : Histogram.summary option;
 }
 
-let snapshot t =
+(* [summaries] copies and sorts each histogram's samples, holding [lock]
+   as long as that takes: [record] waits for it. *)
+let read t ~summaries =
   Mutex.lock t.lock;
-  let latency = Histogram.summarize t.latency in
-  let iterations = Histogram.summarize t.iterations in
+  let latency = if summaries then Histogram.summarize t.latency else None in
+  let iterations =
+    if summaries then Histogram.summarize t.iterations else None
+  in
   let prepare_s = t.prepare_s in
   let work_s = t.work_s in
   let commit_s = t.commit_s in
@@ -292,6 +296,10 @@ let snapshot t =
     latency;
     iterations;
   }
+
+let snapshot t = read t ~summaries:true
+
+let counters t = read t ~summaries:false
 
 (* serial fraction of the wave pipeline: prepare and commit run on the
    orchestrating domain, work is the pool phase *)

@@ -111,6 +111,15 @@ type snapshot = {
 }
 
 val snapshot : t -> snapshot
+(** Every counter and the two histogram summaries.  Summarizing copies
+    and sorts each histogram's samples (one per request recorded), and
+    {!record} waits for it. *)
+
+val counters : t -> snapshot
+(** {!snapshot} without the histogram summaries ([latency] and
+    [iterations] are [None]): O(1), no sample copy and no sort, so a
+    reader never holds up {!record}.  The server's [stats] reply reads
+    this. *)
 
 val serial_fraction : snapshot -> float option
 (** [(prepare_s + commit_s) / total phase time]: the Amdahl serial

@@ -877,7 +877,7 @@ let handle_close t conn ~id ~session =
 
 let handle_stats t conn =
   let tn = tenant_of t conn.tenant in
-  let s = Metrics.snapshot tn.metrics in
+  let s = Metrics.counters tn.metrics in
   send conn
     (Printf.sprintf
        "{\"reply\":\"stats\",\"tenant\":%S,\"requests\":%d,\"converged\":%d,\"failed\":%d,\"rejected\":%d,\"faulted\":%d,\"session_requests\":%d,\"session_warm\":%d,\"overloaded\":%d,\"timeouts\":%d,\"disconnects\":%d,\"journal_appends\":%d,\"journal_replays\":%d,\"retry_after_sheds\":%d,\"busy\":%d}"

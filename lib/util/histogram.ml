@@ -36,18 +36,17 @@ type summary = {
 let summarize t =
   if t.len = 0 then None
   else begin
+    (* one copy, one sort: every percentile is read from it *)
     let xs = to_array t in
-    Array.sort compare xs;
-    (* [xs] is sorted, so Stats' sort-a-copy percentiles could be avoided;
-       the summary is computed once per snapshot, so clarity wins. *)
+    Array.sort Float.compare xs;
     Some
       {
         n = t.len;
         mean = Stats.mean xs;
         min = xs.(0);
-        p50 = Stats.percentile 50. xs;
-        p95 = Stats.percentile 95. xs;
-        p99 = Stats.percentile 99. xs;
+        p50 = Stats.percentile_sorted 50. xs;
+        p95 = Stats.percentile_sorted 95. xs;
+        p99 = Stats.percentile_sorted 99. xs;
         max = xs.(t.len - 1);
       }
   end

@@ -40,4 +40,5 @@ type summary = {
 }
 
 val summarize : t -> summary option
-(** [None] when no samples have been recorded. *)
+(** [None] when no samples have been recorded.  Copies and sorts the
+    samples once (O(n log n)); the percentiles are {!Stats.percentile}'s. *)

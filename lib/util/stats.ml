@@ -23,11 +23,9 @@ let max xs =
   check_nonempty "Stats.max" xs;
   Array.fold_left Float.max xs.(0) xs
 
-let percentile p xs =
-  check_nonempty "Stats.percentile" xs;
+let percentile_sorted p sorted =
+  check_nonempty "Stats.percentile" sorted;
   if p < 0. || p > 100. then invalid_arg "Stats.percentile: p outside [0, 100]";
-  let sorted = Array.copy xs in
-  Array.sort Float.compare sorted;
   let n = Array.length sorted in
   let rank = p /. 100. *. float_of_int (n - 1) in
   let lo = int_of_float (Float.floor rank) in
@@ -37,6 +35,11 @@ let percentile p xs =
     let w = rank -. float_of_int lo in
     ((1. -. w) *. sorted.(lo)) +. (w *. sorted.(hi))
   end
+
+let percentile p xs =
+  let sorted = Array.copy xs in
+  Array.sort Float.compare sorted;
+  percentile_sorted p sorted
 
 let median xs = percentile 50. xs
 
@@ -76,3 +79,31 @@ let summarize xs =
 let pp_summary ppf s =
   Format.fprintf ppf "n=%d mean=%.4g sd=%.4g min=%.4g p50=%.4g p95=%.4g max=%.4g"
     s.n s.mean s.stddev s.min s.p50 s.p95 s.max
+
+type timing = {
+  mean : float;
+  min : float;
+  q1 : float;
+  median : float;
+  q3 : float;
+  p95 : float;
+}
+
+let measure ~units run =
+  let samples = 31 in
+  let t = Array.make samples 0. in
+  for s = 0 to samples - 1 do
+    let t0 = Trace.now_s () in
+    run ();
+    t.(s) <- (Trace.now_s () -. t0) /. units
+  done;
+  Array.sort Float.compare t;
+  let pct p = percentile_sorted p t in
+  {
+    mean = Array.fold_left ( +. ) 0. t /. float_of_int samples;
+    min = t.(0);
+    q1 = pct 25.;
+    median = pct 50.;
+    q3 = pct 75.;
+    p95 = pct 95.;
+  }

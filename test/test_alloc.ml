@@ -359,6 +359,64 @@ let test_track_reply_path_words () =
        per_waypoint)
     true (per_waypoint <= 880.)
 
+(* The frames pass every solver iteration starts with, alone: warm
+   frames on a compiled scratch must allocate nothing. *)
+let test_frames_pass_zero () =
+  let dof = 100 in
+  let chain = Robots.eval_chain ~dof in
+  let scratch = Fk.make_scratch () in
+  let dst = Array.init (dof + 1) (fun _ -> Array.make 16 0.) in
+  let q = Array.init dof (fun i -> 0.01 *. float_of_int i) in
+  Fk.frames_into ~scratch ~dst chain q;
+  (* warm *)
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    Fk.frames_into ~scratch ~dst chain q
+  done;
+  let w1 = Gc.minor_words () in
+  Alcotest.(check (float 0.)) "frames pass minor words" 0. ((w1 -. w0) /. 1000.)
+
+(* The server's [stats] reply reads [Metrics.counters] on a reader thread
+   while the dispatcher records every reply into the same registry: the
+   read must not copy or sort the samples, which a registry holds one
+   per request (a summarizing snapshot copies and sorts two 100 k-float
+   arrays here: 22.7 M words, the sort boxing each comparison's floats).
+   Arrays that large go straight to the major heap, so the count adds
+   direct major allocations to the minor words. *)
+let test_stats_counters_words () =
+  let module M = Dadu_service.Metrics in
+  let m = M.create () in
+  for i = 1 to 100_000 do
+    M.record m
+      (M.Solved
+         {
+           converged = true;
+           diverged = false;
+           fallbacks = 0;
+           session = true;
+           session_hit = true;
+           deadline_exceeded = false;
+           breaker_skips = 0;
+           retries = 0;
+           retry_converged = false;
+           latency_s = 1e-4 *. float_of_int (i mod 97);
+           iterations = 1 + (i mod 5);
+         })
+  done;
+  let allocated () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. (major -. promoted)
+  in
+  ignore (M.counters m);
+  let w0 = allocated () in
+  let c = M.counters m in
+  let w1 = allocated () in
+  Alcotest.(check int) "requests counted" 100_000 c.M.requests;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words for a counters read, at most 100" (w1 -. w0))
+    true
+    (w1 -. w0 <= 100.)
+
 let () =
   Alcotest.run "dadu_alloc"
     [
@@ -377,6 +435,7 @@ let () =
             test_score_rows_kernel_zero;
           Alcotest.test_case "filtered sweep: fast path and both fallbacks"
             `Quick test_filtered_sweep_zero;
+          Alcotest.test_case "frames pass, 100 DOF" `Quick test_frames_pass_zero;
         ] );
       ( "steady-state serving",
         [
@@ -391,5 +450,7 @@ let () =
             test_choose_wave_exact;
           Alcotest.test_case "workspace reuse, constant per solve" `Quick
             test_workspace_reuse_constant_per_solve;
+          Alcotest.test_case "stats counters read, 100 k samples" `Quick
+            test_stats_counters_words;
         ] );
     ]

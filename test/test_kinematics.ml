@@ -1280,6 +1280,104 @@ let test_exact_score_rows =
       same_bits "err2" want_err2 err2;
       true)
 
+(* ---- the frames pass: the C loop, bit for bit ----
+
+   [Fk.frames_into]'s link loop runs in C (fk_stubs.c).  [ref_frames] is
+   the OCaml loop it replaced, kept as the reference: each link's DH
+   transform built as its [local_into] built it (from the chain's
+   constants, the values the compiled table holds), folded with
+   [Mat4.mul_affine_into], the tool product through a buffer of its own.
+   Every solver iteration starts from these frames, so they must match
+   bit for bit, on the bit-exact section's chains and angle bands. *)
+let ref_frames chain q =
+  let n = Chain.dof chain in
+  let dst = Array.init (n + 1) (fun _ -> Array.make 16 sentinel) in
+  let local = Mat4.identity () and tmp = Mat4.identity () in
+  let local_into i =
+    let { Chain.joint; dh; _ } = Chain.link chain i in
+    let ca = cos dh.Dh.alpha and sa = sin dh.Dh.alpha and a = dh.Dh.a in
+    let theta, d =
+      match joint.Joint.kind with
+      | Joint.Revolute -> (dh.Dh.theta +. q.(i), dh.Dh.d)
+      | Joint.Prismatic -> (dh.Dh.theta, dh.Dh.d +. q.(i))
+    in
+    let ct = cos theta and st = sin theta in
+    local.(0) <- ct;
+    local.(1) <- -.st *. ca;
+    local.(2) <- st *. sa;
+    local.(3) <- a *. ct;
+    local.(4) <- st;
+    local.(5) <- ct *. ca;
+    local.(6) <- -.ct *. sa;
+    local.(7) <- a *. st;
+    local.(8) <- 0.;
+    local.(9) <- sa;
+    local.(10) <- ca;
+    local.(11) <- d;
+    local.(12) <- 0.;
+    local.(13) <- 0.;
+    local.(14) <- 0.;
+    local.(15) <- 1.
+  in
+  Mat4.blit (Chain.base chain) dst.(0);
+  for i = 0 to n - 2 do
+    local_into i;
+    Mat4.mul_affine_into ~dst:dst.(i + 1) dst.(i) local
+  done;
+  local_into (n - 1);
+  Mat4.mul_affine_into ~dst:tmp dst.(n - 1) local;
+  Mat4.mul_affine_into ~dst:dst.(n) tmp (Chain.tool chain);
+  dst
+
+(* One scratch across cases, so the compiled table also switches chains;
+   [dst] has a spare frame past [dof], which the pass must not touch. *)
+let test_exact_frames =
+  let scratch = Fk.make_scratch () in
+  QCheck.Test.make ~name:"C frames_into = OCaml frames loop, bitwise"
+    ~count:300 QCheck.(int_bound 999_999) (fun seed ->
+      let rng = Rng.create seed in
+      let chain = exact_chain rng (1 + Rng.int rng 100) in
+      let dof = Chain.dof chain in
+      let q = Array.init dof (fun _ -> band_value rng 6) in
+      let dst = Array.init (dof + 2) (fun _ -> Array.make 16 sentinel) in
+      Fk.frames_into ~scratch ~dst chain q;
+      let want = ref_frames chain q in
+      Array.iteri
+        (fun i w -> same_bits (Printf.sprintf "frame %d" i) w dst.(i))
+        want;
+      same_bits "spare frame" (Array.make 16 sentinel) dst.(dof + 1);
+      true)
+
+let test_frames_validation () =
+  let chain = Robots.eval_chain ~dof:3 in
+  let scratch = Fk.make_scratch () and q = Array.make 3 0.1 in
+  let frames () = Array.init 4 (fun _ -> Array.make 16 0.) in
+  let expect what f =
+    match f () with
+    | () -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  expect "short dst" (fun () ->
+      Fk.frames_into ~scratch ~dst:(Array.sub (frames ()) 0 3) chain q);
+  expect "frame of 12 floats" (fun () ->
+      let dst = frames () in
+      dst.(2) <- Array.make 12 0.;
+      Fk.frames_into ~scratch ~dst chain q);
+  expect "frame of 17 floats" (fun () ->
+      let dst = frames () in
+      dst.(0) <- Array.make 17 0.;
+      Fk.frames_into ~scratch ~dst chain q);
+  expect "neighbours share a buffer" (fun () ->
+      let dst = frames () in
+      dst.(3) <- dst.(2);
+      Fk.frames_into ~scratch ~dst chain q);
+  expect "last frame is the tool" (fun () ->
+      let dst = frames () in
+      dst.(3) <- Chain.tool chain;
+      Fk.frames_into ~scratch ~dst chain q);
+  expect "wrong q length" (fun () ->
+      Fk.frames_into ~scratch ~dst:(frames ()) chain (Array.make 2 0.))
+
 (* ---- filtered speculation: speculate_argmin ----
 
    [Fk.speculate_argmin] must return exactly the first-index argmin of
@@ -1471,6 +1569,9 @@ let () =
             test_fk_scratch_across_chains;
           Alcotest.test_case "Chain.make rejects non-affine" `Quick
             test_chain_rejects_non_affine;
+          qcheck test_exact_frames;
+          Alcotest.test_case "frames_into argument validation" `Quick
+            test_frames_validation;
         ] );
       ( "speculation-kernel",
         [

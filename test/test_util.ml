@@ -112,6 +112,17 @@ let test_stats_percentile_ends () =
   check_float "p0 = min" 1. (Stats.percentile 0. xs);
   check_float "p100 = max" 9. (Stats.percentile 100. xs)
 
+let test_stats_measure () =
+  let calls = ref 0 in
+  let t = Stats.measure ~units:4. (fun () -> incr calls) in
+  Alcotest.(check int) "one call per sample" 31 !calls;
+  Alcotest.(check bool) "min <= q1 <= median <= q3 <= p95" true
+    (0. <= t.Stats.min
+    && t.Stats.min <= t.Stats.q1
+    && t.Stats.q1 <= t.Stats.median
+    && t.Stats.median <= t.Stats.q3
+    && t.Stats.q3 <= t.Stats.p95)
+
 let test_stats_percentile_range () =
   Alcotest.check_raises "p > 100 rejected"
     (Invalid_argument "Stats.percentile: p outside [0, 100]") (fun () ->
@@ -594,6 +605,32 @@ let test_histogram_matches_stats =
           < 1e-9)
         [ 0.; 25.; 50.; 95.; 99.; 100. ])
 
+(* [summarize] sorts once and reads every percentile from that one
+   array: the values must be Stats' own, bit for bit, on samples with
+   many duplicates (small integers, as iteration counts are). *)
+let test_histogram_summary_matches_stats =
+  QCheck.Test.make ~name:"histogram summary = Stats on samples with duplicates"
+    ~count:200
+    QCheck.(
+      pair
+        (list_of_size Gen.(int_range 1 300) (int_range 0 20))
+        (float_range 1e-6 1e3))
+    (fun (ks, scale) ->
+      let h = Histogram.create () in
+      List.iter (fun k -> Histogram.add h (scale *. float_of_int k)) ks;
+      let xs = Histogram.to_array h in
+      let same a b = Int64.bits_of_float a = Int64.bits_of_float b in
+      let module S = Dadu_util.Stats in
+      match Histogram.summarize h with
+      | None -> false
+      | Some s ->
+        s.Histogram.n = Array.length xs
+        && same s.Histogram.p50 (S.percentile 50. xs)
+        && same s.Histogram.p95 (S.percentile 95. xs)
+        && same s.Histogram.p99 (S.percentile 99. xs)
+        && same s.Histogram.min (S.min xs)
+        && same s.Histogram.max (S.max xs))
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 (* ---- Json (benchmark harness serialization) ---- *)
@@ -974,6 +1011,7 @@ let () =
           Alcotest.test_case "percentile interpolation" `Quick test_stats_percentile_interp;
           Alcotest.test_case "percentile endpoints" `Quick test_stats_percentile_ends;
           Alcotest.test_case "percentile range check" `Quick test_stats_percentile_range;
+          Alcotest.test_case "measure" `Quick test_stats_measure;
           Alcotest.test_case "empty rejected" `Quick test_stats_empty;
           Alcotest.test_case "geomean" `Quick test_stats_geomean;
           Alcotest.test_case "geomean non-positive" `Quick test_stats_geomean_nonpositive;
@@ -1038,6 +1076,7 @@ let () =
           Alcotest.test_case "rejects non-finite" `Quick test_histogram_rejects_nonfinite;
           Alcotest.test_case "clear" `Quick test_histogram_clear;
           qcheck test_histogram_matches_stats;
+          qcheck test_histogram_summary_matches_stats;
         ] );
       ( "trace",
         [

@@ -25,7 +25,13 @@
         baseline benchmark is missing from NEW — a rename or deletion
         must be accompanied by a deliberate baseline refresh;
      2  usage or input error: bad flags, unreadable/unparseable JSON,
-        wrong schema, or an entry without the gated numeric field. *)
+        wrong schema, or an entry without the gated numeric field.
+
+   A file may name the clone of the filtered sweep that ran
+   ("sweep_isa", from Fk.sweep_isa).  When OLD and NEW name different
+   ones, a "note" line says so first, whatever the exit code: an ns jump
+   between an AVX-512 host and an AVX2-only runner is then read as a
+   change of clone, not of code. *)
 
 module Json = Dadu_util.Json
 
@@ -55,15 +61,17 @@ let load path =
     (match Json.member "schema" json with
     | Some (Json.Num 1.) -> ()
     | _ -> die "%s: unsupported or missing schema (want 1)" path);
-    (match Json.member "benchmarks" json with
+    let isa = Option.bind (Json.member "sweep_isa" json) Json.to_str in
+    match Json.member "benchmarks" json with
     | Some (Json.List benchmarks) ->
-      List.map
-        (fun b ->
-          match Json.member "name" b with
-          | Some (Json.Str name) -> (name, b)
-          | _ -> die "%s: benchmark entry without a name" path)
-        benchmarks
-    | _ -> die "%s: no benchmarks array" path)
+      ( isa,
+        List.map
+          (fun b ->
+            match Json.member "name" b with
+            | Some (Json.Str name) -> (name, b)
+            | _ -> die "%s: benchmark entry without a name" path)
+          benchmarks )
+    | _ -> die "%s: no benchmarks array" path
 
 let metric_value path name b field =
   match Option.bind (Json.member field b) Json.to_float with
@@ -96,8 +104,14 @@ let () =
     | _ ->
       die "usage: bench_diff [--words-only] [--threshold PCT] OLD.json NEW.json"
   in
-  let old_benchmarks = load old_path in
-  let new_benchmarks = load new_path in
+  let old_isa, old_benchmarks = load old_path in
+  let new_isa, new_benchmarks = load new_path in
+  (match (old_isa, new_isa) with
+  | Some o, Some n when o <> n ->
+    Printf.printf
+      "note %s ran the %s sweep clone, %s the %s one: ns moves with the clone\n"
+      old_path o new_path n
+  | _ -> ());
   let metrics = if !words_only then words_metrics else all_metrics in
   let ratio = 1. +. (!threshold /. 100.) in
   let regressions = ref 0 in
