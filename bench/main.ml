@@ -184,19 +184,16 @@ let bench_json_path = "BENCH_quickik.json"
 
 module Stats = Dadu_util.Stats
 
-let quickik_steady_state ~dof =
-  let open Dadu_kinematics in
-  let chain = Robots.eval_chain ~dof in
-  let theta0 = Array.make dof 0.1 in
-  let target = Dadu_linalg.Vec3.make 1e6 1e6 1e6 in
-  let problem = Dadu_core.Ik.problem ~chain ~target ~theta0 in
-  let ws = Dadu_core.Workspace.create ~dof in
-  let solve iters =
-    let config =
-      { Dadu_core.Ik.default_config with max_iterations = iters; accuracy = 1e-9 }
-    in
-    ignore (Dadu_core.Quick_ik.solve ~speculations:64 ~workspace:ws ~config problem)
+let quickik_solve ~ws ~iters problem =
+  let config =
+    { Dadu_core.Ik.default_config with max_iterations = iters; accuracy = 1e-9 }
   in
+  Dadu_core.Quick_ik.solve ~speculations:64 ~workspace:ws ~config problem
+
+(* 40-iteration solves of [problem] on [ws], timed per iteration, and the
+   words per iteration *)
+let quickik_timed ~ws problem =
+  let solve iters = ignore (quickik_solve ~ws ~iters problem) in
   (* warm: candidate pools, FK scratches and the compiled chain *)
   solve 10;
   let w0 = Gc.minor_words () in
@@ -210,6 +207,35 @@ let quickik_steady_state ~dof =
     Stats.measure ~units:(float_of_int iters) (fun () -> solve iters)
   in
   (t, words_per_iter)
+
+let quickik_steady_state ~dof =
+  let chain = Dadu_kinematics.Robots.eval_chain ~dof in
+  let target = Dadu_linalg.Vec3.make 1e6 1e6 1e6 in
+  quickik_timed
+    ~ws:(Dadu_core.Workspace.create ~dof)
+    (Dadu_core.Ik.problem ~chain ~target ~theta0:(Array.make dof 0.1))
+
+(* Quick-IK stuck short of an unreachable target (t, t, t): θ₀ is where
+   a 2,000-iteration solve from 0.1 stops, at the closest reachable
+   pose, so every timed iteration runs there.  Most candidates' err²
+   intervals overlap at that pose, so the filtered sweep re-scores
+   exactly; the entry also reports the share of sweeps that re-scored
+   and that declined the fast path. *)
+let unreachable_steady_state ~dof ~toward:t =
+  let open Dadu_kinematics in
+  let open Dadu_core in
+  let chain = Robots.eval_chain ~dof in
+  let target = Dadu_linalg.Vec3.make t t t in
+  let stuck =
+    (quickik_solve ~ws:(Workspace.create ~dof) ~iters:2_000
+       (Ik.problem ~chain ~target ~theta0:(Array.make dof 0.1)))
+      .Ik.theta
+  in
+  let ws = Workspace.create ~dof in
+  let t, words = quickik_timed ~ws (Ik.problem ~chain ~target ~theta0:stuck) in
+  let c = Fk.filter_counts ws.Workspace.fk in
+  let per_sweep n = float_of_int n /. float_of_int c.Fk.sweeps in
+  (t, words, per_sweep c.Fk.rescores, per_sweep c.Fk.declined)
 
 (* The raw link-major speculation kernel, measured without the solver
    driver around it: one sweep = 64 candidates through the whole chain
@@ -737,7 +763,8 @@ let run_micro_json () =
          speckernel = one raw 64-candidate sweep, specargmin = one \
          filtered 64-candidate sweep on a session-path solver state, \
          frames = one frames pass on the same states, \
-         serve-request = one \
+         unreachable = one solver iteration stuck short of an unreachable \
+         target, serve-request = one \
          cold one-shot request through Service.solve_batch, prepare = one \
          candidate scoring through the wave-fused choose_wave (16 requests \
          x 5 candidates, sequential), session = one temporally warm-started \
@@ -771,6 +798,12 @@ let run_micro_json () =
         ("p95_ns", Json.num (ns t.Stats.p95));
         ("words_per_iter", Json.num words) ]
   in
+  let with_counts json counts =
+    match json with
+    | Json.Obj fields ->
+      Json.Obj (fields @ List.map (fun (k, v) -> (k, Json.num v)) counts)
+    | other -> other
+  in
   let dofs = [ 12; 30; 100 ] in
   let states = List.map (fun dof -> (dof, session_states ~dof)) dofs in
   let benchmarks =
@@ -787,47 +820,38 @@ let run_micro_json () =
     @ List.map
         (fun (dof, st) ->
           let t, words, rescores, declined = specargmin_steady_state st in
-          let json =
-            entry (Printf.sprintf "specargmin64-dof%d" dof) dof (t, words)
-          in
-          match json with
-          | Json.Obj fields ->
-            Json.Obj
-              (fields
-              @ [ ("rescores_per_sweep", Json.num rescores);
-                  ("declined_per_sweep", Json.num declined) ])
-          | other -> other)
+          with_counts
+            (entry (Printf.sprintf "specargmin64-dof%d" dof) dof (t, words))
+            [ ("rescores_per_sweep", rescores); ("declined_per_sweep", declined) ])
         states
     @ List.map
         (fun (dof, st) ->
           entry (Printf.sprintf "frames-dof%d" dof) dof (frames_steady_state st))
         states
+    (* eval:100 reaches (50, 50, 50), so its target lies farther out *)
+    @ List.map
+        (fun (dof, toward) ->
+          let t, words, rescores, declined =
+            unreachable_steady_state ~dof ~toward
+          in
+          with_counts
+            (entry (Printf.sprintf "unreachable-dof%d" dof) dof (t, words))
+            [ ("rescores_per_sweep", rescores); ("declined_per_sweep", declined) ])
+        [ (12, 50.); (30, 50.); (100, 100.) ]
     @ [ entry "serve-request-dof12" 12 (serve_steady_state ~dof:12) ]
     @ List.map
         (fun dof ->
           let t, words, cold, seeded = seeded_steady_state ~dof in
-          let json = entry (Printf.sprintf "seeded-dof%d" dof) dof (t, words) in
-          match json with
-          | Json.Obj fields ->
-            Json.Obj
-              (fields
-              @ [ ("iters_cold", Json.num cold);
-                  ("iters_seeded", Json.num seeded) ])
-          | other -> other)
+          with_counts
+            (entry (Printf.sprintf "seeded-dof%d" dof) dof (t, words))
+            [ ("iters_cold", cold); ("iters_seeded", seeded) ])
         dofs
     @ List.map
         (fun dof ->
           let t, words, cold, per_wp = session_steady_state ~dof in
-          let json =
-            entry (Printf.sprintf "session-dof%d" dof) dof (t, words)
-          in
-          match json with
-          | Json.Obj fields ->
-            Json.Obj
-              (fields
-              @ [ ("iters_per_waypoint", Json.num per_wp);
-                  ("iters_cold", Json.num cold) ])
-          | other -> other)
+          with_counts
+            (entry (Printf.sprintf "session-dof%d" dof) dof (t, words))
+            [ ("iters_per_waypoint", per_wp); ("iters_cold", cold) ])
         dofs
     @ List.map
         (fun dof ->

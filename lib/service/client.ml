@@ -71,6 +71,11 @@ let reply_is_solve_type payload =
    script op's reply *)
 let prelude_id_base = 1_000_000
 
+(* script ops written but not yet answered, at most: 64 requests fit in
+   any socket buffer, so the client never blocks in a write while the
+   server blocks writing the replies it owes us *)
+let window = 64
+
 let op_session = function
   | Pf.Open { session; _ } | Pf.Waypoint { session; _ } | Pf.Close { session }
     ->
@@ -201,6 +206,7 @@ let run ?(retries = 0) ?(backoff_ms = 100) ?(seed = 0) ?read_timeout_s
          are counted separately and swallowed. *)
       let idless_fifo = Queue.create () in
       let prelude_idless = ref 0 in
+      let unanswered = ref 0 in
       let wrote_ok = ref true in
       let send payload =
         if !wrote_ok then
@@ -288,12 +294,13 @@ let run ?(retries = 0) ?(backoff_ms = 100) ?(seed = 0) ?read_timeout_s
       let pump () =
         let wrote = ref false in
         let blocked = ref false in
-        while (not !blocked) && !cursor < n do
+        while (not !blocked) && !cursor < n && !unanswered < window do
           let i = !cursor in
           if op_done.(i) then incr cursor
           else if sendable i then begin
             if op_idless ops.(i) then Queue.add i idless_fifo;
             send (payload_of_op ?seq:(seq_of i) i ops.(i));
+            incr unanswered;
             wrote := true;
             incr cursor
           end
@@ -343,6 +350,7 @@ let run ?(retries = 0) ?(backoff_ms = 100) ?(seed = 0) ?read_timeout_s
             | _, Some id when id >= 0 && id < n ->
               if not op_done.(id) then begin
                 op_done.(id) <- true;
+                decr unanswered;
                 record_base id payload;
                 match reply_is_solve_type payload with
                 | Some sid -> Hashtbl.replace solves sid payload
@@ -356,6 +364,7 @@ let run ?(retries = 0) ?(backoff_ms = 100) ?(seed = 0) ?read_timeout_s
                 match Queue.take_opt idless_fifo with
                 | Some i ->
                   op_done.(i) <- true;
+                  decr unanswered;
                   on_event payload
                 | None -> on_event payload));
             pump ();

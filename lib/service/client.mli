@@ -1,8 +1,12 @@
 (** Resilient script-driven client for the `dadu serve` protocol: the
     engine behind `dadu client`.
 
-    Ops are written pipelined (one frame each, ids are script indices)
-    and replies collected until every op has exactly one answer.
+    Ops are written pipelined in script order (one frame each, ids are
+    script indices), at most 64 unanswered at a time, and replies
+    collected until every op has exactly one answer.  The window keeps
+    the client reading while the server writes: 64 requests fit in any
+    socket buffer, so a long script never leaves the client blocked in a
+    write while the server is blocked writing the replies it owes.
     Solve-type replies (solved / rejected / faulted / overloaded) are
     keyed by id for the byte-comparable dump; everything else is
     surfaced through [on_event] in arrival order — request order,

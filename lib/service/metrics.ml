@@ -250,8 +250,8 @@ type snapshot = {
   iterations : Histogram.summary option;
 }
 
-(* [summaries] copies and sorts each histogram's samples, holding [lock]
-   as long as that takes: [record] waits for it. *)
+(* [summaries] walks each histogram's buckets under [lock]: a fixed
+   cost, whatever the sample count. *)
 let read t ~summaries =
   Mutex.lock t.lock;
   let latency = if summaries then Histogram.summarize t.latency else None in

@@ -111,15 +111,15 @@ type snapshot = {
 }
 
 val snapshot : t -> snapshot
-(** Every counter and the two histogram summaries.  Summarizing copies
-    and sorts each histogram's samples (one per request recorded), and
-    {!record} waits for it. *)
+(** Every counter and the two histogram summaries.  Summarizing walks
+    each histogram's buckets under the lock {!record} takes, at a cost
+    and an allocation set by the bucket count, not the sample count.
+    Counts, means, min and max are exact; the percentiles are bucket
+    estimates (see {!Histogram}). *)
 
 val counters : t -> snapshot
 (** {!snapshot} without the histogram summaries ([latency] and
-    [iterations] are [None]): O(1), no sample copy and no sort, so a
-    reader never holds up {!record}.  The server's [stats] reply reads
-    this. *)
+    [iterations] are [None]).  The server's [stats] reply reads this. *)
 
 val serial_fraction : snapshot -> float option
 (** [(prepare_s + commit_s) / total phase time]: the Amdahl serial

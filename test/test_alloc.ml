@@ -376,13 +376,17 @@ let test_frames_pass_zero () =
   let w1 = Gc.minor_words () in
   Alcotest.(check (float 0.)) "frames pass minor words" 0. ((w1 -. w0) /. 1000.)
 
+(* Words allocated so far: the minor heap's plus what went straight to
+   the major heap, where large arrays are allocated. *)
+let allocated () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. (major -. promoted)
+
 (* The server's [stats] reply reads [Metrics.counters] on a reader thread
    while the dispatcher records every reply into the same registry: the
-   read must not copy or sort the samples, which a registry holds one
-   per request (a summarizing snapshot copies and sorts two 100 k-float
-   arrays here: 22.7 M words, the sort boxing each comparison's floats).
-   Arrays that large go straight to the major heap, so the count adds
-   direct major allocations to the minor words. *)
+   read costs a fixed handful of words after 100 k requests.  The count
+   adds direct major allocations to the minor words, so a read that
+   copied per-request state would show. *)
 let test_stats_counters_words () =
   let module M = Dadu_service.Metrics in
   let m = M.create () in
@@ -403,10 +407,6 @@ let test_stats_counters_words () =
            iterations = 1 + (i mod 5);
          })
   done;
-  let allocated () =
-    let _, promoted, major = Gc.counters () in
-    Gc.minor_words () +. (major -. promoted)
-  in
   ignore (M.counters m);
   let w0 = allocated () in
   let c = M.counters m in
@@ -416,6 +416,127 @@ let test_stats_counters_words () =
     (Printf.sprintf "%.0f words for a counters read, at most 100" (w1 -. w0))
     true
     (w1 -. w0 <= 100.)
+
+(* A solved request's event, as the service records it. *)
+let solved ~latency_s ~iterations =
+  Dadu_service.Metrics.Solved
+    {
+      converged = true;
+      diverged = false;
+      fallbacks = 0;
+      session = true;
+      session_hit = true;
+      deadline_exceeded = false;
+      breaker_skips = 0;
+      retries = 0;
+      retry_converged = false;
+      latency_s;
+      iterations;
+    }
+
+(* Recording into a histogram bumps a counter in place once the
+   sample's binade has its row: samples spread over three decades,
+   passed boxed as the registry passes them. *)
+let test_histogram_add_zero () =
+  let module H = Dadu_util.Histogram in
+  let h = H.create () in
+  let xs = List.init 1000 (fun i -> 1e-5 *. float_of_int (1 + (i * 37 mod 997))) in
+  let rec add_all = function
+    | [] -> ()
+    | x :: rest ->
+      H.add h x;
+      add_all rest
+  in
+  add_all xs;
+  (* warm: every binade these samples hit has its row *)
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100 do
+    add_all xs
+  done;
+  let w1 = Gc.minor_words () in
+  Alcotest.(check int) "samples counted" 101_000 (H.count h);
+  Alcotest.(check (float 0.)) "histogram add minor words" 0. ((w1 -. w0) /. 1e5)
+
+(* One [Metrics.record] of a solved request, in steady state: the lock's
+   [Fun.protect] and the boxed iteration count, 16 minor words.  The
+   sample-buffer histograms this replaced allocated the same 16 plus
+   their buffers' doubling, 21.2 words a record over this loop. *)
+let test_metrics_record_words () =
+  let module M = Dadu_service.Metrics in
+  let m = M.create () in
+  let event = solved ~latency_s:2.5e-4 ~iterations:3 in
+  let record_words n =
+    let w0 = allocated () in
+    for _ = 1 to n do
+      M.record m event
+    done;
+    allocated () -. w0
+  in
+  ignore (record_words 1000);
+  (* warm; two run lengths cancel the measurement's own words *)
+  let per_record = (record_words 200_000 -. record_words 100_000) /. 1e5 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.4f words per record, at most 16" per_record)
+    true (per_record <= 16.)
+
+(* A summarizing snapshot walks the buckets: the same words at 1 k and at
+   1 M samples (a sorted copy of 100 k samples cost 22.7 M words). *)
+let test_metrics_snapshot_words () =
+  let module M = Dadu_service.Metrics in
+  let snapshot_words samples =
+    let m = M.create () in
+    for i = 1 to samples do
+      M.record m
+        (solved
+           ~latency_s:(1e-5 *. float_of_int (1 + (i mod 9973)))
+           ~iterations:(i mod 600))
+    done;
+    ignore (M.snapshot m);
+    let w0 = allocated () in
+    let s = M.snapshot m in
+    let w1 = allocated () in
+    Alcotest.(check int) "requests counted" samples s.M.requests;
+    w1 -. w0
+  in
+  let small = snapshot_words 1_000 and large = snapshot_words 1_000_000 in
+  Alcotest.(check (float 0.))
+    (Printf.sprintf "snapshot words at 1 M samples (%.0f) = at 1 k" large)
+    small large;
+  (* a summary alone allocates only its result: [Some], the record and
+     its six boxed floats *)
+  let module H = Dadu_util.Histogram in
+  let h = H.create () in
+  for i = 1 to 1_000_000 do
+    H.add h (1e-5 *. float_of_int (1 + (i mod 9973)))
+  done;
+  ignore (H.summarize h);
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (H.summarize h));
+  let w1 = Gc.minor_words () in
+  Alcotest.(check (float 0.)) "summary words at 1 M samples" 22. (w1 -. w0)
+
+(* Memory a registry holds, by [Obj.reachable_words]: each tenant's
+   registry starts with no counter rows, and one solved request brings
+   in one row per histogram. *)
+let test_metrics_registry_memory () =
+  let module M = Dadu_service.Metrics in
+  let module H = Dadu_util.Histogram in
+  let row_words = 129 in
+  Alcotest.(check bool)
+    (Printf.sprintf "a fresh histogram holds %d words, less than one row"
+       (Obj.reachable_words (Obj.repr (H.create ()))))
+    true
+    (Obj.reachable_words (Obj.repr (H.create ())) < row_words);
+  let m = M.create () in
+  let fresh = Obj.reachable_words (Obj.repr m) in
+  M.record m (solved ~latency_s:2.5e-4 ~iterations:3);
+  let one = Obj.reachable_words (Obj.repr m) in
+  let bucket_bytes = (one - fresh) * (Sys.word_size / 8) in
+  Alcotest.(check bool)
+    (Printf.sprintf "one Solved brings in %d B of bucket state: two rows, at most 4 KB"
+       bucket_bytes)
+    true
+    (one - fresh = 2 * row_words && bucket_bytes <= 4096)
 
 let () =
   Alcotest.run "dadu_alloc"
@@ -436,6 +557,8 @@ let () =
           Alcotest.test_case "filtered sweep: fast path and both fallbacks"
             `Quick test_filtered_sweep_zero;
           Alcotest.test_case "frames pass, 100 DOF" `Quick test_frames_pass_zero;
+          Alcotest.test_case "histogram add, warm binades" `Quick
+            test_histogram_add_zero;
         ] );
       ( "steady-state serving",
         [
@@ -452,5 +575,11 @@ let () =
             test_workspace_reuse_constant_per_solve;
           Alcotest.test_case "stats counters read, 100 k samples" `Quick
             test_stats_counters_words;
+          Alcotest.test_case "metrics record, per solved request" `Quick
+            test_metrics_record_words;
+          Alcotest.test_case "metrics snapshot, 1 k and 1 M samples" `Quick
+            test_metrics_snapshot_words;
+          Alcotest.test_case "registry memory, fresh and one Solved" `Quick
+            test_metrics_registry_memory;
         ] );
     ]

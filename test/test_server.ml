@@ -1210,6 +1210,85 @@ let test_live_restart_multi_mb_journal () =
       | None -> false)
   done
 
+(* [Client.run] against a one-thread server that reads a frame, writes
+   a ~16 KB reply, and only then reads the next frame.  A client that
+   writes every request before it reads a reply fills the server's
+   socket buffer with replies while the server stops reading; once its
+   own ~400 KB of requests overflow the other buffer, both sides block
+   in a write.  Keeping at most 64 ops unanswered, the client reads
+   while the server writes.  A watchdog cuts the connection after 10 s,
+   so a stalled client fails the case instead of hanging it. *)
+let test_client_window () =
+  let path = Filename.temp_file "dadu_fake" ".sock" in
+  Sys.remove path;
+  let listener = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind listener (Unix.ADDR_UNIX path);
+  Unix.listen listener 1;
+  let reply =
+    Printf.sprintf "{\"reply\":\"pong\",\"pad\":%S}" (String.make 16_000 'r')
+  in
+  let conn = ref None and finished = Atomic.make false in
+  let server =
+    Thread.create
+      (fun () ->
+        let fd, _ = Unix.accept ~cloexec:true listener in
+        conn := Some fd;
+        let rd = Problem_file.frame_reader fd in
+        let oc = Unix.out_channel_of_descr fd in
+        let rec serve () =
+          match Problem_file.read_frame_fd rd with
+          | Problem_file.Frame _ ->
+            Problem_file.write_frame oc reply;
+            flush oc;
+            serve ()
+          | Problem_file.Eof | Problem_file.Timed_out _
+          | Problem_file.Frame_error _ ->
+            ()
+        in
+        (try serve () with Sys_error _ | Unix.Unix_error _ -> ());
+        Unix.close fd)
+      ()
+  in
+  let watchdog =
+    Thread.create
+      (fun () ->
+        let deadline = Unix.gettimeofday () +. 10. in
+        while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
+          Thread.delay 0.05
+        done;
+        if not (Atomic.get finished) then
+          Option.iter
+            (fun fd ->
+              try Unix.shutdown fd Unix.SHUTDOWN_ALL
+              with Unix.Unix_error _ -> ())
+            !conn)
+      ()
+  in
+  let ops =
+    Array.make 400
+      (Problem_file.Raw
+         (Printf.sprintf "{\"op\":\"ping\",\"pad\":%S}" (String.make 1_000 'q')))
+  in
+  let pongs = ref 0 in
+  let outcome =
+    Client.run
+      ~on_event:(fun _ -> incr pongs)
+      ~connect:(fun () ->
+        let fd, _, _ = connect path in
+        Ok fd)
+      ops
+  in
+  Atomic.set finished true;
+  Thread.join watchdog;
+  Thread.join server;
+  Unix.close listener;
+  (try Sys.remove path with Sys_error _ -> ());
+  (match outcome with
+  | Ok _ -> ()
+  | Error (Client.Connect msg | Client.Unrecovered msg) ->
+    Alcotest.failf "client stalled and was cut: %s" msg);
+  Alcotest.(check int) "every op answered" 400 !pongs
+
 (* Alcotest shortens a long test name by the length of the longest suite
    name, so a suite name longer than "reply floats" would change how the
    existing tests' names print. *)
@@ -1273,5 +1352,7 @@ let () =
             test_live_write_ahead_per_batch;
           Alcotest.test_case "restart from a multi-MB journal" `Slow
             test_live_restart_multi_mb_journal;
+          Alcotest.test_case "client window against a one-thread server" `Slow
+            test_client_window;
         ] );
     ]

@@ -548,28 +548,26 @@ module Histogram = Dadu_util.Histogram
 let test_histogram_empty () =
   let h = Histogram.create () in
   Alcotest.(check int) "count" 0 (Histogram.count h);
-  Alcotest.(check bool) "no summary" true (Histogram.summarize h = None);
-  Alcotest.check_raises "percentile on empty"
-    (Invalid_argument "Stats.percentile: empty sample") (fun () ->
-      ignore (Histogram.percentile h 50.))
+  Alcotest.(check bool) "no summary" true (Histogram.summarize h = None)
 
+(* every integer below 256 is a bucket's lower edge, so on 1..5 the
+   summary is Stats' own, bit for bit *)
 let test_histogram_percentiles () =
-  let h = Histogram.create ~initial_capacity:2 () in
-  (* insertion order deliberately scrambled; growth forced past capacity 2 *)
-  List.iter (Histogram.add h) [ 5.; 1.; 3.; 2.; 4. ];
+  let h = Histogram.create () in
+  let xs = [| 5.; 1.; 3.; 2.; 4. |] in
+  Array.iter (Histogram.add h) xs;
   Alcotest.(check int) "count" 5 (Histogram.count h);
-  Alcotest.(check (float 1e-12)) "p0" 1. (Histogram.percentile h 0.);
-  Alcotest.(check (float 1e-12)) "p50" 3. (Histogram.percentile h 50.);
-  Alcotest.(check (float 1e-12)) "p100" 5. (Histogram.percentile h 100.);
   match Histogram.summarize h with
   | None -> Alcotest.fail "expected summary"
   | Some s ->
+    let module S = Dadu_util.Stats in
     Alcotest.(check int) "n" 5 s.Histogram.n;
-    Alcotest.(check (float 1e-12)) "mean" 3. s.Histogram.mean;
-    Alcotest.(check (float 1e-12)) "min" 1. s.Histogram.min;
-    Alcotest.(check (float 1e-12)) "max" 5. s.Histogram.max;
-    Alcotest.(check bool) "ordered" true
-      (s.Histogram.p50 <= s.Histogram.p95 && s.Histogram.p95 <= s.Histogram.p99)
+    Alcotest.(check (float 0.)) "mean" 3. s.Histogram.mean;
+    Alcotest.(check (float 0.)) "min" 1. s.Histogram.min;
+    Alcotest.(check (float 0.)) "max" 5. s.Histogram.max;
+    Alcotest.(check (float 0.)) "p50" 3. s.Histogram.p50;
+    Alcotest.(check (float 0.)) "p95" (S.percentile 95. xs) s.Histogram.p95;
+    Alcotest.(check (float 0.)) "p99" (S.percentile 99. xs) s.Histogram.p99
 
 let test_histogram_rejects_nonfinite () =
   let h = Histogram.create () in
@@ -581,55 +579,106 @@ let test_histogram_rejects_nonfinite () =
       Histogram.add h Float.infinity);
   Alcotest.(check int) "nothing recorded" 0 (Histogram.count h)
 
+let test_histogram_rejects_negative () =
+  let h = Histogram.create () in
+  Alcotest.check_raises "negative rejected"
+    (Invalid_argument "Histogram.add: negative sample") (fun () ->
+      Histogram.add h (-1e-3));
+  (* -0. counts as zero, in the bucket below the range *)
+  List.iter (Histogram.add h) [ -0.; 1. ];
+  match Histogram.summarize h with
+  | None -> Alcotest.fail "expected summary"
+  | Some s ->
+    Alcotest.(check int) "-0. and 1. counted" 2 s.Histogram.n;
+    Alcotest.(check (float 0.)) "p50" 0.5 s.Histogram.p50
+
 let test_histogram_clear () =
   let h = Histogram.create () in
   List.iter (Histogram.add h) [ 1.; 2.; 3. ];
   Histogram.clear h;
   Alcotest.(check int) "cleared" 0 (Histogram.count h);
+  Alcotest.(check bool) "no summary" true (Histogram.summarize h = None);
   Histogram.add h 9.;
-  Alcotest.(check (array (float 0.))) "usable after clear" [| 9. |]
-    (Histogram.to_array h)
+  match Histogram.summarize h with
+  | None -> Alcotest.fail "expected summary"
+  | Some s ->
+    Alcotest.(check (list (float 0.))) "usable after clear"
+      [ 9.; 9.; 9.; 9.; 9.; 9. ]
+      Histogram.[ s.mean; s.min; s.p50; s.p95; s.p99; s.max ];
+    Alcotest.(check int) "one sample" 1 s.Histogram.n
 
+let same_bits a b = Int64.bits_of_float a = Int64.bits_of_float b
+
+(* Random samples over the whole bucketed range [2^-24, 2^24), drawn
+   from a pool of up to 20 values so that duplicates are common.  Each
+   order statistic is a bucket's lower edge clamped to [min, max], so a
+   percentile never reads above Stats' (rounding is monotone) and lies
+   below it by less than 2^-7 of it; the clamp keeps it at min or above,
+   but for the interpolation's rounding (a set of one repeated value
+   reads that value).  n, min, max and the insertion-order mean are
+   exact. *)
 let test_histogram_matches_stats =
-  QCheck.Test.make ~name:"histogram percentiles match Stats on the same samples"
-    ~count:100
-    QCheck.(list_of_size Gen.(int_range 1 200) (float_range (-1e3) 1e3))
+  let spread =
+    QCheck.Gen.(
+      array_size (int_range 1 20)
+        (map2
+           (fun e u -> Float.ldexp (1. +. u) e)
+           (int_range (-24) 23) (float_bound_exclusive 1.))
+      >>= fun pool ->
+      list_size (int_range 1 300) (map (Array.get pool) (int_bound (Array.length pool - 1))))
+  in
+  QCheck.Test.make
+    ~name:"histogram percentiles match Stats on the same samples, within 2^-7"
+    ~count:1000
+    (QCheck.make ~print:QCheck.Print.(list float) spread)
     (fun samples ->
       let h = Histogram.create () in
       List.iter (Histogram.add h) samples;
-      let arr = Array.of_list samples in
-      List.for_all
-        (fun p ->
-          Float.abs
-            (Histogram.percentile h p -. Dadu_util.Stats.percentile p arr)
-          < 1e-9)
-        [ 0.; 25.; 50.; 95.; 99.; 100. ])
+      let xs = Array.of_list samples in
+      let module S = Dadu_util.Stats in
+      match Histogram.summarize h with
+      | None -> false
+      | Some s ->
+        let near est p =
+          let exact = S.percentile p xs in
+          est <= exact
+          && exact -. est <= Float.ldexp exact (-7)
+          && est >= s.Histogram.min *. (1. -. 0x1p-50)
+        in
+        s.Histogram.n = Array.length xs
+        && same_bits s.Histogram.mean (S.mean xs)
+        && same_bits s.Histogram.min (S.min xs)
+        && same_bits s.Histogram.max (S.max xs)
+        && near s.Histogram.p50 50. && near s.Histogram.p95 95.
+        && near s.Histogram.p99 99.)
 
-(* [summarize] sorts once and reads every percentile from that one
-   array: the values must be Stats' own, bit for bit, on samples with
-   many duplicates (small integers, as iteration counts are). *)
+(* Iteration counts are small integers: every integer below 256 is a
+   bucket edge, so there the summary is Stats' own, bit for bit, on
+   samples with many duplicates. *)
 let test_histogram_summary_matches_stats =
-  QCheck.Test.make ~name:"histogram summary = Stats on samples with duplicates"
-    ~count:200
+  QCheck.Test.make
+    ~name:"histogram summary = Stats on samples of integers below 256"
+    ~count:300
     QCheck.(
-      pair
-        (list_of_size Gen.(int_range 1 300) (int_range 0 20))
-        (float_range 1e-6 1e3))
-    (fun (ks, scale) ->
+      make ~print:Print.(list int)
+        Gen.(
+          int_range 1 256 >>= fun hi ->
+          list_size (int_range 1 300) (int_bound (hi - 1))))
+    (fun ks ->
       let h = Histogram.create () in
-      List.iter (fun k -> Histogram.add h (scale *. float_of_int k)) ks;
-      let xs = Histogram.to_array h in
-      let same a b = Int64.bits_of_float a = Int64.bits_of_float b in
+      List.iter (fun k -> Histogram.add h (float_of_int k)) ks;
+      let xs = Array.of_list (List.map float_of_int ks) in
       let module S = Dadu_util.Stats in
       match Histogram.summarize h with
       | None -> false
       | Some s ->
         s.Histogram.n = Array.length xs
-        && same s.Histogram.p50 (S.percentile 50. xs)
-        && same s.Histogram.p95 (S.percentile 95. xs)
-        && same s.Histogram.p99 (S.percentile 99. xs)
-        && same s.Histogram.min (S.min xs)
-        && same s.Histogram.max (S.max xs))
+        && same_bits s.Histogram.mean (S.mean xs)
+        && same_bits s.Histogram.p50 (S.percentile 50. xs)
+        && same_bits s.Histogram.p95 (S.percentile 95. xs)
+        && same_bits s.Histogram.p99 (S.percentile 99. xs)
+        && same_bits s.Histogram.min (S.min xs)
+        && same_bits s.Histogram.max (S.max xs))
 
 let qcheck = QCheck_alcotest.to_alcotest
 
@@ -1077,6 +1126,7 @@ let () =
           Alcotest.test_case "clear" `Quick test_histogram_clear;
           qcheck test_histogram_matches_stats;
           qcheck test_histogram_summary_matches_stats;
+          Alcotest.test_case "rejects negative" `Quick test_histogram_rejects_negative;
         ] );
       ( "trace",
         [

@@ -11,9 +11,10 @@
    zero: ns_per_iter has floor 0 (values are tens of microseconds), while
    words_per_iter has floor 8 so a legitimately zero-allocation kernel is
    allowed measurement jitter of a couple of boxed words but not a real
-   per-iteration allocation.  --words-only gates only words_per_iter —
-   allocation counts are deterministic across machines, wall-clock is not,
-   so this is the mode CI uses against the committed baseline.
+   per-iteration allocation.  --words-only gates words_per_iter and the
+   counts of work below, not ns — allocation and work counts are
+   deterministic across machines, wall-clock is not, so this is the mode
+   CI uses against the committed baseline.
 
    Exit-code contract (relied on by CI and test/cram/bench_diff.t):
 
@@ -46,11 +47,20 @@ let words_metrics = [ { field = "words_per_iter"; floor = 8. } ]
    grows such a gate the moment its baseline records the metric, without
    forcing the field onto every entry.  Once the baseline has it, NEW
    must too — dropping the field is a gate-evading rename (exit 2, same
-   as any missing gated field).  iters_per_waypoint (session temporal
-   warm-starting) is iteration counts, deterministic across machines, so
-   it stays gated even under --words-only; its floor of 1 iteration
-   absorbs convergence jitter near the 1-2 iteration steady state. *)
-let optional_metrics = [ { field = "iters_per_waypoint"; floor = 1. } ]
+   as any missing gated field).  These are counts of work, deterministic
+   across machines, so they stay gated even under --words-only:
+   iterations per session waypoint (floor 1 iteration, for convergence
+   jitter near the 1-2 iteration steady state), iterations of cold and
+   seeded solves (floor 1), and the filtered sweep's exact re-scores and
+   declined fast paths per sweep (floor 0.01: one sweep in a hundred). *)
+let optional_metrics =
+  [
+    { field = "iters_per_waypoint"; floor = 1. };
+    { field = "iters_cold"; floor = 1. };
+    { field = "iters_seeded"; floor = 1. };
+    { field = "rescores_per_sweep"; floor = 0.01 };
+    { field = "declined_per_sweep"; floor = 0.01 };
+  ]
 
 let die fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 2) fmt
 
