@@ -215,12 +215,20 @@ let quickik_steady_state ~dof =
     ~ws:(Dadu_core.Workspace.create ~dof)
     (Dadu_core.Ik.problem ~chain ~target ~theta0:(Array.make dof 0.1))
 
+(* A filtered-sweep entry's counts, per sweep. *)
+let sweep_counts (c : Dadu_kinematics.Fk.filter_counts) =
+  let per_sweep n = float_of_int n /. float_of_int c.sweeps in
+  [ ("rescores_per_sweep", per_sweep c.rescores);
+    ("declined_per_sweep", per_sweep c.declined);
+    ("ladder_per_sweep", per_sweep c.ladders) ]
+
 (* Quick-IK stuck short of an unreachable target (t, t, t): θ₀ is where
    a 2,000-iteration solve from 0.1 stops, at the closest reachable
    pose, so every timed iteration runs there.  Most candidates' err²
    intervals overlap at that pose, so the filtered sweep re-scores
-   exactly; the entry also reports the share of sweeps that re-scored
-   and that declined the fast path. *)
+   exactly; the entry also reports the share of sweeps that re-scored,
+   that declined the fast path and that folded by angle addition over
+   the step-size ladder. *)
 let unreachable_steady_state ~dof ~toward:t =
   let open Dadu_kinematics in
   let open Dadu_core in
@@ -233,9 +241,7 @@ let unreachable_steady_state ~dof ~toward:t =
   in
   let ws = Workspace.create ~dof in
   let t, words = quickik_timed ~ws (Ik.problem ~chain ~target ~theta0:stuck) in
-  let c = Fk.filter_counts ws.Workspace.fk in
-  let per_sweep n = float_of_int n /. float_of_int c.Fk.sweeps in
-  (t, words, per_sweep c.Fk.rescores, per_sweep c.Fk.declined)
+  (t, words, sweep_counts (Fk.filter_counts ws.Workspace.fk))
 
 (* The raw link-major speculation kernel, measured without the solver
    driver around it: one sweep = 64 candidates through the whole chain
@@ -583,7 +589,8 @@ let per_state_steady_state ~states pass =
 
 (* The filtered sweep Quick-IK runs ([Fk.speculate_argmin]) on the
    session-path states.  Also reports the share of sweeps that re-scored
-   a range exactly and of those that declined the fast path. *)
+   a range exactly, that declined the fast path and that folded by angle
+   addition over the step-size ladder. *)
 let specargmin_steady_state (chain, states) =
   let open Dadu_kinematics in
   let count = 64 in
@@ -599,9 +606,7 @@ let specargmin_steady_state (chain, states) =
     done
   in
   let t, words = per_state_steady_state ~states pass in
-  let c = Fk.filter_counts scratch in
-  let per_sweep n = float_of_int n /. float_of_int c.Fk.sweeps in
-  (t, words, per_sweep c.Fk.rescores, per_sweep c.Fk.declined)
+  (t, words, sweep_counts (Fk.filter_counts scratch))
 
 (* The frames pass each of those iterations starts with: one
    [Fk.frames_into] at each session-path state's θ, the serial half of a
@@ -819,10 +824,10 @@ let run_micro_json () =
         dofs
     @ List.map
         (fun (dof, st) ->
-          let t, words, rescores, declined = specargmin_steady_state st in
+          let t, words, counts = specargmin_steady_state st in
           with_counts
             (entry (Printf.sprintf "specargmin64-dof%d" dof) dof (t, words))
-            [ ("rescores_per_sweep", rescores); ("declined_per_sweep", declined) ])
+            counts)
         states
     @ List.map
         (fun (dof, st) ->
@@ -831,12 +836,10 @@ let run_micro_json () =
     (* eval:100 reaches (50, 50, 50), so its target lies farther out *)
     @ List.map
         (fun (dof, toward) ->
-          let t, words, rescores, declined =
-            unreachable_steady_state ~dof ~toward
-          in
+          let t, words, counts = unreachable_steady_state ~dof ~toward in
           with_counts
             (entry (Printf.sprintf "unreachable-dof%d" dof) dof (t, words))
-            [ ("rescores_per_sweep", rescores); ("declined_per_sweep", declined) ])
+            counts)
         [ (12, 50.); (30, 50.); (100, 100.) ]
     @ [ entry "serve-request-dof12" 12 (serve_steady_state ~dof:12) ]
     @ List.map

@@ -12,6 +12,7 @@ type scratch = {
   (* [speculate_argmin]'s counts: plain ints, as a scratch belongs to one
      domain *)
   mutable sweeps : int;
+  mutable ladders : int;
   mutable rescores : int;
   mutable declined : int;
 }
@@ -27,6 +28,7 @@ let make_scratch ?(dof = 0) () =
     revolute = [||];
     compiled_for = None;
     sweeps = 0;
+    ladders = 0;
     rescores = 0;
     declined = 0;
   }
@@ -410,7 +412,8 @@ let speculate_range_into ~scratch ~pos ~err2 ~tx ~ty ~tz chain ~theta ~dtheta
 
    [speculate_argmin] finds the candidate the exact sweep would pick
    without running it: fk_filter.c folds every candidate with an inlined
-   vector sincos, brackets each fast err² with a rounding-error bound
+   vector sincos (over a step-size ladder, 16 per link and the rest by
+   angle addition), brackets each fast err² with a rounding-error bound
    (DESIGN.md §9) and returns the winner when one candidate's interval
    lies below every other's.  Otherwise it names the narrowest range
    holding every candidate that could still win, and [speculate_range_into]
@@ -474,6 +477,9 @@ let speculate_argmin ~scratch ~pos ~err2 ~tx ~ty ~tz chain ~theta ~dtheta
       coeffs pos err2 stride lo hi (Chain.base chain) (Chain.tool chain) tx ty
       tz
   in
+  (* the low bit says the fast fold ran by angle addition *)
+  scratch.ladders <- scratch.ladders + (r land 1);
+  let r = r asr 1 in
   if r >= 0 then r
   else if r = -1 then begin
     scratch.declined <- scratch.declined + 1;
@@ -488,10 +494,20 @@ let speculate_argmin ~scratch ~pos ~err2 ~tx ~ty ~tz chain ~theta ~dtheta
       ~stride ~lo:first ~hi:(last + 1)
   end
 
-type filter_counts = { sweeps : int; rescores : int; declined : int }
+type filter_counts = {
+  sweeps : int;
+  ladders : int;
+  rescores : int;
+  declined : int;
+}
 
 let filter_counts (s : scratch) =
-  { sweeps = s.sweeps; rescores = s.rescores; declined = s.declined }
+  {
+    sweeps = s.sweeps;
+    ladders = s.ladders;
+    rescores = s.rescores;
+    declined = s.declined;
+  }
 
 external sweep_isa_level : unit -> int = "dadu_fk_sweep_isa" [@@noalloc]
 

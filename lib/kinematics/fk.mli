@@ -148,8 +148,10 @@ val speculate_argmin :
     replies — at a fraction of the cost.
 
     A filtered sweep folds every candidate once with an inlined,
-    vectorized [sincos] instead of glibc's, and bounds how far each fast
-    err² can lie from the exact one (DESIGN.md §9).  When one candidate's
+    vectorized [sincos] instead of glibc's — over a step-size ladder of
+    16 to 64 candidates (Quick-IK's Uniform and Extended strategies), 16
+    per link and the rest by angle addition — and bounds how far each
+    fast err² can lie from the exact one (DESIGN.md §9).  When one candidate's
     interval lies below every other's it wins outright; otherwise the
     exact fold re-scores the narrowest range holding every candidate
     whose interval reaches the lowest upper bound, and the first-index
@@ -170,6 +172,9 @@ val speculate_argmin :
 
 type filter_counts = {
   sweeps : int;  (** {!speculate_argmin} calls *)
+  ladders : int;
+      (** calls whose fast fold took sin/cos by angle addition over a
+          step-size ladder, two [sincos] per link *)
   rescores : int;  (** calls that re-scored a sub-range exactly *)
   declined : int;
       (** calls that ran the exact sweep over the whole range because the

@@ -4,21 +4,27 @@
 
    One C loop folds every candidate with an inlined, branch-free [sincos]
    (Cody-Waite reduction by pi/4, then the Cephes minimax polynomials, no
-   libm call), so GCC vectorizes the candidate loop.  Its positions and
-   squared errors are close to the exact fold's but not bit-identical, so
-   each candidate's fast err2 e gets an interval e +- delta(e) that
-   contains the exact fold's value (DESIGN.md section 9 derives delta).
+   libm call), so GCC vectorizes the candidate loop; over a step-size
+   ladder it takes 16 of those per link instead of one per candidate,
+   and the rest by angle addition ([fold_ladder]).  Its positions and squared errors
+   are close to the exact fold's but not bit-identical, so each
+   candidate's fast err2 e gets an interval e +- delta(e) that contains
+   the exact fold's value (DESIGN.md section 9 derives delta).
    The candidates whose interval reaches the lowest upper bound U form
    the set S that can hold the exact argmin: one member is the winner;
    several make the caller re-score [min S, max S] with the exact fold.
 
    What keeps the winner exact:
-   - the angle is formed as the exact fold forms it,
+   - the per-candidate fold forms the angle as the exact fold forms it,
      tv = t0 + ((c_k * dt) + th), under -ffp-contract=off (see dune), so
-     both paths take sin/cos of the same double and delta needs no angle
-     term; a prismatic link's d and its constant angle's libm cos/sin are
-     also the exact fold's;
-   - the fast path is declined (return -1, the caller runs the exact
+     both paths take sin/cos of the same double; a prismatic link's d and
+     its constant angle's libm cos/sin are also the exact fold's;
+   - the ladder fold takes sin/cos of another angle, so on a ladder the
+     bound E gains an angle term: per revolute link the measured mismatch
+     times |dt| plus the rounding of the three angles and of the mismatch
+     itself, turned through the lever M, and the angle addition's own
+     error in a larger per-link term;
+   - the fast path is declined (r = -1: the caller runs the exact
      sweep) unless every coefficient is finite, every revolute angle
      bound |t0| + |th| + max|c_k| |dt| is at most 2^20 (the range the
      reduction and the measured sincos error cover), the bound E is
@@ -29,7 +35,7 @@
    The default build vectorizes at baseline SSE2: the quadrant comes from
    int conversions (cvttpd2dq/cvtdq2pd), never from libm [floor], and
    every select is between doubles.  Where GCC supports function
-   multiversioning (ELF, glibc, x86-64) the revolute fold also gets an
+   multiversioning (ELF, glibc, x86-64) both revolute folds also get an
    x86-64-v4 (AVX-512, 8 doubles wide) and an AVX2 (4 wide) clone, one
    chosen at load time.  Every clone performs the same IEEE operations
    per candidate (no contraction, no fast-math), so all three compute the
@@ -134,17 +140,81 @@ static void fold_revolute(double *restrict px, double *restrict py,
   }
 }
 
+/* A ladder's mismatch may reach 2^-46 max|c_k|: Quick-IK's Uniform and
+   Extended ladders, a few roundings per coefficient, measure under
+   2^-50. */
+#define LADDER_TOL 0x1p-46
+
+/* The mismatch max_k |c_k - ((c_{lo+p} + c_{lo+8q}) - c_lo)| over
+   k = lo + 8q + p in [lo, hi) when the coefficients form a ladder for
+   [fold_ladder]: 16 to 64 of them, every block offset |c_{lo+8q} - c_lo|
+   at most cmax (so its angle stays inside the fast range), and the
+   mismatch at most LADDER_TOL cmax.  -1 otherwise. */
+static double ladder_mismatch(const double *coeffs, intnat lo, intnat hi,
+                              double cmax)
+{
+  if (hi - lo < 16 || hi - lo > 64) return -1.0;
+  const double c0 = coeffs[lo];
+  double mu = 0.0;
+  for (intnat k = lo; k < hi; k++) {
+    const intnat p = (k - lo) & 7, b = k - p;
+    if (!(fabs(coeffs[b] - c0) <= cmax)) return -1.0;
+    const double r = fabs(coeffs[k] - ((coeffs[lo + p] + coeffs[b]) - c0));
+    if (r > mu) mu = r;
+  }
+  return mu <= LADDER_TOL * cmax ? mu : -1.0;
+}
+
+/* [fold_revolute] over a ladder, 16 sincos per link instead of one per
+   candidate: one 16-lane call takes the exact fold's angles of the first
+   block, A_p = t0 + ((c_{lo+p} dt) + th), and the block offsets
+   B_q = (c_{lo+8q} - c_lo) dt, and candidate lo + 8q + p takes
+   sin/cos(A_p + B_q) by angle addition.  Every block is rotated from the
+   first by its own offset.  The 16 arguments go through one loop, which
+   GCC vectorizes (as two 8-trip loops it unrolled them to scalar code);
+   an offset past the range reads c_lo and goes unused. */
+DADU_CLONES
+static void fold_ladder(double *restrict px, double *restrict py,
+                        double *restrict pz, const double *restrict coeffs,
+                        intnat lo, intnat hi, double ca, double sa, double a,
+                        double d0, double t0, double th, double dt)
+{
+  const intnat len = hi - lo;
+  double arg[16], s[16], c[16];
+  for (int i = 0; i < 16; i++)
+    arg[i] = i < 8 ? t0 + ((coeffs[lo + i] * dt) + th)
+                   : (coeffs[8 * (i - 8) < len ? lo + 8 * (i - 8) : lo]
+                      - coeffs[lo]) * dt;
+  for (int i = 0; i < 16; i++) fast_sincos(arg[i], &s[i], &c[i]);
+  for (intnat q = 0; 8 * q < len; q++) {
+    const double cq = c[8 + q], sq = s[8 + q];
+    const intnat k0 = lo + 8 * q, m = len - 8 * q < 8 ? len - 8 * q : 8;
+    for (intnat p = 0; p < m; p++) {
+      const double st = (s[p] * cq) + (c[p] * sq);
+      const double ct = (c[p] * cq) - (s[p] * sq);
+      fold(px, py, pz, k0 + p, ct, st, ca, sa, a, d0);
+    }
+  }
+}
+
 /* Half-width of the interval around a fast err2 e (DESIGN.md section 9). */
 static inline double delta(double e, double E)
 {
   return 4.0 * (sqrt(e) * E + E * E) + 64.0 * (UNIT * e + ETA);
 }
 
-/* Returns the winner k in [lo, hi) when S has one member, -1 to decline
-   the fast path, or -2 - (min S * stride + max S) when the exact fold
-   must re-score [min S, max S].  [pos] holds the tool translation at
-   [lo, hi) on entry; [pos] and [err2] hold fast values at [lo, hi) on a
-   non-declined return.  Requires lo < hi. */
+/* The sweep's result r, with the ladder flag in the low bit. */
+static inline intnat result(intnat r, int ladder)
+{
+  return 2 * r + ladder;
+}
+
+/* Returns [result (r, l)]: l is 1 when the fast fold ran by angle
+   addition ([fold_ladder]), and r is the winner k in [lo, hi) when S has
+   one member, -1 to decline the fast path, or -2 - (min S * stride +
+   max S) when the exact fold must re-score [min S, max S].  [pos] holds
+   the tool translation at [lo, hi) on entry; [pos] and [err2] hold fast
+   values at [lo, hi) on a non-declined return.  Requires lo < hi. */
 CAMLprim intnat dadu_fk_argmin_fast(value vpre, value rev, intnat n,
                                     value vtheta, value vdtheta,
                                     value vcoeffs, value vpos, value verr2,
@@ -161,19 +231,29 @@ CAMLprim intnat dadu_fk_argmin_fast(value vpre, value rev, intnat n,
   double cmax = 0.0;
   for (intnat k = lo; k < hi; k++) {
     const double c = fabs(coeffs[k]);
-    if (!(c <= DBL_MAX)) return -1;
+    if (!(c <= DBL_MAX)) return result(-1, 0);
     if (c > cmax) cmax = c;
   }
+  const double mu = ladder_mismatch(coeffs, lo, hi, cmax);
+  const int ladder = mu >= 0.0;
   /* M bounds every intermediate position of the fold: the tool
      translation, each link's |a| and |d|, and a prismatic link's travel
-     |th| + max|c_k| |dt|. */
+     |th| + max|c_k| |dt|.  On a ladder, phi sums each revolute link's
+     angle error: mu |dt| plus the rounding of A_p and of the exact angle
+     (2u each of the angle bound, and u of the span max|c_k| |dt|), of
+     B_q (2u of the span) and of the mismatch itself (7u of the span). */
   double M = sqrt(tool[3] * tool[3] + tool[7] * tool[7] + tool[11] * tool[11]);
+  double phi = 0.0;
   for (intnat i = 0; i < n; i++) {
     const double *c = pre + 5 * i;
-    const double travel = fabs(theta[i]) + cmax * fabs(dtheta[i]);
+    const double span = cmax * fabs(dtheta[i]);
+    const double travel = fabs(theta[i]) + span;
     M += fabs(c[2]) + fabs(c[3]);
     if (Bool_val(Field(rev, i))) {
-      if (!(fabs(c[4]) + travel <= FAST_RANGE)) return -1;
+      const double range = fabs(c[4]) + travel;
+      if (!(range <= FAST_RANGE)) return result(-1, 0);
+      if (ladder)
+        phi += mu * fabs(dtheta[i]) + UNIT * (4.0 * range + 11.0 * span) + 4.0 * ETA;
     } else
       M += travel;
   }
@@ -186,21 +266,27 @@ CAMLprim intnat dadu_fk_argmin_fast(value vpre, value rev, intnat n,
     if (norm > beta) beta = norm;
     if (fabs(row[3]) > T) T = fabs(row[3]);
   }
-  const double E = 64.0 * (beta * (32.0 * (double) n + 8.0) * (UNIT * M + ETA)
-                           + 2.0 * (UNIT * T + ETA));
-  if (!(E <= DBL_MAX)) return -1;
+  /* 32 u M per link (48 on a ladder, whose sincos is less exact), and
+     phi M on a ladder: an angle error phi turns a vector no longer than
+     M by at most phi M (DESIGN.md section 9). */
+  const double per_link = ladder ? 48.0 : 32.0;
+  const double E =
+    64.0 * (beta * ((per_link * (double) n + 8.0) * (UNIT * M + ETA) + phi * M)
+            + 2.0 * (UNIT * T + ETA));
+  if (!(E <= DBL_MAX)) return result(-1, 0);
 
   for (intnat i = n - 1; i >= 0; i--) {
     const double *c = pre + 5 * i;
     const double ca = c[0], sa = c[1], a = c[2], d0 = c[3], t0 = c[4];
     const double th = theta[i], dt = dtheta[i];
-    if (Bool_val(Field(rev, i)))
-      fold_revolute(px, py, pz, coeffs, lo, hi, ca, sa, a, d0, t0, th, dt);
-    else {
+    if (!Bool_val(Field(rev, i))) {
       const double ct = cos(t0), st = sin(t0);
       for (intnat k = lo; k < hi; k++)
         fold(px, py, pz, k, ct, st, ca, sa, a, d0 + ((coeffs[k] * dt) + th));
-    }
+    } else if (ladder)
+      fold_ladder(px, py, pz, coeffs, lo, hi, ca, sa, a, d0, t0, th, dt);
+    else
+      fold_revolute(px, py, pz, coeffs, lo, hi, ca, sa, a, d0, t0, th, dt);
   }
 
   /* The wrappers' base fold and fused err2, in their operation order. */
@@ -216,7 +302,7 @@ CAMLprim intnat dadu_fk_argmin_fast(value vpre, value rev, intnat n,
     const double dx = tx - fx, dy = ty - fy, dz = tz - fz;
     const double e = ((dx * dx) + (dy * dy)) + (dz * dz);
     err2[k] = e;
-    if (!(e <= DBL_MAX)) return -1;
+    if (!(e <= DBL_MAX)) return result(-1, ladder);
     const double up = e + delta(e, E);
     if (up < U) U = up;
   }
@@ -226,7 +312,7 @@ CAMLprim intnat dadu_fk_argmin_fast(value vpre, value rev, intnat n,
       if (first < 0) first = k;
       last = k;
     }
-  return first == last ? first : -2 - (first * stride + last);
+  return result(first == last ? first : -2 - (first * stride + last), ladder);
 }
 
 CAMLprim value dadu_fk_argmin_fast_byte(value *argv, int argn)
@@ -250,8 +336,8 @@ CAMLprim value dadu_fk_fast_sincos(value vx, value vs, value vc)
   return Val_unit;
 }
 
-/* Which clone of [fold_revolute] runs here: 2 for x86-64-v4, 1 for
-   AVX2, 0 for the baseline build (Fk.sweep_isa). */
+/* Which clone of [fold_revolute] and [fold_ladder] runs here: 2 for
+   x86-64-v4, 1 for AVX2, 0 for the baseline build (Fk.sweep_isa). */
 CAMLprim value dadu_fk_sweep_isa(value unit)
 {
   (void) unit;

@@ -71,8 +71,10 @@ let () =
     ~tzs:(target 0.9) chain ~thetas ~tstride ~stride ~lo:2 ~hi:11;
   floats "score_rows_into pos" pos;
   floats "score_rows_into err2" err2;
-  (* the filtered sweep, on each of its paths: a fast-path winner, a
-     re-score (every candidate has a twin) and a declined sweep *)
+  (* the filtered sweep, on each of its paths: a fast-path winner folded
+     by angle addition over a Uniform ladder of 20 candidates (blocks of
+     8, 8 and 4), a re-score (every candidate has a twin) and a declined
+     sweep *)
   let stride = 24 in
   let ladder = Array.init stride (fun k -> 0.05 *. float_of_int (k + 1)) in
   let twins = Array.init stride (fun k -> ladder.(k / 2)) in
@@ -95,9 +97,36 @@ let () =
       ("re-score", theta, twins);
       ("declined", Array.map (fun q -> q +. 3e6) theta, ladder);
     ];
+  (* a fast-path winner over a ladder of 21 candidates (blocks of 8, 8
+     and 5) on revolute links with zero twist and zero θ₀: cos 0 and
+     sin 0 are exact in any libm, so these bits come from IEEE
+     arithmetic alone and are the same on every host and clone *)
+  let planar =
+    let link i a d =
+      { Chain.name = Printf.sprintf "p%d" i; joint = Joint.revolute ();
+        dh = Dh.make ~a ~d () }
+    in
+    let tool = Array.init 16 (fun i -> if i mod 5 = 0 then 1. else 0.) in
+    tool.(3) <- 0.125;
+    tool.(11) <- -0.0625;
+    Chain.make ~tool
+      [| link 1 0.5 0.1; link 2 0.375 0.; link 3 0.25 (-0.05); link 4 0.3 0. |]
+  in
+  let stride = 24 in
+  let q = [| 0.3; -1.2; 2.1; 0.7 |] and dq = [| 0.11; -0.07; 0.05; 0.09 |] in
+  let ladder = Array.init stride (fun k -> float_of_int (k + 1) /. 24. *. 0.5) in
+  let pos = Array.make (3 * stride) 0.5 and err2 = Array.make stride 0.5 in
+  let w =
+    Fk.speculate_argmin ~scratch ~pos ~err2 ~tx:0.63125 ~ty:0.50375 ~tz:0.
+      planar ~theta:q ~dtheta:dq ~coeffs:ladder ~stride ~lo:2 ~hi:23
+  in
+  Printf.printf "ladder bits: winner %d\n" w;
+  floats "ladder bits pos" pos;
+  floats "ladder bits err2" err2;
   let c = Fk.filter_counts scratch in
-  Printf.printf "filter counts: %d sweeps, %d re-scores, %d declined\n"
-    c.Fk.sweeps c.Fk.rescores c.Fk.declined;
+  Printf.printf
+    "filter counts: %d sweeps, %d ladders, %d re-scores, %d declined\n"
+    c.Fk.sweeps c.Fk.ladders c.Fk.rescores c.Fk.declined;
   (* the frames pass *)
   let frames = Array.init (dof + 1) (fun _ -> Array.make 16 0.5) in
   Fk.frames_into ~scratch ~dst:frames chain theta;

@@ -64,9 +64,11 @@ let test_speculation_kernel_zero () =
     ((w1 -. w0) /. 1000.)
 
 (* The filtered sweep ([Fk.speculate_argmin]) on its paths, each
-   confirmed through the scratch's counts: a fast-path winner, an exact
-   re-score forced by duplicated coefficients, and a declined sweep whose
-   angles pass 2²⁰.  None may allocate. *)
+   confirmed through the scratch's counts: a fast-path winner folded by
+   angle addition over a ladder, one folded with the per-candidate sincos
+   (15 candidates, too few for a ladder), an exact re-score forced by
+   duplicated coefficients, and a declined sweep whose angles pass 2²⁰.
+   None may allocate. *)
 let test_filtered_sweep_zero () =
   let dof = 30 and count = 64 in
   let chain = Robots.eval_chain ~dof in
@@ -76,12 +78,12 @@ let test_filtered_sweep_zero () =
   let ladder = Array.init count (fun k -> float_of_int (k + 1) /. 64.) in
   let twins = Array.init count (fun k -> ladder.(k / 2)) in
   List.iter
-    (fun (path, theta, coeffs, expect) ->
+    (fun (path, theta, coeffs, hi, expect) ->
       let scratch = Fk.make_scratch () in
       let sweep () =
         ignore
           (Fk.speculate_argmin ~scratch ~pos ~err2 ~tx:3. ~ty:2. ~tz:1. chain
-             ~theta ~dtheta ~coeffs ~stride:count ~lo:0 ~hi:count)
+             ~theta ~dtheta ~coeffs ~stride:count ~lo:0 ~hi)
       in
       sweep ();
       (* warm *)
@@ -98,10 +100,12 @@ let test_filtered_sweep_zero () =
       Alcotest.(check (float 0.)) (path ^ ": minor words per sweep") 0.
         ((w1 -. w0) /. 1000.))
     [
-      ("fast path", Array.make dof 0.1, ladder, fun c ->
-        c.Fk.sweeps - c.Fk.rescores - c.Fk.declined);
-      ("re-score", Array.make dof 0.1, twins, fun c -> c.Fk.rescores);
-      ("declined", Array.make dof 2e6, ladder, fun c -> c.Fk.declined);
+      ("ladder", Array.make dof 0.1, ladder, count, fun c ->
+        if c.Fk.rescores + c.Fk.declined = 0 then c.Fk.ladders else 0);
+      ("per-candidate sincos", Array.make dof 0.1, ladder, 15, fun c ->
+        c.Fk.sweeps - c.Fk.ladders - c.Fk.rescores - c.Fk.declined);
+      ("re-score", Array.make dof 0.1, twins, count, fun c -> c.Fk.rescores);
+      ("declined", Array.make dof 2e6, ladder, count, fun c -> c.Fk.declined);
     ]
 
 let test_quick_ik_12dof () =

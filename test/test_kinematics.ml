@@ -1386,39 +1386,113 @@ let test_frames_validation () =
    bit-exact section's chains (mixed joints, zero-length links, random
    affine base and tool) and angle bands, out to 1e6 and with products
    past the fast path's 2²⁰ range; coefficients repeat (exact ties),
-   vanish, or form a Quick-IK ladder; Δθ may be zero or tiny (near-ties
-   inside the bound); θ may be non-finite. *)
+   vanish, or form one of Quick-IK's step-size ladders, exact or
+   perturbed by one ulp or by far more than rounding; Δθ may be zero or
+   tiny (near-ties inside the bound); θ may be non-finite, or lie near
+   ±2²⁰, where the angles' rounding dwarfs the fold's.  Those cases and
+   half the others sweep 16–64 candidates from a nonzero start, the
+   range where a ladder folds by angle addition. *)
+
+(* [Quick_ik]'s ladders over [max] candidates, in its operation order. *)
+let uniform_ladder ~max alpha =
+  Array.init max (fun k -> float_of_int (k + 1) /. float_of_int max *. alpha)
+
+let extended_ladder ~max factor alpha =
+  Array.init max (fun k ->
+      float_of_int (k + 1) /. float_of_int max *. factor *. alpha)
+
+let log_ladder ~max alpha =
+  let m = float_of_int max in
+  let ratio = (1. /. m) ** (1. /. (m -. 1.)) in
+  Array.init max (fun k -> alpha *. (ratio ** (m -. float_of_int (k + 1))))
+
+let filter_coeffs rng ~count ~lo ~hi =
+  let alpha = band_value rng 4 in
+  let perturb c step =
+    for _ = 0 to Rng.int rng 3 do
+      let k = if hi > lo then lo + Rng.int rng (hi - lo) else 0 in
+      c.(k) <- step c.(k)
+    done;
+    c
+  in
+  match Rng.int rng 8 with
+  | 0 -> uniform_ladder ~max:count alpha
+  | 1 ->
+    let factors = [| 0.5; 1.5; 2.; 3.7 |] in
+    extended_ladder ~max:count factors.(Rng.int rng 4) alpha
+  | 2 ->
+    perturb (uniform_ladder ~max:count alpha) (fun c ->
+        if Rng.int rng 2 = 0 then Float.succ c else Float.pred c)
+  | 3 ->
+    perturb (uniform_ladder ~max:count alpha) (fun c ->
+        c *. (1. +. (10. ** -.float_of_int (2 + Rng.int rng 8))))
+  | 4 -> log_ladder ~max:count alpha
+  | 5 ->
+    let c = Array.init count (fun _ -> band_value rng 3) in
+    for k = 0 to count - 1 do
+      if Rng.int rng 3 = 0 then c.(k) <- c.(Rng.int rng count)
+    done;
+    c
+  | _ -> Array.init count (fun _ -> band_value rng (1 + Rng.int rng 4))
 
 let filter_case seed =
   let rng, chain, count, lo, hi = exact_case seed in
-  let lo, hi = if lo < hi then (lo, hi) else (0, count) in
+  let edge = Rng.int rng 4 = 0 in
+  let count, lo, hi =
+    if edge || Rng.int rng 2 = 0 then
+      let lo = 1 + Rng.int rng 40 and len = 16 + Rng.int rng 49 in
+      (lo + len + Rng.int rng 8, lo, lo + len)
+    else if lo < hi then (count, lo, hi)
+    else (count, 0, count)
+  in
+  let coeffs = filter_coeffs rng ~count ~lo ~hi in
+  (* revolute angles just inside ±2²⁰ (|θ₀ᵢ| + |θᵢ| below it by 4 to
+     64), with steps that move an angle by less than its rounding
+     (2⁻³³): the exact sweep's candidates tie there, while a ladder's
+     block offsets still turn them.  On at most 16 links with every
+     twist zeroed, and steps of one sign, the links' turns add up at the
+     tool, well past the bound's other terms. *)
+  let chain =
+    if not edge then chain
+    else
+      let links = Chain.links chain in
+      Chain.make ~base:(Chain.base chain) ~tool:(Chain.tool chain)
+        (Array.map
+           (fun (l : Chain.link) -> { l with dh = { l.dh with Dh.alpha = 0. } })
+           (Array.sub links 0 (min (Array.length links) (1 + Rng.int rng 16))))
+  in
   let dof = Chain.dof chain in
-  let theta = Array.init dof (fun _ -> band_value rng (1 + Rng.int rng 6)) in
+  let theta =
+    Array.init dof (fun i ->
+        let { Chain.joint; dh; _ } = (Chain.links chain).(i) in
+        match joint.Joint.kind with
+        | Joint.Revolute when edge ->
+          (if Rng.int rng 2 = 0 then 1. else -1.)
+          *. (0x1p20 -. Float.abs dh.Dh.theta -. Rng.uniform rng 4. 64.)
+        | Joint.Prismatic when edge -> band_value rng 3
+        | Joint.Revolute | Joint.Prismatic -> band_value rng (1 + Rng.int rng 6))
+  in
   let dtheta =
-    match Rng.int rng 6 with
-    | 0 -> Array.make dof 0.
-    | 1 ->
-      let scale = 10. ** -.float_of_int (6 + Rng.int rng 9) in
-      Array.init dof (fun _ -> scale *. Rng.uniform rng (-1.) 1.)
-    | _ -> Array.init dof (fun _ -> band_value rng (1 + Rng.int rng 5))
+    if edge then begin
+      let cmax = ref 0. in
+      for k = lo to hi - 1 do
+        cmax := Float.max !cmax (Float.abs coeffs.(k))
+      done;
+      let step = if !cmax > 0. then 0x1p-33 /. !cmax else 0. in
+      let step = if Rng.int rng 2 = 0 then step else -.step in
+      Array.init dof (fun _ -> step *. Rng.uniform rng 0.5 1.)
+    end
+    else
+      match Rng.int rng 6 with
+      | 0 -> Array.make dof 0.
+      | 1 ->
+        let scale = 10. ** -.float_of_int (6 + Rng.int rng 9) in
+        Array.init dof (fun _ -> scale *. Rng.uniform rng (-1.) 1.)
+      | _ -> Array.init dof (fun _ -> band_value rng (1 + Rng.int rng 5))
   in
   if Rng.int rng 10 = 0 then
     theta.(Rng.int rng dof) <-
       (match Rng.int rng 3 with 0 -> nan | 1 -> infinity | _ -> neg_infinity);
-  let coeffs =
-    match Rng.int rng 4 with
-    | 0 ->
-      let alpha = band_value rng 3 in
-      Array.init count (fun k ->
-          float_of_int (k + 1) /. float_of_int count *. alpha)
-    | 1 ->
-      let c = Array.init count (fun _ -> band_value rng 3) in
-      for k = 0 to count - 1 do
-        if Rng.int rng 3 = 0 then c.(k) <- c.(Rng.int rng count)
-      done;
-      c
-    | _ -> Array.init count (fun _ -> band_value rng (1 + Rng.int rng 4))
-  in
   let tx = Rng.uniform rng (-3.) 3.
   and ty = Rng.uniform rng (-3.) 3.
   and tz = Rng.uniform rng (-3.) 3. in
@@ -1459,40 +1533,49 @@ let test_argmin_matches_exact =
       true)
 
 (* The ways a filtered sweep ends, each seen through the scratch's counts
-   and each agreeing with the exact winner: a fast-path winner, an exact
-   re-score forced by duplicated coefficients (identical candidates tie
-   exactly), a tie across the whole range, and a declined sweep whose
-   angles pass 2²⁰. *)
+   and each agreeing with the exact winner: a fast-path winner folded by
+   angle addition over a Uniform ladder (also from a nonzero start with a
+   partial last block), a Log_spaced ladder that keeps the per-candidate
+   sincos, an exact re-score forced by duplicated coefficients (identical
+   candidates tie exactly), a tie across the whole range, and a declined
+   sweep whose angles pass 2²⁰. *)
 let test_argmin_paths () =
   let chain = Robots.eval_chain ~dof:30 in
   let theta = Array.init 30 (fun i -> 0.1 +. (0.01 *. float_of_int i)) in
   let dtheta = Array.init 30 (fun i -> 0.02 -. (0.001 *. float_of_int i)) in
   let count = 64 and t = (3., 2., 1.) in
-  let ladder = Array.init count (fun k -> float_of_int (k + 1) /. 64. *. 2.) in
-  let run ?(scratch = Fk.make_scratch ()) ~theta ~coeffs () =
+  let ladder = uniform_ladder ~max:count 2. in
+  let run ?(lo = 0) ?(hi = count) ~theta ~coeffs () =
+    let scratch = Fk.make_scratch () in
     let got =
-      filtered_winner scratch chain ~theta ~dtheta ~coeffs ~count ~lo:0
-        ~hi:count t
+      filtered_winner scratch chain ~theta ~dtheta ~coeffs ~count ~lo ~hi t
     in
     Alcotest.(check int) "filtered = exact winner"
-      (exact_winner chain ~theta ~dtheta ~coeffs ~count ~lo:0 ~hi:count t)
+      (exact_winner chain ~theta ~dtheta ~coeffs ~count ~lo ~hi t)
       got;
     Fk.filter_counts scratch
   in
   let counts name want c =
     Alcotest.(check (list int))
-      (name ^ ": sweeps, rescores, declined")
+      (name ^ ": sweeps, ladders, rescores, declined")
       want
-      [ c.Fk.sweeps; c.Fk.rescores; c.Fk.declined ]
+      [ c.Fk.sweeps; c.Fk.ladders; c.Fk.rescores; c.Fk.declined ]
   in
-  counts "fast path" [ 1; 0; 0 ] (run ~theta ~coeffs:ladder ());
-  (* every candidate twice: the winner ties with its twin *)
+  counts "ladder" [ 1; 1; 0; 0 ] (run ~theta ~coeffs:ladder ());
+  counts "ladder over [5, 26)" [ 1; 1; 0; 0 ]
+    (run ~lo:5 ~hi:26 ~theta ~coeffs:ladder ());
+  counts "15 candidates" [ 1; 0; 0; 0 ]
+    (run ~lo:5 ~hi:20 ~theta ~coeffs:ladder ());
+  counts "Log_spaced" [ 1; 0; 0; 0 ]
+    (run ~theta ~coeffs:(log_ladder ~max:count 2.) ());
+  (* every candidate twice: the winner ties with its twin.  Twins still
+     fold by angle addition: c_{8q+p} - c_p depends on q alone. *)
   let twins = Array.init count (fun k -> ladder.(k / 2)) in
-  counts "re-score" [ 1; 1; 0 ] (run ~theta ~coeffs:twins ());
-  counts "whole-range tie" [ 1; 1; 0 ]
+  counts "re-score" [ 1; 1; 1; 0 ] (run ~theta ~coeffs:twins ());
+  counts "whole-range tie" [ 1; 1; 1; 0 ]
     (run ~theta ~coeffs:(Array.make count 0.5) ());
   let far = Array.map (fun q -> q +. 2e6) theta in
-  counts "declined" [ 1; 0; 1 ] (run ~theta:far ~coeffs:ladder ())
+  counts "declined" [ 1; 0; 0; 1 ] (run ~theta:far ~coeffs:ladder ())
 
 (* The filter's bound assumes the inlined sincos is within 2u of sin and
    cos and glibc within 1u (u = 2⁻⁵³; DESIGN.md §9), so the two may differ

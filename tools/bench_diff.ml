@@ -7,14 +7,16 @@
 
      new > old * (1 + threshold) + floor
 
-   with threshold 15% by default.  Floors absorb quantization noise near
-   zero: ns_per_iter has floor 0 (values are tens of microseconds), while
-   words_per_iter has floor 8 so a legitimately zero-allocation kernel is
-   allowed measurement jitter of a couple of boxed words but not a real
-   per-iteration allocation.  --words-only gates words_per_iter and the
-   counts of work below, not ns — allocation and work counts are
-   deterministic across machines, wall-clock is not, so this is the mode
-   CI uses against the committed baseline.
+   (new < old / (1 + threshold) - floor for the one metric where higher
+   is better, ladder_per_sweep) with threshold 15% by default.  Floors
+   absorb quantization noise near zero: ns_per_iter has floor 0 (values
+   are tens of microseconds), while words_per_iter has floor 8 so a
+   legitimately zero-allocation kernel is allowed measurement jitter of a
+   couple of boxed words but not a real per-iteration allocation.
+   --words-only gates words_per_iter and the counts of work below, not
+   ns — allocation and work counts are deterministic across machines,
+   wall-clock is not, so this is the mode CI uses against the committed
+   baseline.
 
    Exit-code contract (relied on by CI and test/cram/bench_diff.t):
 
@@ -36,12 +38,13 @@
 
 module Json = Dadu_util.Json
 
-type metric = { field : string; floor : float }
+type metric = { field : string; floor : float; higher_is_better : bool }
 
-let all_metrics =
-  [ { field = "ns_per_iter"; floor = 0. }; { field = "words_per_iter"; floor = 8. } ]
+let lower field floor = { field; floor; higher_is_better = false }
 
-let words_metrics = [ { field = "words_per_iter"; floor = 8. } ]
+let all_metrics = [ lower "ns_per_iter" 0.; lower "words_per_iter" 8. ]
+
+let words_metrics = [ lower "words_per_iter" 8. ]
 
 (* Gated only when the BASELINE entry carries the field: a benchmark
    grows such a gate the moment its baseline records the metric, without
@@ -52,14 +55,18 @@ let words_metrics = [ { field = "words_per_iter"; floor = 8. } ]
    iterations per session waypoint (floor 1 iteration, for convergence
    jitter near the 1-2 iteration steady state), iterations of cold and
    seeded solves (floor 1), and the filtered sweep's exact re-scores and
-   declined fast paths per sweep (floor 0.01: one sweep in a hundred). *)
+   declined fast paths per sweep (floor 0.01: one sweep in a hundred).
+   Its sweeps folded by angle addition over the step-size ladder
+   (ladder_per_sweep, floor 0.01) gate the other way: a fall-back to the
+   per-candidate sincos lowers the count. *)
 let optional_metrics =
   [
-    { field = "iters_per_waypoint"; floor = 1. };
-    { field = "iters_cold"; floor = 1. };
-    { field = "iters_seeded"; floor = 1. };
-    { field = "rescores_per_sweep"; floor = 0.01 };
-    { field = "declined_per_sweep"; floor = 0.01 };
+    lower "iters_per_waypoint" 1.;
+    lower "iters_cold" 1.;
+    lower "iters_seeded" 1.;
+    lower "rescores_per_sweep" 0.01;
+    lower "declined_per_sweep" 0.01;
+    { field = "ladder_per_sweep"; floor = 0.01; higher_is_better = true };
   ]
 
 let die fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 2) fmt
@@ -140,18 +147,22 @@ let () =
               optional_metrics
         in
         List.iter
-          (fun { field; floor } ->
+          (fun { field; floor; higher_is_better } ->
             let ov = metric_value old_path name old_b field in
             let nv = metric_value new_path name new_b field in
-            let limit = (ov *. ratio) +. floor in
             let delta = if ov = 0. then 0. else (nv -. ov) /. ov *. 100. in
-            if nv > limit then begin
+            let up = (ov *. ratio) +. floor and down = (ov /. ratio) -. floor in
+            let limit, worse, better =
+              if higher_is_better then (down, nv < down, nv > up)
+              else (up, nv > up, nv < down)
+            in
+            if worse then begin
               incr regressions;
               Printf.printf
                 "FAIL %-24s %-14s %12.2f -> %12.2f  (%+.1f%%, limit %.2f)\n"
                 name field ov nv delta limit
             end
-            else if nv < (ov /. ratio) -. floor then begin
+            else if better then begin
               (* mirrored bound: an improvement as far outside the noise
                  band as a gated regression would be — the baseline is
                  stale and undersells the current code *)
