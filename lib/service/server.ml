@@ -198,11 +198,12 @@ let replay_journal path =
           Session.replay_commit sess ~ordinal ~theta reply;
           true)
       | Journal.Closed { session } ->
-        if Hashtbl.mem sessions session then begin
+        (match Hashtbl.find_opt sessions session with
+        | None -> false
+        | Some sess ->
           Hashtbl.remove sessions session;
-          true
-        end
-        else false
+          Session.release sess;
+          true)
     in
     if ok then applied + 1 else applied
   in
@@ -857,8 +858,12 @@ let handle_close t conn ~id ~session =
   Mutex.lock t.slock;
   let found = Hashtbl.find_opt t.sessions session in
   (match found with
-  | Some _ ->
+  | Some sess ->
     Hashtbl.remove t.sessions session;
+    (* the window's bytes are off the heap, so they go now, not when
+       the GC gets round to the session; a late commit of it leaves the
+       released window alone *)
+    Session.release sess;
     (match t.journal with
     | Some j ->
       Journal.append j (Journal.Closed { session });

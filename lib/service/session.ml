@@ -7,7 +7,10 @@ open Dadu_kinematics
    half of the reconnect contract (DESIGN.md §16).  Bounded: the ring
    holds exactly the remembered ordinals in (newest - ring_capacity,
    newest], in slot [ordinal mod ring_capacity]; a resend further behind
-   is answered with a typed [stale] error by the server. *)
+   is answered with a typed [stale] error by the server.  The bytes sit
+   in a slab off the OCaml heap: 128 replies per session, live for as
+   long as the session, would otherwise raise the major heap's target by
+   their size times the GC's space overhead. *)
 let ring_capacity = 128
 
 type t = {
@@ -19,7 +22,7 @@ type t = {
   mutable base : int; (* first ordinal this process handed out *)
   mutable newest : int; (* highest ordinal remembered; -1 before any *)
   ring_ordinals : int array; (* per slot: the ordinal held, -1 if none *)
-  ring_replies : string array; (* per slot: its final reply bytes *)
+  ring : Slab.t; (* per slot: its final reply bytes *)
 }
 
 let create ~name ~chain =
@@ -31,7 +34,7 @@ let create ~name ~chain =
     base = 0;
     newest = -1;
     ring_ordinals = Array.make ring_capacity (-1);
-    ring_replies = Array.make ring_capacity "";
+    ring = Slab.create ~slots:ring_capacity;
   }
 
 let name t = t.name
@@ -67,11 +70,13 @@ let store t ~chain_fp theta =
 let in_window t ordinal = ordinal >= 0 && ordinal > t.newest - ring_capacity
 
 let remember_reply t ~ordinal payload =
-  if ordinal > t.newest then t.newest <- ordinal;
-  if in_window t ordinal then begin
-    let i = ordinal mod ring_capacity in
-    t.ring_ordinals.(i) <- ordinal;
-    t.ring_replies.(i) <- payload
+  if not (Slab.released t.ring) then begin
+    if ordinal > t.newest then t.newest <- ordinal;
+    if in_window t ordinal then begin
+      let i = ordinal mod ring_capacity in
+      t.ring_ordinals.(i) <- ordinal;
+      Slab.set t.ring i payload
+    end
   end
 
 (* an in-window ordinal's slot holds it or an older ordinal, never a
@@ -80,8 +85,12 @@ let held t ordinal =
   in_window t ordinal && t.ring_ordinals.(ordinal mod ring_capacity) = ordinal
 
 let recall_reply t ~ordinal =
-  if held t ordinal then Some t.ring_replies.(ordinal mod ring_capacity)
+  if held t ordinal then Some (Slab.get t.ring (ordinal mod ring_capacity))
   else None
+
+let release t =
+  Slab.release t.ring;
+  Array.fill t.ring_ordinals 0 ring_capacity (-1)
 
 (* Handed out here, not answered yet, and not scrolled off the ring. *)
 let awaiting_reply t ~ordinal =

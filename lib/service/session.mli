@@ -54,7 +54,7 @@ val store : t -> chain_fp:int -> Vec.t -> unit
     on a fingerprint mismatch.  Call only from the serial commit phase. *)
 
 val remember_reply : t -> ordinal:int -> string -> unit
-(** Retain the final reply bytes for [ordinal] — its committed reply,
+(** Copy the final reply bytes for [ordinal] — its committed reply,
     or the [overloaded] reply that shed it — so a reconnecting client
     resending an already-answered waypoint can be answered verbatim
     instead of solved twice.  The ring is a window, not a queue: it
@@ -62,11 +62,21 @@ val remember_reply : t -> ordinal:int -> string -> unit
     newest being the highest ordinal ever remembered, however they
     arrived — out of order, or with ordinals never remembered in
     between (a shed missing from a replayed journal).  An ordinal
-    already below the window is not retained.  Call from the server's
+    already below the window is not retained.  The copy goes into a
+    slab off the OCaml heap ({!Slab}) and allocates nothing once the
+    slab's slots are as wide as the reply.  Call from the server's
     delivery and shed paths, under the same lock as {!recall_reply}. *)
 
 val recall_reply : t -> ordinal:int -> string option
-(** The retained reply for [ordinal], if it is within the window. *)
+(** The retained reply for [ordinal], if it is within the window: a
+    fresh copy of the bytes, which live off the OCaml heap. *)
+
+val release : t -> unit
+(** Free the reply window's bytes, which the GC does not account for:
+    the server calls it when the session closes.  Afterwards nothing is
+    recalled and {!remember_reply} leaves the window alone, so a late
+    commit of the closed session is harmless.  Call under the same lock
+    as {!remember_reply}. *)
 
 val awaiting_reply : t -> ordinal:int -> bool
 (** [ordinal] was handed out by this process ({!next_ordinal}) and its

@@ -164,3 +164,18 @@ let () =
       Printf.printf "write_float %Lx: %s\n" (Int64.bits_of_float x)
         (Bytes.sub_string b 7 n))
     [ 0.; -0.; 1.5; -3.0000000000000004; 0.1; 123456789.125; 1e-5; 6.02e23 ]
+
+let () =
+  (* the reply slab: a 3-byte slot, then a 19-byte one whose regrid moves
+     the first from offset 9 (3-byte slots) to 63 (21-byte slots), each
+     read back from its offset, then the block released *)
+  let module Slab = Dadu_service.Slab in
+  let t = Slab.create ~slots:5 in
+  Slab.set t 3 "abc";
+  Slab.set t 1 "the quick brown fox";
+  Printf.printf "slab: %d-byte slots, 1 %S, 3 %S, 0 %S\n" (Slab.slot_cap t)
+    (Slab.get t 1) (Slab.get t 3) (Slab.get t 0);
+  Slab.release t;
+  Slab.set t 2 "after release";
+  Printf.printf "slab released: %b, 1 %S, 2 %S\n" (Slab.released t)
+    (Slab.get t 1) (Slab.get t 2)

@@ -363,6 +363,89 @@ let test_track_reply_path_words () =
        per_waypoint)
     true (per_waypoint <= 880.)
 
+(* [count] eval:30 session replies, each a fresh string as the
+   dispatcher encodes it: 8 warm waypoints' replies under distinct ids
+   and ordinals, ~860 B each. *)
+let session_replies count =
+  let module Session = Dadu_service.Session in
+  let module Server = Dadu_service.Server in
+  let module Svc = Dadu_service.Service in
+  let chain = Robots.eval_chain ~dof:30 in
+  let sess = Session.create ~name:"s0" ~chain in
+  let requests =
+    Array.init 8 (fun k ->
+        Svc.request ~session:sess ~ordinal:(Session.next_ordinal sess)
+          (Ik.problem ~chain
+             ~target:(Dadu_linalg.Vec3.make 4.0 (1.0 +. (0.015 *. float_of_int k)) 2.0)
+             ~theta0:(Chain.clamp_config chain (Array.make 30 0.))))
+  in
+  let replies = Svc.solve_requests (Svc.create ()) requests in
+  let enc = Server.encoder () in
+  fun o ->
+    assert (o < count);
+    Server.encode_reply enc ~id:o ~session:(Some "s0") ~ordinal:o replies.(o mod 8)
+
+(* A waypoint's reply copied into its session's window allocates
+   nothing once the window's slots are as wide as the replies: the
+   bytes go into the slab, off the heap. *)
+let test_remember_reply_zero () =
+  let module Session = Dadu_service.Session in
+  let reply = session_replies 256 in
+  let payloads = Array.init 256 reply in
+  let sess = Session.create ~name:"s0" ~chain:(Robots.eval_chain ~dof:30) in
+  for o = 0 to 127 do
+    Session.remember_reply sess ~ordinal:o payloads.(o)
+  done;
+  (* warm: the slab's slots fit every reply *)
+  let w0 = Gc.minor_words () in
+  for o = 128 to 255 do
+    Session.remember_reply sess ~ordinal:o payloads.(o)
+  done;
+  let w1 = Gc.minor_words () in
+  Alcotest.(check (float 0.)) "remember_reply minor words" 0. ((w1 -. w0) /. 128.);
+  Alcotest.(check (option string)) "the last reply recalled" (Some payloads.(255))
+    (Session.recall_reply sess ~ordinal:255);
+  Session.release sess
+
+(* 16 sessions' full windows of eval:30 replies, as `track`'s sessions
+   hold them: the replies' bytes live off the heap, so after a full
+   major collection the heap's live words have grown by far less than
+   the windows' bytes.  2,048 such replies kept on the heap read
+   +225,307 live words, which the GC's space overhead then multiplies
+   into the heap's size. *)
+let test_windows_off_heap () =
+  let module Session = Dadu_service.Session in
+  let chain = Robots.eval_chain ~dof:30 in
+  let reply = session_replies 128 in
+  let sessions =
+    Array.init 16 (fun i -> Session.create ~name:(Printf.sprintf "s%d" i) ~chain)
+  in
+  Gc.full_major ();
+  let before = (Gc.stat ()).Gc.live_words in
+  let bytes = ref 0 in
+  Array.iter
+    (fun sess ->
+      for o = 0 to 127 do
+        let payload = reply o in
+        bytes := !bytes + String.length payload;
+        Session.remember_reply sess ~ordinal:o payload
+      done)
+    sessions;
+  Gc.full_major ();
+  let grown = (Gc.stat ()).Gc.live_words - before in
+  let window_words = !bytes / (Sys.word_size / 8) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d B of replies in windows: live words grew by %d, under %d"
+       !bytes grown (window_words / 4))
+    true
+    (grown < window_words / 4);
+  Array.iter
+    (fun sess ->
+      Alcotest.(check (option string)) "a window still holds its replies"
+        (Some (reply 127)) (Session.recall_reply sess ~ordinal:127);
+      Session.release sess)
+    sessions
+
 (* The frames pass every solver iteration starts with, alone: warm
    frames on a compiled scratch must allocate nothing. *)
 let test_frames_pass_zero () =
@@ -570,6 +653,8 @@ let () =
             test_track_waypoint_words;
           Alcotest.test_case "track reply path words, 128 eval:30 sessions" `Quick
             test_track_reply_path_words;
+          Alcotest.test_case "reply remembered in a fitting window, 0 words"
+            `Quick test_remember_reply_zero;
         ] );
       ( "bounded allocation",
         [
@@ -585,5 +670,7 @@ let () =
             test_metrics_snapshot_words;
           Alcotest.test_case "registry memory, fresh and one Solved" `Quick
             test_metrics_registry_memory;
+          Alcotest.test_case "reply windows off the major heap, 16 sessions"
+            `Quick test_windows_off_heap;
         ] );
     ]

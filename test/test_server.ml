@@ -1014,7 +1014,11 @@ let load_journal path =
    waypoints: the old session's late replies still reach the client, but
    none of them is journaled after the new session's [Opened] record,
    so a restart resumes the new session at the count the live server
-   held (0), not at the old session's late commits. *)
+   held, not at the old session's late commits.  The close frees the old
+   session's reply window, so the late commits land on a released
+   window; the re-opened name has a window of its own, which answers a
+   resend of its first waypoint with that waypoint's bytes, before and
+   after the restart. *)
 let test_live_pipelined_close_reopen () =
   let journal = Filename.temp_file "dadu_jrnl" ".wal" in
   Sys.remove journal;
@@ -1024,39 +1028,71 @@ let test_live_pipelined_close_reopen () =
   let config = { Server.default_config with Server.journal = Some journal } in
   let n = 60 in
   let open_op id = Printf.sprintf "{\"op\":\"open\",\"id\":%d,\"session\":\"s0\",\"robot\":\"eval:30\"}" id in
-  let reopened ~live rd oc =
+  let reopened ~live ~count rd oc =
     send oc (open_op 999);
     let opened = expect_kind "open s0 again" "opened" (recv rd) in
     Alcotest.(check (option bool)) (live ^ ": resumed") (Some true)
       (bool_member "resumed" opened);
-    Alcotest.(check (option int)) (live ^ ": the new session's count") (Some 0)
-      (int_member "waypoints" opened)
+    Alcotest.(check (option int)) (live ^ ": the new session's count")
+      (Some count) (int_member "waypoints" opened)
   in
-  (with_server ~config @@ fun _server path ->
-   let fd, rd, oc = connect path in
-   Fun.protect
-     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-   @@ fun () ->
-   let frame = Problem_file.write_frame oc in
-   frame (open_op 0);
-   for i = 1 to n do
-     frame
-       (Printf.sprintf
-          "{\"op\":\"waypoint\",\"id\":%d,\"session\":\"s0\",\"target\":[4.0,%.17g,2.0]}"
-          i (1.0 +. (0.015 *. float_of_int i)))
-   done;
-   frame "{\"op\":\"close\",\"id\":100,\"session\":\"s0\"}";
-   frame (open_op 101);
-   (* one write (the frames fit the channel's buffer): the reader takes
-      the close and the re-open while the dispatcher still works through
-      the waypoints *)
-   flush oc;
-   let kinds = List.init (n + 3) (fun _ -> reply_kind (snd (recv rd))) in
-   Alcotest.(check int) "every waypoint answered" n
-     (List.length (List.filter (( = ) "solved") kinds));
-   Alcotest.(check int) "opened twice" 2
-     (List.length (List.filter (( = ) "opened") kinds));
-   reopened ~live:"live" rd oc);
+  let waypoint =
+    "{\"op\":\"waypoint\",\"id\":7,\"session\":\"s0\",\"seq\":0,\"target\":[4.0,1.5,2.0]}"
+  in
+  let resend ~live rd oc fresh =
+    send oc waypoint;
+    Alcotest.(check string) (live ^ ": a resend gets the new window's bytes")
+      fresh (fst (recv rd))
+  in
+  let fresh =
+    with_server ~config @@ fun _server path ->
+    let fd, rd, oc = connect path in
+    Fun.protect
+      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    @@ fun () ->
+    let frame = Problem_file.write_frame oc in
+    frame (open_op 0);
+    for i = 1 to n do
+      frame
+        (Printf.sprintf
+           "{\"op\":\"waypoint\",\"id\":%d,\"session\":\"s0\",\"target\":[4.0,%.17g,2.0]}"
+           i (1.0 +. (0.015 *. float_of_int i)))
+    done;
+    frame "{\"op\":\"close\",\"id\":100,\"session\":\"s0\"}";
+    frame (open_op 101);
+    (* one write (the frames fit the channel's buffer): the reader takes
+       the close and the re-open while the dispatcher still works through
+       the waypoints *)
+    flush oc;
+    let replies = List.init (n + 3) (fun _ -> recv rd) in
+    let kinds = List.map (fun (_, json) -> reply_kind json) replies in
+    Alcotest.(check int) "every waypoint answered" n
+      (List.length (List.filter (( = ) "solved") kinds));
+    Alcotest.(check int) "opened twice" 2
+      (List.length (List.filter (( = ) "opened") kinds));
+    let rec after_close = function
+      | [] -> []
+      | "closed" :: rest -> rest
+      | _ :: rest -> after_close rest
+    in
+    Alcotest.(check bool) "some waypoint answered after the close" true
+      (List.mem "solved" (after_close kinds));
+    reopened ~live:"live" ~count:0 rd oc;
+    let old_first =
+      List.find_map
+        (fun (payload, json) ->
+          if reply_kind json = "solved" && int_member "ordinal" json = Some 0
+          then Some payload
+          else None)
+        replies
+    in
+    send oc waypoint;
+    let fresh = fst (recv rd) in
+    Alcotest.(check bool) "the new session's ordinal 0 is its own" true
+      (old_first <> None && old_first <> Some fresh);
+    resend ~live:"live" rd oc fresh;
+    fresh
+  in
   let records = load_journal journal in
   let rec after_second_open opens = function
     | [] -> []
@@ -1064,18 +1100,18 @@ let test_live_pipelined_close_reopen () =
       if opens = 1 then rest else after_second_open (opens + 1) rest
     | _ :: rest -> after_second_open opens rest
   in
-  Alcotest.(check (list (pair string int)))
-    "no commit of s0 after its second open" []
-    (List.filter_map
-       (fun r -> Option.map (fun (s, o, _) -> (s, o)) (committed_of r))
-       (after_second_open 0 records));
+  Alcotest.(check (list (triple string int string)))
+    "after s0's second open, only the new session's commit" [ ("s0", 0, fresh) ]
+    (List.filter_map committed_of (after_second_open 0 records));
   with_server ~config @@ fun server path ->
   Alcotest.(check bool) "journal replayed clean" true
     (Server.journal_recovery server = None);
   let fd, rd, oc = connect path in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-  @@ fun () -> reopened ~live:"restarted" rd oc
+  @@ fun () ->
+  reopened ~live:"restarted" ~count:1 rd oc;
+  resend ~live:"restarted" rd oc fresh
 
 (* Write-ahead per batch, seen from the client: 4 sessions x 100
    waypoints pipelined, and each time a solved reply is read, the

@@ -991,6 +991,73 @@ let test_session_chain_mismatch_serves_cold () =
       | _ -> Alcotest.fail "expected Solved")
     replies
 
+(* The window's bytes, as the server remembers them, in a slab off the
+   heap whose slots grow to the longest reply seen plus an eighth: a
+   short [overloaded] shed, then eval:30 solved replies of ~860 B, then
+   an eval:100 reply of ~2.8 KB that regrids the slab mid-window, then
+   more solved replies until the window has moved on.  Every in-window
+   ordinal recalls its exact bytes throughout, out-of-window ones none,
+   and after [release] none at all, even of a late commit. *)
+let window_bytes () =
+  let name = "bytes" in
+  let sess = Session.create ~name ~chain:eval30 in
+  let s = Service.create ~config:(service_config ~chunk:8 ()) () in
+  let solved = Service.solve_requests s (session_requests sess (line_waypoints 8)) in
+  let enc = Server.encoder () in
+  let encode o reply = Server.encode_reply enc ~id:o ~session:(Some name) ~ordinal:o reply in
+  let shed o =
+    Printf.sprintf "{\"reply\":\"overloaded\",\"id\":%d,\"session\":%S,\"retry_after_ms\":50}"
+      o name
+  in
+  let long =
+    encode 100
+      (Service.solve_batch s (random_problems ~chain:(Robots.eval_chain ~dof:100) ~seed:5 1)).(0)
+  in
+  let remembered = Hashtbl.create 256 in
+  let remember o payload =
+    Hashtbl.replace remembered o payload;
+    Session.remember_reply sess ~ordinal:o payload
+  in
+  let check_window ~newest what =
+    for o = 0 to newest do
+      let expect =
+        if o > newest - 128 then Hashtbl.find_opt remembered o else None
+      in
+      if Session.recall_reply sess ~ordinal:o <> expect then
+        Alcotest.failf "%s: ordinal %d of window (%d, %d] recalls the wrong bytes"
+          what o (newest - 128) newest
+    done
+  in
+  remember 0 (shed 0);
+  for o = 1 to 99 do
+    remember o (encode o solved.(o mod 8))
+  done;
+  let widest =
+    Hashtbl.fold (fun _ p w -> max w (String.length p)) remembered 0
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "a %d-B shed and solved replies up to %d B" (String.length (shed 0)) widest)
+    true
+    (String.length (shed 0) < 100 && widest > 800);
+  check_window ~newest:99 "before the regrid";
+  Alcotest.(check bool)
+    (Printf.sprintf "the %d-B reply is wider than the slots (at most %d B)"
+       (String.length long) (widest + (widest / 8)))
+    true
+    (String.length long > widest + (widest / 8));
+  remember 100 long;
+  check_window ~newest:100 "after the regrid";
+  for o = 101 to 300 do
+    remember o (if o mod 50 = 0 then shed o else encode o solved.(o mod 8))
+  done;
+  check_window ~newest:300 "after the window moved on";
+  Session.release sess;
+  Session.remember_reply sess ~ordinal:301 (shed 301);
+  Alcotest.(check (option string)) "nothing held after release" None
+    (Session.recall_reply sess ~ordinal:300);
+  Alcotest.(check (option string)) "a late commit leaves the window alone" None
+    (Session.recall_reply sess ~ordinal:301)
+
 (* The reply ring is a window: it holds exactly the remembered ordinals
    in (newest - 128, newest], however they arrived.  Remembering 200
    after 0-9 (the ordinals between were shed, and a replayed journal
@@ -1022,7 +1089,8 @@ let test_session_reply_window () =
   Alcotest.(check (option string)) "never-remembered ordinal" None
     (Session.recall_reply sess ~ordinal:150);
   Alcotest.(check (option string)) "negative ordinal" None
-    (Session.recall_reply sess ~ordinal:(-1))
+    (Session.recall_reply sess ~ordinal:(-1));
+  window_bytes ()
 
 (* Tentpole acceptance (DESIGN.md §15): a session's replies are a pure
    function of its own waypoint sequence.  Riffle session A's waypoints
