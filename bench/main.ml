@@ -173,10 +173,11 @@ let run_micro () =
 (* ---- steady-state Quick-IK kernel benchmark (JSON, regression-gated) ----
 
    Unlike the Bechamel micro section (whole solves, allocating entry path),
-   this measures the steady-state inner loop the zero-allocation workspace
-   work targets: one shared workspace, an unreachable target so the solver
-   runs exactly [max_iterations], and per-iteration cost derived from the
-   difference of two run lengths so per-solve constants cancel. *)
+   this measures the steady-state inner loops the zero-allocation
+   workspace work targets, on one shared workspace.  Where a solver runs
+   a fixed number of iterations (an unreachable target), the words per
+   iteration come from the difference of two run lengths, so per-solve
+   constants cancel. *)
 
 module Json = Dadu_util.Json
 
@@ -208,12 +209,45 @@ let quickik_timed ~ws problem =
   in
   (t, words_per_iter)
 
+(* Quick-IK as perfbench's `plan` runs it: 32 reachable eval:N targets,
+   each solve seeded from the posture of a 4,096-posture library nearest
+   its target and run to the paper accuracy.  ns per iteration is the
+   solves' time over their iterations, and the words per iteration
+   include each solve's constant (its result and answer vector).  The
+   iterations per solve are a count of work, gated with the words. *)
 let quickik_steady_state ~dof =
+  let open Dadu_core in
+  let module Library = Dadu_service.Posture_library in
   let chain = Dadu_kinematics.Robots.eval_chain ~dof in
-  let target = Dadu_linalg.Vec3.make 1e6 1e6 1e6 in
-  quickik_timed
-    ~ws:(Dadu_core.Workspace.create ~dof)
-    (Dadu_core.Ik.problem ~chain ~target ~theta0:(Array.make dof 0.1))
+  let library = Library.build ~chain ~count:4096 ~seed:42 () in
+  let rng = Dadu_util.Rng.create 31 in
+  let solves = 32 in
+  let problems =
+    Array.init solves (fun _ ->
+        let p = Ik.random_problem rng chain in
+        let t = p.Ik.target in
+        let nearest =
+          Library.nearest_index library ~x:t.Dadu_linalg.Vec3.x
+            ~y:t.Dadu_linalg.Vec3.y ~z:t.Dadu_linalg.Vec3.z
+        in
+        { p with Ik.theta0 = Library.posture library nearest })
+  in
+  let ws = Workspace.create ~dof in
+  let pass () =
+    Array.fold_left
+      (fun iters p ->
+        iters
+        + (Quick_ik.solve ~speculations:64 ~workspace:ws ~config:Ik.default_config p)
+            .Ik.iterations)
+      0 problems
+  in
+  let iters = pass () in
+  (* warm, and the iterations every pass runs *)
+  let w0 = Gc.minor_words () in
+  ignore (pass ());
+  let w1 = Gc.minor_words () in
+  let t = Stats.measure ~units:(float_of_int iters) (fun () -> ignore (pass ())) in
+  (t, (w1 -. w0) /. float_of_int iters, float_of_int iters /. float_of_int solves)
 
 (* A filtered-sweep entry's counts, per sweep. *)
 let sweep_counts (c : Dadu_kinematics.Fk.filter_counts) =
@@ -282,7 +316,10 @@ let speckernel_steady_state ~dof =
 (* Steady-state cost of one cold one-shot request through
    [Service.solve_batch] (scheduler + fallback chain + metrics), serial:
    the number bench_diff gates so scheduler/tracing overhead cannot creep
-   into the per-request allocation budget unnoticed. *)
+   into the per-request allocation budget unnoticed.  The words are the
+   fewest of 5 batches': the batch in which a request's latency first
+   lands in a new binade also allocates that binade's 129-word histogram
+   row, and which batch that is depends on the clock, not the code. *)
 let serve_steady_state ~dof =
   let module Svc = Dadu_service.Service in
   let problems = serve_workload ~dof ~fresh_count:32 in
@@ -292,12 +329,13 @@ let serve_steady_state ~dof =
   ignore (Svc.solve_batch service problems);
   ignore (Svc.solve_batch service problems);
   let batch () = ignore (Svc.solve_batch service problems) in
-  let w0 = Gc.minor_words () in
+  let words = ref infinity in
   for _ = 1 to 5 do
-    batch ()
+    let w0 = Gc.minor_words () in
+    batch ();
+    words := Float.min !words (Gc.minor_words () -. w0)
   done;
-  let w1 = Gc.minor_words () in
-  let words_per_request = (w1 -. w0) /. float_of_int (5 * n) in
+  let words_per_request = !words /. float_of_int n in
   let t = Stats.measure ~units:(float_of_int n) batch in
   (t, words_per_request)
 
@@ -764,7 +802,8 @@ let run_micro_json () =
     Table.create
       ~title:
         ("steady state (filtered sweep: " ^ isa ^ " clone): quickik = \
-         solver iteration (64 spec), \
+         solver iteration (64 spec) of library-seeded solves to \
+         reachable targets, \
          speckernel = one raw 64-candidate sweep, specargmin = one \
          filtered 64-candidate sweep on a session-path solver state, \
          frames = one frames pass on the same states, \
@@ -814,8 +853,10 @@ let run_micro_json () =
   let benchmarks =
     List.map
       (fun dof ->
-        entry (Printf.sprintf "quickik-seq-dof%d" dof) dof
-          (quickik_steady_state ~dof))
+        let t, words, per_solve = quickik_steady_state ~dof in
+        with_counts
+          (entry (Printf.sprintf "quickik-seq-dof%d" dof) dof (t, words))
+          [ ("iters_per_solve", per_solve) ])
       dofs
     @ List.map
         (fun dof ->

@@ -53,8 +53,9 @@ let words_metrics = [ lower "words_per_iter" 8. ]
    as any missing gated field).  These are counts of work, deterministic
    across machines, so they stay gated even under --words-only:
    iterations per session waypoint (floor 1 iteration, for convergence
-   jitter near the 1-2 iteration steady state), iterations of cold and
-   seeded solves (floor 1), and the filtered sweep's exact re-scores and
+   jitter near the 1-2 iteration steady state), iterations of cold,
+   seeded and library-seeded timed solves (floor 1), and the filtered
+   sweep's exact re-scores and
    declined fast paths per sweep (floor 0.01: one sweep in a hundred).
    Its sweeps folded by angle addition over the step-size ladder
    (ladder_per_sweep, floor 0.01) gate the other way: a fall-back to the
@@ -64,6 +65,7 @@ let optional_metrics =
     lower "iters_per_waypoint" 1.;
     lower "iters_cold" 1.;
     lower "iters_seeded" 1.;
+    lower "iters_per_solve" 1.;
     lower "rescores_per_sweep" 0.01;
     lower "declined_per_sweep" 0.01;
     { field = "ladder_per_sweep"; floor = 0.01; higher_is_better = true };
