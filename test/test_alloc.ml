@@ -411,7 +411,7 @@ let test_remember_reply_zero () =
    hold them: the replies' bytes live off the heap, so after a full
    major collection the heap's live words have grown by far less than
    the windows' bytes.  2,048 such replies kept on the heap read
-   +225,307 live words, which the GC's space overhead then multiplies
+   +225,042 live words, which the GC's space overhead then multiplies
    into the heap's size. *)
 let test_windows_off_heap () =
   let module Session = Dadu_service.Session in
