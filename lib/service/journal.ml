@@ -140,87 +140,159 @@ let stage st r =
   st.len <- start + 4 + n + 8;
   st.records <- st.records + 1
 
-(* ---- decoding -------------------------------------------------------- *)
+(* ---- decoding --------------------------------------------------------
+
+   One validating pass over a record's payload finds where each field
+   lies and copies nothing: the pass fills a [view], one per fold,
+   overwritten for each record.  Replay reads a commit's θ and reply
+   straight from the read buffer through it ([theta_into], [buffer]);
+   [record] copies the fields out when a decoded value is wanted. *)
 
 exception Defect of load_error
 
-(* A decode cursor over [b.[pos, stop)]: top-level readers rather than
-   closures, and theta read straight into a float array, so decoding a
-   record allocates only the record's own values. *)
-type cursor = { b : bytes; mutable pos : int; stop : int }
+type view = {
+  mutable b : bytes; (* the read buffer *)
+  mutable pos : int; (* the pass's cursor *)
+  mutable stop : int; (* end of the payload *)
+  mutable offset : int; (* file offset of the record's length header *)
+  mutable length : int; (* the record's bytes on file *)
+  mutable tag : int;
+  mutable name_at : int;
+  mutable name_len : int;
+  mutable robot_at : int; (* Opened *)
+  mutable robot_len : int;
+  mutable chain_fp : int;
+  mutable dof : int;
+  mutable ordinal : int; (* Committed *)
+  mutable theta_at : int; (* -1: no θ *)
+  mutable theta_len : int;
+  mutable reply_at : int;
+  mutable reply_len : int;
+}
 
-let need c n = if c.pos + n > c.stop then raise (Defect (Malformed "short field"))
+let view () =
+  {
+    b = Bytes.empty; pos = 0; stop = 0; offset = 0; length = 0; tag = 0;
+    name_at = 0; name_len = 0; robot_at = 0; robot_len = 0; chain_fp = 0;
+    dof = 0; ordinal = 0; theta_at = -1; theta_len = 0; reply_at = 0;
+    reply_len = 0;
+  }
 
-let get_u8 c =
-  need c 1;
-  let v = Bytes.get_uint8 c.b c.pos in
-  c.pos <- c.pos + 1;
-  v
+let need v n = if v.pos + n > v.stop then raise (Defect (Malformed "short field"))
 
-let get_u32 c =
-  need c 4;
-  let v = Int32.to_int (Bytes.get_int32_le c.b c.pos) in
-  c.pos <- c.pos + 4;
-  if v < 0 then raise (Defect (Malformed "negative length field"));
-  v
+let get_u8 v =
+  need v 1;
+  let x = Bytes.get_uint8 v.b v.pos in
+  v.pos <- v.pos + 1;
+  x
 
-let get_int c =
-  need c 8;
-  let v = Int64.to_int (Bytes.get_int64_le c.b c.pos) in
-  c.pos <- c.pos + 8;
-  v
+let get_u32 v =
+  need v 4;
+  let x = Int32.to_int (Bytes.get_int32_le v.b v.pos) in
+  v.pos <- v.pos + 4;
+  if x < 0 then raise (Defect (Malformed "negative length field"));
+  x
 
-let get_floats c n =
-  need c (8 * n);
-  let a = Array.create_float n in
-  for i = 0 to n - 1 do
-    Array.unsafe_set a i
-      (Int64.float_of_bits (Bytes.get_int64_le c.b (c.pos + (8 * i))))
-  done;
-  c.pos <- c.pos + (8 * n);
-  a
+let get_int v =
+  need v 8;
+  let x = Int64.to_int (Bytes.get_int64_le v.b v.pos) in
+  v.pos <- v.pos + 8;
+  x
 
-let get_str c ~what ~cap =
-  let n = get_u32 c in
+(* a string field, left in the buffer: returns where it starts, and the
+   cursor ends up just past it *)
+let skip_str v ~what ~cap =
+  let n = get_u32 v in
   if n > cap then
     raise (Defect (Malformed (Printf.sprintf "%s too long (%d)" what n)));
-  need c n;
-  let s = Bytes.sub_string c.b c.pos n in
-  c.pos <- c.pos + n;
-  s
+  need v n;
+  let at = v.pos in
+  v.pos <- v.pos + n;
+  at
 
-let decode_payload b off len =
-  let c = { b; pos = off; stop = off + len } in
-  let r =
-    match get_u8 c with
+let get_dof v =
+  let dof = get_u32 v in
+  if dof > max_dof then raise (Defect (Malformed "dof out of range"));
+  dof
+
+let parse v b off len =
+  v.b <- b;
+  v.pos <- off;
+  v.stop <- off + len;
+  v.tag <- get_u8 v;
+  (match v.tag with
+  | 1 | 2 | 3 ->
+    v.name_at <- skip_str v ~what:"session name" ~cap:max_string_len;
+    v.name_len <- v.pos - v.name_at
+  | tag -> raise (Defect (Malformed (Printf.sprintf "unknown record tag %d" tag))));
+  (match v.tag with
+  | 1 ->
+    v.robot_at <- skip_str v ~what:"robot spec" ~cap:max_string_len;
+    v.robot_len <- v.pos - v.robot_at;
+    v.chain_fp <- get_int v;
+    v.dof <- get_dof v
+  | 2 ->
+    v.ordinal <- get_u32 v;
+    (match get_u8 v with
+    | 0 -> v.theta_at <- -1
     | 1 ->
-      let session = get_str c ~what:"session name" ~cap:max_string_len in
-      let robot = get_str c ~what:"robot spec" ~cap:max_string_len in
-      let chain_fp = get_int c in
-      let dof = get_u32 c in
-      if dof > max_dof then raise (Defect (Malformed "dof out of range"));
-      Opened { session; robot; chain_fp; dof }
-    | 2 ->
-      let session = get_str c ~what:"session name" ~cap:max_string_len in
-      let ordinal = get_u32 c in
-      let theta =
-        match get_u8 c with
-        | 0 -> None
-        | 1 ->
-          let dof = get_u32 c in
-          if dof > max_dof then raise (Defect (Malformed "dof out of range"));
-          Some (get_floats c dof)
-        | _ -> raise (Defect (Malformed "bad theta presence flag"))
-      in
-      let reply = get_str c ~what:"reply payload" ~cap:max_reply_len in
-      Committed { session; ordinal; theta; reply }
-    | 3 ->
-      let session = get_str c ~what:"session name" ~cap:max_string_len in
-      Closed { session }
-    | tag -> raise (Defect (Malformed (Printf.sprintf "unknown record tag %d" tag)))
-  in
-  if c.pos <> c.stop then raise (Defect (Malformed "trailing record bytes"));
-  r
+      let dof = get_dof v in
+      need v (8 * dof);
+      v.theta_at <- v.pos;
+      v.theta_len <- dof;
+      v.pos <- v.pos + (8 * dof)
+    | _ -> raise (Defect (Malformed "bad theta presence flag")));
+    v.reply_at <- skip_str v ~what:"reply payload" ~cap:max_reply_len;
+    v.reply_len <- v.pos - v.reply_at
+  | _ -> ());
+  if v.pos <> v.stop then raise (Defect (Malformed "trailing record bytes"))
+
+let offset v = v.offset
+let length v = v.length
+let is_commit v = v.tag = 2
+let session v = Bytes.sub_string v.b v.name_at v.name_len
+let ordinal v = v.ordinal
+let theta_length v = if v.theta_at < 0 then -1 else v.theta_len
+
+let theta_into v dst =
+  if Array.length dst <> v.theta_len || v.theta_at < 0 then
+    invalid_arg "Journal.theta_into: not the length of the record's theta";
+  for i = 0 to v.theta_len - 1 do
+    Array.unsafe_set dst i
+      (Int64.float_of_bits (Bytes.get_int64_le v.b (v.theta_at + (8 * i))))
+  done
+
+let buffer v = v.b
+let reply_at v = v.reply_at
+let reply_length v = v.reply_len
+
+let record v =
+  match v.tag with
+  | 1 ->
+    Opened
+      {
+        session = session v;
+        robot = Bytes.sub_string v.b v.robot_at v.robot_len;
+        chain_fp = v.chain_fp;
+        dof = v.dof;
+      }
+  | 2 ->
+    let theta =
+      if v.theta_at < 0 then None
+      else begin
+        let th = Array.create_float v.theta_len in
+        theta_into v th;
+        Some th
+      end
+    in
+    Committed
+      {
+        session = session v;
+        ordinal = v.ordinal;
+        theta;
+        reply = Bytes.sub_string v.b v.reply_at v.reply_len;
+      }
+  | _ -> Closed { session = session v }
 
 (* ---- streaming reader -------------------------------------------------
 
@@ -229,7 +301,8 @@ let decode_payload b off len =
    larger than itself: neither the file nor a list of its records is
    ever held.  The records wholly inside the buffer are checksummed up
    to [batch] at a time by {!Checksum.verify} (four interleaved hash
-   chains), then decoded and handed to the fold in file order.  The
+   chains), then parsed into the fold's view and handed to the fold in
+   file order.  The
    first defect stops the fold exactly where the whole-file decoder
    stopped: records are checked in file order (length header, then
    checksum, then payload), and the file's length — not the buffer's —
@@ -299,6 +372,7 @@ let scan r spans =
    decode, and a bad header comes after the whole batch. *)
 let fold_records r ~init ~f =
   let spans = Array.make (2 * batch) 0 in
+  let v = view () in
   let rec loop acc =
     let count, stop = scan r spans in
     let bad = Checksum.verify r.buf ~spans ~count in
@@ -307,10 +381,12 @@ let fold_records r ~init ~f =
       else if i = bad then Error (acc, Checksum_mismatch)
       else
         let off = spans.(2 * i) and n = spans.((2 * i) + 1) in
-        match decode_payload r.buf off n with
-        | record ->
+        match parse v r.buf off n with
+        | () ->
+          v.offset <- r.base + off - 4;
+          v.length <- 4 + n + 8;
           r.lo <- off + n + 8;
-          decode (f acc record) (i + 1)
+          decode (f acc v) (i + 1)
         | exception Defect e -> Error (acc, e)
     in
     match decode acc 0 with
@@ -359,23 +435,67 @@ let read path ~init ~f =
   | exception Sys_error msg -> Error (Io msg)
 
 let load path =
-  match read path ~init:[] ~f:(fun records r -> r :: records) with
+  match read path ~init:[] ~f:(fun records v -> record v :: records) with
   | Error e -> Error e
   | Ok None -> Error Truncated
   | Ok (Some (records, _, _, defect)) -> Ok (List.rev records, defect)
 
 (* ---- append handle ---------------------------------------------------- *)
 
+(* A compaction in flight: the helper thread copies the live records of
+   the journal as it stood at [at] bytes into [<path>.compact]. *)
+type compaction = {
+  src : Unix.file_descr; (* the journal, read *)
+  dst : Unix.file_descr; (* [<path>.compact], written *)
+  at : int; (* the journal's size at the snapshot *)
+  at_records : int; (* records appended through the handle by then *)
+  spans : int array;
+      (* the live records' (offset, length) pairs; after the copy the
+         first [kept] pairs are (old offset, new offset), sorted *)
+  mutable kept : int; (* records copied *)
+  mutable copied : int; (* the compact file's size after the copy *)
+  mutable copy_s : float;
+  mutable error : string option;
+  finished : bool Atomic.t;
+  mutable helper : Thread.t option;
+}
+
 type t = {
-  oc : out_channel;
+  path : string;
+  mutable oc : out_channel;
   lock : Mutex.t;
   own : staging; (* [append]'s, used under [lock] *)
   mutable appended : int;
+  mutable size : int; (* the file's length: header and every record *)
+  mutable compaction : compaction option;
+  mutable retry_at : int; (* no compaction starts below this size *)
 }
 
-let handle oc = { oc; lock = Mutex.create (); own = staging (); appended = 0 }
+let handle path oc ~size =
+  {
+    path;
+    oc;
+    lock = Mutex.create ();
+    own = staging ();
+    appended = 0;
+    size;
+    compaction = None;
+    retry_at = 0;
+  }
+
+let compact_path path = path ^ ".compact"
+
+(* A compact file left by a process killed during a compaction holds
+   nothing the journal does not: it goes.  Anything but a regular file
+   there is left alone. *)
+let remove_stale_compact path =
+  match Unix.lstat (compact_path path) with
+  | { Unix.st_kind = Unix.S_REG; _ } ->
+    (try Unix.unlink (compact_path path) with Unix.Unix_error _ -> ())
+  | _ | (exception Unix.Unix_error _) -> ()
 
 let open_fold path ~init ~f =
+  remove_stale_compact path;
   let fresh () =
     match open_out_bin path with
     | oc ->
@@ -384,7 +504,7 @@ let open_fold path ~init ~f =
       Bytes.set_int32_le b 0 (Int32.of_int version);
       output_bytes oc b;
       flush oc;
-      Ok (handle oc, init, None)
+      Ok (handle path oc ~size:header_len, init, None)
     | exception Sys_error msg -> Error (Io msg)
   in
   if not (Sys.file_exists path) then fresh ()
@@ -407,20 +527,21 @@ let open_fold path ~init ~f =
          ignore (Unix.lseek fd valid_len Unix.SEEK_SET);
          Unix.out_channel_of_descr fd
        with
-      | oc -> Ok (handle oc, acc, defect)
+      | oc -> Ok (handle path oc ~size:valid_len, acc, defect)
       | exception Unix.Unix_error (e, _, _) ->
         Error (Io (Unix.error_message e)))
 
 let open_ path =
   Result.map
     (fun (t, records, defect) -> (t, List.rev records, defect))
-    (open_fold path ~init:[] ~f:(fun records r -> r :: records))
+    (open_fold path ~init:[] ~f:(fun records v -> record v :: records))
 
 (* called with [lock] held: one output and one flush for everything
    staged *)
 let output_staged t (st : staging) =
   output t.oc st.buf 0 st.len;
   flush t.oc;
+  t.size <- t.size + st.len;
   t.appended <- t.appended + st.records
 
 (* the staging is emptied whether or not the write succeeds *)
@@ -442,7 +563,205 @@ let append t r =
 
 let appended t = t.appended
 
+let size t = t.size
+
+let staged_bytes (st : staging) = st.len
+
+(* ---- compaction --------------------------------------------------------
+
+   A journal's live records are those replay needs to rebuild the
+   registry it rebuilds from the whole file ({!Session} knows which they
+   are); the rest are dead.  Once the dead bytes reach
+   max(live, [buffer_bytes]), [compact_start] snapshots the live
+   records' spans and the file's size X, and a helper thread copies
+   those records verbatim, in file order, into [<path>.compact] and
+   fsyncs it, outside the runtime lock ([copy]).  [compact_finish]
+   appends the bytes written since X, renames the compact file over
+   the journal and swaps the append channel.  Replaying the result
+   folds the same registry: what was dropped changed nothing replay
+   keeps, and the records written since X follow in order.  A kill at
+   any step leaves either the journal as it was (plus a stale compact
+   file, removed at the next start-up) or the renamed file, which holds
+   every record written (DESIGN.md §16). *)
+
+external copy :
+  Unix.file_descr -> Unix.file_descr -> int array -> int -> bool -> int
+  = "dadu_journal_copy"
+
+let should_compact t ~live =
+  Option.is_none t.compaction && t.size >= t.retry_at
+  && t.size - header_len - live >= max live buffer_bytes
+
+(* a failed compaction is not tried again before the journal has grown
+   by as much again *)
+let back_off t ~live = t.retry_at <- t.size + max live buffer_bytes
+
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+let run_copy c =
+  let t0 = Unix.gettimeofday () in
+  (match copy c.src c.dst c.spans (Array.length c.spans / 2) true with
+  | kept ->
+    (* the pairs become (old offset, new offset) *)
+    let next = ref header_len in
+    for k = 0 to kept - 1 do
+      let len = c.spans.((2 * k) + 1) in
+      c.spans.((2 * k) + 1) <- !next;
+      next := !next + len
+    done;
+    c.kept <- kept;
+    c.copied <- !next
+  | exception Sys_error msg -> c.error <- Some msg);
+  c.copy_s <- Unix.gettimeofday () -. t0;
+  Atomic.set c.finished true
+
+let compact_start t ~spans ~count =
+  if count < 0 || 2 * count > Array.length spans then
+    invalid_arg "Journal.compact_start: count out of range";
+  for k = 0 to count - 1 do
+    let off = spans.(2 * k) and len = spans.((2 * k) + 1) in
+    if off < header_len || len <= 0 || off > t.size - len then
+      invalid_arg "Journal.compact_start: span outside the journal"
+  done;
+  let live = ref 0 in
+  for k = 0 to count - 1 do
+    live := !live + spans.((2 * k) + 1)
+  done;
+  let failed msg =
+    back_off t ~live:!live;
+    Error msg
+  in
+  match
+    Unix.openfile (compact_path t.path)
+      [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ]
+      0o666
+  with
+  | exception Unix.Unix_error (e, _, _) ->
+    failed (Printf.sprintf "%s: %s" (compact_path t.path) (Unix.error_message e))
+  | dst ->
+    (match
+       let h = Bytes.create header_len in
+       Bytes.blit_string magic 0 h 0 (String.length magic);
+       Bytes.set_int32_le h (String.length magic) (Int32.of_int version);
+       if Unix.write dst h 0 header_len <> header_len then
+         raise (Unix.Unix_error (Unix.EIO, "write", ""));
+       Unix.openfile t.path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0
+     with
+    | exception Unix.Unix_error (e, _, _) ->
+      close_quietly dst;
+      (try Unix.unlink (compact_path t.path) with Unix.Unix_error _ -> ());
+      failed (Printf.sprintf "%s: %s" (compact_path t.path) (Unix.error_message e))
+    | src ->
+      let c =
+        {
+          src;
+          dst;
+          at = t.size;
+          at_records = t.appended;
+          spans = Array.sub spans 0 (2 * count);
+          kept = 0;
+          copied = 0;
+          copy_s = 0.;
+          error = None;
+          finished = Atomic.make false;
+          helper = None;
+        }
+      in
+      c.helper <- Some (Thread.create run_copy c);
+      t.compaction <- Some c;
+      Ok ())
+
+let compacting t = Option.is_some t.compaction
+
+let compact_ready t =
+  match t.compaction with Some c -> Atomic.get c.finished | None -> false
+
+type compacted = {
+  before : int;
+  after : int;
+  records : int;
+  copy_s : float;
+  relocate : int -> int;
+}
+
+(* where a record at [off] of the old file lies in the compacted one:
+   past the snapshot it moved with the tail, before it it is one of the
+   copied records *)
+let relocate c ~tail_at off =
+  if off >= c.at then off - c.at + tail_at
+  else begin
+    let rec find lo hi =
+      if lo >= hi then
+        invalid_arg "Journal: relocating a record the compaction did not copy"
+      else
+        let mid = (lo + hi) / 2 in
+        let o = c.spans.(2 * mid) in
+        if o = off then c.spans.((2 * mid) + 1)
+        else if o < off then find (mid + 1) hi
+        else find lo mid
+    in
+    find 0 c.kept
+  end
+
+(* the compact file and its descriptors go; the journal stays as it is *)
+let abandon t c =
+  t.compaction <- None;
+  close_quietly c.src;
+  close_quietly c.dst;
+  try Unix.unlink (compact_path t.path) with Unix.Unix_error _ -> ()
+
+let join c = Option.iter Thread.join c.helper
+
+let compact_finish t =
+  match t.compaction with
+  | None -> invalid_arg "Journal.compact_finish: no compaction in flight"
+  | Some c ->
+    join c;
+    let live = c.copied - header_len in
+    (match c.error with
+    | Some msg ->
+      abandon t c;
+      back_off t ~live;
+      Error msg
+    | None ->
+      Mutex.lock t.lock;
+      Fun.protect
+        ~finally:(fun () -> Mutex.unlock t.lock)
+        (fun () ->
+          let before = t.size in
+          let tail = before - c.at in
+          let gone msg =
+            abandon t c;
+            back_off t ~live;
+            Error msg
+          in
+          match
+            if tail > 0 then ignore (copy c.src c.dst [| c.at; tail |] 1 false);
+            Unix.rename (compact_path t.path) t.path
+          with
+          | exception Sys_error msg -> gone msg
+          | exception Unix.Unix_error (e, _, _) -> gone (Unix.error_message e)
+          | () ->
+            t.compaction <- None;
+            close_quietly c.src;
+            close_out_noerr t.oc;
+            t.oc <- Unix.out_channel_of_descr c.dst;
+            t.size <- c.copied + tail;
+            Ok
+              {
+                before;
+                after = t.size;
+                records = c.kept + (t.appended - c.at_records);
+                copy_s = c.copy_s;
+                relocate = relocate c ~tail_at:c.copied;
+              }))
+
 let close t =
+  Option.iter
+    (fun c ->
+      join c;
+      abandon t c)
+    t.compaction;
   Mutex.lock t.lock;
   close_out_noerr t.oc;
   Mutex.unlock t.lock

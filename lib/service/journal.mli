@@ -15,12 +15,18 @@
     Replay is one streaming pass: {!open_fold} reads the file through a
     single buffer (1 MiB, or the file's size if smaller; grown only for
     a larger record), checksums the records resident in it four at a
-    time ({!Checksum.verify}), and hands each decoded record to a fold
-    at once, so neither the file nor a list of its records is ever
-    held.  Recovery never trusts the tail: the fold stops at the first
-    defect, reported as a typed {!load_error}; the records folded are
-    the longest valid prefix.  {!load} and {!open_} are the same pass
-    with a list accumulator. *)
+    time ({!Checksum.verify}), and hands each record to a fold at once
+    as a {!view} of the bytes where they lie, so neither the file nor a
+    list of its records is ever held, and a commit's θ and reply are
+    read straight from the buffer.  Recovery never trusts the tail: the
+    fold stops at the first defect, reported as a typed {!load_error};
+    the records folded are the longest valid prefix.  {!load} and
+    {!open_} are the same pass with a list accumulator.
+
+    The journal is compacted online ({!compact_start}): once its dead
+    records outweigh max(live, {!buffer_bytes}), the live ones are
+    copied verbatim into [<path>.compact] by a helper thread and the
+    copy is renamed over the journal (DESIGN.md §16). *)
 
 type record =
   | Opened of { session : string; robot : string; chain_fp : int; dof : int }
@@ -71,17 +77,58 @@ type t
 (** An open journal positioned for appending.  Appends are serialized
     internally — safe to call from any thread. *)
 
+type view
+(** A record where it lies in the read buffer, as {!open_fold} hands it
+    to its fold: valid only during that call, then overwritten by the
+    next record.  Its fields were checked when it was read; reading them
+    copies only what the reader asks for. *)
+
+val offset : view -> int
+(** The file offset of the record's length header. *)
+
+val length : view -> int
+(** The record's bytes on file: length header, payload and checksum. *)
+
+val record : view -> record
+(** The record decoded, its strings and θ copied out. *)
+
+val is_commit : view -> bool
+
+val session : view -> string
+(** The record's session name, copied. *)
+
+val ordinal : view -> int
+(** A [Committed] record's ordinal. *)
+
+val theta_length : view -> int
+(** The number of θ entries a [Committed] record carries; [-1] when it
+    carries none. *)
+
+val theta_into : view -> float array -> unit
+(** Read a [Committed] record's θ into an array of {!theta_length}
+    entries.  Raises [Invalid_argument] on another length. *)
+
+val buffer : view -> bytes
+(** The read buffer the record lies in: read it, never write it. *)
+
+val reply_at : view -> int
+(** Where a [Committed] record's reply starts in {!buffer}. *)
+
+val reply_length : view -> int
+
 val open_fold :
   string ->
   init:'a ->
-  f:('a -> record -> 'a) ->
+  f:('a -> view -> 'a) ->
   (t * 'a * load_error option, load_error) result
-(** [open_fold path ~init ~f] creates the journal (with header) if
-    missing or empty.  Otherwise it folds [f] over the longest valid
-    record prefix in file order, each record as soon as it is decoded,
-    {b truncates} any damaged tail back to that prefix, and returns the
-    handle positioned at the end with the accumulator and the defect.
-    [Error] as for {!load}; [f] may already have seen records then. *)
+(** [open_fold path ~init ~f] first removes a regular file left at
+    [<path>.compact] by a compaction that never finished.  It creates
+    the journal (with header) if missing or empty.  Otherwise it folds
+    [f] over the longest valid record prefix in file order, each record
+    as soon as it is read, {b truncates} any damaged tail back to that
+    prefix, and returns the handle positioned at the end with the
+    accumulator and the defect.  [Error] as for {!load}; [f] may
+    already have seen records then. *)
 
 val open_ : string -> (t * record list * load_error option, load_error) result
 (** {!open_fold} collecting the recovered records in a list. *)
@@ -112,4 +159,59 @@ val write_staged : t -> staging -> unit
 val appended : t -> int
 (** Records appended through this handle (not counting replayed ones). *)
 
+val size : t -> int
+(** The journal's length in bytes: the offset the next record written
+    through the handle starts at. *)
+
+val staged_bytes : staging -> int
+(** Bytes staged and not yet written: a record staged next starts at
+    this offset from the start of the staging's write. *)
+
+val buffer_bytes : int
+(** The replay's read buffer (1 MiB), and the least dead weight that
+    starts a compaction. *)
+
+(** {2 Compaction}
+
+    One compaction at a time, driven by one caller that also serializes
+    every append ({!Server}'s session lock). *)
+
+val should_compact : t -> live:int -> bool
+(** No compaction is in flight, and the dead bytes (all but the header
+    and the [live] bytes) reach max([live], {!buffer_bytes}).  After a
+    failed compaction, not before the journal has grown by that much
+    again. *)
+
+val compact_start : t -> spans:int array -> count:int -> (unit, string) result
+(** Start copying the live records, the first [count] (offset, length)
+    pairs of [spans] (any order; duplicates allowed), into
+    [<path>.compact] on a helper thread, which fsyncs the copy.  Appends
+    go on meanwhile.  [Error] when the compact file cannot be created
+    or the journal reopened; the journal is untouched.  Raises
+    [Invalid_argument] for a span outside the journal. *)
+
+val compacting : t -> bool
+
+val compact_ready : t -> bool
+(** The helper has finished: {!compact_finish} will not wait. *)
+
+type compacted = {
+  before : int;  (** the journal's bytes before the swap *)
+  after : int;  (** and after *)
+  records : int;  (** records in the compacted journal *)
+  copy_s : float;  (** the helper's copy and fsync *)
+  relocate : int -> int;
+      (** the new offset of a record at this offset of the old file:
+          one of the copied records, or one written since the copy
+          began.  Raises [Invalid_argument] for any other. *)
+}
+
+val compact_finish : t -> (compacted, string) result
+(** Wait for the helper, append what was written since {!compact_start},
+    rename the compact file over the journal and append to it from then
+    on.  [Error] if the copy failed: the compact file is removed and the
+    journal is as it was.  Raises [Invalid_argument] when no compaction
+    is in flight. *)
+
 val close : t -> unit
+(** Close the journal; a compaction in flight is abandoned. *)

@@ -145,6 +145,10 @@ type t = {
   journal : Journal.t option;
   mutable journal_recovery : Journal.load_error option;
       (* the defect (if any) found and cut off while opening the journal *)
+  mutable live_bytes : int;
+      (* guarded by slock: the bytes of the registered sessions' live
+         journal records *)
+  mutable snapshot_ms : float; (* the running compaction's snapshot stall *)
 }
 
 let tenant_of t name =
@@ -170,33 +174,38 @@ type replayed = {
 
 (* Rebuild the session registry from the journal in one streaming fold:
    each record's lifecycle event (open / commit / close) is applied to
-   the registry as soon as it is decoded, so a live session holds its
+   the registry as soon as it is read, so a live session holds its
    ordinal counter, warm-start slot and reply window, and nothing else
    of the history is kept — the state an uninterrupted server would
-   hold with in-flight work excluded (DESIGN.md §16). *)
+   hold with in-flight work excluded (DESIGN.md §16).  A commit is
+   applied from the read buffer: only its session name is copied out. *)
 let replay_journal path =
   let sessions = Hashtbl.create 16 in
   let records = ref 0 in
-  let apply applied record =
+  let apply applied v =
     incr records;
     let ok =
-      match record with
+      if Journal.is_commit v then
+        match Hashtbl.find sessions (Journal.session v) with
+        | exception Not_found -> false
+        | sess ->
+          Session.replay_commit sess v;
+          true
+      else
+      match Journal.record v with
       | Journal.Opened { session; robot; chain_fp; dof = _ } ->
         (match Pf.robot_of_spec robot with
         | Error _ -> false (* spec no longer resolves: drop the session *)
         | Ok chain ->
           if Chain.fingerprint chain = chain_fp && not (Hashtbl.mem sessions session)
           then begin
-            Hashtbl.replace sessions session (Session.create ~name:session ~chain);
+            let sess = Session.create ~name:session ~chain in
+            Session.journal_opened sess ~off:(Journal.offset v) ~len:(Journal.length v);
+            Hashtbl.replace sessions session sess;
             true
           end
           else false)
-      | Journal.Committed { session; ordinal; theta; reply } ->
-        (match Hashtbl.find_opt sessions session with
-        | None -> false
-        | Some sess ->
-          Session.replay_commit sess ~ordinal ~theta reply;
-          true)
+      | Journal.Committed _ -> false
       | Journal.Closed { session } ->
         (match Hashtbl.find_opt sessions session with
         | None -> false
@@ -255,6 +264,11 @@ let create ?pool ?(config = default_config) () =
       nconns = Atomic.make 0;
       journal = Option.map (fun r -> r.journal) replayed;
       journal_recovery = Option.bind replayed (fun r -> r.defect);
+      live_bytes =
+        (match replayed with
+        | Some r -> Hashtbl.fold (fun _ s acc -> acc + Session.live_bytes s) r.sessions 0
+        | None -> 0);
+      snapshot_ms = 0.;
     }
   in
   (match replayed with
@@ -492,6 +506,41 @@ let registered (t : t) name sess =
   | Some current -> current == sess
   | None -> false
 
+(* ---- compaction --------------------------------------------------------
+
+   Called by the dispatcher under slock after each batch's journal
+   write, so no record is written between a step's reads of the
+   registry and its use of the journal.  A compaction the helper has
+   finished is swapped in, then a new one starts if the dead records
+   reach the trigger (Journal.should_compact).  The snapshot is the
+   registered sessions' live spans; the swap moves their offsets to the
+   compacted file.  One stderr line reports each compaction. *)
+
+let ms_since t0 = (Unix.gettimeofday () -. t0) *. 1000.
+
+let swap_compaction (t : t) j =
+  let t0 = Unix.gettimeofday () in
+  match Journal.compact_finish j with
+  | Error msg -> Printf.eprintf "dadu: journal compaction failed: %s\n%!" msg
+  | Ok c ->
+    Hashtbl.iter (fun _ sess -> Session.relocate sess c.Journal.relocate) t.sessions;
+    Printf.eprintf
+      "dadu: journal compacted: %d -> %d bytes, %d records kept, copy %.1f ms, stalls: snapshot %.2f ms, swap %.2f ms\n%!"
+      c.Journal.before c.Journal.after c.Journal.records
+      (c.Journal.copy_s *. 1000.) t.snapshot_ms (ms_since t0)
+
+let start_compaction (t : t) j =
+  let t0 = Unix.gettimeofday () in
+  let spans = Array.make (2 * 131 * Hashtbl.length t.sessions) 0 in
+  let n = Hashtbl.fold (fun _ sess pos -> Session.live_spans_into sess spans pos) t.sessions 0 in
+  match Journal.compact_start j ~spans ~count:(n / 2) with
+  | Ok () -> t.snapshot_ms <- ms_since t0
+  | Error msg -> Printf.eprintf "dadu: journal compaction skipped: %s\n%!" msg
+
+let compaction_step (t : t) j =
+  if Journal.compact_ready j then swap_compaction t j;
+  if Journal.should_compact j ~live:t.live_bytes then start_compaction t j
+
 (* Group commit, the write-ahead step of a batch, under slock.  First
    the commit record of every session reply whose session is still the
    one registered under its name is staged, and the batch's records are
@@ -517,6 +566,8 @@ let commit_batch t staging jobs (replies : Service.reply array) payloads =
       (match t.journal with
       | None -> ()
       | Some j ->
+        (* each record's span: the staging lands at the journal's end *)
+        let base = Journal.size j in
         Array.iteri
           (fun i job ->
             match (job.jsession, job.jrequest.Service.session) with
@@ -527,14 +578,21 @@ let commit_batch t staging jobs (replies : Service.reply array) payloads =
                   Some result.Ik.theta
                 | _ -> None
               in
+              let at = Journal.staged_bytes staging in
               Journal.stage staging
                 (Journal.Committed
                    { session; ordinal = job.jordinal; theta; reply = payloads.(i) });
+              let live = Session.live_bytes sess in
+              Session.journal_commit sess ~ordinal:job.jordinal
+                ~theta:(Option.is_some theta) ~off:(base + at)
+                ~len:(Journal.staged_bytes staging - at);
+              t.live_bytes <- t.live_bytes + Session.live_bytes sess - live;
               Metrics.record_net (tenant_of t job.jtenant).metrics
                 Metrics.Journal_append
             | _ -> ())
           jobs;
-        Journal.write_staged j staging);
+        Journal.write_staged j staging;
+        compaction_step t j);
       Array.iteri
         (fun i job ->
           match (job.jsession, job.jrequest.Service.session) with
@@ -651,7 +709,13 @@ let dispatcher t () =
       flush_later !later;
       later := []
     end
-  done
+  done;
+  (* a compaction still copying lands before the drain returns *)
+  match t.journal with
+  | Some j when Journal.compacting j ->
+    Mutex.lock t.slock;
+    Fun.protect ~finally:(fun () -> Mutex.unlock t.slock) (fun () -> swap_compaction t j)
+  | Some _ | None -> ()
 
 (* ---- ops ------------------------------------------------------------- *)
 
@@ -721,6 +785,7 @@ let handle_open t conn ~id ~session ~robot =
         Hashtbl.add t.sessions session sess;
         (match t.journal with
         | Some j ->
+          let off = Journal.size j in
           Journal.append j
             (Journal.Opened
                {
@@ -729,6 +794,8 @@ let handle_open t conn ~id ~session ~robot =
                  chain_fp = Chain.fingerprint chain;
                  dof = Chain.dof chain;
                });
+          Session.journal_opened sess ~off ~len:(Journal.size j - off);
+          t.live_bytes <- t.live_bytes + Session.live_bytes sess;
           Metrics.record_net (tenant_of t conn.tenant).metrics
             Metrics.Journal_append
         | None -> ());
@@ -860,6 +927,8 @@ let handle_close t conn ~id ~session =
   (match found with
   | Some sess ->
     Hashtbl.remove t.sessions session;
+    (* its records are dead from now on *)
+    t.live_bytes <- t.live_bytes - Session.live_bytes sess;
     (* the window's bytes are off the heap, so they go now, not when
        the GC gets round to the session; a late commit of it leaves the
        released window alone *)

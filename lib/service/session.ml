@@ -13,6 +13,30 @@ open Dadu_kinematics
    their size times the GC's space overhead. *)
 let ring_capacity = 128
 
+(* Where the session's live journal records lie: the records replay
+   needs to rebuild this session as the whole journal rebuilds it, which
+   is what a compaction copies (DESIGN.md §16).  Replay keeps the last
+   commit (its ordinal resumes the counter), the last commit with θ
+   (the slot) and, like the ring, the commits of the last 128 ordinals
+   journaled; the journal holds no shed, so this window follows the
+   newest journaled ordinal, not [newest].  A span is an offset and a
+   length, the length 0 when there is no record. *)
+type spans = {
+  mutable opened_at : int;
+  mutable opened_len : int;
+  mutable jnewest : int; (* highest journaled ordinal; -1 before any *)
+  jordinals : int array; (* per slot: a journaled ordinal in the window, or -1 *)
+  joffsets : int array;
+  jlengths : int array;
+  mutable window_bytes : int; (* the window's records' bytes *)
+  mutable theta_ordinal : int; (* the last commit with θ *)
+  mutable theta_at : int;
+  mutable theta_len : int;
+  mutable last_ordinal : int; (* the last commit *)
+  mutable last_at : int;
+  mutable last_len : int;
+}
+
 type t = {
   name : string;
   chain : Chain.t;
@@ -23,6 +47,7 @@ type t = {
   mutable newest : int; (* highest ordinal remembered; -1 before any *)
   ring_ordinals : int array; (* per slot: the ordinal held, -1 if none *)
   ring : Slab.t; (* per slot: its final reply bytes *)
+  journal : spans;
 }
 
 let create ~name ~chain =
@@ -35,6 +60,22 @@ let create ~name ~chain =
     newest = -1;
     ring_ordinals = Array.make ring_capacity (-1);
     ring = Slab.create ~slots:ring_capacity;
+    journal =
+      {
+        opened_at = 0;
+        opened_len = 0;
+        jnewest = -1;
+        jordinals = Array.make ring_capacity (-1);
+        joffsets = Array.make ring_capacity 0;
+        jlengths = Array.make ring_capacity 0;
+        window_bytes = 0;
+        theta_ordinal = -1;
+        theta_at = 0;
+        theta_len = 0;
+        last_ordinal = -1;
+        last_at = 0;
+        last_len = 0;
+      };
   }
 
 let name t = t.name
@@ -69,15 +110,19 @@ let store t ~chain_fp theta =
 
 let in_window t ordinal = ordinal >= 0 && ordinal > t.newest - ring_capacity
 
-let remember_reply t ~ordinal payload =
+let remember t ~ordinal b ~off ~len =
   if not (Slab.released t.ring) then begin
     if ordinal > t.newest then t.newest <- ordinal;
     if in_window t ordinal then begin
       let i = ordinal mod ring_capacity in
       t.ring_ordinals.(i) <- ordinal;
-      Slab.set t.ring i payload
+      Slab.set_sub t.ring i b ~off ~len
     end
   end
+
+let remember_reply t ~ordinal payload =
+  remember t ~ordinal (Bytes.unsafe_of_string payload) ~off:0
+    ~len:(String.length payload)
 
 (* an in-window ordinal's slot holds it or an older ordinal, never a
    newer one: two ordinals of one slot are [ring_capacity] apart *)
@@ -97,13 +142,123 @@ let awaiting_reply t ~ordinal =
   ordinal >= t.base && ordinal < t.seq && in_window t ordinal
   && not (held t ordinal)
 
+(* ---- journal spans ---- *)
+
+let journal_opened t ~off ~len =
+  t.journal.opened_at <- off;
+  t.journal.opened_len <- len
+
+let in_journal_window j o = o >= 0 && o > j.jnewest - ring_capacity
+
+(* the record at [at] is the window's record of [ordinal] *)
+let in_window_spans j ~ordinal ~at =
+  in_journal_window j ordinal
+  && j.jordinals.(ordinal mod ring_capacity) = ordinal
+  && j.joffsets.(ordinal mod ring_capacity) = at
+
+let clear_slot j i =
+  if j.jordinals.(i) >= 0 then begin
+    j.window_bytes <- j.window_bytes - j.jlengths.(i);
+    j.jordinals.(i) <- -1
+  end
+
+let journal_commit t ~ordinal ~theta ~off ~len =
+  let j = t.journal in
+  if ordinal > j.jnewest then begin
+    (* the ordinals that leave the window as it moves up *)
+    if ordinal - j.jnewest >= ring_capacity then
+      for i = 0 to ring_capacity - 1 do
+        clear_slot j i
+      done
+    else
+      for o = j.jnewest - ring_capacity + 1 to ordinal - ring_capacity do
+        if o >= 0 && j.jordinals.(o mod ring_capacity) = o then
+          clear_slot j (o mod ring_capacity)
+      done;
+    j.jnewest <- ordinal
+  end;
+  if in_journal_window j ordinal then begin
+    let i = ordinal mod ring_capacity in
+    clear_slot j i;
+    j.jordinals.(i) <- ordinal;
+    j.joffsets.(i) <- off;
+    j.jlengths.(i) <- len;
+    j.window_bytes <- j.window_bytes + len
+  end;
+  if theta then begin
+    j.theta_ordinal <- ordinal;
+    j.theta_at <- off;
+    j.theta_len <- len
+  end;
+  j.last_ordinal <- ordinal;
+  j.last_at <- off;
+  j.last_len <- len
+
+(* The last commit with θ, and the last commit, when the window does not
+   hold them already; each is visited once. *)
+let iter_extra j f =
+  let theta = j.theta_len > 0 && not (in_window_spans j ~ordinal:j.theta_ordinal ~at:j.theta_at) in
+  if theta then f j.theta_at j.theta_len;
+  if j.last_len > 0
+     && (not (in_window_spans j ~ordinal:j.last_ordinal ~at:j.last_at))
+     && not (j.theta_len > 0 && j.last_at = j.theta_at)
+  then f j.last_at j.last_len
+
+let live_bytes t =
+  let j = t.journal in
+  let extra = ref 0 in
+  iter_extra j (fun _ len -> extra := !extra + len);
+  j.opened_len + j.window_bytes + !extra
+
+let live_spans_into t spans pos =
+  let j = t.journal in
+  let pos = ref pos in
+  let add at len =
+    spans.(!pos) <- at;
+    spans.(!pos + 1) <- len;
+    pos := !pos + 2
+  in
+  if j.opened_len > 0 then add j.opened_at j.opened_len;
+  for i = 0 to ring_capacity - 1 do
+    if j.jordinals.(i) >= 0 then add j.joffsets.(i) j.jlengths.(i)
+  done;
+  iter_extra j add;
+  !pos
+
+let relocate t f =
+  let j = t.journal in
+  if j.opened_len > 0 then j.opened_at <- f j.opened_at;
+  for i = 0 to ring_capacity - 1 do
+    if j.jordinals.(i) >= 0 then j.joffsets.(i) <- f j.joffsets.(i)
+  done;
+  (* a record the window holds too moves to the same offset, so the
+     window checks of [iter_extra] still hold *)
+  if j.theta_len > 0 then j.theta_at <- f j.theta_at;
+  if j.last_len > 0 then j.last_at <- f j.last_at
+
 (* Journal replay: the journal holds commits in ordinal order, so after
    the last one the counter resumes right after it, the slot holds the
    last converged configuration and the ring the last replies — the
    state an uninterrupted server would hold with all in-flight work
-   excluded. *)
-let replay_commit t ~ordinal ~theta reply =
+   excluded.  θ and the reply are read from the replay's buffer, θ into
+   the slot's own array. *)
+let replay_commit t v =
+  let ordinal = Journal.ordinal v in
   t.seq <- ordinal + 1;
   t.base <- ordinal + 1;
-  (match theta with Some _ -> t.slot <- theta | None -> ());
-  remember_reply t ~ordinal reply
+  let dof = Journal.theta_length v in
+  if dof >= 0 then begin
+    let dst =
+      match t.slot with
+      | Some dst when Array.length dst = dof -> dst
+      | Some _ | None ->
+        let dst = Array.create_float dof in
+        t.slot <- Some dst;
+        dst
+    in
+    Journal.theta_into v dst
+  end;
+  remember t ~ordinal (Journal.buffer v) ~off:(Journal.reply_at v)
+    ~len:(Journal.reply_length v);
+  journal_commit t ~ordinal ~theta:(dof >= 0) ~off:(Journal.offset v)
+    ~len:(Journal.length v)

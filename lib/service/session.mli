@@ -84,14 +84,43 @@ val awaiting_reply : t -> ordinal:int -> bool
     window.  Ordinals issued before a {!replay_commit} are never
     awaited — whatever of them the journal did not hold is gone. *)
 
-val replay_commit :
-  t -> ordinal:int -> theta:Vec.t option -> string -> unit
-(** Apply one journaled commit of [ordinal] during journal replay: the
-    ordinal counter resumes right after it (ordinals handed out but
-    never committed before the crash are reissued to the resending
-    client), [theta] (taken, not copied) becomes the slot when the
-    solve converged, and the reply enters the window.  Applied to a
-    fresh session in journal order, the commits leave exactly the state
-    an uninterrupted server would hold with in-flight work excluded,
-    which is what makes post-restart replies byte-identical (DESIGN.md
-    §16). *)
+val replay_commit : t -> Journal.view -> unit
+(** Apply one journaled [Committed] record during journal replay, read
+    where it lies in the replay's buffer: the ordinal counter resumes
+    right after its ordinal (ordinals handed out but never committed
+    before the crash are reissued to the resending client), its θ is
+    read into the slot's array when the solve converged, its reply is
+    copied into the window, and the record's span is kept as for
+    {!journal_commit}.  Applied to a fresh session in journal order,
+    the commits leave exactly the state an uninterrupted server would
+    hold with in-flight work excluded, which is what makes
+    post-restart replies byte-identical (DESIGN.md §16). *)
+
+(** {2 Journal spans}
+
+    Where the session's live journal records lie: the ones replay needs
+    to rebuild the session as the whole journal rebuilds it, which a
+    compaction copies (DESIGN.md §16).  They are its [Opened] record,
+    the journaled commits of its last 128 journaled ordinals, its
+    latest commit with θ and its latest commit.  Sheds are not
+    journaled, so neither they nor the ordinals they advance move this
+    window.  Call under the lock that serializes journal writes. *)
+
+val journal_opened : t -> off:int -> len:int -> unit
+(** The session's [Opened] record lies at [off], [len] bytes long. *)
+
+val journal_commit : t -> ordinal:int -> theta:bool -> off:int -> len:int -> unit
+(** A [Committed] record of [ordinal], carrying θ or not, lies at
+    [off]: call it for each commit journaled, in journal order. *)
+
+val live_bytes : t -> int
+(** The bytes of the session's live records.  O(1). *)
+
+val live_spans_into : t -> int array -> int -> int
+(** [live_spans_into t spans pos] writes the live records' (offset,
+    length) pairs into [spans] from [pos] on and returns the position
+    after them: at most [2 * 131] entries, each record once. *)
+
+val relocate : t -> (int -> int) -> unit
+(** Move every live record's offset through the map: after a
+    compaction, to where it lies in the compacted journal. *)

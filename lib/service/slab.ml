@@ -9,7 +9,8 @@ external regrid :
   = "dadu_slab_regrid_byte" "dadu_slab_regrid"
 [@@noalloc]
 
-external put : block -> (int[@untagged]) -> string -> unit
+external put :
+  block -> (int[@untagged]) -> bytes -> (int[@untagged]) -> (int[@untagged]) -> unit
   = "dadu_slab_put_byte" "dadu_slab_put"
 [@@noalloc]
 
@@ -45,14 +46,17 @@ let grow t len =
   if regrid t.block t.lengths t.cap cap = 0 then raise Out_of_memory;
   t.cap <- cap
 
-let set t i s =
-  check t i "Slab.set";
+let set_sub t i b ~off ~len =
+  check t i "Slab.set_sub";
+  if off < 0 || len < 0 || off > Bytes.length b - len then
+    invalid_arg "Slab.set_sub: range outside the bytes";
   if not t.released then begin
-    let len = String.length s in
     if len > t.cap then grow t len;
-    put t.block (i * t.cap) s;
+    put t.block (i * t.cap) b off len;
     t.lengths.(i) <- len
   end
+
+let set t i s = set_sub t i (Bytes.unsafe_of_string s) ~off:0 ~len:(String.length s)
 
 let get t i =
   check t i "Slab.get";

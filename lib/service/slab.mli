@@ -26,6 +26,12 @@ val set : t -> int -> string -> unit
     after {!release}.  Raises [Invalid_argument] if [i] is not a slot,
     and [Out_of_memory] if a regrid's block cannot be allocated. *)
 
+val set_sub : t -> int -> bytes -> off:int -> len:int -> unit
+(** [set_sub t i b ~off ~len] is {!set} of the [len] bytes of [b] at
+    [off], read in place: journal replay fills a window from its read
+    buffer with it.  Raises [Invalid_argument] also when the range is
+    not inside [b]. *)
+
 val get : t -> int -> string
 (** A copy of what slot [i] holds: [""] if it was never set, or after
     {!release}.  Raises [Invalid_argument] if [i] is not a slot. *)

@@ -71,11 +71,11 @@ intnat dadu_slab_regrid(value v, value lengths, intnat old_cap, intnat cap)
   return 1;
 }
 
-/* Copies all of string [s] into the block at byte [off]. */
-value dadu_slab_put(value v, intnat off, value s)
+/* Copies [len] bytes of [src] from byte [src_off] into the block at
+   byte [off]. */
+value dadu_slab_put(value v, intnat off, value src, intnat src_off, intnat len)
 {
-  mlsize_t len = caml_string_length(s);
-  if (len > 0) memcpy(Slab_bytes(v) + off, String_val(s), len);
+  if (len > 0) memcpy(Slab_bytes(v) + off, Bytes_val(src) + src_off, len);
   return Val_unit;
 }
 
@@ -101,9 +101,10 @@ value dadu_slab_regrid_byte(value v, value lengths, value old_cap, value cap)
   return Val_long(dadu_slab_regrid(v, lengths, Long_val(old_cap), Long_val(cap)));
 }
 
-value dadu_slab_put_byte(value v, value off, value s)
+value dadu_slab_put_byte(value v, value off, value src, value src_off,
+                         value len)
 {
-  return dadu_slab_put(v, Long_val(off), s);
+  return dadu_slab_put(v, Long_val(off), src, Long_val(src_off), Long_val(len));
 }
 
 value dadu_slab_get_byte(value v, value off, value dst)
