@@ -442,6 +442,10 @@ let load path =
 
 (* ---- append handle ---------------------------------------------------- *)
 
+type spans = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+let spans n = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (2 * n)
+
 (* A compaction in flight: the helper thread copies the live records of
    the journal as it stood at [at] bytes into [<path>.compact]. *)
 type compaction = {
@@ -449,10 +453,13 @@ type compaction = {
   dst : Unix.file_descr; (* [<path>.compact], written *)
   at : int; (* the journal's size at the snapshot *)
   at_records : int; (* records appended through the handle by then *)
-  spans : int array;
-      (* the live records' (offset, length) pairs; after the copy the
-         first [kept] pairs are (old offset, new offset), sorted *)
+  spans : spans;
+      (* the caller's: the live records' (offset, length) pairs; after
+         the copy the first [kept] pairs are (old offset, new offset),
+         sorted *)
+  count : int;
   mutable kept : int; (* records copied *)
+  mutable finger : int; (* the pair [relocate] found last *)
   mutable copied : int; (* the compact file's size after the copy *)
   mutable copy_s : float;
   mutable error : string option;
@@ -584,8 +591,7 @@ let staged_bytes (st : staging) = st.len
    file, removed at the next start-up) or the renamed file, which holds
    every record written (DESIGN.md §16). *)
 
-external copy :
-  Unix.file_descr -> Unix.file_descr -> int array -> int -> bool -> int
+external copy : Unix.file_descr -> Unix.file_descr -> spans -> int -> bool -> int
   = "dadu_journal_copy"
 
 let should_compact t ~live =
@@ -600,13 +606,13 @@ let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 let run_copy c =
   let t0 = Unix.gettimeofday () in
-  (match copy c.src c.dst c.spans (Array.length c.spans / 2) true with
+  (match copy c.src c.dst c.spans c.count true with
   | kept ->
     (* the pairs become (old offset, new offset) *)
     let next = ref header_len in
     for k = 0 to kept - 1 do
-      let len = c.spans.((2 * k) + 1) in
-      c.spans.((2 * k) + 1) <- !next;
+      let len = c.spans.{(2 * k) + 1} in
+      c.spans.{(2 * k) + 1} <- !next;
       next := !next + len
     done;
     c.kept <- kept;
@@ -615,17 +621,17 @@ let run_copy c =
   c.copy_s <- Unix.gettimeofday () -. t0;
   Atomic.set c.finished true
 
-let compact_start t ~spans ~count =
-  if count < 0 || 2 * count > Array.length spans then
+let compact_start t ~(spans : spans) ~count =
+  if count < 0 || 2 * count > Bigarray.Array1.dim spans then
     invalid_arg "Journal.compact_start: count out of range";
   for k = 0 to count - 1 do
-    let off = spans.(2 * k) and len = spans.((2 * k) + 1) in
+    let off = spans.{2 * k} and len = spans.{(2 * k) + 1} in
     if off < header_len || len <= 0 || off > t.size - len then
       invalid_arg "Journal.compact_start: span outside the journal"
   done;
   let live = ref 0 in
   for k = 0 to count - 1 do
-    live := !live + spans.((2 * k) + 1)
+    live := !live + spans.{(2 * k) + 1}
   done;
   let failed msg =
     back_off t ~live:!live;
@@ -658,8 +664,10 @@ let compact_start t ~spans ~count =
           dst;
           at = t.size;
           at_records = t.appended;
-          spans = Array.sub spans 0 (2 * count);
+          spans;
+          count;
           kept = 0;
+          finger = 0;
           copied = 0;
           copy_s = 0.;
           error = None;
@@ -684,24 +692,50 @@ type compacted = {
   relocate : int -> int;
 }
 
+(* Where the copied record at [off] went, from the sorted (old, new)
+   pairs: a galloping search from the pair found last.  A session's
+   records are relocated in file order, a few pairs apart, so the search
+   stays within a few cache lines of its finger. *)
+let missing () = invalid_arg "Journal: relocating a record the compaction did not copy"
+
+(* the index of [off] in [lo, hi) *)
+let rec bsearch (spans : spans) off lo hi =
+  if lo >= hi then missing ()
+  else
+    let mid = (lo + hi) / 2 in
+    let o = spans.{2 * mid} in
+    if o = off then mid else if o < off then bsearch spans off (mid + 1) hi else bsearch spans off lo mid
+
+(* the pair at [lo] is below [off] *)
+let rec gallop_up (spans : spans) off ~kept lo step =
+  let hi = lo + step in
+  if hi >= kept then bsearch spans off (lo + 1) kept
+  else if spans.{2 * hi} >= off then bsearch spans off (lo + 1) (hi + 1)
+  else gallop_up spans off ~kept hi (2 * step)
+
+(* the pair at [hi] is above [off] *)
+let rec gallop_down (spans : spans) off hi step =
+  let lo = hi - step in
+  if lo < 0 then bsearch spans off 0 hi
+  else if spans.{2 * lo} <= off then bsearch spans off lo hi
+  else gallop_down spans off lo (2 * step)
+
+let find_copied c off =
+  if c.kept = 0 then missing ();
+  let f = c.finger in
+  let o = c.spans.{2 * f} in
+  let i =
+    if o = off then f
+    else if o < off then gallop_up c.spans off ~kept:c.kept f 1
+    else gallop_down c.spans off f 1
+  in
+  c.finger <- i;
+  c.spans.{(2 * i) + 1}
+
 (* where a record at [off] of the old file lies in the compacted one:
    past the snapshot it moved with the tail, before it it is one of the
    copied records *)
-let relocate c ~tail_at off =
-  if off >= c.at then off - c.at + tail_at
-  else begin
-    let rec find lo hi =
-      if lo >= hi then
-        invalid_arg "Journal: relocating a record the compaction did not copy"
-      else
-        let mid = (lo + hi) / 2 in
-        let o = c.spans.(2 * mid) in
-        if o = off then c.spans.((2 * mid) + 1)
-        else if o < off then find (mid + 1) hi
-        else find lo mid
-    in
-    find 0 c.kept
-  end
+let relocate c ~tail_at off = if off >= c.at then off - c.at + tail_at else find_copied c off
 
 (* the compact file and its descriptors go; the journal stays as it is *)
 let abandon t c =
@@ -736,15 +770,21 @@ let compact_finish t =
             Error msg
           in
           match
-            if tail > 0 then ignore (copy c.src c.dst [| c.at; tail |] 1 false);
+            if tail > 0 then begin
+              let s = Bigarray.Array1.of_array Bigarray.int Bigarray.c_layout [| c.at; tail |] in
+              ignore (copy c.src c.dst s 1 false)
+            end;
             Unix.rename (compact_path t.path) t.path
           with
           | exception Sys_error msg -> gone msg
           | exception Unix.Unix_error (e, _, _) -> gone (Unix.error_message e)
           | () ->
             t.compaction <- None;
-            close_quietly c.src;
+            (* the old file's last descriptor is closed on a thread of
+               its own: that close frees the file's blocks, which can
+               take milliseconds *)
             close_out_noerr t.oc;
+            ignore (Thread.create close_quietly c.src);
             t.oc <- Unix.out_channel_of_descr c.dst;
             t.size <- c.copied + tail;
             Ok

@@ -182,11 +182,19 @@ val should_compact : t -> live:int -> bool
     failed compaction, not before the journal has grown by that much
     again. *)
 
-val compact_start : t -> spans:int array -> count:int -> (unit, string) result
+type spans = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** (offset, length) pairs, off the OCaml heap: the helper sorts them
+    in place outside the runtime lock. *)
+
+val spans : int -> spans
+(** Room for this many pairs. *)
+
+val compact_start : t -> spans:spans -> count:int -> (unit, string) result
 (** Start copying the live records, the first [count] (offset, length)
     pairs of [spans] (any order; duplicates allowed), into
     [<path>.compact] on a helper thread, which fsyncs the copy.  Appends
-    go on meanwhile.  [Error] when the compact file cannot be created
+    go on meanwhile.  The helper sorts the pairs in [spans]: the caller
+    leaves the array alone until {!compact_finish} has returned.  [Error] when the compact file cannot be created
     or the journal reopened; the journal is untouched.  Raises
     [Invalid_argument] for a span outside the journal. *)
 

@@ -149,6 +149,7 @@ type t = {
       (* guarded by slock: the bytes of the registered sessions' live
          journal records *)
   mutable snapshot_ms : float; (* the running compaction's snapshot stall *)
+  mutable spans : Journal.spans; (* the compactions' live spans, reused *)
 }
 
 let tenant_of t name =
@@ -269,6 +270,7 @@ let create ?pool ?(config = default_config) () =
         | Some r -> Hashtbl.fold (fun _ s acc -> acc + Session.live_bytes s) r.sessions 0
         | None -> 0);
       snapshot_ms = 0.;
+      spans = Journal.spans 0;
     }
   in
   (match replayed with
@@ -531,9 +533,12 @@ let swap_compaction (t : t) j =
 
 let start_compaction (t : t) j =
   let t0 = Unix.gettimeofday () in
-  let spans = Array.make (2 * 131 * Hashtbl.length t.sessions) 0 in
-  let n = Hashtbl.fold (fun _ sess pos -> Session.live_spans_into sess spans pos) t.sessions 0 in
-  match Journal.compact_start j ~spans ~count:(n / 2) with
+  let need = Session.max_live_records * Hashtbl.length t.sessions in
+  if Bigarray.Array1.dim t.spans < 2 * need then t.spans <- Journal.spans (need + (need / 4));
+  let n =
+    Hashtbl.fold (fun _ sess pos -> Session.live_spans_into sess t.spans pos) t.sessions 0
+  in
+  match Journal.compact_start j ~spans:t.spans ~count:(n / 2) with
   | Ok () -> t.snapshot_ms <- ms_since t0
   | Error msg -> Printf.eprintf "dadu: journal compaction skipped: %s\n%!" msg
 

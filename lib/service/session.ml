@@ -25,8 +25,9 @@ type spans = {
   mutable opened_at : int;
   mutable opened_len : int;
   mutable jnewest : int; (* highest journaled ordinal; -1 before any *)
-  jordinals : int array; (* per slot: a journaled ordinal in the window, or -1 *)
   joffsets : int array;
+      (* per slot: the record of the window's ordinal in that slot, if
+         the journal holds one (its length is then positive) *)
   jlengths : int array;
   mutable window_bytes : int; (* the window's records' bytes *)
   mutable theta_ordinal : int; (* the last commit with θ *)
@@ -65,7 +66,6 @@ let create ~name ~chain =
         opened_at = 0;
         opened_len = 0;
         jnewest = -1;
-        jordinals = Array.make ring_capacity (-1);
         joffsets = Array.make ring_capacity 0;
         jlengths = Array.make ring_capacity 0;
         window_bytes = 0;
@@ -153,13 +153,13 @@ let in_journal_window j o = o >= 0 && o > j.jnewest - ring_capacity
 (* the record at [at] is the window's record of [ordinal] *)
 let in_window_spans j ~ordinal ~at =
   in_journal_window j ordinal
-  && j.jordinals.(ordinal mod ring_capacity) = ordinal
+  && j.jlengths.(ordinal mod ring_capacity) > 0
   && j.joffsets.(ordinal mod ring_capacity) = at
 
 let clear_slot j i =
-  if j.jordinals.(i) >= 0 then begin
+  if j.jlengths.(i) > 0 then begin
     j.window_bytes <- j.window_bytes - j.jlengths.(i);
-    j.jordinals.(i) <- -1
+    j.jlengths.(i) <- 0
   end
 
 let journal_commit t ~ordinal ~theta ~off ~len =
@@ -172,15 +172,13 @@ let journal_commit t ~ordinal ~theta ~off ~len =
       done
     else
       for o = j.jnewest - ring_capacity + 1 to ordinal - ring_capacity do
-        if o >= 0 && j.jordinals.(o mod ring_capacity) = o then
-          clear_slot j (o mod ring_capacity)
+        if o >= 0 then clear_slot j (o mod ring_capacity)
       done;
     j.jnewest <- ordinal
   end;
   if in_journal_window j ordinal then begin
     let i = ordinal mod ring_capacity in
     clear_slot j i;
-    j.jordinals.(i) <- ordinal;
     j.joffsets.(i) <- off;
     j.jlengths.(i) <- len;
     j.window_bytes <- j.window_bytes + len
@@ -194,46 +192,51 @@ let journal_commit t ~ordinal ~theta ~off ~len =
   j.last_at <- off;
   j.last_len <- len
 
-(* The last commit with θ, and the last commit, when the window does not
-   hold them already; each is visited once. *)
-let iter_extra j f =
-  let theta = j.theta_len > 0 && not (in_window_spans j ~ordinal:j.theta_ordinal ~at:j.theta_at) in
-  if theta then f j.theta_at j.theta_len;
-  if j.last_len > 0
-     && (not (in_window_spans j ~ordinal:j.last_ordinal ~at:j.last_at))
-     && not (j.theta_len > 0 && j.last_at = j.theta_at)
-  then f j.last_at j.last_len
+(* The last commit with θ, and the last commit, are live beside the
+   window when the window does not hold them already; each once. *)
+let theta_extra j =
+  j.theta_len > 0 && not (in_window_spans j ~ordinal:j.theta_ordinal ~at:j.theta_at)
+
+let last_extra j =
+  j.last_len > 0
+  && (not (in_window_spans j ~ordinal:j.last_ordinal ~at:j.last_at))
+  && not (j.theta_len > 0 && j.last_at = j.theta_at)
 
 let live_bytes t =
   let j = t.journal in
-  let extra = ref 0 in
-  iter_extra j (fun _ len -> extra := !extra + len);
-  j.opened_len + j.window_bytes + !extra
+  j.opened_len + j.window_bytes
+  + (if theta_extra j then j.theta_len else 0)
+  + if last_extra j then j.last_len else 0
 
-let live_spans_into t spans pos =
+let max_live_records = ring_capacity + 3
+
+let live_spans_into t (spans : Journal.spans) pos =
   let j = t.journal in
   let pos = ref pos in
   let add at len =
-    spans.(!pos) <- at;
-    spans.(!pos + 1) <- len;
+    Bigarray.Array1.set spans !pos at;
+    Bigarray.Array1.set spans (!pos + 1) len;
     pos := !pos + 2
   in
   if j.opened_len > 0 then add j.opened_at j.opened_len;
   for i = 0 to ring_capacity - 1 do
-    if j.jordinals.(i) >= 0 then add j.joffsets.(i) j.jlengths.(i)
+    if j.jlengths.(i) > 0 then add j.joffsets.(i) j.jlengths.(i)
   done;
-  iter_extra j add;
+  if theta_extra j then add j.theta_at j.theta_len;
+  if last_extra j then add j.last_at j.last_len;
   !pos
 
 let relocate t f =
   let j = t.journal in
   if j.opened_len > 0 then j.opened_at <- f j.opened_at;
-  for i = 0 to ring_capacity - 1 do
-    if j.jordinals.(i) >= 0 then j.joffsets.(i) <- f j.joffsets.(i)
-  done;
   (* a record the window holds too moves to the same offset, so the
-     window checks of [iter_extra] still hold *)
+     window checks of [theta_extra] and [last_extra] still hold *)
   if j.theta_len > 0 then j.theta_at <- f j.theta_at;
+  (* the window in ordinal order, which is file order *)
+  for k = 1 to ring_capacity do
+    let i = (j.jnewest + k) mod ring_capacity in
+    if j.jlengths.(i) > 0 then j.joffsets.(i) <- f j.joffsets.(i)
+  done;
   if j.last_len > 0 then j.last_at <- f j.last_at
 
 (* Journal replay: the journal holds commits in ordinal order, so after

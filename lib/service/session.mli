@@ -116,10 +116,14 @@ val journal_commit : t -> ordinal:int -> theta:bool -> off:int -> len:int -> uni
 val live_bytes : t -> int
 (** The bytes of the session's live records.  O(1). *)
 
-val live_spans_into : t -> int array -> int -> int
+val max_live_records : int
+(** The most live records a session has: 131. *)
+
+val live_spans_into : t -> Journal.spans -> int -> int
 (** [live_spans_into t spans pos] writes the live records' (offset,
     length) pairs into [spans] from [pos] on and returns the position
-    after them: at most [2 * 131] entries, each record once. *)
+    after them: at most [2 * max_live_records] entries, each record
+    once. *)
 
 val relocate : t -> (int -> int) -> unit
 (** Move every live record's offset through the map: after a

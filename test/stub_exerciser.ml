@@ -175,7 +175,56 @@ let () =
   Slab.set t 1 "the quick brown fox";
   Printf.printf "slab: %d-byte slots, 1 %S, 3 %S, 0 %S\n" (Slab.slot_cap t)
     (Slab.get t 1) (Slab.get t 3) (Slab.get t 0);
+  (* a copy from an offset into the bytes, into the last slot *)
+  Slab.set_sub t 4 (Bytes.of_string "0123456789") ~off:3 ~len:5;
+  Printf.printf "slab set_sub: 4 %S, 3 %S\n" (Slab.get t 4) (Slab.get t 3);
   Slab.release t;
   Slab.set t 2 "after release";
   Printf.printf "slab released: %b, 1 %S, 2 %S\n" (Slab.released t)
     (Slab.get t 1) (Slab.get t 2)
+
+let () =
+  (* a journal compaction's copy: of five records, the fourth, the
+     first, the fourth again and the second are kept, then a record
+     written meanwhile follows them; the compacted file's bytes and
+     where each record moved *)
+  let module J = Dadu_service.Journal in
+  let path = Filename.temp_file "stub_exerciser" ".wal" in
+  Sys.remove path;
+  match J.open_ path with
+  | Error e -> failwith (Format.asprintf "%a" J.pp_load_error e)
+  | Ok (j, _, _) ->
+    let record i = J.Closed { session = String.make (i + 1) (Char.chr (97 + i)) } in
+    let spans =
+      Array.init 5 (fun i ->
+          let off = J.size j in
+          J.append j (record i);
+          (off, J.size j - off))
+    in
+    let kept = [| 3; 0; 3; 1 |] in
+    let pairs = J.spans 5 in
+    Array.iteri
+      (fun k i ->
+        pairs.{2 * k} <- fst spans.(i);
+        pairs.{(2 * k) + 1} <- snd spans.(i))
+      kept;
+    (match J.compact_start j ~spans:pairs ~count:(Array.length kept) with
+    | Ok () -> ()
+    | Error msg -> failwith msg);
+    let tail = J.size j in
+    J.append j (J.Closed { session = "tail" });
+    (match J.compact_finish j with
+    | Error msg -> failwith msg
+    | Ok c ->
+      Printf.printf "journal compacted: %d -> %d bytes, %d records, moved %s, tail %d\n"
+        c.J.before c.J.after c.J.records
+        (String.concat " "
+           (List.map (fun i -> string_of_int (c.J.relocate (fst spans.(i)))) [ 0; 1; 3 ]))
+        (c.J.relocate tail));
+    J.close j;
+    let bytes = In_channel.with_open_bin path In_channel.input_all in
+    Sys.remove path;
+    Printf.printf "journal compacted bytes: %s\n"
+      (String.to_seq bytes
+      |> Seq.map (fun c -> Printf.sprintf "%02x" (Char.code c))
+      |> List.of_seq |> String.concat "")

@@ -547,6 +547,207 @@ let test_stub_bounds () =
   Alcotest.(check int) "a span ending at the buffer's end" 1
     (Checksum.verify b ~spans:[| 2; 10 |] ~count:1)
 
+(* ---- compaction ----
+
+   A history of session events is written twice: to a plain journal,
+   and to one compacted while the history runs, with the live spans
+   kept as the server keeps them.  The compaction starts at a random
+   step and lands at a later one, records being appended in between.
+   Replaying either file must rebuild the same registry, every record
+   of the compacted file must be a record of the plain one byte for
+   byte, and the compacted file must load without a defect. *)
+
+type step =
+  | Open of int
+  | Commit of int * bool (* with θ *)
+  | Shed of int (* an ordinal spent with no record *)
+  | Close of int
+
+let step_name = function
+  | Open n -> Printf.sprintf "open c%d" n
+  | Commit (n, th) -> Printf.sprintf "commit c%d%s" n (if th then " θ" else "")
+  | Shed n -> Printf.sprintf "shed c%d" n
+  | Close n -> Printf.sprintf "close c%d" n
+
+(* Every name opened, then runs of one event, so a session can run past
+   its 128-ordinal window. *)
+let history_gen =
+  let open QCheck.Gen in
+  let* names = int_range 1 4 in
+  let name = int_bound (names - 1) in
+  let run =
+    frequency
+      [
+        ( 6,
+          let* n = name and* count = int_range 1 300 and* th = bool in
+          return (List.init count (fun _ -> Commit (n, th))) );
+        ( 1,
+          let* n = name and* count = int_range 1 140 in
+          return (List.init count (fun _ -> Shed n)) );
+        (1, map (fun n -> [ Close n; Open n ]) name);
+        (1, map (fun n -> [ Close n ]) name);
+        (1, map (fun n -> [ Open n ]) name);
+      ]
+  in
+  let* runs = list_size (int_range 1 8) run in
+  let steps = Array.of_list (List.init names (fun n -> Open n) @ List.concat runs) in
+  let* seed = int_bound 10_000 in
+  let* start = int_bound (Array.length steps) in
+  let* land_ = int_range start (Array.length steps) in
+  return (steps, seed, start, land_)
+
+let compaction_robot = "eval:6"
+
+let compaction_chain =
+  lazy
+    (match Problem_file.robot_of_spec compaction_robot with
+    | Ok chain -> chain
+    | Error msg -> failwith msg)
+
+(* 0-3 KB, a function of the session, the ordinal and the history *)
+let history_reply ~seed n ordinal =
+  let len = ((seed * 7919) + (n * 104_729) + (ordinal * 613)) mod 3073 in
+  let head = Printf.sprintf "c%d:%d:" n ordinal in
+  if len <= String.length head then String.sub head 0 len
+  else head ^ String.make (len - String.length head) (Char.chr (97 + ((n + ordinal) mod 26)))
+
+(* Writes [steps] to a fresh journal at [path] as the server journals
+   them; with [compact], a compaction starts before step [start] and
+   lands before step [land_]. *)
+let run_history path ~seed ?compact steps =
+  (try Sys.remove path with Sys_error _ -> ());
+  let chain = Lazy.force compaction_chain in
+  let dof = Dadu_kinematics.Chain.dof chain in
+  let j =
+    match J.open_ path with
+    | Ok (j, _, _) -> j
+    | Error e -> Alcotest.fail (Format.asprintf "open_: %a" J.pp_load_error e)
+  in
+  let staging = J.staging () in
+  let sessions = Hashtbl.create 4 in
+  let name n = Printf.sprintf "c%d" n in
+  let start_compaction () =
+    let spans = J.spans (Session.max_live_records * Hashtbl.length sessions) in
+    let pos = Hashtbl.fold (fun _ s pos -> Session.live_spans_into s spans pos) sessions 0 in
+    match J.compact_start j ~spans ~count:(pos / 2) with
+    | Ok () -> ()
+    | Error msg -> Alcotest.fail msg
+  in
+  let land_compaction () =
+    match J.compact_finish j with
+    | Ok c -> Hashtbl.iter (fun _ s -> Session.relocate s c.J.relocate) sessions
+    | Error msg -> Alcotest.fail msg
+  in
+  let apply = function
+    | Open n ->
+      if not (Hashtbl.mem sessions (name n)) then begin
+        let s = Session.create ~name:(name n) ~chain in
+        let off = J.size j in
+        J.append j
+          (J.Opened
+             { session = name n; robot = compaction_robot;
+               chain_fp = Dadu_kinematics.Chain.fingerprint chain; dof });
+        Session.journal_opened s ~off ~len:(J.size j - off);
+        Hashtbl.replace sessions (name n) s
+      end
+    | Commit (n, with_theta) ->
+      Option.iter
+        (fun s ->
+          let ordinal = Session.next_ordinal s in
+          let reply = history_reply ~seed n ordinal in
+          let theta =
+            if with_theta then
+              Some (Array.init dof (fun i -> float_of_int ((ordinal * 31) + i + seed) /. 17.))
+            else None
+          in
+          let base = J.size j and at = J.staged_bytes staging in
+          J.stage staging (J.Committed { session = name n; ordinal; theta; reply });
+          Session.journal_commit s ~ordinal ~theta:with_theta ~off:(base + at)
+            ~len:(J.staged_bytes staging - at);
+          J.write_staged j staging;
+          Session.remember_reply s ~ordinal reply)
+        (Hashtbl.find_opt sessions (name n))
+    | Shed n ->
+      Option.iter
+        (fun s ->
+          let ordinal = Session.next_ordinal s in
+          Session.remember_reply s ~ordinal "{\"reply\":\"overloaded\"}")
+        (Hashtbl.find_opt sessions (name n))
+    | Close n ->
+      Option.iter
+        (fun s ->
+          Hashtbl.remove sessions (name n);
+          Session.release s;
+          J.append j (J.Closed { session = name n }))
+        (Hashtbl.find_opt sessions (name n))
+  in
+  Array.iteri
+    (fun i step ->
+      (match compact with
+      | Some (start, land_) ->
+        if i = start then start_compaction ();
+        if i = land_ then land_compaction ()
+      | None -> ());
+      apply step)
+    steps;
+  (match compact with
+  | Some (start, land_) ->
+    if start = Array.length steps then start_compaction ();
+    if land_ = Array.length steps then land_compaction ()
+  | None -> ());
+  J.close j
+
+(* the bytes of each record of a journal file *)
+let record_strings s =
+  let rec go off acc =
+    if off >= String.length s then List.rev acc
+    else
+      let n = Int32.to_int (String.get_int32_le s off) in
+      go (off + 4 + n + 8) (String.sub s off (4 + n + 8) :: acc)
+  in
+  go 12 []
+
+let registry path =
+  match Server.replay_journal path with
+  | Error e -> Alcotest.fail (Format.asprintf "replay: %a" J.pp_load_error e)
+  | Ok r ->
+    J.close r.Server.journal;
+    let fp = Dadu_kinematics.Chain.fingerprint (Lazy.force compaction_chain) in
+    Hashtbl.fold
+      (fun name s acc ->
+        let accepted = Session.accepted s in
+        ( name,
+          accepted,
+          Option.map (Array.map Int64.bits_of_float) (Session.seed s ~chain_fp:fp),
+          List.init (accepted + 1) (fun o -> Session.recall_reply s ~ordinal:o) )
+        :: acc)
+      r.Server.sessions []
+    |> List.sort compare
+
+let compacted_replays_the_same =
+  QCheck.Test.make ~name:"a compacted journal replays the same registry" ~count:100
+    QCheck.(
+      make
+        ~print:(fun (steps, seed, start, land_) ->
+          Printf.sprintf "seed %d, compaction from step %d to %d of: %s" seed start
+            land_
+            (String.concat "; " (Array.to_list (Array.map step_name steps))))
+        history_gen)
+    (fun (steps, seed, start, land_) ->
+      with_tmp @@ fun plain ->
+      with_tmp @@ fun compacted ->
+      run_history plain ~seed steps;
+      run_history compacted ~seed ~compact:(start, land_) steps;
+      let originals = Hashtbl.create 64 in
+      List.iter (fun r -> Hashtbl.replace originals r ()) (record_strings (read_file plain));
+      let copied =
+        List.for_all (Hashtbl.mem originals) (record_strings (read_file compacted))
+      in
+      let clean =
+        match J.load compacted with Ok (_, None) -> true | Ok (_, Some _) | Error _ -> false
+      in
+      copied && clean && registry plain = registry compacted)
+
 let () =
   Alcotest.run "dadu_journal"
     [
@@ -571,4 +772,5 @@ let () =
           qcheck stubs_match_reference;
           Alcotest.test_case "bounds" `Quick test_stub_bounds;
         ] );
+      ("compaction", [ qcheck compacted_replays_the_same ]);
     ]

@@ -1246,6 +1246,187 @@ let test_live_restart_multi_mb_journal () =
       | None -> false)
   done
 
+(* ---- journal compaction ----
+
+   [drive] runs [rounds] waypoints on each of [sessions] eval:12
+   sessions over one connection, one round of pipelined waypoints at a
+   time, and returns every reply's bytes by (session, seq).  8 sessions
+   × 440 waypoints come to about 2.2 MB of journal, whose live records
+   (8 × 128 commits) are under 1 MiB: the dead records reach the 1 MiB
+   trigger about 2,700 waypoints in. *)
+
+let compaction_sessions = 8
+let compaction_rounds = 440
+let cname s = Printf.sprintf "k%d" s
+
+let drive path =
+  let fd, rd, oc = connect path in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  for s = 0 to compaction_sessions - 1 do
+    ignore (expect_kind "opened" "opened" (open_ rd oc ~id:s (cname s) "eval:12"))
+  done;
+  let replies = Hashtbl.create 4096 in
+  for k = 0 to compaction_rounds - 1 do
+    for s = 0 to compaction_sessions - 1 do
+      Problem_file.write_frame oc
+        (Printf.sprintf
+           "{\"op\":\"waypoint\",\"id\":%d,\"session\":%S,\"seq\":%d,\"target\":[4.0,%.17g,%.17g]}"
+           ((k * compaction_sessions) + s) (cname s) k
+           (1.0 +. (0.3 *. sin ((float_of_int k /. 40.) +. float_of_int s)))
+           (2.0 +. (0.2 *. cos (float_of_int k /. 40.))))
+    done;
+    flush oc;
+    for _ = 1 to compaction_sessions do
+      let payload, json = recv rd in
+      Alcotest.(check string) "solved" "solved" (reply_kind json);
+      match (str_member "session" json, int_member "ordinal" json) with
+      | Some session, Some ordinal -> Hashtbl.replace replies (session, ordinal) payload
+      | _ -> Alcotest.fail ("waypoint reply without session or ordinal: " ^ payload)
+    done
+  done;
+  replies
+
+let inode path = (Unix.stat path).Unix.st_ino
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* a resend: its target is never solved *)
+let resend rd oc session seq =
+  send oc
+    (Printf.sprintf
+       "{\"op\":\"waypoint\",\"id\":%d,\"session\":%S,\"seq\":%d,\"target\":[4.0,1.0,2.0]}"
+       seq session seq);
+  recv rd
+
+(* Runs [f] with the process's stderr going to a file, and returns the
+   file's lines. *)
+let stderr_lines f =
+  let path = Filename.temp_file "dadu_stderr" ".log" in
+  let saved = Unix.dup Unix.stderr in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+  Unix.dup2 fd Unix.stderr;
+  Unix.close fd;
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.dup2 saved Unix.stderr;
+      Unix.close saved)
+    f;
+  let lines = In_channel.with_open_text path In_channel.input_lines in
+  Sys.remove path;
+  lines
+
+let with_journal f =
+  let journal = Filename.temp_file "dadu_jrnl" ".wal" in
+  Sys.remove journal;
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p ->
+          try if Sys.is_directory p then Sys.rmdir p else Sys.remove p
+          with Sys_error _ -> ())
+        [ journal; journal ^ ".compact" ])
+    (fun () -> f journal)
+
+(* A server driven past the trigger compacts its journal online (the
+   rename gives the file a new inode) and keeps it well under the
+   history's size; a restart on the compacted journal answers every
+   resend of each session's last 128 ordinals with the bytes sent before
+   it, and the 129th back with a typed stale error. *)
+let test_live_compaction_restart () =
+  with_journal @@ fun journal ->
+  let config = { Server.default_config with Server.journal = Some journal } in
+  let first = ref 0 and replies = ref (Hashtbl.create 1) in
+  let lines =
+    stderr_lines (fun () ->
+        with_server ~config @@ fun _server path ->
+        first := inode journal;
+        replies := drive path)
+  in
+  Alcotest.(check bool) "compacted: the journal was replaced" true (inode journal <> !first);
+  Alcotest.(check bool) "a line per compaction" true
+    (List.exists (fun l -> Astring.String.is_prefix ~affix:"dadu: journal compacted:" l) lines);
+  let history =
+    Hashtbl.fold (fun _ p acc -> acc + String.length p) !replies 0
+  in
+  Alcotest.(check bool) "bounded below the history" true
+    ((Unix.stat journal).Unix.st_size < history);
+  Alcotest.(check bool) "no compact file left" false (Sys.file_exists (journal ^ ".compact"));
+  with_server ~config @@ fun server path ->
+  Alcotest.(check bool) "replayed clean" true (Server.journal_recovery server = None);
+  let fd, rd, oc = connect path in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  let n = compaction_rounds in
+  for s = 0 to compaction_sessions - 1 do
+    let opened = expect_kind "opened" "opened" (open_ rd oc ~id:s (cname s) "eval:12") in
+    Alcotest.(check (option int)) "resumed count" (Some n) (int_member "waypoints" opened);
+    for o = n - 128 to n - 1 do
+      Alcotest.(check string)
+        (Printf.sprintf "%s ordinal %d answered with the bytes sent" (cname s) o)
+        (Hashtbl.find !replies (cname s, o))
+        (fst (resend rd oc (cname s) o))
+    done;
+    let stale = expect_kind "129th back" "error" (resend rd oc (cname s) (n - 129)) in
+    Alcotest.(check bool) "typed stale" true
+      (match str_member "message" stale with
+      | Some m -> Astring.String.is_prefix ~affix:"stale waypoint seq" m
+      | None -> false)
+  done
+
+(* A compact file left by a kill during the copy is removed at start-up,
+   and the journal replays as before. *)
+let test_live_stale_compact_removed () =
+  with_journal @@ fun journal ->
+  let config = { Server.default_config with Server.journal = Some journal } in
+  let last =
+    with_server ~config @@ fun _server path ->
+    let fd, rd, oc = connect path in
+    Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    @@ fun () ->
+    ignore (expect_kind "opened" "opened" (open_ rd oc ~id:0 "a" "eval:12"));
+    List.init 3 (fun o -> wp rd oc ~id:(o + 1) "a" o)
+  in
+  let before = read_file journal in
+  Out_channel.with_open_bin (journal ^ ".compact") (fun oc ->
+      Out_channel.output_string oc (String.sub before 0 (String.length before / 2)));
+  with_server ~config @@ fun server path ->
+  Alcotest.(check bool) "stale compact file removed" false
+    (Sys.file_exists (journal ^ ".compact"));
+  Alcotest.(check bool) "replayed clean" true (Server.journal_recovery server = None);
+  Alcotest.(check string) "journal unchanged" before (read_file journal);
+  let fd, rd, oc = connect path in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  let opened = expect_kind "opened" "opened" (open_ rd oc ~id:0 "a" "eval:12") in
+  Alcotest.(check (option int)) "resumed count" (Some 3) (int_member "waypoints" opened);
+  Alcotest.(check (list string)) "resends answered as before" last
+    (List.init 3 (fun o -> wp rd oc ~id:(o + 1) "a" o))
+
+(* When the compact file cannot be created (a directory stands at its
+   path), the server says so in one line and goes on serving and
+   journaling: the journal keeps every record and its inode. *)
+let test_live_compaction_cannot_start () =
+  with_journal @@ fun journal ->
+  Sys.mkdir (journal ^ ".compact") 0o755;
+  let config = { Server.default_config with Server.journal = Some journal } in
+  let first = ref 0 in
+  let lines =
+    stderr_lines (fun () ->
+        with_server ~config @@ fun _server path ->
+        first := inode journal;
+        ignore (drive path))
+  in
+  let compaction_lines =
+    List.filter (fun l -> Astring.String.is_prefix ~affix:"dadu: journal compaction" l) lines
+  in
+  Alcotest.(check int) "one line" 1 (List.length compaction_lines);
+  Alcotest.(check int) "the same file" !first (inode journal);
+  let records = load_journal journal in
+  Alcotest.(check int) "every record kept"
+    (compaction_sessions * (compaction_rounds + 1))
+    (List.length records)
+
 (* [Client.run] against a one-thread server that reads a frame, writes
    a ~16 KB reply, and only then reads the next frame.  A client that
    writes every request before it reads a reply fills the server's
@@ -1388,6 +1569,12 @@ let () =
             test_live_write_ahead_per_batch;
           Alcotest.test_case "restart from a multi-MB journal" `Slow
             test_live_restart_multi_mb_journal;
+          Alcotest.test_case "restart from a journal compacted online" `Slow
+            test_live_compaction_restart;
+          Alcotest.test_case "stale compact file removed at start-up" `Slow
+            test_live_stale_compact_removed;
+          Alcotest.test_case "compaction that cannot start" `Slow
+            test_live_compaction_cannot_start;
           Alcotest.test_case "client window against a one-thread server" `Slow
             test_client_window;
         ] );
