@@ -18,7 +18,9 @@
    fold until the first defect and reports it as a typed [load_error];
    the folded records are the longest valid prefix, and the file is
    truncated back to it so subsequent appends extend a well-formed log.
-   [load] and [open_] are that fold with a list accumulator. *)
+   [load] and [open_] are that fold with a list accumulator.  Online
+   compaction (below) copies the live records verbatim into a new file
+   and renames it over the journal. *)
 
 type record =
   | Opened of { session : string; robot : string; chain_fp : int; dof : int }
@@ -624,14 +626,12 @@ let run_copy c =
 let compact_start t ~(spans : spans) ~count =
   if count < 0 || 2 * count > Bigarray.Array1.dim spans then
     invalid_arg "Journal.compact_start: count out of range";
+  let live = ref 0 in
   for k = 0 to count - 1 do
     let off = spans.{2 * k} and len = spans.{(2 * k) + 1} in
     if off < header_len || len <= 0 || off > t.size - len then
-      invalid_arg "Journal.compact_start: span outside the journal"
-  done;
-  let live = ref 0 in
-  for k = 0 to count - 1 do
-    live := !live + spans.{(2 * k) + 1}
+      invalid_arg "Journal.compact_start: span outside the journal";
+    live := !live + len
   done;
   let failed msg =
     back_off t ~live:!live;
@@ -704,7 +704,9 @@ let rec bsearch (spans : spans) off lo hi =
   else
     let mid = (lo + hi) / 2 in
     let o = spans.{2 * mid} in
-    if o = off then mid else if o < off then bsearch spans off (mid + 1) hi else bsearch spans off lo mid
+    if o = off then mid
+    else if o < off then bsearch spans off (mid + 1) hi
+    else bsearch spans off lo mid
 
 (* the pair at [lo] is below [off] *)
 let rec gallop_up (spans : spans) off ~kept lo step =

@@ -194,9 +194,10 @@ val compact_start : t -> spans:spans -> count:int -> (unit, string) result
     pairs of [spans] (any order; duplicates allowed), into
     [<path>.compact] on a helper thread, which fsyncs the copy.  Appends
     go on meanwhile.  The helper sorts the pairs in [spans]: the caller
-    leaves the array alone until {!compact_finish} has returned.  [Error] when the compact file cannot be created
-    or the journal reopened; the journal is untouched.  Raises
-    [Invalid_argument] for a span outside the journal. *)
+    leaves the array alone until {!compact_finish} has returned.
+    [Error] when the compact file cannot be created or the journal
+    reopened; the journal is untouched.  Raises [Invalid_argument] for
+    a span outside the journal. *)
 
 val compacting : t -> bool
 

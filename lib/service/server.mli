@@ -41,7 +41,11 @@
     resumes with the same warm-start slot and ordinal counter and its
     remaining waypoints solve byte-identically to an uninterrupted run;
     the restart holds one read buffer and the live sessions, never the
-    whole history.  Waypoint ops may carry a client-side ["seq"]
+    whole history.  The journal is compacted online: once its dead
+    records reach max(live, 1 MiB), a helper thread copies the live
+    ones into a new file, which the dispatcher renames over the journal
+    at a later batch ({!Journal.compact_start}); each compaction prints
+    one stderr line.  Waypoint ops may carry a client-side ["seq"]
     index: a resent waypoint whose [seq] already committed is answered
     with the original reply bytes from a per-session window of the last
     128 ordinals (at most one solve and exactly one well-formed reply

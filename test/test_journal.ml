@@ -474,10 +474,52 @@ let streaming_matches_reference =
 
 (* ---- the checksum stubs against the byte-serial loop ---- *)
 
-(* 0-9 spans of unequal lengths (0 included) at unaligned offsets, each
-   followed by its reference checksum: [verify] must accept all of them
-   and name exactly the span whose stored checksum is disturbed, and
-   [seal] must write the reference value. *)
+(* Spans of unequal lengths at unaligned offsets, each followed by its
+   reference checksum: [verify] must accept all of them and name exactly
+   the span whose stored checksum is disturbed (each span in [probe]),
+   and [seal] must write the reference value. *)
+let matches_serial ~probe layout =
+  let size = List.fold_left (fun a (gap, len, _) -> a + gap + len + 8) 0 layout in
+  let b = Bytes.make (size + 5) '\x5a' in
+  let count = List.length layout in
+  let spans = Array.make (2 * count) 0 in
+  ignore
+    (List.fold_left
+       (fun (i, pos) (gap, len, seed) ->
+         let off = pos + gap in
+         for k = 0 to len - 1 do
+           Bytes.set b (off + k) (Char.chr ((seed + (k * 7919) + (k * k)) land 0xff))
+         done;
+         Bytes.set_int64_le b (off + len) (fnv1a_ref b off len);
+         spans.(2 * i) <- off;
+         spans.((2 * i) + 1) <- len;
+         (i + 1, off + len + 8))
+       (0, 0) layout);
+  let flip pos = Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x40)) in
+  let all_pass = Checksum.verify b ~spans ~count = count in
+  let each_named =
+    List.for_all
+      (fun i ->
+        let sum = spans.(2 * i) + spans.((2 * i) + 1) + (i mod 8) in
+        flip sum;
+        let got = Checksum.verify b ~spans ~count in
+        flip sum;
+        got = i)
+      (probe count)
+  in
+  let sealed =
+    List.for_all
+      (fun i ->
+        let off = spans.(2 * i) and len = spans.((2 * i) + 1) in
+        let expect = Bytes.get_int64_le b (off + len) in
+        Bytes.fill b (off + len) 8 '\000';
+        Checksum.seal b ~off ~len;
+        Int64.equal (Bytes.get_int64_le b (off + len)) expect)
+      (List.init count Fun.id)
+  in
+  all_pass && each_named && sealed
+
+(* 0-9 spans, 0 bytes included: the scalar pass alone *)
 let stubs_match_reference =
   QCheck.Test.make ~name:"verify and seal match the serial FNV-1a" ~count:300
     QCheck.(
@@ -487,46 +529,23 @@ let stubs_match_reference =
             (triple (int_range 0 7)
                (frequency [ (1, return 0); (4, int_range 1 40); (2, int_range 41 700) ])
                (int_bound 1_000_000))))
-    (fun layout ->
-      let size = List.fold_left (fun a (gap, len, _) -> a + gap + len + 8) 0 layout in
-      let b = Bytes.make (size + 5) '\x5a' in
-      let count = List.length layout in
-      let spans = Array.make (2 * count) 0 in
-      ignore
-        (List.fold_left
-           (fun (i, pos) (gap, len, seed) ->
-             let off = pos + gap in
-             for k = 0 to len - 1 do
-               Bytes.set b (off + k) (Char.chr ((seed + (k * 7919) + (k * k)) land 0xff))
-             done;
-             Bytes.set_int64_le b (off + len) (fnv1a_ref b off len);
-             spans.(2 * i) <- off;
-             spans.((2 * i) + 1) <- len;
-             (i + 1, off + len + 8))
-           (0, 0) layout);
-      let flip pos = Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x40)) in
-      let all_pass = Checksum.verify b ~spans ~count = count in
-      let each_named =
-        List.for_all
-          (fun i ->
-            let sum = spans.(2 * i) + spans.((2 * i) + 1) + (i mod 8) in
-            flip sum;
-            let got = Checksum.verify b ~spans ~count in
-            flip sum;
-            got = i)
-          (List.init count Fun.id)
-      in
-      let sealed =
-        List.for_all
-          (fun i ->
-            let off = spans.(2 * i) and len = spans.((2 * i) + 1) in
-            let expect = Bytes.get_int64_le b (off + len) in
-            Bytes.fill b (off + len) 8 '\000';
-            Checksum.seal b ~off ~len;
-            Int64.equal (Bytes.get_int64_le b (off + len)) expect)
-          (List.init count Fun.id)
-      in
-      all_pass && each_named && sealed)
+    (matches_serial ~probe:(fun count -> List.init count Fun.id))
+
+(* batches of 30-140 spans, most of them long enough for the wide pass
+   where the CPU has one, short ones mixed in; a disturbed checksum is
+   probed at a dozen spans spread over the batch *)
+let wide_batches_match_reference =
+  QCheck.Test.make ~name:"long batches match the serial FNV-1a" ~count:40
+    QCheck.(
+      make
+        ~print:(fun layout -> Printf.sprintf "%d spans" (List.length layout))
+        Gen.(
+          list_size (int_range 30 140)
+            (triple (int_range 0 7)
+               (frequency [ (1, int_range 0 255); (6, int_range 256 1400) ])
+               (int_bound 1_000_000))))
+    (matches_serial ~probe:(fun count ->
+         List.sort_uniq compare (List.init 12 (fun k -> k * 7919 mod count))))
 
 let test_stub_bounds () =
   let b = Bytes.make 20 'x' in
@@ -771,6 +790,7 @@ let () =
         [
           qcheck stubs_match_reference;
           Alcotest.test_case "bounds" `Quick test_stub_bounds;
+          qcheck wide_batches_match_reference;
         ] );
       ("compaction", [ qcheck compacted_replays_the_same ]);
     ]
