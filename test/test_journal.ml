@@ -792,5 +792,5 @@ let () =
           Alcotest.test_case "bounds" `Quick test_stub_bounds;
           qcheck wide_batches_match_reference;
         ] );
-      ("compaction", [ qcheck compacted_replays_the_same ]);
+      ("compact", [ qcheck compacted_replays_the_same ]);
     ]
